@@ -41,12 +41,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use datamaran_core::{
-    all_tables_csv, snapshot_from_artifact, table_to_csv, CountingSink, CsvSink, Datamaran,
-    DatamaranConfig, Error, ErrorPolicy, EvaluationBackend, ExtractionBackend, ExtractionReport,
-    Grammar, JsonLinesSink, MatchingBackend, QuarantineSink, RecordSink, RetryPolicy, RetryingSink,
-    SearchStrategy, ServeMetrics, ServeOptions, ServeSession, SnapshotStore, StreamBudgets,
-    StreamOptions, StreamReport, StreamSummary, StructureTemplate, TemplateArtifact,
-    WriteQuarantineSink,
+    all_tables_csv, table_to_csv, CountingSink, CsvSink, Datamaran, DatamaranConfig, Error,
+    ErrorPolicy, EvaluationBackend, ExtractionBackend, ExtractionReport, Grammar, JsonLinesSink,
+    MatchingBackend, QuarantineSink, RecordSink, RetryPolicy, RetryingSink, SearchStrategy,
+    StreamBudgets, StreamOptions, StreamReport, StreamSession, StreamSummary, StructureTemplate,
+    TemplateArtifact, WriteQuarantineSink,
 };
 use logclust::{ClusterConfig, LogCluster};
 use std::fmt::Write as _;
@@ -79,9 +78,6 @@ pub enum Command {
     Cluster,
     /// Run the LogHub-clone corpus matrix and print per-dataset accuracy + throughput.
     Corpus,
-    /// Stream a file through a saved template artifact with zero hot-path discovery,
-    /// hot-swapping the template set when the stream drifts.
-    Serve,
     /// Print usage information.
     Help,
     /// Print the crate version.
@@ -126,16 +122,9 @@ pub struct Cli {
     pub sink_retries: usize,
     /// Scaled-down corpus matrix for smoke runs (`corpus --fast`).
     pub fast: bool,
-    /// Save the discovered templates as a serve artifact (`discover --save-templates`).
+    /// Save the discovered templates as a `datamaran-serve` artifact
+    /// (`discover --save-templates`).
     pub save_templates: Option<PathBuf>,
-    /// Template artifact to serve from (`serve --templates`, required for `serve`).
-    pub templates: Option<PathBuf>,
-    /// Serving decision-window size in lines (`serve --window-lines`).
-    pub window_lines: Option<usize>,
-    /// Unmatched-rate drift trigger in (0, 1] (`serve --drift-threshold`).
-    pub drift_threshold: Option<f64>,
-    /// Disable drift-triggered rediscovery (`serve --no-rediscover`).
-    pub no_rediscover: bool,
     /// Engine configuration assembled from the flags.
     pub config: DatamaranConfig,
 }
@@ -157,7 +146,6 @@ impl Cli {
             Some("grammar") => Command::Grammar,
             Some("cluster") => Command::Cluster,
             Some("corpus") => Command::Corpus,
-            Some("serve") => Command::Serve,
             Some(other) => return Err(format!("unknown subcommand `{other}` (try `help`)")),
         };
 
@@ -239,22 +227,6 @@ impl Cli {
                     cli.save_templates =
                         Some(PathBuf::from(next_value(&mut iter, "--save-templates")?))
                 }
-                "--templates" => {
-                    cli.templates = Some(PathBuf::from(next_value(&mut iter, "--templates")?))
-                }
-                "--window-lines" => {
-                    cli.window_lines = Some(parse_number(
-                        &next_value(&mut iter, "--window-lines")?,
-                        "--window-lines",
-                    )?)
-                }
-                "--drift-threshold" => {
-                    cli.drift_threshold = Some(parse_number(
-                        &next_value(&mut iter, "--drift-threshold")?,
-                        "--drift-threshold",
-                    )?)
-                }
-                "--no-rediscover" => cli.no_rediscover = true,
                 "--greedy" => cli.config.search = SearchStrategy::Greedy,
                 "--alpha" => {
                     cli.config.alpha = parse_number(&next_value(&mut iter, "--alpha")?, "--alpha")?
@@ -344,37 +316,15 @@ impl Cli {
         if cli.stream && cli.command != Command::Extract {
             return Err("`--stream` is only valid with the `extract` subcommand".into());
         }
-        if cli.command == Command::Serve && cli.templates.is_none() {
-            return Err("`serve` requires `--templates FILE` (create one with \
-                 `datamaran discover FILE --save-templates PATH`)"
-                .into());
-        }
-        if cli.command != Command::Serve
-            && (cli.templates.is_some()
-                || cli.window_lines.is_some()
-                || cli.drift_threshold.is_some()
-                || cli.no_rediscover)
-        {
-            return Err(
-                "`--templates`, `--window-lines`, `--drift-threshold`, and `--no-rediscover` \
-                 are only valid with the `serve` subcommand"
-                    .into(),
-            );
-        }
         if cli.save_templates.is_some() && cli.command != Command::Discover {
             return Err("`--save-templates` is only valid with the `discover` subcommand".into());
         }
         if !cli.stream
-            && cli.command != Command::Serve
             && (cli.output.is_some() || cli.head_bytes.is_some() || cli.window_bytes.is_some())
         {
             return Err(
                 "`--output`, `--head-bytes`, and `--window-bytes` require `--stream`".into(),
             );
-        }
-        if cli.command == Command::Serve && (cli.head_bytes.is_some() || cli.window_bytes.is_some())
-        {
-            return Err("`--head-bytes` and `--window-bytes` require `--stream`".into());
         }
         if cli.stream && cli.format == OutputFormat::Csv && cli.output.is_none() {
             return Err(
@@ -458,10 +408,6 @@ impl Cli {
             sink_retries: 0,
             fast: false,
             save_templates: None,
-            templates: None,
-            window_lines: None,
-            drift_threshold: None,
-            no_rediscover: false,
             config: DatamaranConfig::default(),
         }
     }
@@ -496,10 +442,13 @@ SUBCOMMANDS:
     cluster     run the SLCT-style line-clustering baseline
     corpus      run the LogHub-clone corpus matrix (no FILE): per-dataset template
                 F1, line coverage, and streaming MB/s for every catalog dataset
-    serve       stream FILE through a saved template artifact with zero hot-path
-                discovery, hot-swapping the template set when the stream drifts
     help        print this message
     version     print the version
+
+SERVING:
+    datamaran-serve --templates PATH [--output ROWS] < FILE
+                replays FILE through templates saved by `discover --save-templates`,
+                hot-swapping them when the stream drifts (see `datamaran-serve --help`)
 
 FLAGS:
     --format <summary|json|csv>   output format for `extract` (default: summary)
@@ -538,15 +487,7 @@ FLAGS:
     --fast                        `corpus` only: scale every dataset down 8x for a
                                   smoke run (numbers are not comparable to full runs)
     --save-templates <PATH>       `discover` only: also save the discovered templates
-                                  as a versioned artifact for `serve --templates`
-    --templates <PATH>            `serve` (required): the template artifact to match
-                                  against, produced by `discover --save-templates`
-    --window-lines <INT>          `serve` only: lines per drift-decision window
-                                  (default: 256)
-    --drift-threshold <FLOAT>     `serve` only: unmatched-rate in (0, 1] that triggers
-                                  rediscovery on the residual buffer (default: 0.5)
-    --no-rediscover               `serve` only: monitor drift but never hot-swap the
-                                  template set
+                                  as a versioned artifact for `datamaran-serve --templates`
     --greedy                      use the greedy RT-CharSet search (default: exhaustive)
     --alpha <FLOAT>               coverage threshold α in (0, 1]       (default: 0.10)
     --max-span <INT>              maximum lines per record L           (default: 10)
@@ -595,18 +536,10 @@ impl CliError {
         }
     }
 
-    /// Maps the library error taxonomy onto the stable exit codes.
+    /// Maps the library error taxonomy onto the stable exit codes ([`Error::exit_code`]).
     fn from_core(e: &Error) -> CliError {
-        let code = match e {
-            Error::InvalidConfig(_) | Error::Artifact(_) => 2,
-            Error::Io { .. } | Error::Sink { .. } | Error::Journal(_) => 3,
-            Error::EmptyDataset | Error::NoStructureFound => 4,
-            Error::BudgetExceeded { .. } => 5,
-            Error::Decode { .. } => 6,
-            _ => 1,
-        };
         CliError {
-            code,
+            code: e.exit_code(),
             message: e.to_string(),
         }
     }
@@ -651,10 +584,6 @@ pub fn run_cli<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         // The whole point of streaming is to never hold the file in memory: open a
         // buffered reader instead of reading the file into a string.
         return run_stream(&cli, path, out);
-    }
-    if cli.command == Command::Serve {
-        // Serving likewise streams the input; never slurp it.
-        return run_serve(&cli, path, out);
     }
     let text = fs::read_to_string(path)
         .map_err(|e| CliError::io(format!("cannot read {}: {e}", path.display())))?;
@@ -740,7 +669,7 @@ pub fn run_cli<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
             );
             write!(out, "{s}").map_err(|e| CliError::io(e.to_string()))
         }
-        Command::Help | Command::Version | Command::Corpus | Command::Serve => {
+        Command::Help | Command::Version | Command::Corpus => {
             unreachable!("handled above")
         }
     }
@@ -789,22 +718,22 @@ fn run_guarded<R: BufRead, S: RecordSink>(
     sink: &mut S,
     quarantine: Option<&mut dyn QuarantineSink>,
 ) -> Result<(StreamSummary, usize), CliError> {
-    if cli.sink_retries > 0 {
+    let mut session = StreamSession::new(engine).options(options);
+    if let Some(q) = quarantine {
+        session = session.quarantine(q);
+    }
+    let (summary, retries) = if cli.sink_retries > 0 {
         let policy = RetryPolicy {
             max_retries: cli.sink_retries,
             ..RetryPolicy::default()
         };
         let mut retrying = RetryingSink::new(&mut *sink, policy);
-        let summary = engine
-            .stream_guarded(reader, options, &mut retrying, quarantine)
-            .map_err(|e| CliError::from_core(&e))?;
-        Ok((summary, retrying.retries()))
+        let summary = session.run(reader, &mut retrying);
+        (summary, retrying.retries())
     } else {
-        let summary = engine
-            .stream_guarded(reader, options, sink, quarantine)
-            .map_err(|e| CliError::from_core(&e))?;
-        Ok((summary, 0))
-    }
+        (session.run(reader, sink), 0)
+    };
+    Ok((summary.map_err(|e| CliError::from_core(&e))?, retries))
 }
 
 /// Appends the fault-handling part of the streaming summary (quarantine counters, early
@@ -979,75 +908,6 @@ fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliEr
         }
     }
     outcome
-}
-
-/// Streams log lines through a [`ServeSession`] backed by `store`.  Lines are read raw
-/// and decoded lossily — a stray invalid byte becomes noise for the matcher instead of
-/// aborting the whole stream, which is the same policy the standalone daemon uses.
-fn serve_into<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    store: &SnapshotStore,
-    options: ServeOptions,
-    mut reader: R,
-    sink: &mut S,
-) -> Result<ServeMetrics, Error> {
-    let mut session = ServeSession::new(engine, store, options)?;
-    let mut raw = Vec::new();
-    loop {
-        raw.clear();
-        let n = reader
-            .read_until(b'\n', &mut raw)
-            .map_err(|e| Error::io(&e))?;
-        if n == 0 {
-            break;
-        }
-        let line = String::from_utf8_lossy(&raw);
-        session.push_line(&line, sink)?;
-    }
-    session.finish(sink)
-}
-
-/// Runs `serve FILE --templates ARTIFACT`: replays the file through the saved template
-/// snapshot with zero hot-path discovery, hot-swapping the template set when the drift
-/// threshold trips.  Rows are JSON Lines; with `--output FILE` the rows go there and the
-/// metrics JSON is printed to `out`, without it the rows go straight to `out` (mirroring
-/// `extract --stream --format json`).
-fn run_serve<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliError> {
-    let Some(artifact_path) = cli.templates.as_ref() else {
-        return Err(CliError::usage("`serve` requires `--templates FILE`"));
-    };
-    let engine = Datamaran::new(cli.config.clone()).map_err(|e| CliError::from_core(&e))?;
-    let artifact = TemplateArtifact::load(artifact_path).map_err(|e| CliError::from_core(&e))?;
-    let store = SnapshotStore::new(snapshot_from_artifact(&artifact));
-    let mut options = ServeOptions::default();
-    if let Some(n) = cli.window_lines {
-        options.window_lines = n;
-    }
-    if let Some(threshold) = cli.drift_threshold {
-        options.drift_threshold = threshold;
-    }
-    if cli.no_rediscover {
-        options.rediscover = false;
-    }
-    let file = fs::File::open(path)
-        .map_err(|e| CliError::io(format!("cannot open {}: {e}", path.display())))?;
-    let reader = std::io::BufReader::new(file);
-    match &cli.output {
-        Some(output) => {
-            let sink_file = fs::File::create(output)
-                .map_err(|e| CliError::io(format!("cannot create {}: {e}", output.display())))?;
-            let mut sink = JsonLinesSink::new(BufWriter::new(sink_file));
-            let metrics = serve_into(&engine, &store, options, reader, &mut sink)
-                .map_err(|e| CliError::from_core(&e))?;
-            writeln!(out, "{}", metrics.to_json()).map_err(|e| CliError::io(e.to_string()))
-        }
-        None => {
-            let mut sink = JsonLinesSink::new(&mut *out);
-            serve_into(&engine, &store, options, reader, &mut sink)
-                .map_err(|e| CliError::from_core(&e))?;
-            Ok(())
-        }
-    }
 }
 
 fn extract(cli: &Cli, text: &str) -> Result<datamaran_core::ExtractionResult, CliError> {
@@ -1732,33 +1592,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_serve_flags_and_validates_scope() {
-        let cli = Cli::parse(&args(&[
-            "serve",
-            "app.log",
-            "--templates",
-            "t.json",
-            "--window-lines",
-            "128",
-            "--drift-threshold",
-            "0.4",
-            "--no-rediscover",
-        ]))
-        .unwrap();
-        assert_eq!(cli.command, Command::Serve);
-        assert_eq!(cli.templates.as_ref().unwrap().to_str(), Some("t.json"));
-        assert_eq!(cli.window_lines, Some(128));
-        assert_eq!(cli.drift_threshold, Some(0.4));
-        assert!(cli.no_rediscover);
-
-        // `serve` without an artifact is a usage error.
-        assert!(Cli::parse(&args(&["serve", "app.log"]))
-            .unwrap_err()
-            .contains("--templates"));
-        // Serve-only flags are rejected on other subcommands.
-        assert!(Cli::parse(&args(&["extract", "x.log", "--templates", "t.json"])).is_err());
-        assert!(Cli::parse(&args(&["extract", "x.log", "--window-lines", "64"])).is_err());
-        assert!(Cli::parse(&args(&["extract", "x.log", "--no-rediscover"])).is_err());
+    fn save_templates_is_discover_only_and_serve_is_gone() {
         // `--save-templates` belongs to `discover` alone.
         assert!(Cli::parse(&args(&["extract", "x.log", "--save-templates", "t.json"])).is_err());
         assert!(
@@ -1767,102 +1601,67 @@ mod tests {
                 .save_templates
                 .is_some()
         );
-        // `--output` is valid for serve, but the stream-only byte knobs are not.
-        assert!(Cli::parse(&args(&[
-            "serve",
-            "x.log",
+        // Serving lives in `datamaran-serve`: the subcommand and its flags are unknown here.
+        let mut out = Vec::new();
+        let err = run_cli(&args(&["serve", "x.log"]), &mut out).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(
+            err.message.contains("unknown subcommand"),
+            "{}",
+            err.message
+        );
+        for flag in [
             "--templates",
-            "t.json",
-            "--output",
-            "rows.jsonl"
-        ]))
-        .is_ok());
-        assert!(Cli::parse(&args(&[
-            "serve",
-            "x.log",
-            "--templates",
-            "t.json",
-            "--head-bytes",
-            "1024"
-        ]))
-        .is_err());
+            "--window-lines",
+            "--drift-threshold",
+            "--no-rediscover",
+        ] {
+            let err = Cli::parse(&args(&["discover", "x.log", flag, "1"])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]
-    fn discover_save_templates_then_serve_end_to_end() {
+    fn discover_save_templates_writes_a_loadable_artifact() {
         let log = web_log(300);
-        let path = temp_log("serve_e2e", &log);
-        let base = std::env::temp_dir().join(format!("datamaran_cli_serve_{}", std::process::id()));
+        let path = temp_log("save_templates", &log);
+        let base = std::env::temp_dir().join(format!(
+            "datamaran_cli_save_templates_{}",
+            std::process::id()
+        ));
         fs::create_dir_all(&base).unwrap();
-        let artifact = base.join("templates.json");
+        let artifact_path = base.join("templates.json");
 
-        // Phase 1: discover and persist the artifact.
         let mut out = Vec::new();
         run(
             &args(&[
                 "discover",
                 path.to_str().unwrap(),
                 "--save-templates",
-                artifact.to_str().unwrap(),
+                artifact_path.to_str().unwrap(),
             ]),
             &mut out,
         )
         .unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("saved "), "{text}");
-        assert!(artifact.exists());
 
-        // Phase 2: serve the same file from the saved artifact; rows land in --output
-        // and the metrics JSON goes to stdout.
-        let rows = base.join("rows.jsonl");
-        let mut out = Vec::new();
-        run(
-            &args(&[
-                "serve",
-                path.to_str().unwrap(),
-                "--templates",
-                artifact.to_str().unwrap(),
-                "--output",
-                rows.to_str().unwrap(),
-            ]),
-            &mut out,
-        )
-        .unwrap();
-        let metrics = String::from_utf8(out).unwrap();
-        assert!(metrics.contains("\"snapshot_version\""), "{metrics}");
-        assert!(metrics.contains("\"swaps\": 0"), "{metrics}");
-        let rows_text = fs::read_to_string(&rows).unwrap();
-        assert_eq!(rows_text.lines().count(), 300, "every record extracted");
-
-        // Without --output the rows stream to stdout directly.
-        let mut out = Vec::new();
-        run(
-            &args(&[
-                "serve",
-                path.to_str().unwrap(),
-                "--templates",
-                artifact.to_str().unwrap(),
-            ]),
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), rows_text);
-
-        // A garbage artifact is a configuration error: exit code 2.
-        let bad = base.join("bad.json");
-        fs::write(&bad, "not an artifact").unwrap();
-        let mut out = Vec::new();
-        let err = run_cli(
-            &args(&[
-                "serve",
-                path.to_str().unwrap(),
-                "--templates",
-                bad.to_str().unwrap(),
-            ]),
-            &mut out,
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2, "{}", err.message);
+        // The artifact loads back with every discovered template, under the engine's
+        // extraction parameters.
+        let artifact = TemplateArtifact::load(&artifact_path).unwrap();
+        let discovered = Datamaran::with_defaults().extract(&log).unwrap();
+        assert!(!artifact.templates.is_empty());
+        assert_eq!(artifact.templates.len(), discovered.structures.len());
+        assert_eq!(
+            text.lines().filter(|l| l.starts_with("type")).count(),
+            artifact.templates.len()
+        );
+        assert!(
+            text.contains(&format!("saved {} templates", artifact.templates.len())),
+            "{text}"
+        );
+        let config = DatamaranConfig::default();
+        assert_eq!(artifact.max_line_span, config.max_line_span);
+        assert_eq!(artifact.matching_backend, config.matching_backend);
 
         fs::remove_dir_all(base).ok();
         fs::remove_file(path).ok();

@@ -5,8 +5,9 @@
 //! [`std::io::ErrorKind`] and the path they occurred on, sink failures name the sink and
 //! preserve the underlying cause, decode failures carry the input line, and budget
 //! violations report which [`BudgetKind`] was exceeded with the limit and the observed
-//! value.  The CLI maps each variant onto a stable exit code; the streaming retry layer
-//! uses [`Error::is_transient`] to decide what is worth retrying.
+//! value.  [`Error::exit_code`] maps each variant onto the stable process exit code both
+//! binaries return; the streaming retry layer uses [`Error::is_transient`] to decide what
+//! is worth retrying.
 
 use std::fmt;
 use std::io;
@@ -139,6 +140,21 @@ impl Error {
         Error::Sink {
             sink: sink.into(),
             source: Box::new(self),
+        }
+    }
+
+    /// The stable process exit code of this failure, shared by the `datamaran` CLI and the
+    /// `datamaran-serve` daemon: `2` usage / configuration / artifact, `3` I/O, sink and
+    /// journal, `4` empty input or no structure, `5` budget exceeded, `6` decode, `1`
+    /// anything else.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            Error::InvalidConfig(_) | Error::Artifact(_) => 2,
+            Error::Io { .. } | Error::Sink { .. } | Error::Journal(_) => 3,
+            Error::EmptyDataset | Error::NoStructureFound => 4,
+            Error::BudgetExceeded { .. } => 5,
+            Error::Decode { .. } => 6,
+            Error::ExtractionFailure(_) => 1,
         }
     }
 
@@ -289,6 +305,39 @@ mod tests {
         assert!(s.contains("match-seconds"), "{s}");
         assert!(s.contains("1000"), "{s}");
         assert!(s.contains("2500"), "{s}");
+    }
+
+    #[test]
+    fn exit_codes_follow_the_stable_table() {
+        let io = Error::io(&io::Error::new(io::ErrorKind::NotFound, "n"));
+        let cases = [
+            (Error::InvalidConfig("x".into()), 2),
+            (Error::Artifact("x".into()), 2),
+            (io.clone(), 3),
+            (io.in_sink("jsonl"), 3),
+            (Error::Journal("x".into()), 3),
+            (Error::EmptyDataset, 4),
+            (Error::NoStructureFound, 4),
+            (
+                Error::BudgetExceeded {
+                    budget: BudgetKind::LineBytes,
+                    limit: 1,
+                    observed: 2,
+                },
+                5,
+            ),
+            (
+                Error::Decode {
+                    line: 0,
+                    message: "x".into(),
+                },
+                6,
+            ),
+            (Error::ExtractionFailure("x".into()), 1),
+        ];
+        for (e, code) in cases {
+            assert_eq!(e.exit_code(), code, "{e}");
+        }
     }
 
     #[test]

@@ -124,11 +124,6 @@ pub use serve::{
     ServeSession, SnapshotStore, SwapPersistence, TemplateSnapshot,
 };
 pub use span::{field_spans, tokenize_spans, LineIndex, SpanToken, SpanTokenKind};
-#[allow(deprecated)]
-pub use streaming::{
-    extract_stream, extract_stream_sink, extract_stream_sink_guarded,
-    extract_stream_with_templates, extract_stream_with_templates_guarded,
-};
 pub use streaming::{
     ErrorPolicy, OwnedRecord, QuarantineEntry, QuarantineReason, QuarantineSink, StopReason,
     StreamBudgets, StreamOptions, StreamRecord, StreamSession, StreamSummary, VecQuarantineSink,

@@ -163,39 +163,6 @@ impl Datamaran {
         self.extract_with_scorer(text, &MdlScorer)
     }
 
-    /// Runs bounded-memory streaming extraction over `reader`, pushing every record into
-    /// `sink` — the out-of-core counterpart of [`extract`](Self::extract): structure is
-    /// discovered on the stream head, then the whole stream is extracted window by window
-    /// in `O(head + window)` memory.  See
-    /// [`StreamSession`](crate::streaming::StreamSession).
-    pub fn stream<R: std::io::BufRead, S: crate::export::RecordSink + ?Sized>(
-        &self,
-        reader: R,
-        options: crate::streaming::StreamOptions,
-        sink: &mut S,
-    ) -> Result<crate::streaming::StreamSummary> {
-        crate::streaming::StreamSession::new(self)
-            .options(options)
-            .run(reader, sink)
-    }
-
-    /// [`stream`](Self::stream) with a quarantine sink attached: under
-    /// [`ErrorPolicy::Quarantine`](crate::streaming::ErrorPolicy), undecodable, oversized,
-    /// and unmatched lines are preserved byte-identical in `quarantine`.
-    pub fn stream_guarded<R: std::io::BufRead, S: crate::export::RecordSink + ?Sized>(
-        &self,
-        reader: R,
-        options: crate::streaming::StreamOptions,
-        sink: &mut S,
-        quarantine: Option<&mut dyn crate::streaming::QuarantineSink>,
-    ) -> Result<crate::streaming::StreamSummary> {
-        let mut session = crate::streaming::StreamSession::new(self).options(options);
-        if let Some(q) = quarantine {
-            session = session.quarantine(q);
-        }
-        session.run(reader, sink)
-    }
-
     /// Runs the full pipeline with a caller-supplied regularity score function.
     pub fn extract_with_scorer<S: RegularityScorer>(
         &self,

@@ -9,19 +9,20 @@
 //!
 //! * [`TemplateSnapshot`] — an immutable, compiled template set (the PR 8 fused
 //!   [`SpanLineMatcher`] plus its source templates) behind an `Arc`.  Matching takes
-//!   `&self`; per-session [`SpanScratch`] arenas carry all mutable state, so one snapshot
-//!   serves any number of threads.
+//!   `&self`; per-session [`SpanScratch`](crate::extract::SpanScratch) arenas carry all
+//!   mutable state, so one snapshot serves any number of threads.
 //! * [`SnapshotStore`] — the atomically swappable current snapshot.  Readers clone the
 //!   `Arc` out of a read lock (held for nanoseconds — never across a match), writers
 //!   install a new snapshot with [`swap`](SnapshotStore::swap).  Sessions already holding
 //!   the old `Arc` finish their window on it and pick up the new one at the next window
 //!   boundary: no torn reads, no blocking of the hot path.
 //! * [`ServeSession`] — the per-connection processor: buffers pushed lines, decides them
-//!   window by window with the same safe-limit carry-over rule as the batch loop, tracks
-//!   the per-window unmatched rate ([`WindowUnmatched`]), accumulates unmatched lines in a
-//!   bounded **residual buffer**, and — when the rate degrades past the configured
-//!   threshold — re-runs discovery on that residual and publishes the merged template set
-//!   as a new snapshot (*online inference*).
+//!   window by window with the streaming engine's window loop (the safe-limit carry-over
+//!   rule, record emission and per-window counters live there once), tracks the
+//!   per-window unmatched rate ([`WindowUnmatched`](crate::streaming::WindowUnmatched)),
+//!   accumulates unmatched lines in a bounded **residual buffer**, and — when the rate
+//!   degrades past the configured threshold — re-runs discovery on that residual and
+//!   publishes the merged template set as a new snapshot (*online inference*).
 //!
 //! The lifecycle hand-off in and out of this module is the [`TemplateArtifact`]: `discover
 //! --save-templates` writes one, [`snapshot_from_artifact`] turns it into the initial
@@ -31,14 +32,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::artifact::TemplateArtifact;
-use crate::dataset::Dataset;
+use crate::config::MatchingBackend;
 use crate::error::{Error, Result};
 use crate::export::{RecordSink, StreamReport};
-use crate::extract::{SpanLineMatcher, SpanScratch};
+use crate::extract::SpanLineMatcher;
 use crate::json::JsonValue;
-use crate::parser::FieldCell;
 use crate::pipeline::Datamaran;
-use crate::streaming::{StreamRecord, StreamSummary, WindowUnmatched};
+use crate::streaming::{StreamSummary, WindowLoop};
 use crate::structure::StructureTemplate;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,13 +124,14 @@ impl ServeOptions {
 }
 
 /// One immutable, compiled template set.  Matching is `&self` (all mutable state lives in
-/// the caller's [`SpanScratch`]), so a snapshot behind an `Arc` serves any number of
-/// sessions and threads simultaneously.
+/// the caller's [`SpanScratch`](crate::extract::SpanScratch)), so a snapshot behind an
+/// `Arc` serves any number of sessions and threads simultaneously.
 pub struct TemplateSnapshot {
     version: u64,
     templates: Vec<StructureTemplate>,
     matcher: SpanLineMatcher,
     max_line_span: usize,
+    matching_backend: MatchingBackend,
 }
 
 impl TemplateSnapshot {
@@ -141,21 +142,13 @@ impl TemplateSnapshot {
         templates: Vec<StructureTemplate>,
         engine: &Datamaran,
     ) -> Result<Self> {
-        if templates.is_empty() {
-            return Err(Error::NoStructureFound);
-        }
-        let max_line_span = engine.config().max_line_span;
-        let matcher = SpanLineMatcher::with_backend(
-            &templates,
-            max_line_span,
-            engine.config().matching_backend,
-        );
-        Ok(TemplateSnapshot {
+        let config = engine.config();
+        Self::from_templates(
             version,
             templates,
-            matcher,
-            max_line_span,
-        })
+            config.max_line_span,
+            config.matching_backend,
+        )
     }
 
     /// The snapshot's monotonically increasing version (1 = the initial snapshot).
@@ -178,24 +171,30 @@ impl TemplateSnapshot {
         self.max_line_span
     }
 
+    /// The matching backend the matcher was compiled under.
+    pub fn matching_backend(&self) -> MatchingBackend {
+        self.matching_backend
+    }
+
     /// Compiles a snapshot directly from templates and matcher metadata — the restart
-    /// path ([`crate::journal::recovered_snapshot`]) and tests use this when no engine is
-    /// in scope.  Empty sets are rejected.
+    /// path ([`crate::journal::recovered_snapshot`]) and hot swaps, which keep the
+    /// parameters of the snapshot they replace.  Empty sets are rejected.
     pub fn from_templates(
         version: u64,
         templates: Vec<StructureTemplate>,
         max_line_span: usize,
-        backend: crate::config::MatchingBackend,
+        matching_backend: MatchingBackend,
     ) -> Result<Self> {
         if templates.is_empty() {
             return Err(Error::NoStructureFound);
         }
-        let matcher = SpanLineMatcher::with_backend(&templates, max_line_span, backend);
+        let matcher = SpanLineMatcher::with_backend(&templates, max_line_span, matching_backend);
         Ok(TemplateSnapshot {
             version,
             templates,
             matcher,
             max_line_span,
+            matching_backend,
         })
     }
 }
@@ -231,15 +230,16 @@ pub trait SwapPersistence: Send + Sync {
 }
 
 /// Builds the initial snapshot (version 1) from a saved [`TemplateArtifact`] — the
-/// `discover --save-templates` → `serve --templates` hand-off.  The matcher is recompiled
-/// with the artifact's own `max_line_span` and backend, so serving behaves byte-identically
-/// to the discovering engine.
+/// `datamaran discover --save-templates` → `datamaran-serve --templates` hand-off.  The
+/// matcher is recompiled with the artifact's own `max_line_span` and backend, so serving
+/// behaves byte-identically to the discovering engine.
 pub fn snapshot_from_artifact(artifact: &TemplateArtifact) -> TemplateSnapshot {
     TemplateSnapshot {
         version: 1,
         templates: artifact.templates.clone(),
         matcher: artifact.matcher(),
         max_line_span: artifact.max_line_span,
+        matching_backend: artifact.matching_backend,
     }
 }
 
@@ -474,21 +474,46 @@ pub struct ServeSession<'a> {
     store: &'a SnapshotStore,
     options: ServeOptions,
     snapshot: Arc<TemplateSnapshot>,
-    scratch: SpanScratch,
-    cells: Vec<FieldCell>,
-    reps: Vec<u32>,
+    window_loop: WindowLoop,
     /// Undecided window text (every line newline-terminated).
     buffer: String,
     pending_lines: usize,
-    /// Unmatched lines accumulated for rediscovery (newline-terminated).
-    residual: String,
-    residual_lines: usize,
-    residual_dropped: usize,
+    residual: Residual,
     summary: StreamSummary,
-    global_line: usize,
     swaps: u64,
     rediscover_failures: u64,
     begun_version: Option<u64>,
+}
+
+/// Unmatched lines accumulated for rediscovery: newline-terminated text capped at `cap`
+/// bytes, oldest lines evicted first.
+struct Residual {
+    text: String,
+    lines: usize,
+    dropped: usize,
+    cap: usize,
+}
+
+impl Residual {
+    /// Appends one unmatched line, dropping the oldest lines when the byte cap would be
+    /// exceeded (a line larger than the whole cap is dropped outright).
+    fn push(&mut self, line_text: &str) {
+        if line_text.len() > self.cap {
+            self.dropped += 1;
+            return;
+        }
+        while self.text.len() + line_text.len() > self.cap && !self.text.is_empty() {
+            let first_end = self.text.find('\n').map_or(self.text.len(), |i| i + 1);
+            self.text.drain(..first_end);
+            self.lines = self.lines.saturating_sub(1);
+            self.dropped += 1;
+        }
+        self.text.push_str(line_text);
+        if !line_text.ends_with('\n') {
+            self.text.push('\n');
+        }
+        self.lines += 1;
+    }
 }
 
 impl<'a> ServeSession<'a> {
@@ -509,16 +534,16 @@ impl<'a> ServeSession<'a> {
             store,
             options,
             snapshot,
-            scratch: SpanScratch::default(),
-            cells: Vec::new(),
-            reps: Vec::new(),
+            window_loop: WindowLoop::default(),
             buffer: String::new(),
             pending_lines: 0,
-            residual: String::new(),
-            residual_lines: 0,
-            residual_dropped: 0,
+            residual: Residual {
+                text: String::new(),
+                lines: 0,
+                dropped: 0,
+                cap: options.residual_bytes,
+            },
             summary,
-            global_line: 0,
             swaps: 0,
             rediscover_failures: 0,
             begun_version: None,
@@ -564,9 +589,9 @@ impl<'a> ServeSession<'a> {
             snapshot_version: self.snapshot.version(),
             swaps: self.swaps,
             rediscover_failures: self.rediscover_failures,
-            residual_lines: self.residual_lines,
-            residual_bytes: self.residual.len(),
-            residual_dropped: self.residual_dropped,
+            residual_lines: self.residual.lines,
+            residual_bytes: self.residual.text.len(),
+            residual_dropped: self.residual.dropped,
         }
     }
 
@@ -597,138 +622,59 @@ impl<'a> ServeSession<'a> {
         Ok(())
     }
 
-    /// Decides one window of buffered lines: the batch loop's safe-limit rule, record
-    /// emission, residual accumulation, drift tracking, and — when triggered —
-    /// rediscovery and hot swap.
+    /// Decides one window of buffered lines with the streaming window loop, matching
+    /// against the current snapshot and keeping unmatched lines in the residual buffer,
+    /// then — when the drift trigger fires — rediscovers and hot-swaps.
     fn process_window<S: RecordSink + ?Sized>(&mut self, sink: &mut S, eof: bool) -> Result<()> {
         self.refresh_snapshot(sink)?;
         self.ensure_begun(sink)?;
-        let timer = std::time::Instant::now();
-        let stats_before = self.scratch.stats;
-        let dataset = Dataset::new(self.buffer.as_str());
-        let n = dataset.line_count();
-        if n == 0 {
-            self.buffer.clear();
-            self.pending_lines = 0;
-            return Ok(());
-        }
-        self.summary.windows += 1;
-        self.summary.peak_window_bytes = self
-            .summary
-            .peak_window_bytes
-            .max(self.buffer.capacity() + dataset.len());
-        let max_span = self.snapshot.max_line_span();
-        let safe_limit = if eof { n } else { n.saturating_sub(max_span) };
-
-        let mut line = 0usize;
-        let mut window_noise = 0usize;
-        while line < n {
-            self.cells.clear();
-            self.reps.clear();
-            let matched = self.snapshot.matcher().match_line_into(
-                &dataset,
-                line,
-                &mut self.cells,
-                &mut self.reps,
-                &mut self.scratch,
-            );
-            match matched {
-                Some(rec) => {
-                    if !eof && rec.line_span.1 > safe_limit {
-                        break;
-                    }
-                    let record = StreamRecord {
-                        template_index: rec.template_index as usize,
-                        line_span: (
-                            self.global_line + rec.line_span.0,
-                            self.global_line + rec.line_span.1,
-                        ),
-                        window: dataset.text(),
-                        cells: &self.cells,
-                        reps: &self.reps,
-                    };
-                    sink.record(&record)?;
-                    self.summary.records += 1;
-                    line = rec.line_span.1;
-                }
-                None => {
-                    if !eof && line >= safe_limit {
-                        break;
-                    }
-                    self.summary.noise_lines += 1;
-                    window_noise += 1;
-                    let (s, e) = dataset.line_span(line);
-                    self.push_residual(&dataset.text()[s..e]);
-                    line += 1;
-                }
-            }
-        }
-        self.summary.match_seconds += timer.elapsed().as_secs_f64();
-
-        let consumed_lines = line.min(n);
-        let consumed_bytes = if line >= n {
-            self.buffer.len()
-        } else {
-            dataset.line_start(line)
-        };
-        let window = WindowUnmatched {
-            lines: consumed_lines,
-            unmatched: window_noise,
-        };
-        self.summary.bytes_processed += consumed_bytes;
-        self.summary.lines_processed += consumed_lines;
-        self.summary.window_unmatched.push(window);
-        self.summary
-            .window_match_stats
-            .push(self.scratch.stats.since(&stats_before));
-        self.global_line += consumed_lines;
-        let tail = self.buffer.split_off(consumed_bytes);
-        self.buffer = tail;
-        self.pending_lines = n - consumed_lines;
+        let matcher = self.snapshot.matcher();
+        let residual = &mut self.residual;
+        let (window, carried) = self.window_loop.decide(
+            &mut self.buffer,
+            eof,
+            self.snapshot.max_line_span(),
+            &mut self.summary,
+            sink,
+            |dataset, line, bufs| {
+                matcher
+                    .match_line_into(
+                        dataset,
+                        line,
+                        &mut bufs.cells,
+                        &mut bufs.reps,
+                        &mut bufs.scratch,
+                    )
+                    .map(Into::into)
+            },
+            |_, text, _| {
+                residual.push(text);
+                Ok(())
+            },
+        )?;
+        self.pending_lines = carried;
 
         // The drift trigger: this window's unmatched rate reached the threshold and the
         // residual is large enough for discovery to be meaningful.
         if self.options.rediscover
             && window.lines > 0
             && window.unmatched_rate() >= self.options.drift_threshold
-            && self.residual_lines >= self.options.min_residual_lines
+            && self.residual.lines >= self.options.min_residual_lines
         {
             self.try_rediscover(sink)?;
         }
         Ok(())
     }
 
-    /// Appends one unmatched line to the residual buffer, dropping the oldest residual
-    /// lines when the byte cap would be exceeded.
-    fn push_residual(&mut self, line_text: &str) {
-        let cap = self.options.residual_bytes;
-        if line_text.len() > cap {
-            self.residual_dropped += 1;
-            return;
-        }
-        while self.residual.len() + line_text.len() > cap && !self.residual.is_empty() {
-            let first_end = self
-                .residual
-                .find('\n')
-                .map_or(self.residual.len(), |i| i + 1);
-            self.residual.drain(..first_end);
-            self.residual_lines = self.residual_lines.saturating_sub(1);
-            self.residual_dropped += 1;
-        }
-        self.residual.push_str(line_text);
-        if !line_text.ends_with('\n') {
-            self.residual.push('\n');
-        }
-        self.residual_lines += 1;
-    }
-
     /// Runs discovery on the residual buffer; on success, publishes a new snapshot whose
     /// template set is the current set **plus** the newly discovered templates (the old
-    /// format may still be interleaved with the new one), and clears the residual.  A
-    /// failed attempt (no structure in the residual, or nothing genuinely new) leaves the
-    /// snapshot and residual untouched and is counted.
+    /// format may still be interleaved with the new one), and clears the residual.  The
+    /// successor is compiled under the current snapshot's `max_line_span` and matching
+    /// backend, so a swap never changes how records are matched — only which templates
+    /// match.  A failed attempt (no structure in the residual, or nothing genuinely new)
+    /// leaves the snapshot and residual untouched and is counted.
     fn try_rediscover<S: RecordSink + ?Sized>(&mut self, sink: &mut S) -> Result<()> {
-        let discovered = match self.engine.extract(&self.residual) {
+        let discovered = match self.engine.extract(&self.residual.text) {
             Ok(result) => result
                 .templates()
                 .into_iter()
@@ -756,12 +702,16 @@ impl<'a> ServeSession<'a> {
         }
         let mut merged = self.snapshot.templates().to_vec();
         merged.extend(fresh);
-        let version = self.store.claim_version();
-        let next = Arc::new(TemplateSnapshot::compile(version, merged, self.engine)?);
-        self.store.swap(next);
+        let next = TemplateSnapshot::from_templates(
+            self.store.claim_version(),
+            merged,
+            self.snapshot.max_line_span(),
+            self.snapshot.matching_backend(),
+        )?;
+        self.store.swap(Arc::new(next));
         self.swaps += 1;
-        self.residual.clear();
-        self.residual_lines = 0;
+        self.residual.text.clear();
+        self.residual.lines = 0;
         // Adopt the published snapshot immediately: the very next window should already
         // match the drifted lines.
         self.refresh_snapshot(sink)?;
@@ -773,6 +723,7 @@ impl<'a> ServeSession<'a> {
 mod tests {
     use super::*;
     use crate::export::CountingSink;
+    use crate::streaming::WindowUnmatched;
 
     fn kv_lines(prefix: &str, n: usize) -> Vec<String> {
         (0..n)
@@ -857,6 +808,38 @@ mod tests {
         // The merged set still contains the original templates.
         let current = store.current();
         assert!(current.templates().len() > 1);
+    }
+
+    /// A hot swap recompiles under the replaced snapshot's `max_line_span` and matching
+    /// backend, the parameters startup, compaction and restart take from the artifact —
+    /// not under the rediscovery engine's, which may differ.
+    #[test]
+    fn hot_swap_keeps_the_snapshot_span_bound_and_backend() {
+        let engine = engine(); // builder defaults: L = 10, fused matching
+        let format_a = kv_lines("host", 300);
+        let templates = engine
+            .extract(&format_a.concat())
+            .unwrap()
+            .templates()
+            .into_iter()
+            .cloned()
+            .collect();
+        let snapshot =
+            TemplateSnapshot::from_templates(1, templates, 3, MatchingBackend::Trial).unwrap();
+        let store = SnapshotStore::new(snapshot);
+        let options = ServeOptions::default().with_window_lines(64);
+        let mut session = ServeSession::new(&engine, &store, options).unwrap();
+        let mut sink = CountingSink::default();
+        for i in 0..300 {
+            let line = format!("{} | svc{} | {} | OK\n", 1700000000 + i, i % 5, i * 3);
+            session.push_line(&line, &mut sink).unwrap();
+        }
+        let metrics = session.finish(&mut sink).unwrap();
+        assert_eq!(metrics.swaps, 1, "the drift must publish one successor");
+        let current = store.current();
+        assert_eq!(current.version(), metrics.snapshot_version);
+        assert_eq!(current.max_line_span(), 3);
+        assert_eq!(current.matching_backend(), MatchingBackend::Trial);
     }
 
     #[test]

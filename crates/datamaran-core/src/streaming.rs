@@ -30,8 +30,10 @@
 //! # Ok(()) }
 //! ```
 //!
-//! The session is the single implementation: the historical `extract_stream*` free
-//! functions survive as thin deprecated wrappers around it.
+//! The session is the only streaming entry point.  Its window decision is shared with the
+//! serving path: [`crate::serve::ServeSession`] decides its windows with the same loop,
+//! only matching against a hot-swappable snapshot and keeping unmatched lines for
+//! rediscovery.
 //!
 //! Records reach the sink as [`StreamRecord`]s — zero-copy views over the current window's
 //! text plus the recycled match arenas (flat field cells and array repetition counts, the
@@ -71,7 +73,7 @@ use crate::config::{ExtractionBackend, MatchingBackend};
 use crate::dataset::Dataset;
 use crate::error::{BudgetKind, Error, Result};
 use crate::export::RecordSink;
-use crate::extract::{MatchStats, SpanLineMatcher, SpanScratch};
+use crate::extract::{LineMatchTable, MatchStats, SpanLineMatcher, SpanRecord, SpanScratch};
 use crate::parallel::{resolve_threads, ParallelOptions};
 use crate::parser::{tree_reps, FieldCell, LineMatcher};
 use crate::pipeline::Datamaran;
@@ -84,7 +86,7 @@ use std::time::Instant;
 /// hot path; the estimate scales the sampled time by the call count.
 const SINK_TIMING_SAMPLE: usize = 32;
 
-/// Running sink-callback timing state (shared by the sequential and parallel window loops).
+/// Running sink-callback timing state of the window loop.
 #[derive(Default)]
 struct SinkTiming {
     calls: usize,
@@ -121,20 +123,153 @@ impl SinkTiming {
     }
 }
 
-/// The slice of a record match the streaming loop needs; field cells and repetition counts
-/// land in reusable caller-supplied buffers instead of per-record vectors.
-struct WindowRecord {
+/// The slice of a record match the window loop needs; field cells and repetition counts
+/// land in the loop's reusable [`MatchBuffers`] instead of per-record vectors.
+pub(crate) struct WindowRecord {
     template_index: usize,
     line_span: (usize, usize),
 }
 
-/// Per-window matcher honouring the engine's configured extraction backend (both produce
+impl From<SpanRecord> for WindowRecord {
+    fn from(rec: SpanRecord) -> Self {
+        WindowRecord {
+            template_index: rec.template_index as usize,
+            line_span: rec.line_span,
+        }
+    }
+}
+
+/// The reusable buffers a line match fills: the record's field cells and array repetition
+/// counts (pre-order arena layout, identical across backends), plus the span engine's
+/// scratch arenas, whose work counters the window loop carves into per-window stats.
+#[derive(Default)]
+pub(crate) struct MatchBuffers {
+    pub(crate) cells: Vec<FieldCell>,
+    pub(crate) reps: Vec<u32>,
+    pub(crate) scratch: SpanScratch,
+}
+
+/// The window decision shared by [`StreamSession`] and [`crate::serve::ServeSession`], plus
+/// the state it carries from one window to the next.  DATAMARAN decides a record only once
+/// its whole span of at most `L` lines is buffered; [`decide`](Self::decide) is the one
+/// place that rule lives.
+#[derive(Default)]
+pub(crate) struct WindowLoop {
+    /// Stream line index of the first buffered line.
+    global_line: usize,
+    bufs: MatchBuffers,
+    timing: SinkTiming,
+}
+
+impl WindowLoop {
+    /// Decides the lines buffered in `buffer`: every record that provably cannot be
+    /// affected by unseen input goes to `sink` with stream-global line offsets, every
+    /// unmatched line is counted as noise and handed to `unmatched` (window-relative line
+    /// index and text), and the undecided tail stays in `buffer` for the next window.
+    /// With `eof` the whole buffer is decided.  Returns the window's counters (also pushed
+    /// onto `summary`, whose `sink_seconds` becomes the running per-record sink estimate)
+    /// and the number of lines carried over.
+    ///
+    /// Callers differ only in how a line is matched (`match_line` fills the
+    /// [`MatchBuffers`], which arrive cleared) and where unmatched lines go; budgets and
+    /// drift reactions stay with them.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn decide<S, M, U>(
+        &mut self,
+        buffer: &mut String,
+        eof: bool,
+        max_span: usize,
+        summary: &mut StreamSummary,
+        sink: &mut S,
+        mut match_line: M,
+        mut unmatched: U,
+    ) -> Result<(WindowUnmatched, usize)>
+    where
+        S: RecordSink + ?Sized,
+        M: FnMut(&Dataset, usize, &mut MatchBuffers) -> Option<WindowRecord>,
+        U: FnMut(usize, &str, &mut StreamSummary) -> Result<()>,
+    {
+        let dataset = Dataset::new(buffer.as_str());
+        summary.windows += 1;
+        summary.peak_window_bytes = summary
+            .peak_window_bytes
+            .max(buffer.capacity() + dataset.len());
+        let n = dataset.line_count();
+        // Lines at or after `safe_limit` may still be the head of a record whose tail has
+        // not been read yet; they are only decided once the stream is exhausted.
+        let safe_limit = if eof { n } else { n.saturating_sub(max_span) };
+
+        let match_timer = Instant::now();
+        let stats_before = self.bufs.scratch.stats;
+        let mut line = 0usize;
+        let mut window_noise = 0usize;
+        while line < n {
+            self.bufs.cells.clear();
+            self.bufs.reps.clear();
+            match match_line(&dataset, line, &mut self.bufs) {
+                Some(rec) => {
+                    if !eof && rec.line_span.1 > safe_limit {
+                        break;
+                    }
+                    let record = StreamRecord {
+                        template_index: rec.template_index,
+                        line_span: (
+                            self.global_line + rec.line_span.0,
+                            self.global_line + rec.line_span.1,
+                        ),
+                        window: dataset.text(),
+                        cells: &self.bufs.cells,
+                        reps: &self.bufs.reps,
+                    };
+                    self.timing.record(sink, &record)?;
+                    summary.records += 1;
+                    line = rec.line_span.1;
+                }
+                None => {
+                    if !eof && line >= safe_limit {
+                        break;
+                    }
+                    summary.noise_lines += 1;
+                    window_noise += 1;
+                    let (s, e) = dataset.line_span(line);
+                    unmatched(line, &dataset.text()[s..e], summary)?;
+                    line += 1;
+                }
+            }
+        }
+        summary.match_seconds += match_timer.elapsed().as_secs_f64();
+        summary.sink_seconds = self.timing.estimate();
+
+        // Everything before `line` is decided; account for it and carry the tail over.
+        let consumed_lines = line.min(n);
+        let consumed_bytes = if line >= n {
+            buffer.len()
+        } else {
+            dataset.line_start(line)
+        };
+        let window = WindowUnmatched {
+            lines: consumed_lines,
+            unmatched: window_noise,
+        };
+        summary.bytes_processed += consumed_bytes;
+        summary.lines_processed += consumed_lines;
+        summary.window_unmatched.push(window);
+        summary
+            .window_match_stats
+            .push(self.bufs.scratch.stats.since(&stats_before));
+        self.global_line += consumed_lines;
+        *buffer = buffer.split_off(consumed_bytes);
+        Ok((window, n - consumed_lines))
+    }
+}
+
+/// Per-stream matcher honouring the engine's configured extraction backend (both produce
 /// identical matches; the span matcher never materializes instantiation trees — cells go
 /// straight from the op-table run into the reused buffers).  Built **once** per stream:
 /// template compilation is hoisted out of the window loop.
 enum WindowMatcher<'a> {
     Legacy(LineMatcher<'a>),
-    Span(Box<SpanLineMatcher>, Box<SpanScratch>),
+    Span(Box<SpanLineMatcher>),
 }
 
 impl<'a> WindowMatcher<'a> {
@@ -148,49 +283,56 @@ impl<'a> WindowMatcher<'a> {
             ExtractionBackend::Legacy => {
                 WindowMatcher::Legacy(LineMatcher::new(templates, max_span))
             }
-            ExtractionBackend::Span => WindowMatcher::Span(
-                Box::new(SpanLineMatcher::with_backend(templates, max_span, matching)),
-                Box::default(),
-            ),
+            ExtractionBackend::Span => WindowMatcher::Span(Box::new(
+                SpanLineMatcher::with_backend(templates, max_span, matching),
+            )),
         }
     }
 
-    /// Snapshot of the matcher's accumulated work counters (zero for the legacy matcher,
-    /// which predates the counters).
-    fn stats(&self) -> MatchStats {
-        match self {
-            WindowMatcher::Legacy(_) => MatchStats::default(),
-            WindowMatcher::Span(_, scratch) => scratch.stats,
-        }
-    }
-
-    /// Attempts to match one record starting at `line`; on success `cells` holds exactly
-    /// the record's field cells and `reps` its array repetition counts (pre-order arena
-    /// layout, identical across backends).
+    /// Attempts to match one record starting at `line` into `bufs`.  With `chunks > 1` the
+    /// span matcher answers from the window's match `table`, computed by scoped workers at
+    /// the window's first query: the per-line match question depends only on the text from
+    /// each line onward, so the sequential decision loop replays it unchanged and record
+    /// order and sink bytes are identical for any thread count.
     fn match_line(
-        &mut self,
+        &self,
         dataset: &Dataset,
         line: usize,
-        cells: &mut Vec<FieldCell>,
-        reps: &mut Vec<u32>,
+        bufs: &mut MatchBuffers,
+        chunks: usize,
+        table: &mut Option<LineMatchTable>,
     ) -> Option<WindowRecord> {
-        cells.clear();
-        reps.clear();
         match self {
             WindowMatcher::Legacy(m) => m.match_line(dataset, line).map(|rec| {
-                cells.extend_from_slice(&rec.fields);
-                tree_reps(&rec.values, reps);
+                bufs.cells.extend_from_slice(&rec.fields);
+                tree_reps(&rec.values, &mut bufs.reps);
                 WindowRecord {
                     template_index: rec.template_index,
                     line_span: rec.line_span,
                 }
             }),
-            WindowMatcher::Span(m, scratch) => m
-                .match_line_into(dataset, line, cells, reps, scratch)
-                .map(|rec| WindowRecord {
-                    template_index: rec.template_index as usize,
-                    line_span: rec.line_span,
-                }),
+            WindowMatcher::Span(m) if chunks > 1 => {
+                let table = table.get_or_insert_with(|| {
+                    let table = m.match_table(dataset, chunks);
+                    // The workers' counters join the scratch the window stats come from.
+                    bufs.scratch.stats.merge(&table.stats());
+                    table
+                });
+                table.record_at(line).map(|(rec, cells, reps)| {
+                    bufs.cells.extend_from_slice(cells);
+                    bufs.reps.extend_from_slice(reps);
+                    rec.into()
+                })
+            }
+            WindowMatcher::Span(m) => m
+                .match_line_into(
+                    dataset,
+                    line,
+                    &mut bufs.cells,
+                    &mut bufs.reps,
+                    &mut bufs.scratch,
+                )
+                .map(Into::into),
         }
     }
 }
@@ -397,8 +539,8 @@ impl StreamOptions {
 }
 
 /// One record emitted by the streaming extractor, with owned column values (the convenience
-/// representation of [`extract_stream`]; sinks on the hot path consume the zero-copy
-/// [`StreamRecord`] instead).
+/// representation of [`StreamSession::run_with`]; sinks on the hot path consume the
+/// zero-copy [`StreamRecord`] instead).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OwnedRecord {
     /// Index of the structure template (in [`StreamSummary::templates`]) that matched.
@@ -562,19 +704,18 @@ impl<F: FnMut(OwnedRecord)> RecordSink for ClosureSink<F> {
     }
 }
 
-/// One configured streaming-extraction run — **the** entry point of this module.
+/// One configured streaming-extraction run — the only streaming entry point.
 ///
 /// A session borrows an engine (whose [`DatamaranConfig`](crate::config::DatamaranConfig)
 /// supplies the discovery parameters, extraction/matching backends, and worker-thread
 /// budget), carries the window tuning, error policy, and resource budgets of a
 /// [`StreamOptions`], and optionally pins known templates (skipping head discovery) and a
-/// [`QuarantineSink`].  [`run`](Self::run) consumes the session and drives the single
-/// guarded window loop; every historical `extract_stream*` free function is now a thin
-/// deprecated wrapper over this type.
+/// [`QuarantineSink`].  [`run`](Self::run) consumes the session and drives the guarded
+/// window loop, whose per-window decision is the one [`crate::serve::ServeSession`] uses.
 ///
 /// * no templates → head discovery on the first [`StreamOptions::head_bytes`];
 /// * [`templates`](Self::templates) → zero discovery on the hot path (discover once,
-///   stream many files — and the serving path of [`crate::serve`]);
+///   stream many files of the same format);
 /// * [`quarantine`](Self::quarantine) → under [`ErrorPolicy::Quarantine`], every
 ///   undecodable, oversized, or unmatched line is preserved byte-identical, in stream
 ///   order, alongside the normal record flow.
@@ -687,98 +828,6 @@ impl<'e, 'q> StreamSession<'e, 'q> {
     }
 }
 
-/// Runs streaming extraction over `reader`, invoking `sink` with an owned copy of every
-/// record.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession::new(engine).options(options).run_with(reader, sink)`"
-)]
-pub fn extract_stream<R: BufRead, F: FnMut(OwnedRecord)>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    sink: F,
-) -> Result<StreamSummary> {
-    StreamSession::new(engine)
-        .options(options)
-        .run_with(reader, sink)
-}
-
-/// Runs streaming extraction over `reader`, pushing every record into `sink`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession::new(engine).options(options).run(reader, sink)`"
-)]
-pub fn extract_stream_sink<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    sink: &mut S,
-) -> Result<StreamSummary> {
-    StreamSession::new(engine)
-        .options(options)
-        .run(reader, sink)
-}
-
-/// [`extract_stream_sink`] with an optional [`QuarantineSink`] attached.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession::new(engine).options(options).quarantine(sink).run(..)`"
-)]
-pub fn extract_stream_sink_guarded<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    sink: &mut S,
-    quarantine: Option<&mut dyn QuarantineSink>,
-) -> Result<StreamSummary> {
-    let mut session = StreamSession::new(engine).options(options);
-    if let Some(q) = quarantine {
-        session = session.quarantine(q);
-    }
-    session.run(reader, sink)
-}
-
-/// Runs streaming extraction over `reader` with **known** structure templates.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession::new(engine).options(options).templates(templates).run(..)`"
-)]
-pub fn extract_stream_with_templates<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    templates: Vec<StructureTemplate>,
-    sink: &mut S,
-) -> Result<StreamSummary> {
-    StreamSession::new(engine)
-        .options(options)
-        .templates(templates)
-        .run(reader, sink)
-}
-
-/// [`extract_stream_with_templates`] with an optional [`QuarantineSink`] attached.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `StreamSession` with `.templates(..)` and `.quarantine(..)`"
-)]
-pub fn extract_stream_with_templates_guarded<R: BufRead, S: RecordSink + ?Sized>(
-    engine: &Datamaran,
-    reader: R,
-    options: StreamOptions,
-    templates: Vec<StructureTemplate>,
-    sink: &mut S,
-    quarantine: Option<&mut dyn QuarantineSink>,
-) -> Result<StreamSummary> {
-    let mut session = StreamSession::new(engine)
-        .options(options)
-        .templates(templates);
-    if let Some(q) = quarantine {
-        session = session.quarantine(q);
-    }
-    session.run(reader, sink)
-}
-
 /// Phase 2 of the streaming extractor: window-by-window extraction of an already-started
 /// stream (`buffer` holds the first window, `eof` whether the reader is exhausted).
 #[allow(clippy::too_many_arguments)]
@@ -796,34 +845,26 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
     if templates.is_empty() {
         return Err(Error::NoStructureFound);
     }
-    let max_span = engine.config().max_line_span;
+    let config = engine.config();
+    let max_span = config.max_line_span;
     summary.templates = templates.clone();
-    let matcher_templates = templates;
     // Compile the templates once; the matcher is reused across every window.
-    let mut matcher = WindowMatcher::new(
-        &matcher_templates,
+    let matcher = WindowMatcher::new(
+        &templates,
         max_span,
-        engine.config().extraction_backend,
-        engine.config().matching_backend,
+        config.extraction_backend,
+        config.matching_backend,
     );
-    let mut sink_seconds = 0.0f64;
     let timed = Instant::now();
-    sink.begin(&matcher_templates)?;
-    sink_seconds += timed.elapsed().as_secs_f64();
+    sink.begin(&templates)?;
+    let begin_seconds = timed.elapsed().as_secs_f64();
 
-    let mut timing = SinkTiming::default();
-    let mut global_line = 0usize;
-    let mut cells: Vec<FieldCell> = Vec::new();
-    let mut reps: Vec<u32> = Vec::new();
-
-    // Worker budget for per-window extraction (span backend): the per-line match question
-    // depends only on the text from each line onward, so a window's match table can be
-    // computed by scoped workers and consumed by the same sequential decision loop —
-    // record order and sink bytes are identical for any thread count (enforced by
-    // `tests/streaming_export_equivalence.rs`).  Small windows fall back to the
-    // single-threaded loop via `effective_chunks`.
-    let par_options = ParallelOptions::default()
-        .with_threads(resolve_threads(engine.config().extraction_threads));
+    // Worker budget for per-window extraction (span backend); small windows fall back to
+    // the single-threaded loop via `effective_chunks` (thread-invariance is enforced by
+    // `tests/streaming_export_equivalence.rs`).
+    let par_options =
+        ParallelOptions::default().with_threads(resolve_threads(config.extraction_threads));
+    let mut window_loop = WindowLoop::default();
 
     // Phase 2: window-by-window extraction.
     loop {
@@ -835,109 +876,39 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
                 break;
             }
         }
-        let dataset = Dataset::new(buffer.as_str());
-        summary.windows += 1;
-        summary.peak_window_bytes = summary
-            .peak_window_bytes
-            .max(buffer.capacity() + dataset.len());
-        let n = dataset.line_count();
-        debug_assert_eq!(n, window_reader.metas.len(), "line metadata stays aligned");
-        // Lines at or after `safe_limit` may still be the head of a record whose tail has not
-        // been read yet; they are only decided once the stream is exhausted.
-        let safe_limit = if eof { n } else { n.saturating_sub(max_span) };
-
-        let match_timer = Instant::now();
-        let stats_before = matcher.stats();
-        let chunks = par_options.effective_chunks(n);
-        let table = match &matcher {
-            WindowMatcher::Span(m, _) if chunks > 1 => Some(m.match_table(&dataset, chunks)),
-            _ => None,
-        };
-
-        let mut line = 0usize;
-        let mut window_noise = 0usize;
-        while line < n {
-            // One decision loop for both paths: the precomputed table (parallel windows)
-            // and the incremental matcher fill the same reusable buffers, so the
-            // safe-limit rules, record construction, and accounting exist exactly once.
-            let matched = match &table {
-                Some(table) => table.record_at(line).map(|(rec, rec_cells, rec_reps)| {
-                    cells.clear();
-                    reps.clear();
-                    cells.extend_from_slice(rec_cells);
-                    reps.extend_from_slice(rec_reps);
-                    WindowRecord {
-                        template_index: rec.template_index as usize,
-                        line_span: rec.line_span,
-                    }
-                }),
-                None => matcher.match_line(&dataset, line, &mut cells, &mut reps),
-            };
-            match matched {
-                Some(rec) => {
-                    if !eof && rec.line_span.1 > safe_limit {
-                        break;
-                    }
-                    let record = StreamRecord {
-                        template_index: rec.template_index,
-                        line_span: (global_line + rec.line_span.0, global_line + rec.line_span.1),
-                        window: dataset.text(),
-                        cells: &cells,
-                        reps: &reps,
-                    };
-                    timing.record(sink, &record)?;
-                    summary.records += 1;
-                    line = rec.line_span.1;
+        // `metas` holds one entry per buffered line: its length is the window's line count.
+        let metas = &window_reader.metas;
+        let chunks = par_options.effective_chunks(metas.len());
+        let mut table = None;
+        let (window, carried) = window_loop.decide(
+            &mut buffer,
+            eof,
+            max_span,
+            &mut summary,
+            sink,
+            |dataset, line, bufs| matcher.match_line(dataset, line, bufs, chunks, &mut table),
+            |line, text, summary| match metas.get(line) {
+                // Lossily decoded lines were already quarantined raw at read time;
+                // quarantining the window copy too would duplicate (and corrupt — the
+                // window holds replacement characters) the entry.
+                Some(meta) if options.on_error == ErrorPolicy::Quarantine && !meta.lossy => {
+                    quarantine_bytes(
+                        &mut quarantine,
+                        summary,
+                        meta.input_line,
+                        QuarantineReason::Unmatched,
+                        text.as_bytes(),
+                    )
                 }
-                None => {
-                    if !eof && line >= safe_limit {
-                        break;
-                    }
-                    summary.noise_lines += 1;
-                    window_noise += 1;
-                    if options.on_error == ErrorPolicy::Quarantine {
-                        // Lossily decoded lines were already quarantined raw at read time;
-                        // quarantining the window copy too would duplicate (and corrupt —
-                        // the window holds replacement characters) the entry.
-                        let meta = window_reader.metas.get(line);
-                        if let Some(meta) = meta.filter(|m| !m.lossy).copied() {
-                            let (s, e) = dataset.line_span(line);
-                            quarantine_bytes(
-                                &mut quarantine,
-                                &mut summary,
-                                meta.input_line,
-                                QuarantineReason::Unmatched,
-                                &dataset.text().as_bytes()[s..e],
-                            )?;
-                        }
-                    }
-                    line += 1;
-                }
-            }
-        }
-        summary.match_seconds += match_timer.elapsed().as_secs_f64();
-
-        // Everything before `line` is decided; account for it and carry the tail over.
-        let consumed_lines = line.min(n);
-        let consumed_bytes = if line >= n {
-            buffer.len()
-        } else {
-            dataset.line_start(line)
-        };
-        summary.bytes_processed += consumed_bytes;
-        summary.lines_processed += consumed_lines;
-        summary.window_unmatched.push(WindowUnmatched {
-            lines: consumed_lines,
-            unmatched: window_noise,
-        });
-        // Matcher work for this window: the parallel path's table carries its own merged
-        // per-chunk counters; the incremental path is the delta on the long-lived scratch.
-        summary.window_match_stats.push(match &table {
-            Some(table) => table.stats(),
-            None => matcher.stats().since(&stats_before),
-        });
-        global_line += consumed_lines;
-        window_reader.consume_metas(consumed_lines);
+                _ => Ok(()),
+            },
+        )?;
+        debug_assert_eq!(
+            window.lines + carried,
+            window_reader.metas.len(),
+            "line metadata stays aligned"
+        );
+        window_reader.consume_metas(window.lines);
 
         // Soft budgets: stop gracefully (flushing the sink) rather than abort — everything
         // durable so far is preserved and the summary says why we stopped.
@@ -955,18 +926,9 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
             }
         }
 
-        if eof && line >= n {
-            break;
-        }
-        let tail = buffer.split_off(consumed_bytes);
-        buffer = tail;
-
+        // A window decided with `eof` semantics consumed everything that was left.
         if eof {
-            // The undecided tail with no further input: one last pass with `eof` semantics.
-            if buffer.is_empty() {
-                break;
-            }
-            continue;
+            break;
         }
         eof = window_reader.fill(
             &mut buffer,
@@ -979,9 +941,7 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
 
     let timed = Instant::now();
     sink.finish()?;
-    sink_seconds += timed.elapsed().as_secs_f64();
-    sink_seconds += timing.estimate();
-    summary.sink_seconds = sink_seconds;
+    summary.sink_seconds += begin_seconds + timed.elapsed().as_secs_f64();
     Ok(summary)
 }
 
@@ -1751,45 +1711,6 @@ mod tests {
         assert_eq!(summary.stopped_reason, Some(StopReason::WindowBytes));
         assert_eq!(summary.records, 0);
         assert_eq!(summary.windows, 0);
-    }
-
-    /// The deprecated free functions are thin wrappers over [`StreamSession`]: both
-    /// surfaces must produce identical records and summaries.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_stream_session() {
-        let text = kv_log(200);
-        let engine = Datamaran::with_defaults();
-        let options = StreamOptions {
-            head_bytes: 2 * 1024,
-            window_bytes: 512,
-            ..StreamOptions::default()
-        };
-        let mut via_session = Vec::new();
-        let s1 = StreamSession::new(&engine)
-            .options(options)
-            .run_with(Cursor::new(text.clone()), |r| via_session.push(r))
-            .unwrap();
-        let mut via_wrapper = Vec::new();
-        let s2 = extract_stream(&engine, Cursor::new(text.clone()), options, |r| {
-            via_wrapper.push(r)
-        })
-        .unwrap();
-        assert_eq!(via_session, via_wrapper);
-        assert_eq!(s1.records, s2.records);
-        assert_eq!(s1.templates, s2.templates);
-
-        let mut counting = crate::export::CountingSink::default();
-        let s3 = extract_stream_with_templates(
-            &engine,
-            Cursor::new(text),
-            options,
-            s1.templates.clone(),
-            &mut counting,
-        )
-        .unwrap();
-        assert_eq!(s3.records, s1.records);
-        assert_eq!(counting.records, s1.records);
     }
 
     #[test]

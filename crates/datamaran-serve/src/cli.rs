@@ -65,16 +65,9 @@ OPTIONS:
     --help                  print this help
 ";
 
-/// Exit code for a [`Error`] (same mapping as the main CLI).
+/// Exit code for an [`Error`]: the table of [`Error::exit_code`], shared with the main CLI.
 fn exit_code(e: &Error) -> u8 {
-    match e {
-        Error::InvalidConfig(_) | Error::Artifact(_) => 2,
-        Error::Io { .. } | Error::Sink { .. } | Error::Journal(_) => 3,
-        Error::EmptyDataset | Error::NoStructureFound => 4,
-        Error::BudgetExceeded { .. } => 5,
-        Error::Decode { .. } => 6,
-        _ => 1,
-    }
+    e.exit_code()
 }
 
 /// Which transport the daemon should run.

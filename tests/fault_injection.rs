@@ -18,9 +18,8 @@ use proptest::prelude::*;
 use std::io::{BufRead, Cursor};
 use std::time::Duration;
 
-/// The suite predates [`StreamSession`]; this keeps every call site in the historical
-/// free-function shape while driving the current builder surface.
-fn extract_stream_sink_guarded<R: BufRead, S: RecordSink + ?Sized>(
+/// Runs a [`StreamSession`] with an optional quarantine attached.
+fn run_guarded<R: BufRead, S: RecordSink + ?Sized>(
     engine: &Datamaran,
     reader: R,
     options: StreamOptions,
@@ -34,7 +33,8 @@ fn extract_stream_sink_guarded<R: BufRead, S: RecordSink + ?Sized>(
     session.run(reader, sink)
 }
 
-fn extract_stream_sink<R: BufRead, S: RecordSink + ?Sized>(
+/// Runs a plain [`StreamSession`].
+fn run_plain<R: BufRead, S: RecordSink + ?Sized>(
     engine: &Datamaran,
     reader: R,
     options: StreamOptions,
@@ -124,7 +124,7 @@ proptest! {
 
         // Skip: the default policy digests anything without erroring.
         let mut sink = CountingSink::default();
-        let summary = extract_stream_sink_guarded(
+        let summary = run_guarded(
             &engine,
             Cursor::new(bytes.clone()),
             small_windows(),
@@ -142,7 +142,7 @@ proptest! {
         // Quarantine: same input, and every rejected line round-trips byte-identically.
         let mut sink = CountingSink::default();
         let mut quarantine = VecQuarantineSink::default();
-        let result = extract_stream_sink_guarded(
+        let result = run_guarded(
             &engine,
             Cursor::new(bytes.clone()),
             small_windows().with_on_error(ErrorPolicy::Quarantine),
@@ -167,7 +167,7 @@ fn nul_bytes_and_invalid_utf8_stream_without_panic() {
 
     let engine = Datamaran::with_defaults();
     let mut sink = CountingSink::default();
-    let summary = extract_stream_sink_guarded(
+    let summary = run_guarded(
         &engine,
         Cursor::new(bytes),
         small_windows(),
@@ -190,7 +190,7 @@ fn abort_policy_reports_decode_error_for_invalid_utf8() {
 
     let engine = Datamaran::with_defaults();
     let mut sink = CountingSink::default();
-    let err = extract_stream_sink_guarded(
+    let err = run_guarded(
         &engine,
         Cursor::new(bytes),
         small_windows().with_on_error(ErrorPolicy::Abort),
@@ -210,7 +210,7 @@ fn truncated_final_record_is_extracted_or_quarantined_never_lost() {
     let engine = Datamaran::with_defaults();
     let mut sink = CountingSink::default();
     let mut quarantine = VecQuarantineSink::default();
-    let summary = extract_stream_sink_guarded(
+    let summary = run_guarded(
         &engine,
         Cursor::new(input.clone()),
         small_windows().with_on_error(ErrorPolicy::Quarantine),
@@ -239,9 +239,8 @@ fn oversized_line_is_skipped_with_bounded_memory() {
         max_line_bytes: Some(64 * 1024),
         ..StreamBudgets::default()
     });
-    let summary =
-        extract_stream_sink_guarded(&engine, Cursor::new(bytes), options, &mut sink, None)
-            .expect("oversized line is skipped, not fatal");
+    let summary = run_guarded(&engine, Cursor::new(bytes), options, &mut sink, None)
+        .expect("oversized line is skipped, not fatal");
     assert_eq!(summary.oversized_lines, 1);
     assert_eq!(
         summary.records, 250,
@@ -265,7 +264,7 @@ fn reader_failure_mid_stream_is_a_structured_io_error() {
     ] {
         let reader = FailingReader::new(Cursor::new(text.clone().into_bytes()), schedule);
         let mut sink = CountingSink::default();
-        let err = extract_stream_sink_guarded(
+        let err = run_guarded(
             &engine,
             reader,
             StreamOptions {
@@ -297,7 +296,7 @@ fn retrying_sink_absorbs_transient_faults_with_deterministic_backoff() {
     );
     let mut sink =
         RetryingSink::with_sleeper(failing, RetryPolicy::default(), RecordingSleeper::default());
-    let summary = extract_stream_sink_guarded(
+    let summary = run_guarded(
         &engine,
         Cursor::new(text.into_bytes()),
         small_windows(),
@@ -333,7 +332,7 @@ fn retry_backoff_schedule_is_exact() {
     );
     let mut sink =
         RetryingSink::with_sleeper(failing, RetryPolicy::default(), RecordingSleeper::default());
-    extract_stream_sink_guarded(
+    run_guarded(
         &engine,
         Cursor::new(text.into_bytes()),
         small_windows(),
@@ -360,7 +359,7 @@ fn permanent_sink_failure_exhausts_retries_and_reports_durable_count() {
     let failing = FailingSink::new(CountingSink::default(), FaultSchedule::FailNth(7));
     let mut sink =
         RetryingSink::with_sleeper(failing, RetryPolicy::default(), RecordingSleeper::default());
-    let err = extract_stream_sink_guarded(
+    let err = run_guarded(
         &engine,
         Cursor::new(text.into_bytes()),
         small_windows(),
@@ -385,7 +384,7 @@ fn transient_finish_failure_is_retried_and_reports_durable() {
     let failing = FailingSink::passthrough(CountingSink::default()).with_finish_failures(2);
     let mut sink =
         RetryingSink::with_sleeper(failing, RetryPolicy::default(), RecordingSleeper::default());
-    extract_stream_sink_guarded(
+    run_guarded(
         &engine,
         Cursor::new(text.into_bytes()),
         small_windows(),
@@ -420,7 +419,7 @@ fn quarantine_fraction_budget_stops_gracefully_on_garbage_flood() {
             max_quarantine_fraction: Some(0.3),
             ..StreamBudgets::default()
         });
-    let summary = extract_stream_sink_guarded(
+    let summary = run_guarded(
         &engine,
         Cursor::new(text.into_bytes()),
         options,
@@ -458,7 +457,7 @@ fn clean_input_is_byte_identical_through_the_fault_stack() {
         CsvSink::new(|_name: &str| Ok(Vec::<u8>::new())),
         JsonLinesSink::new(Vec::<u8>::new()),
     );
-    extract_stream_sink(&engine, Cursor::new(text.clone()), options, &mut plain)
+    run_plain(&engine, Cursor::new(text.clone()), options, &mut plain)
         .expect("plain streaming succeeds");
     let Tee(plain_csv, plain_jsonl) = plain;
 
@@ -472,7 +471,7 @@ fn clean_input_is_byte_identical_through_the_fault_stack() {
         RecordingSleeper::default(),
     );
     let mut quarantine = VecQuarantineSink::default();
-    extract_stream_sink_guarded(
+    run_guarded(
         &engine,
         Cursor::new(text),
         options.with_on_error(ErrorPolicy::Quarantine),

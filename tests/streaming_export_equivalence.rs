@@ -4,12 +4,14 @@
 //! [`all_records_jsonl`] over the in-memory extraction result) — including multi-line
 //! records that straddle chunk windows, array templates whose child-table foreign keys are
 //! synthesized across windows, interleaved record types, and cells that need RFC-4180
-//! quoting (`\r`, embedded quotes, commas).
+//! quoting (`\r`, embedded quotes, commas).  The serving path ([`ServeSession`]) is one
+//! more surface: pushed line by line through the same templates, it must emit the same
+//! JSON Lines bytes at any window size.
 
 use datamaran::core::{
     all_records_jsonl, table_to_csv, CountingSink, CsvSink, Datamaran, ErrorPolicy, JsonLinesSink,
-    RecordingSleeper, RetryPolicy, RetryingSink, StreamOptions, StreamSession, Tee,
-    VecQuarantineSink,
+    RecordingSleeper, RetryPolicy, RetryingSink, ServeOptions, ServeSession, SnapshotStore,
+    StreamOptions, StreamSession, Tee, TemplateSnapshot, VecQuarantineSink,
 };
 use std::io::Cursor;
 
@@ -125,57 +127,35 @@ fn assert_streaming_equivalence(name: &str, text: &str, options: StreamOptions) 
         "{name}: guarded JSON Lines bytes"
     );
 
-    // The deprecated free-function surface is a thin wrapper over [`StreamSession`]; its
-    // output must stay byte-identical to the session's until the wrappers are removed.
-    #[allow(deprecated)]
-    {
-        use datamaran::core::{extract_stream_sink, extract_stream_sink_guarded};
-        let mut legacy = Tee(
-            CsvSink::new(|_name: &str| Ok(Vec::<u8>::new())),
-            JsonLinesSink::new(Vec::<u8>::new()),
+    // Serving: the same templates pushed line by line through a monitor-only session must
+    // emit the streaming run's JSON Lines bytes, record count, and noise count, whether
+    // every line is its own window or windows span many records.
+    for window_lines in [1, 64] {
+        let store = SnapshotStore::new(
+            TemplateSnapshot::compile(1, summary.templates.clone(), &engine)
+                .expect("the streamed templates compile"),
         );
-        let legacy_summary =
-            extract_stream_sink(&engine, Cursor::new(text.to_string()), options, &mut legacy)
-                .expect("legacy streaming succeeds");
+        let options = ServeOptions::default()
+            .with_window_lines(window_lines)
+            .with_rediscover(false);
+        let mut session = ServeSession::new(&engine, &store, options).expect("serve session");
+        let mut served = JsonLinesSink::new(Vec::<u8>::new());
+        for line in text.split_inclusive('\n') {
+            session.push_line(line, &mut served).expect("push succeeds");
+        }
+        let metrics = session.finish(&mut served).expect("serve finish succeeds");
         assert_eq!(
-            legacy_summary.records, summary.records,
-            "{name}: legacy records"
+            metrics.summary.records, summary.records,
+            "{name}: served records at {window_lines}-line windows"
         );
-        let Tee(legacy_csv, legacy_jsonl) = legacy;
         assert_eq!(
-            legacy_csv.into_writers(),
-            plain_tables,
-            "{name}: legacy CSV bytes"
+            metrics.summary.noise_lines, summary.noise_lines,
+            "{name}: served noise lines at {window_lines}-line windows"
         );
         assert_eq!(
-            legacy_jsonl.into_writer(),
+            served.into_writer(),
             jsonl_bytes,
-            "{name}: legacy JSON Lines bytes"
-        );
-
-        let mut legacy_guarded = JsonLinesSink::new(Vec::<u8>::new());
-        let mut legacy_quarantine = VecQuarantineSink::default();
-        let legacy_guarded_summary = extract_stream_sink_guarded(
-            &engine,
-            Cursor::new(text.to_string()),
-            options.with_on_error(ErrorPolicy::Quarantine),
-            &mut legacy_guarded,
-            Some(&mut legacy_quarantine),
-        )
-        .expect("legacy guarded streaming succeeds");
-        assert_eq!(
-            legacy_guarded_summary.records, guarded_summary.records,
-            "{name}: legacy guarded records"
-        );
-        assert_eq!(
-            legacy_guarded.into_writer(),
-            jsonl_bytes,
-            "{name}: legacy guarded JSON Lines bytes"
-        );
-        assert_eq!(
-            legacy_quarantine.entries.len(),
-            quarantine.entries.len(),
-            "{name}: legacy quarantine entry count"
+            "{name}: served JSON Lines bytes at {window_lines}-line windows"
         );
     }
 }
