@@ -1,5 +1,5 @@
-//! Generation-step micro-benchmark: span-projection backend vs. the legacy string-token
-//! backend, exhaustive charset enumeration on a palette-bounded web log.
+//! Generation-step micro-benchmark: the span-projection engine vs. the legacy string-token
+//! reference, exhaustive charset enumeration on a palette-bounded web log.
 //!
 //! `cargo bench -p datamaran-bench --bench generation`
 //!
@@ -9,7 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datamaran_bench::exhaustive_weblog;
-use datamaran_core::{generate, DatamaranConfig, Dataset, GenerationBackend};
+use datamaran_core::generation::generate_legacy;
+use datamaran_core::{generate, DatamaranConfig, Dataset};
 
 fn bench_generation(c: &mut Criterion) {
     let text = exhaustive_weblog(96 * 1024, 14);
@@ -18,17 +19,16 @@ fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation_backends");
     group.sample_size(10);
     group.throughput(Throughput::Bytes(dataset.len() as u64));
-    for backend in [GenerationBackend::Legacy, GenerationBackend::Spans] {
-        let config = DatamaranConfig::default().with_generation_backend(backend);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(backend.name()),
-            &config,
-            |b, config| b.iter(|| generate(&dataset, config).candidates.len()),
-        );
-    }
+    let config = DatamaranConfig::default();
+    group.bench_function("legacy", |b| {
+        b.iter(|| generate_legacy(&dataset, &config).candidates.len())
+    });
+    group.bench_function("spans", |b| {
+        b.iter(|| generate(&dataset, &config).candidates.len())
+    });
     group.finish();
 
-    // Thread scaling of the span backend (informative on multi-core hosts only).
+    // Thread scaling of the span engine (informative on multi-core hosts only).
     let mut group = c.benchmark_group("generation_spans_threads");
     group.sample_size(10);
     for threads in [1usize, 2, 4] {

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use datamaran_bench::scalable_weblog;
 use datamaran_core::{
-    assimilation::prune, generate, parse_dataset, refine::Refiner, DatamaranConfig, Dataset,
+    assimilation::prune, extract_records, generate, refine::Refiner, DatamaranConfig, Dataset,
     MdlScorer,
 };
 
@@ -50,7 +50,7 @@ fn bench_steps(c: &mut Criterion) {
     let best = refiner.refine(&pruned.kept[0].template).template;
     group.bench_function("extraction_full_parse", |b| {
         b.iter(|| {
-            parse_dataset(&dataset, std::slice::from_ref(&best), config.max_line_span)
+            extract_records(&dataset, std::slice::from_ref(&best), &config)
                 .records
                 .len()
         })

@@ -124,9 +124,9 @@ pub fn exhaustive_weblog(target_bytes: usize, seed: u64) -> String {
     out
 }
 
-/// Outcome of the generation micro-benchmark comparing the span backend against the legacy
-/// string-token backend on the same sample (see `reproduce -- generation` and
-/// `benches/generation.rs`).
+/// Outcome of the generation micro-benchmark comparing the span engine against the legacy
+/// string-token reference (`generation::generate_legacy`) on the same sample (see
+/// `reproduce -- generation` and `benches/generation.rs`).
 #[derive(Clone, Debug)]
 pub struct GenerationBench {
     /// Sample size in bytes.
@@ -215,26 +215,22 @@ impl GenerationBench {
     }
 }
 
-/// Runs the generation step on an `exhaustive_weblog` sample of `target_bytes` with both
-/// backends (`runs` timed repetitions each, best run kept) and cross-checks that they emit
-/// identical candidates.
+/// Runs the generation step on an `exhaustive_weblog` sample of `target_bytes` with the span
+/// engine and the legacy reference (`runs` timed repetitions each, best run kept) and
+/// cross-checks that they emit identical candidates.
 pub fn generation_benchmark(target_bytes: usize, runs: usize) -> GenerationBench {
-    use datamaran_core::{generate, Dataset, GenerationBackend};
+    use datamaran_core::generation::generate_legacy;
+    use datamaran_core::{generate, Dataset, GenerationOutput};
 
     let text = exhaustive_weblog(target_bytes, 14);
     let data = Dataset::new(text);
-    // Both backends pinned to one worker thread: the recorded speedup measures the
-    // span/interning algorithm, not host parallelism (the legacy path has no parallel
-    // mode, so an unpinned comparison would conflate the two).
-    let legacy_cfg = DatamaranConfig::default()
-        .with_generation_backend(GenerationBackend::Legacy)
-        .with_generation_threads(1);
-    let spans_cfg = DatamaranConfig::default()
-        .with_generation_backend(GenerationBackend::Spans)
-        .with_generation_threads(1);
+    // Pinned to one worker thread: the recorded speedup measures the span/interning
+    // algorithm, not host parallelism (the legacy reference has no parallel mode, so an
+    // unpinned comparison would conflate the two).
+    let config = DatamaranConfig::default().with_generation_threads(1);
 
-    let legacy_out = generate(&data, &legacy_cfg);
-    let spans_out = generate(&data, &spans_cfg);
+    let legacy_out = generate_legacy(&data, &config);
+    let spans_out = generate(&data, &config);
     let outputs_identical = legacy_out.candidates.len() == spans_out.candidates.len()
         && legacy_out.records_examined == spans_out.records_examined
         && legacy_out
@@ -249,11 +245,11 @@ pub fn generation_benchmark(target_bytes: usize, runs: usize) -> GenerationBench
                     && a.charset == b.charset
             });
 
-    let best_of = |config: &DatamaranConfig| -> f64 {
+    let best_of = |run: fn(&Dataset, &DatamaranConfig) -> GenerationOutput| -> f64 {
         (0..runs.max(1))
             .map(|_| {
                 let started = Instant::now();
-                let out = generate(&data, config);
+                let out = run(&data, &config);
                 assert!(!out.candidates.is_empty());
                 started.elapsed().as_secs_f64()
             })
@@ -266,8 +262,8 @@ pub fn generation_benchmark(target_bytes: usize, runs: usize) -> GenerationBench
         charsets_enumerated: spans_out.charsets_enumerated,
         records_examined: spans_out.records_examined,
         candidates: spans_out.candidates.len(),
-        legacy_secs: best_of(&legacy_cfg),
-        spans_secs: best_of(&spans_cfg),
+        legacy_secs: best_of(generate_legacy),
+        spans_secs: best_of(generate),
         outputs_identical,
     }
 }
@@ -450,8 +446,9 @@ pub fn extraction_benchmark(target_bytes: usize, runs: usize) -> ExtractionBench
 }
 
 /// Outcome of the evaluation micro-benchmark comparing the span evaluation engine (compiled
-/// refinement parses, arena-native scoring, template-score memo) against the legacy
-/// per-candidate tree re-parse on the same candidate pool (see `reproduce -- evaluation`).
+/// refinement parses, delta evaluation, arena-native scoring, template-score memo) against
+/// the per-candidate tree re-parse of the reference `refine::refine_tree` on the same
+/// candidate pool (see `reproduce -- evaluation`).
 #[derive(Clone, Debug)]
 pub struct EvaluationBench {
     /// Dataset size in bytes (the sample the evaluation runs on is config-bounded).
@@ -466,23 +463,20 @@ pub struct EvaluationBench {
     pub span_evaluations: usize,
     /// Evaluations answered by the span engine's template-score memo.
     pub span_memo_hits: usize,
-    /// Template evaluations the legacy engine performed.
+    /// Template evaluations the tree reference performed.
     pub legacy_evaluations: usize,
     /// Span-engine seconds spent parsing candidates (from the correctness run).
     pub span_parse_secs: f64,
     /// Span-engine seconds spent scoring parses (from the correctness run).
     pub span_score_secs: f64,
-    /// Legacy-engine seconds spent parsing candidates (from the correctness run).
+    /// Tree-reference seconds spent parsing candidates (from the correctness run).
     pub legacy_parse_secs: f64,
-    /// Legacy-engine seconds spent scoring parses (from the correctness run).
+    /// Tree-reference seconds spent scoring parses (from the correctness run).
     pub legacy_score_secs: f64,
-    /// Best wall-clock seconds of the legacy engine (single worker thread).
+    /// Best wall-clock seconds of the tree reference.
     pub legacy_secs: f64,
-    /// Best wall-clock seconds of the span engine with delta evaluation disabled
-    /// (`EvaluationBackend::SpanFull`: every variant re-parses the sample from scratch).
-    pub span_full_secs: f64,
-    /// Best wall-clock seconds of the default span engine (delta evaluation of refinement
-    /// variants against their parents).
+    /// Best wall-clock seconds of the span engine (single worker thread; delta evaluation
+    /// of refinement variants against their parents).
     pub span_secs: f64,
     /// Variant evaluations the delta engine parsed by delta (from the correctness run).
     pub delta_parses: usize,
@@ -490,13 +484,13 @@ pub struct EvaluationBench {
     pub delta_record_reuse: f64,
     /// Fraction of columns the delta engine re-aggregated (dirty-column fraction).
     pub dirty_column_fraction: f64,
-    /// `true` when all three backends produced identical refined
+    /// `true` when the engine and the tree reference produced identical refined
     /// `(template, score, summary)` lists.
     pub outputs_identical: bool,
 }
 
 impl EvaluationBench {
-    /// Candidate templates refined per second, legacy engine.
+    /// Candidate templates refined per second, tree reference.
     pub fn legacy_candidates_per_sec(&self) -> f64 {
         self.candidates as f64 / self.legacy_secs
     }
@@ -506,15 +500,9 @@ impl EvaluationBench {
         self.candidates as f64 / self.span_secs
     }
 
-    /// Wall-clock speedup of the (delta) span engine over the legacy engine.
+    /// Wall-clock speedup of the span engine over the tree reference.
     pub fn speedup(&self) -> f64 {
         self.legacy_secs / self.span_secs
-    }
-
-    /// Wall-clock speedup of delta evaluation over the full-reparse span engine — the
-    /// delta-vs-full ratio the CI `bench-regression` job gates.
-    pub fn delta_vs_full_speedup(&self) -> f64 {
-        self.span_full_secs / self.span_secs
     }
 
     /// Serializes the result as the `BENCH_evaluation.json` document.
@@ -573,10 +561,6 @@ impl EvaluationBench {
                 "legacy_wall_secs".into(),
                 JsonValue::Number(self.legacy_secs),
             ),
-            (
-                "span_full_wall_secs".into(),
-                JsonValue::Number(self.span_full_secs),
-            ),
             ("span_wall_secs".into(), JsonValue::Number(self.span_secs)),
             (
                 "legacy_candidates_per_sec".into(),
@@ -587,10 +571,6 @@ impl EvaluationBench {
                 JsonValue::Number(self.span_candidates_per_sec()),
             ),
             ("speedup".into(), JsonValue::Number(self.speedup())),
-            (
-                "delta_vs_full_speedup".into(),
-                JsonValue::Number(self.delta_vs_full_speedup()),
-            ),
             (
                 "delta_parses".into(),
                 JsonValue::Number(self.delta_parses as f64),
@@ -615,12 +595,14 @@ impl EvaluationBench {
 
 /// Runs the evaluation step (refinement of the post-pruning candidate pool, exactly as the
 /// pipeline's `discover_ranked` drives it) on an `exhaustive_weblog` dataset of
-/// `target_bytes` with both evaluation backends (`runs` timed repetitions each, best run
-/// kept, both pinned to one worker thread and each timed run on a fresh engine so the span
-/// memo starts cold) and cross-checks that they produce identical refined outputs.
+/// `target_bytes` with the span engine and the tree reference (`runs` timed repetitions
+/// each, best run kept, the engine pinned to one worker thread and each timed run on a
+/// fresh refiner so the memo starts cold) and cross-checks that they produce identical
+/// refined outputs.
 pub fn evaluation_benchmark(target_bytes: usize, runs: usize) -> EvaluationBench {
+    use datamaran_core::refine::refine_tree;
     use datamaran_core::{
-        assimilation::prune, generate, Dataset, EvaluationBackend, MdlScorer, Refined, Refiner,
+        assimilation::prune, generate, Dataset, EvaluationMetrics, MdlScorer, Refined, Refiner,
         StructureTemplate,
     };
 
@@ -635,41 +617,58 @@ pub fn evaluation_benchmark(target_bytes: usize, runs: usize) -> EvaluationBench
     assert!(!templates.is_empty(), "weblog yields candidates");
 
     let scorer = MdlScorer;
-    let run_backend =
-        |backend: EvaluationBackend| -> (Vec<Refined>, datamaran_core::EvaluationMetrics) {
-            let refiner = Refiner::with_backend(&sample, &scorer, config.max_line_span, backend);
-            let refined = refiner.refine_batch(templates.clone(), true, 1);
-            let metrics = refiner.metrics();
-            (refined, metrics)
-        };
+    let refiner = || Refiner::new(&sample, &scorer, config.max_line_span);
+    let run_tree = || {
+        let mut metrics = EvaluationMetrics::default();
+        let refined: Vec<Refined> = templates
+            .iter()
+            .map(|t| {
+                refine_tree(
+                    &sample,
+                    &scorer,
+                    config.max_line_span,
+                    t.clone(),
+                    true,
+                    &mut metrics,
+                )
+            })
+            .collect();
+        (refined, metrics)
+    };
 
     // Correctness first: identical refined templates, bit-identical scores, equal
-    // summaries, across all three backends (delta span, full-reparse span, legacy tree).
-    let (span_out, span_metrics) = run_backend(EvaluationBackend::Span);
-    let (span_full_out, _) = run_backend(EvaluationBackend::SpanFull);
-    let (legacy_out, legacy_metrics) = run_backend(EvaluationBackend::Legacy);
-    let agrees = |other: &[Refined]| {
-        span_out.len() == other.len()
-            && span_out.iter().zip(other).all(|(a, b)| {
-                a.template == b.template
-                    && a.score.to_bits() == b.score.to_bits()
-                    && a.summary == b.summary
-            })
-    };
-    let outputs_identical = agrees(&legacy_out) && agrees(&span_full_out);
+    // summaries.
+    let span = refiner();
+    let span_out = span.refine_batch(templates.clone(), true, 1);
+    let span_metrics = span.metrics();
+    let (legacy_out, legacy_metrics) = run_tree();
+    let outputs_identical = span_out.len() == legacy_out.len()
+        && span_out.iter().zip(&legacy_out).all(|(a, b)| {
+            a.template == b.template
+                && a.score.to_bits() == b.score.to_bits()
+                && a.summary == b.summary
+        });
 
-    let best_of = |backend: EvaluationBackend| -> f64 {
+    let best_of = |timed_run: &dyn Fn() -> f64| -> f64 {
         (0..runs.max(1))
-            .map(|_| {
-                let refiner =
-                    Refiner::with_backend(&sample, &scorer, config.max_line_span, backend);
-                let started = Instant::now();
-                let out = refiner.refine_batch(templates.clone(), true, 1);
-                assert_eq!(out.len(), templates.len());
-                started.elapsed().as_secs_f64()
-            })
+            .map(|_| timed_run())
             .fold(f64::INFINITY, f64::min)
     };
+    let legacy_secs = best_of(&|| {
+        let started = Instant::now();
+        let (out, _) = run_tree();
+        let secs = started.elapsed().as_secs_f64();
+        assert_eq!(out.len(), templates.len());
+        secs
+    });
+    let span_secs = best_of(&|| {
+        let span = refiner();
+        let started = Instant::now();
+        let out = span.refine_batch(templates.clone(), true, 1);
+        let secs = started.elapsed().as_secs_f64();
+        assert_eq!(out.len(), templates.len());
+        secs
+    });
 
     EvaluationBench {
         dataset_bytes: full.len(),
@@ -683,9 +682,8 @@ pub fn evaluation_benchmark(target_bytes: usize, runs: usize) -> EvaluationBench
         span_score_secs: span_metrics.score_seconds,
         legacy_parse_secs: legacy_metrics.parse_seconds,
         legacy_score_secs: legacy_metrics.score_seconds,
-        legacy_secs: best_of(EvaluationBackend::Legacy),
-        span_full_secs: best_of(EvaluationBackend::SpanFull),
-        span_secs: best_of(EvaluationBackend::Span),
+        legacy_secs,
+        span_secs,
         delta_parses: span_metrics.delta_parses,
         delta_record_reuse: span_metrics.delta_record_reuse_rate(),
         dirty_column_fraction: span_metrics.dirty_column_fraction(),

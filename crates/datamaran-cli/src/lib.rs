@@ -42,10 +42,10 @@
 
 use datamaran_core::{
     all_tables_csv, table_to_csv, CountingSink, CsvSink, Datamaran, DatamaranConfig, Error,
-    ErrorPolicy, EvaluationBackend, ExtractionBackend, ExtractionReport, Grammar, JsonLinesSink,
-    MatchingBackend, QuarantineSink, RecordSink, RetryPolicy, RetryingSink, SearchStrategy,
-    StreamBudgets, StreamOptions, StreamReport, StreamSession, StreamSummary, StructureTemplate,
-    TemplateArtifact, WriteQuarantineSink,
+    ErrorPolicy, ExtractionReport, Grammar, JsonLinesSink, MatchingBackend, QuarantineSink,
+    RecordSink, RetryPolicy, RetryingSink, SearchStrategy, StreamBudgets, StreamOptions,
+    StreamReport, StreamSession, StreamSummary, StructureTemplate, TemplateArtifact,
+    WriteQuarantineSink,
 };
 use logclust::{ClusterConfig, LogCluster};
 use std::fmt::Write as _;
@@ -246,21 +246,10 @@ impl Cli {
                 "--seed" => {
                     cli.config.seed = parse_number(&next_value(&mut iter, "--seed")?, "--seed")?
                 }
-                "--extraction-backend" => {
-                    let value = next_value(&mut iter, "--extraction-backend")?;
-                    cli.config.extraction_backend = match value.as_str() {
-                        "span" => ExtractionBackend::Span,
-                        "legacy" => ExtractionBackend::Legacy,
-                        other => return Err(format!("unknown extraction backend `{other}`")),
-                    };
-                }
                 "--matching-backend" => {
-                    let value = next_value(&mut iter, "--matching-backend")?;
-                    cli.config.matching_backend = match value.as_str() {
-                        "fused" => MatchingBackend::Fused,
-                        "trial" => MatchingBackend::Trial,
-                        other => return Err(format!("unknown matching backend `{other}`")),
-                    };
+                    cli.config.matching_backend =
+                        MatchingBackend::parse(&next_value(&mut iter, "--matching-backend")?)
+                            .map_err(|e| e.to_string())?
                 }
                 "--extraction-threads" => {
                     cli.config.extraction_threads = parse_number(
@@ -273,15 +262,6 @@ impl Cli {
                         &next_value(&mut iter, "--generation-threads")?,
                         "--generation-threads",
                     )?
-                }
-                "--evaluation-backend" => {
-                    let value = next_value(&mut iter, "--evaluation-backend")?;
-                    cli.config.evaluation_backend = match value.as_str() {
-                        "span" => EvaluationBackend::Span,
-                        "span-full" => EvaluationBackend::SpanFull,
-                        "legacy" => EvaluationBackend::Legacy,
-                        other => return Err(format!("unknown evaluation backend `{other}`")),
-                    };
                 }
                 "--evaluation-threads" => {
                     cli.config.evaluation_threads = parse_number(
@@ -494,18 +474,12 @@ FLAGS:
     --prune-keep <INT>            templates kept after pruning M       (default: 50)
     --sample-bytes <INT>          sampling budget for the search       (default: 65536)
     --seed <INT>                  RNG seed for sampling
-    --extraction-backend <span|legacy>
-                                  final-pass extraction engine         (default: span)
     --matching-backend <fused|trial>
                                   multi-template record matching: one merged DFA pass
                                   (fused) or per-template trials (trial); also settable
                                   via DATAMARAN_MATCHING_BACKEND    (default: fused)
     --extraction-threads <INT>    extraction worker threads, 0 = auto  (default: 0)
     --generation-threads <INT>    generation worker threads, 0 = auto  (default: 0)
-    --evaluation-backend <span|span-full|legacy>
-                                  refinement evaluation engine         (default: span,
-                                  which delta-evaluates refinement variants against their
-                                  parent; span-full re-parses every variant from scratch)
     --evaluation-threads <INT>    evaluation worker threads, 0 = auto  (default: 0)
 ";
 
@@ -1059,33 +1033,25 @@ mod tests {
         let cli = Cli::parse(&args(&[
             "extract",
             "app.log",
-            "--extraction-backend",
-            "legacy",
             "--extraction-threads",
             "4",
             "--generation-threads",
             "2",
-            "--evaluation-backend",
-            "legacy",
             "--evaluation-threads",
             "3",
         ]))
         .unwrap();
-        assert_eq!(cli.config.extraction_backend, ExtractionBackend::Legacy);
         assert_eq!(cli.config.extraction_threads, 4);
         assert_eq!(cli.config.generation_threads, 2);
-        assert_eq!(cli.config.evaluation_backend, EvaluationBackend::Legacy);
         assert_eq!(cli.config.evaluation_threads, 3);
-        assert!(Cli::parse(&args(&["extract", "x.log", "--extraction-backend", "fast"])).is_err());
-        assert!(Cli::parse(&args(&["extract", "x.log", "--evaluation-backend", "fast"])).is_err());
-        let full = Cli::parse(&args(&[
-            "extract",
-            "x.log",
-            "--evaluation-backend",
-            "span-full",
-        ]))
-        .unwrap();
-        assert_eq!(full.config.evaluation_backend, EvaluationBackend::SpanFull);
+        // Each step runs one engine: the former backend selectors are unknown flags.
+        for (flag, value) in [
+            ("--extraction-backend", "legacy"),
+            ("--evaluation-backend", "span-full"),
+        ] {
+            let err = Cli::parse(&args(&["extract", "x.log", flag, value])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]

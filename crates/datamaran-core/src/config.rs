@@ -24,11 +24,13 @@ impl SearchStrategy {
     }
 }
 
-/// Which implementation the generation step runs on.
+/// The generation step's engine, printed in experiment and benchmark output.
 ///
-/// Both backends emit byte-identical candidates (enforced by the equivalence property
-/// suite); the span backend is the production path, the legacy backend is kept as the
-/// oracle for differential testing and as the baseline for the generation benchmarks.
+/// Generation runs one engine: the span projections of [`crate::generation`].  The
+/// superseded re-tokenizing search survives only as the test reference
+/// `generation::generate_legacy`, called directly and never selected through
+/// configuration.  The enum stays, with one variant, because the end-to-end benchmark
+/// driver prints [`name`](Self::name) in its configuration line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GenerationBackend {
     /// Single-pass superset tokenization with per-charset span projections, interned
@@ -36,72 +38,44 @@ pub enum GenerationBackend {
     /// [`crate::intern`]).
     #[default]
     Spans,
-    /// The original implementation: re-tokenizes every line for every enumerated charset
-    /// and keys its hash tables on owned token vectors and template trees.
-    Legacy,
 }
 
 impl GenerationBackend {
     /// Short, human-readable name (used in experiment output).
     pub fn name(&self) -> &'static str {
-        match self {
-            GenerationBackend::Spans => "spans",
-            GenerationBackend::Legacy => "legacy",
-        }
+        "spans"
     }
 }
 
-/// Which implementation the final extraction pass runs on.
+/// The final extraction pass's engine, printed in experiment and benchmark output.
 ///
-/// Both backends produce byte-identical [`crate::parser::ParseResult`]s and relational
-/// tables (enforced by `tests/extraction_equivalence.rs`); the span backend is the
-/// production path, the legacy tree walker is kept as the differential oracle and the
-/// baseline for the extraction benchmarks — mirroring [`GenerationBackend`].
+/// Extraction runs one engine: the compiled instruction tables of [`crate::extract`].
+/// The recursive-descent tree walker survives only as the test reference
+/// [`crate::parser::parse_dataset`].  The enum stays, with one variant, because the
+/// end-to-end benchmark driver prints [`name`](Self::name) in its configuration line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExtractionBackend {
     /// Compiled instruction tables matched over raw byte spans with table-driven delimiter
     /// scanning and flat output arenas (see [`crate::extract`]).
     #[default]
     Span,
-    /// The original recursive-descent tree walker ([`crate::parser`]).
-    Legacy,
 }
 
 impl ExtractionBackend {
     /// Short, human-readable name (used in experiment output and reports).
     pub fn name(&self) -> &'static str {
-        match self {
-            ExtractionBackend::Span => "span",
-            ExtractionBackend::Legacy => "legacy",
-        }
-    }
-
-    /// Parses a backend name (`span` / `legacy`, case-insensitive), rejecting anything
-    /// else with [`Error::InvalidConfig`](crate::error::Error::InvalidConfig).
-    pub fn parse(value: &str) -> Result<Self, crate::error::Error> {
-        match value.trim() {
-            v if v.eq_ignore_ascii_case("span") => Ok(ExtractionBackend::Span),
-            v if v.eq_ignore_ascii_case("legacy") => Ok(ExtractionBackend::Legacy),
-            other => Err(crate::error::Error::InvalidConfig(format!(
-                "unknown extraction backend `{other}` (expected `span` or `legacy`)"
-            ))),
-        }
+        "span"
     }
 }
 
-/// Which implementation the evaluation step (refinement scoring, §4.3) runs on.
+/// The evaluation step's engine (refinement scoring, §4.3), printed in experiment and
+/// benchmark output.
 ///
-/// All backends produce identical ranked `(template, score)` lists (enforced by
-/// `tests/evaluation_equivalence.rs`); the span backends compile each candidate to its flat
-/// instruction table, parse into span arenas, score directly from the arenas, and memoize
-/// scores by interned template id.  The default [`Span`](EvaluationBackend::Span) backend
-/// additionally evaluates each unfold/shift variant by *delta* against its refinement
-/// parent — shared op ranges are copied forward from the parent's recycled arenas and only
-/// the dirty region is re-matched, with the MDL per-column aggregates of unchanged columns
-/// reused (see [`crate::extract::parse_dataset_span_delta`]).  The legacy backend re-runs
-/// the tree-walking parser and tree-walking MDL scorer per candidate — kept as the
-/// differential oracle and the benchmark baseline, mirroring [`GenerationBackend`] and
-/// [`ExtractionBackend`].
+/// Evaluation runs one engine: compiled span parses, arena-native scoring, a template-score
+/// memo, and *delta* evaluation of each unfold/shift variant against its refinement parent
+/// (see [`crate::refine`]).  The tree re-parse it replaced survives only as the test
+/// reference `refine::refine_tree`.  The enum stays, with one variant, because the
+/// end-to-end benchmark driver prints [`name`](Self::name) in its configuration line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EvaluationBackend {
     /// Compiled op tables + flat span arenas + arena-native scoring + template-score memo,
@@ -109,47 +83,12 @@ pub enum EvaluationBackend {
     /// (see [`crate::refine`] and [`crate::extract`]).
     #[default]
     Span,
-    /// The span engine with delta evaluation disabled: every variant re-parses the full
-    /// sample and re-scores every column.  The exactness oracle for the delta path and the
-    /// baseline its speedup is measured against (`reproduce -- evaluation`).
-    SpanFull,
-    /// The original path: one tree-walking parse and one instantiation-tree scoring walk
-    /// per candidate evaluation, no memoization.
-    Legacy,
 }
 
 impl EvaluationBackend {
     /// Short, human-readable name (used in experiment output and reports).
     pub fn name(&self) -> &'static str {
-        match self {
-            EvaluationBackend::Span => "span",
-            EvaluationBackend::SpanFull => "span-full",
-            EvaluationBackend::Legacy => "legacy",
-        }
-    }
-
-    /// `true` for the compiled span-arena backends (memo + arena-native scoring).
-    pub fn is_span(&self) -> bool {
-        matches!(self, EvaluationBackend::Span | EvaluationBackend::SpanFull)
-    }
-
-    /// `true` when refinement variants are evaluated by delta against their parent.
-    pub fn delta_enabled(&self) -> bool {
-        matches!(self, EvaluationBackend::Span)
-    }
-
-    /// Parses a backend name (`span` / `span-full` / `legacy`, case-insensitive),
-    /// rejecting anything else with
-    /// [`Error::InvalidConfig`](crate::error::Error::InvalidConfig).
-    pub fn parse(value: &str) -> Result<Self, crate::error::Error> {
-        match value.trim() {
-            v if v.eq_ignore_ascii_case("span") => Ok(EvaluationBackend::Span),
-            v if v.eq_ignore_ascii_case("span-full") => Ok(EvaluationBackend::SpanFull),
-            v if v.eq_ignore_ascii_case("legacy") => Ok(EvaluationBackend::Legacy),
-            other => Err(crate::error::Error::InvalidConfig(format!(
-                "unknown evaluation backend `{other}` (expected `span`, `span-full`, or `legacy`)"
-            ))),
-        }
+        "span"
     }
 }
 
@@ -159,8 +98,7 @@ impl EvaluationBackend {
 /// Both backends produce byte-identical [`crate::extract::SpanParse`] arenas, relational
 /// tables, and streaming sink bytes (enforced by `tests/matching_equivalence.rs`); the
 /// fused backend is the production path, the trial loop is kept as the differential oracle
-/// and the baseline the `reproduce -- matching` benchmark measures against — mirroring
-/// [`GenerationBackend`], [`ExtractionBackend`], and [`EvaluationBackend`].
+/// and the baseline the `reproduce -- matching` benchmark measures against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MatchingBackend {
     /// One merged byte-class DFA over the whole template set: a single pass over a
@@ -202,10 +140,7 @@ impl MatchingBackend {
     /// flip the whole engine from the environment.  The strict counterpart used by the
     /// builder is [`MatchingBackend::from_env_strict`].
     pub fn from_env() -> Self {
-        std::env::var("DATAMARAN_MATCHING_BACKEND")
-            .ok()
-            .and_then(|v| Self::parse(&v).ok())
-            .unwrap_or_default()
+        Self::from_env_strict().unwrap_or_default()
     }
 
     /// Like [`MatchingBackend::from_env`], but a present-yet-unparsable value is an
@@ -230,10 +165,7 @@ impl MatchingBackend {
 /// are unaffected).  Invalid or absent values fall back to `default`.  The strict
 /// counterpart used by [`DatamaranConfigBuilder`] is [`env_threads_strict`].
 fn env_threads(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(default)
+    env_threads_strict(var, default).unwrap_or(default)
 }
 
 /// Like [`env_threads`], but a present-yet-unparsable value is an
@@ -288,7 +220,8 @@ pub struct DatamaranConfig {
     pub beam_width: usize,
     /// Upper bound on the number of distinct candidate characters considered by the
     /// exhaustive search (`2^c` subsets are enumerated; beyond this the search falls back to
-    /// the greedy procedure).
+    /// the greedy procedure).  At most 63: the subsets are enumerated as bit masks of a
+    /// `u64`.
     pub max_exhaustive_chars: usize,
     /// Whether the evaluation step applies the §4.3 structure-refinement techniques (array
     /// unfolding, partial unfolding, structure shifting).  `true` is the paper's algorithm;
@@ -296,15 +229,13 @@ pub struct DatamaranConfig {
     pub refine: bool,
     /// Seed for the sampling RNG, making runs reproducible.
     pub seed: u64,
-    /// Which generation-step implementation to run (span projections vs. the legacy
-    /// per-charset re-tokenizer).
+    /// The generation step's engine (one variant; reported, not selectable).
     pub generation_backend: GenerationBackend,
     /// Worker threads for the generation step's charset enumeration.  `0` means one per
     /// available core; `1` forces the sequential path.  Results are identical for any
     /// value (the merge of per-thread results is order-independent).
     pub generation_threads: usize,
-    /// Which extraction implementation the final pass runs on (span instruction tables vs.
-    /// the legacy tree walker).
+    /// The final extraction pass's engine (one variant; reported, not selectable).
     pub extraction_backend: ExtractionBackend,
     /// How multi-template record starts are matched inside the span engine (merged
     /// byte-class DFA vs. trialing each template independently).
@@ -313,8 +244,7 @@ pub struct DatamaranConfig {
     /// `1` forces the sequential path.  Results are identical for any value (the stitch
     /// replays the sequential segmentation deterministically).
     pub extraction_threads: usize,
-    /// Which evaluation implementation the refinement step runs on (compiled span scoring
-    /// with a template-score memo vs. the legacy per-candidate tree re-parse).
+    /// The evaluation step's engine (one variant; reported, not selectable).
     pub evaluation_backend: EvaluationBackend,
     /// Worker threads for the per-candidate evaluation loop.  `0` means one per available
     /// core; `1` forces the sequential path.  Results are identical for any value (each
@@ -434,21 +364,9 @@ impl DatamaranConfig {
         self
     }
 
-    /// Builder-style setter for the generation backend.
-    pub fn with_generation_backend(mut self, backend: GenerationBackend) -> Self {
-        self.generation_backend = backend;
-        self
-    }
-
     /// Builder-style setter for the generation worker-thread count (`0` = auto).
     pub fn with_generation_threads(mut self, threads: usize) -> Self {
         self.generation_threads = threads;
-        self
-    }
-
-    /// Builder-style setter for the extraction backend.
-    pub fn with_extraction_backend(mut self, backend: ExtractionBackend) -> Self {
-        self.extraction_backend = backend;
         self
     }
 
@@ -461,12 +379,6 @@ impl DatamaranConfig {
     /// Builder-style setter for the multi-template matching backend.
     pub fn with_matching_backend(mut self, backend: MatchingBackend) -> Self {
         self.matching_backend = backend;
-        self
-    }
-
-    /// Builder-style setter for the evaluation backend.
-    pub fn with_evaluation_backend(mut self, backend: EvaluationBackend) -> Self {
-        self.evaluation_backend = backend;
         self
     }
 
@@ -499,6 +411,13 @@ impl DatamaranConfig {
         }
         if self.beam_width == 0 {
             return Err(Error::InvalidConfig("beam_width must be >= 1".into()));
+        }
+        // The exhaustive search enumerates its 2^c subsets as `u64` bit masks.
+        if self.max_exhaustive_chars > 63 {
+            return Err(Error::InvalidConfig(format!(
+                "max_exhaustive_chars must be <= 63, got {}",
+                self.max_exhaustive_chars
+            )));
         }
         if !self.special_chars.contains('\n') {
             return Err(Error::InvalidConfig(
@@ -546,12 +465,9 @@ pub struct DatamaranConfigBuilder {
     max_exhaustive_chars: Option<usize>,
     refine: Option<bool>,
     seed: Option<u64>,
-    generation_backend: Option<GenerationBackend>,
     generation_threads: Option<usize>,
-    extraction_backend: Option<ExtractionBackend>,
     matching_backend: Option<MatchingBackend>,
     extraction_threads: Option<usize>,
-    evaluation_backend: Option<EvaluationBackend>,
     evaluation_threads: Option<usize>,
 }
 
@@ -628,22 +544,10 @@ impl DatamaranConfigBuilder {
         self
     }
 
-    /// Sets the generation backend.
-    pub fn generation_backend(mut self, backend: GenerationBackend) -> Self {
-        self.generation_backend = Some(backend);
-        self
-    }
-
     /// Sets the generation worker-thread count (`0` = auto), overriding
     /// `DATAMARAN_GENERATION_THREADS`.
     pub fn generation_threads(mut self, threads: usize) -> Self {
         self.generation_threads = Some(threads);
-        self
-    }
-
-    /// Sets the extraction backend.
-    pub fn extraction_backend(mut self, backend: ExtractionBackend) -> Self {
-        self.extraction_backend = Some(backend);
         self
     }
 
@@ -657,12 +561,6 @@ impl DatamaranConfigBuilder {
     /// `DATAMARAN_EXTRACTION_THREADS`.
     pub fn extraction_threads(mut self, threads: usize) -> Self {
         self.extraction_threads = Some(threads);
-        self
-    }
-
-    /// Sets the evaluation backend.
-    pub fn evaluation_backend(mut self, backend: EvaluationBackend) -> Self {
-        self.evaluation_backend = Some(backend);
         self
     }
 
@@ -708,13 +606,11 @@ impl DatamaranConfigBuilder {
                 .unwrap_or(base.max_exhaustive_chars),
             refine: self.refine.unwrap_or(base.refine),
             seed: self.seed.unwrap_or(base.seed),
-            generation_backend: self.generation_backend.unwrap_or(base.generation_backend),
             generation_threads,
-            extraction_backend: self.extraction_backend.unwrap_or(base.extraction_backend),
             matching_backend,
             extraction_threads,
-            evaluation_backend: self.evaluation_backend.unwrap_or(base.evaluation_backend),
             evaluation_threads,
+            ..base
         };
         config.validate()?;
         Ok(config)
@@ -821,6 +717,18 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, crate::error::Error::InvalidConfig(_)));
+        // The exhaustive search enumerates 2^c subsets as `u64` masks: c = 63 is the widest.
+        assert!(DatamaranConfig::builder()
+            .max_exhaustive_chars(63)
+            .build()
+            .is_ok());
+        for c in [64, usize::MAX] {
+            let err = DatamaranConfig::builder()
+                .max_exhaustive_chars(c)
+                .build()
+                .unwrap_err();
+            assert!(err.to_string().contains("max_exhaustive_chars"), "{err}");
+        }
     }
 
     #[test]
@@ -833,21 +741,12 @@ mod tests {
             MatchingBackend::parse("trial").unwrap(),
             MatchingBackend::Trial
         );
+        assert_eq!(
+            MatchingBackend::parse("TRIAL").unwrap(),
+            MatchingBackend::Trial
+        );
         assert!(MatchingBackend::parse("dfa").is_err());
-        assert_eq!(
-            ExtractionBackend::parse("span").unwrap(),
-            ExtractionBackend::Span
-        );
-        assert_eq!(
-            ExtractionBackend::parse("LEGACY").unwrap(),
-            ExtractionBackend::Legacy
-        );
-        assert!(ExtractionBackend::parse("tree").is_err());
-        assert_eq!(
-            EvaluationBackend::parse("span-full").unwrap(),
-            EvaluationBackend::SpanFull
-        );
-        assert!(EvaluationBackend::parse("").is_err());
+        assert!(MatchingBackend::parse("").is_err());
     }
 
     #[test]
@@ -860,16 +759,8 @@ mod tests {
     fn evaluation_backend_defaults_and_builders() {
         assert_eq!(EvaluationBackend::default(), EvaluationBackend::Span);
         assert_eq!(EvaluationBackend::Span.name(), "span");
-        assert_eq!(EvaluationBackend::SpanFull.name(), "span-full");
-        assert_eq!(EvaluationBackend::Legacy.name(), "legacy");
-        assert!(EvaluationBackend::Span.is_span() && EvaluationBackend::Span.delta_enabled());
-        assert!(EvaluationBackend::SpanFull.is_span());
-        assert!(!EvaluationBackend::SpanFull.delta_enabled());
-        assert!(!EvaluationBackend::Legacy.is_span() && !EvaluationBackend::Legacy.delta_enabled());
-        let c = DatamaranConfig::default()
-            .with_evaluation_backend(EvaluationBackend::Legacy)
-            .with_evaluation_threads(2);
-        assert_eq!(c.evaluation_backend, EvaluationBackend::Legacy);
+        let c = DatamaranConfig::default().with_evaluation_threads(2);
+        assert_eq!(c.evaluation_backend, EvaluationBackend::Span);
         assert_eq!(c.evaluation_threads, 2);
         assert!(c.validate().is_ok());
     }
@@ -888,11 +779,8 @@ mod tests {
     fn extraction_backend_defaults_and_builders() {
         assert_eq!(ExtractionBackend::default(), ExtractionBackend::Span);
         assert_eq!(ExtractionBackend::Span.name(), "span");
-        assert_eq!(ExtractionBackend::Legacy.name(), "legacy");
-        let c = DatamaranConfig::default()
-            .with_extraction_backend(ExtractionBackend::Legacy)
-            .with_extraction_threads(3);
-        assert_eq!(c.extraction_backend, ExtractionBackend::Legacy);
+        let c = DatamaranConfig::default().with_extraction_threads(3);
+        assert_eq!(c.extraction_backend, ExtractionBackend::Span);
         assert_eq!(c.extraction_threads, 3);
         assert!(c.validate().is_ok());
     }

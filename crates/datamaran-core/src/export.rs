@@ -80,12 +80,8 @@ pub struct StatsReport {
     pub iterations: usize,
     /// Per-step wall-clock seconds: sampling, generation, pruning, evaluation, extraction.
     pub step_seconds: [f64; 5],
-    /// Extraction backend the final pass ran on (`span` or `legacy`).
-    pub extraction_backend: String,
     /// Worker threads the final extraction pass was sharded across.
     pub extraction_threads: usize,
-    /// Evaluation backend the refinement loop ran on (`span` or `legacy`).
-    pub evaluation_backend: String,
     /// Worker threads the per-candidate evaluation loop was sharded across.
     pub evaluation_threads: usize,
     /// Template evaluations performed during refinement (including memo hits).
@@ -126,9 +122,7 @@ impl StatsReport {
                 t.evaluation.as_secs_f64(),
                 t.extraction.as_secs_f64(),
             ],
-            extraction_backend: stats.extraction_backend.clone(),
             extraction_threads: stats.extraction_threads,
-            evaluation_backend: stats.evaluation_backend.clone(),
             evaluation_threads: stats.evaluation_threads,
             evaluation_count: stats.evaluation_metrics.evaluations,
             evaluation_memo_hits: stats.evaluation_metrics.memo_hits,
@@ -374,15 +368,7 @@ fn stats_to_json(stats: &StatsReport) -> JsonValue {
         ("records_examined".into(), num(stats.records_examined)),
         ("sample_bytes".into(), num(stats.sample_bytes)),
         ("iterations".into(), num(stats.iterations)),
-        (
-            "extraction_backend".into(),
-            JsonValue::String(stats.extraction_backend.clone()),
-        ),
         ("extraction_threads".into(), num(stats.extraction_threads)),
-        (
-            "evaluation_backend".into(),
-            JsonValue::String(stats.evaluation_backend.clone()),
-        ),
         ("evaluation_threads".into(), num(stats.evaluation_threads)),
         ("evaluation_count".into(), num(stats.evaluation_count)),
         (
@@ -447,20 +433,14 @@ fn stats_from_json(v: &JsonValue) -> Result<StatsReport, JsonError> {
         sample_bytes: v.require("sample_bytes")?.as_usize()?,
         iterations: v.require("iterations")?.as_usize()?,
         step_seconds,
-        // Reports written before the span extraction engine lack these two fields.
-        extraction_backend: match v.get("extraction_backend") {
-            Some(b) => b.as_str()?.to_string(),
-            None => String::new(),
-        },
+        // Reports written before the span extraction engine lack this field; reports
+        // written while the engine was selectable also carry `extraction_backend` and
+        // `evaluation_backend`, which are ignored.
         extraction_threads: match v.get("extraction_threads") {
             Some(t) => t.as_usize()?,
             None => 0,
         },
         // Reports written before the span evaluation engine lack the evaluation fields.
-        evaluation_backend: match v.get("evaluation_backend") {
-            Some(b) => b.as_str()?.to_string(),
-            None => String::new(),
-        },
         evaluation_threads: match v.get("evaluation_threads") {
             Some(t) => t.as_usize()?,
             None => 0,
@@ -1532,7 +1512,7 @@ mod tests {
             assert_eq!(a.tables, b.tables);
         }
         assert_eq!(back.stats.iterations, report.stats.iterations);
-        assert_eq!(back.stats.evaluation_backend, "span");
+        assert!(!json.contains("\"evaluation_backend\""));
         assert_eq!(back.stats.evaluation_count, report.stats.evaluation_count);
         assert_eq!(
             back.stats.evaluation_memo_hits,
@@ -1540,6 +1520,16 @@ mod tests {
         );
         assert!(back.stats.evaluation_parse_seconds >= 0.0);
         assert!(back.stats.evaluation_score_seconds >= 0.0);
+        // Reports written while the extraction and evaluation engines were selectable
+        // carry their names in the stats object; they still parse.
+        assert_eq!(json.matches("\"candidates_generated\"").count(), 1);
+        let older = json.replace(
+            "\"candidates_generated\"",
+            "\"extraction_backend\": \"legacy\", \"evaluation_backend\": \"span-full\", \
+             \"candidates_generated\"",
+        );
+        let back = ExtractionReport::from_json(&older).unwrap();
+        assert_eq!(back.stats.iterations, report.stats.iterations);
     }
 
     #[test]

@@ -37,13 +37,13 @@
 //!   [`MatchingBackend::Trial`](crate::config::MatchingBackend) — the differential oracle
 //!   proven byte-identical by `tests/matching_equivalence.rs`.
 //!
-//! The tree-walking extractor survives as
-//! [`ExtractionBackend::Legacy`](crate::config::ExtractionBackend) — the differential
-//! oracle and benchmark baseline, mirroring what `GenerationBackend::Legacy` is to the
-//! generation engine.
+//! The tree-walking extractor survives only as the test reference
+//! [`crate::parser::parse_dataset`] — the differential oracle and benchmark baseline,
+//! never reached from the pipeline, mirroring what
+//! `generation::generate_legacy` is to the generation engine.
 
 use crate::chars::CharSet;
-use crate::config::{DatamaranConfig, ExtractionBackend, MatchingBackend};
+use crate::config::{DatamaranConfig, MatchingBackend};
 use crate::dataset::Dataset;
 use crate::fxhash::FxHashMap;
 use crate::parallel::{chunk_bounds, resolve_threads, ParallelOptions};
@@ -2487,10 +2487,10 @@ pub fn parse_dataset_span_parallel_with(
     out
 }
 
-/// The extraction pass the pipeline runs: dispatches on
-/// [`DatamaranConfig::extraction_backend`] and shards across
-/// [`DatamaranConfig::extraction_threads`] workers, returning the tree-walker-compatible
-/// [`ParseResult`] either way.  Output is byte-identical across backends and thread counts.
+/// The extraction pass the pipeline runs: the span engine sharded across
+/// [`DatamaranConfig::extraction_threads`] workers with the configured matching backend,
+/// materialized as the tree-walker-compatible [`ParseResult`].  Output is byte-identical
+/// to [`crate::parser::parse_dataset`] for any thread count.
 pub fn extract_records(
     dataset: &Dataset,
     templates: &[StructureTemplate],
@@ -2498,22 +2498,14 @@ pub fn extract_records(
 ) -> ParseResult {
     let options =
         ParallelOptions::default().with_threads(resolve_threads(config.extraction_threads));
-    match config.extraction_backend {
-        ExtractionBackend::Span => parse_dataset_span_parallel_with(
-            dataset,
-            templates,
-            config.max_line_span,
-            options,
-            config.matching_backend,
-        )
-        .to_parse_result(templates),
-        ExtractionBackend::Legacy => crate::parallel::parse_dataset_parallel(
-            dataset,
-            templates,
-            config.max_line_span,
-            options,
-        ),
-    }
+    parse_dataset_span_parallel_with(
+        dataset,
+        templates,
+        config.max_line_span,
+        options,
+        config.matching_backend,
+    )
+    .to_parse_result(templates)
 }
 
 #[cfg(test)]
@@ -2855,21 +2847,23 @@ mod tests {
     }
 
     #[test]
-    fn extract_records_dispatches_both_backends() {
+    fn extract_records_matches_the_tree_reference() {
+        // Enough lines that three extraction threads really shard (512 lines per chunk).
         let mut text = String::new();
-        for i in 0..40 {
+        for i in 0..1200 {
             text.push_str(&format!("{i},{},{}\n", i * 2, i % 5));
+            if i % 97 == 3 {
+                text.push_str(",, noise ,,\n");
+            }
         }
         let data = Dataset::new(text);
-        let st = array("1,2,3\n", ",\n");
-        let templates = vec![st];
-        let span_cfg = DatamaranConfig::default().with_extraction_threads(2);
-        let legacy_cfg = DatamaranConfig::default()
-            .with_extraction_backend(ExtractionBackend::Legacy)
-            .with_extraction_threads(1);
-        let a = extract_records(&data, &templates, &span_cfg);
-        let b = extract_records(&data, &templates, &legacy_cfg);
-        assert_same(&a, &b, "dispatch");
+        let templates = vec![array("1,2,3\n", ",\n")];
+        let reference = parse_dataset(&data, &templates, 10);
+        for threads in [1, 3] {
+            let config = DatamaranConfig::default().with_extraction_threads(threads);
+            let parse = extract_records(&data, &templates, &config);
+            assert_same(&parse, &reference, &format!("{threads} threads"));
+        }
     }
 
     /// Interleaved fixture over three record shapes (flat bracket, flat csv, array) plus

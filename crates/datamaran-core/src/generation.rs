@@ -3,26 +3,22 @@
 //! reducing every candidate record to its minimal structure template, and accumulating
 //! per-template coverage in a hash table.
 //!
-//! Two backends implement the step (selected by
-//! [`DatamaranConfig::generation_backend`](crate::config::DatamaranConfig)):
+//! The step runs on span projections: the sample is tokenized **once** under the superset
+//! of all candidate characters ([`crate::span::LineIndex`]); each enumerated subset charset
+//! re-derives every line's template by an `O(#occurrences)` projection instead of a fresh
+//! scan, the record → minimal-template reduction is memoized into interned [`TemplateId`]s
+//! ([`crate::intern`]) so the hash tables key on `u32`s, and the `2^c` (exhaustive) /
+//! `O(c²)` (greedy) charset evaluations run on scoped worker threads.  The inner per-record
+//! loop performs no per-token heap allocation: the token buffer, projection arena, and
+//! accumulator table are all reused.
 //!
-//! * **Spans** (default, [`GenerationBackend::Spans`]): the sample is tokenized **once**
-//!   under the superset of all candidate characters ([`crate::span::LineIndex`]); each
-//!   enumerated subset charset re-derives every line's template by an `O(#occurrences)`
-//!   projection instead of a fresh scan, the record → minimal-template reduction is memoized
-//!   into interned [`TemplateId`]s ([`crate::intern`]) so the hash tables key on `u32`s, and
-//!   the `2^c` (exhaustive) / `O(c²)` (greedy) charset evaluations run on scoped worker
-//!   threads.  The inner per-record loop performs no per-token heap allocation: the token
-//!   buffer, projection arena, and accumulator table are all reused.
-//! * **Legacy** ([`GenerationBackend::Legacy`]): the original implementation — one full
-//!   re-tokenization pass per charset, hash tables keyed on owned token vectors and template
-//!   trees.  Kept as the differential-testing oracle and benchmark baseline.
-//!
-//! Both backends produce identical candidates (same templates, same coverage statistics),
-//! which the equivalence property suite enforces.
+//! The original implementation — one full re-tokenization pass per charset, hash tables
+//! keyed on owned token vectors and template trees — survives as the test reference
+//! `generate_legacy`.  Both produce identical candidates (same templates, same coverage
+//! statistics), which the equivalence property suite enforces.
 
 use crate::chars::CharSet;
-use crate::config::{DatamaranConfig, GenerationBackend, SearchStrategy};
+use crate::config::{DatamaranConfig, SearchStrategy};
 use crate::dataset::Dataset;
 use crate::fxhash::FxHashMap;
 use crate::intern::{TemplateId, TemplateInterner};
@@ -104,7 +100,8 @@ struct Accum {
 impl Accum {
     /// Steps 3–5 of the generation procedure for one candidate record: count the bytes not
     /// yet covered by this bin (apportioning field bytes pro rata) and record the hit.
-    /// Shared verbatim by both backends — candidate statistics must match bit-for-bit.
+    /// Shared verbatim by the span engine and the legacy reference — candidate statistics
+    /// must match bit-for-bit.
     fn record_candidate(
         &mut self,
         start: usize,
@@ -133,34 +130,43 @@ impl Accum {
 
 /// Runs the generation step over a (sampled) dataset.
 pub fn generate(sample: &Dataset, config: &DatamaranConfig) -> GenerationOutput {
+    let (present, use_greedy) = search_plan(sample, config);
+    let engine = SpanEngine::new(sample, present, config);
+    if use_greedy {
+        engine.greedy_search()
+    } else {
+        engine.exhaustive_search()
+    }
+}
+
+/// The test reference for [`generate`]: the original single-threaded search, which
+/// re-tokenizes every line for every enumerated charset and keys its hash tables on owned
+/// token vectors and template trees.  Emits the same candidates as [`generate`]; kept only
+/// so the differential suites and the `reproduce -- generation` gate can compare against
+/// it, never reached from the pipeline.
+#[doc(hidden)]
+pub fn generate_legacy(sample: &Dataset, config: &DatamaranConfig) -> GenerationOutput {
+    let (present, use_greedy) = search_plan(sample, config);
+    if use_greedy {
+        legacy::greedy_search(sample, &present, config)
+    } else {
+        legacy::exhaustive_search(sample, &present, config)
+    }
+}
+
+/// The candidate characters present in the sample (always with `\n`), and whether the
+/// search is greedy — either by configuration or because `2^c` subsets would be
+/// unreasonably many.
+fn search_plan(sample: &Dataset, config: &DatamaranConfig) -> (CharSet, bool) {
     let present = config
         .special_chars
         .restrict_to_text(sample.text())
         .union(&CharSet::from_chars(['\n']));
-
     let use_greedy = match config.search {
-        // Fall back to the greedy procedure when 2^c would be unreasonably large.
         SearchStrategy::Exhaustive => present.len().saturating_sub(1) > config.max_exhaustive_chars,
         SearchStrategy::Greedy => true,
     };
-
-    match config.generation_backend {
-        GenerationBackend::Spans => {
-            let engine = SpanEngine::new(sample, present, config);
-            if use_greedy {
-                engine.greedy_search()
-            } else {
-                engine.exhaustive_search()
-            }
-        }
-        GenerationBackend::Legacy => {
-            if use_greedy {
-                legacy::greedy_search(sample, &present, config)
-            } else {
-                legacy::exhaustive_search(sample, &present, config)
-            }
-        }
-    }
+    (present, use_greedy)
 }
 
 /// Builds the subset charset of `extra` selected by `mask`, always including `\n`.
@@ -203,8 +209,9 @@ fn merge_candidates(merged: &mut HashMap<StructureTemplate, Candidate>, found: V
 
 /// Asserts that two generation outputs are identical in every observable respect: sample
 /// statistics and, per candidate, template, coverage, field coverage, hits, first line,
-/// and charset.  This is the oracle of the spans-vs-legacy differential test suites (unit
-/// tests here and `tests/span_equivalence.rs`); hidden from docs, not for production use.
+/// and charset.  This is the oracle of the differential suites comparing [`generate`] with
+/// `generate_legacy` (unit tests here and `tests/span_equivalence.rs`); hidden from docs,
+/// not for production use.
 #[doc(hidden)]
 pub fn assert_outputs_identical(a: &GenerationOutput, b: &GenerationOutput, label: &str) {
     assert_eq!(a.sample_len, b.sample_len, "{label}: sample_len");
@@ -264,7 +271,7 @@ pub fn sort_candidates(candidates: &mut [Candidate]) {
 }
 
 // ---------------------------------------------------------------------------------------
-// Span backend
+// Span engine
 // ---------------------------------------------------------------------------------------
 
 /// Store of interned line *token sequences*, shared across charsets within one worker.
@@ -382,7 +389,7 @@ struct WorkerState {
     seqs: SeqStore,
     /// Memo of line-sequence-id windows → (interned minimal template, window is verified
     /// fold-free).  The window (at most `L` `u32`s) is the whole hash key for a candidate
-    /// record, replacing the legacy path's hash of the record's full token vector; the
+    /// record, replacing the legacy search's hash of the record's full token vector; the
     /// fold-free bit seeds the incremental scan when the window is grown by another line.
     window_memo: FxHashMap<Box<[u32]>, (TemplateId, bool)>,
     bins: Bins,
@@ -749,7 +756,7 @@ impl<'a> SpanEngine<'a> {
 }
 
 // ---------------------------------------------------------------------------------------
-// Legacy backend (differential-testing oracle and benchmark baseline)
+// Legacy search (the test reference behind `generate_legacy`)
 // ---------------------------------------------------------------------------------------
 
 mod legacy {
@@ -1080,14 +1087,8 @@ mod tests {
     fn span_backend_matches_legacy_exhaustive() {
         for (name, text) in workloads() {
             let data = Dataset::new(text);
-            let spans = generate(
-                &data,
-                &config().with_generation_backend(GenerationBackend::Spans),
-            );
-            let legacy = generate(
-                &data,
-                &config().with_generation_backend(GenerationBackend::Legacy),
-            );
+            let spans = generate(&data, &config());
+            let legacy = generate_legacy(&data, &config());
             assert_outputs_identical(&spans, &legacy, name);
         }
     }
@@ -1096,19 +1097,9 @@ mod tests {
     fn span_backend_matches_legacy_greedy() {
         for (name, text) in workloads() {
             let data = Dataset::new(text);
-            let base = config().with_search(SearchStrategy::Greedy);
-            let spans = generate(
-                &data,
-                &base
-                    .clone()
-                    .with_generation_backend(GenerationBackend::Spans),
-            );
-            let legacy = generate(
-                &data,
-                &base
-                    .clone()
-                    .with_generation_backend(GenerationBackend::Legacy),
-            );
+            let greedy = config().with_search(SearchStrategy::Greedy);
+            let spans = generate(&data, &greedy);
+            let legacy = generate_legacy(&data, &greedy);
             assert_outputs_identical(&spans, &legacy, name);
         }
     }
@@ -1125,8 +1116,8 @@ mod tests {
 
     #[test]
     fn backend_names_are_stable() {
+        use crate::config::GenerationBackend;
         assert_eq!(GenerationBackend::Spans.name(), "spans");
-        assert_eq!(GenerationBackend::Legacy.name(), "legacy");
         assert_eq!(GenerationBackend::default(), GenerationBackend::Spans);
     }
 }

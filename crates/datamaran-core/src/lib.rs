@@ -15,9 +15,9 @@
 //! 3. **evaluates** the survivors with a pluggable regularity score (the default is the
 //!    minimum-description-length score of [`mdl`]), refining each one by array unfolding and
 //!    structure shifting ([`refine`]);
-//! 4. **extracts** every instantiated record of the winning template(s) with an LL(1)-style
-//!    parser ([`parser`]) and emits normalized / denormalized relational output
-//!    ([`relational`]);
+//! 4. **extracts** every instantiated record of the winning template(s) by LL(1) matching
+//!    over compiled instruction tables ([`extract`]) and emits normalized / denormalized
+//!    relational output ([`relational`]);
 //! 5. repeats the search on the unexplained residual to handle **interleaved** datasets with
 //!    multiple record types ([`pipeline`]).
 //!
@@ -105,10 +105,8 @@ pub use journal::{
 };
 pub use json::{JsonError, JsonValue};
 pub use mdl::{ColumnStats, CoverageScorer, MdlScorer, RegularityScorer, ScoreParts};
-pub use parallel::{parse_dataset_parallel, ParallelOptions};
-pub use parser::{
-    parse_dataset, tree_reps, FieldCell, LineMatcher, ParseResult, RecordMatch, ValueTree,
-};
+pub use parallel::ParallelOptions;
+pub use parser::{parse_dataset, FieldCell, LineMatcher, ParseResult, RecordMatch, ValueTree};
 pub use pipeline::{Datamaran, ExtractedStructure, ExtractionResult, PipelineStats, StepTimings};
 pub use record::{field_values, FieldValue, RecordTemplate, TemplateToken};
 pub use reduce::reduce;

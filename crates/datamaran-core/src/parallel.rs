@@ -1,28 +1,29 @@
-//! Parallel final extraction (§5.2.2).
+//! Worker-pool plumbing shared by the parallel engines, and the design of the parallel
+//! final extraction (§5.2.2).
 //!
 //! The paper observes that for large datasets the running time is dominated by the actual
 //! data-extraction pass ("the majority of the running time is spent on running the LL(1)
-//! parser"), and that this pass "is eminently parallelizable".  This module implements that
-//! parallelization with `std::thread::scope` scoped threads.
+//! parser"), and that this pass "is eminently parallelizable".
+//! [`crate::extract::parse_dataset_span_parallel`] implements that parallelization with
+//! `std::thread::scope` scoped threads.
 //!
 //! The key property that makes the pass parallel is that the question *"does a record of one
 //! of the templates start at line `i`?"* depends only on the text from line `i` onwards —
-//! never on how earlier lines were segmented (see [`crate::parser::LineMatcher`]).  The
-//! algorithm therefore:
+//! never on how earlier lines were segmented.  The algorithm therefore:
 //!
-//! 1. splits the line range into one contiguous chunk per worker;
+//! 1. splits the line range into one contiguous chunk per worker ([`chunk_bounds`]);
 //! 2. each worker answers the per-line question for every line of its chunk, producing a
 //!    *match table*;
-//! 3. a cheap sequential stitch pass replays the greedy left-to-right segmentation of
-//!    [`crate::parser::parse_dataset`] by reading the precomputed tables, so the output is
-//!    byte-for-byte identical to the sequential extractor (verified by tests and by the
-//!    property suite).
+//! 3. a cheap sequential stitch pass replays the greedy left-to-right segmentation by
+//!    reading the precomputed tables, so the output is byte-for-byte identical to the
+//!    sequential extractor and to the tree-walking reference
+//!    [`crate::parser::parse_dataset`] (verified by this module's tests and by the property
+//!    suite).
 //!
 //! The stitch is `O(n)` with trivial constants; all template matching happens in the workers.
+//! The generation and evaluation engines reuse the worker sizing ([`effective_workers`],
+//! [`resolve_threads`]) and, where per-item cost is skewed, the [`WorkQueue`].
 
-use crate::dataset::Dataset;
-use crate::parser::{LineMatcher, ParseResult, RecordMatch};
-use crate::structure::StructureTemplate;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options for the parallel extraction pass.
@@ -135,84 +136,16 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Parses the dataset with the supplied templates using `options.threads` workers.
-///
-/// The result is identical to [`crate::parser::parse_dataset`] with the same arguments.
-pub fn parse_dataset_parallel(
-    dataset: &Dataset,
-    templates: &[StructureTemplate],
-    max_line_span: usize,
-    options: ParallelOptions,
-) -> ParseResult {
-    let n = dataset.line_count();
-    let chunks = options.effective_chunks(n);
-    if chunks <= 1 || n == 0 {
-        return crate::parser::parse_dataset(dataset, templates, max_line_span);
-    }
-
-    // Chunk boundaries: `chunks` contiguous, near-equal line ranges.
-    let bounds = chunk_bounds(n, chunks);
-
-    // Phase 1: per-line match tables, one per chunk, computed in parallel.
-    let mut tables: Vec<Vec<Option<RecordMatch>>> = Vec::with_capacity(bounds.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(first, last)| {
-                scope.spawn(move || {
-                    let matcher = LineMatcher::new(templates, max_line_span);
-                    (first..last)
-                        .map(|line| matcher.match_line(dataset, line))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            tables.push(h.join().expect("extraction worker panicked"));
-        }
-    });
-
-    // Phase 2: sequential stitch replaying the greedy segmentation.
-    let lookup = |line: usize| -> &Option<RecordMatch> {
-        // Chunks are contiguous and sorted, so a linear scan over <= `chunks` entries is fine;
-        // start from the chunk that proportionally contains the line.
-        let mut k = (line * bounds.len() / n).min(bounds.len() - 1);
-        while bounds[k].0 > line {
-            k -= 1;
-        }
-        while bounds[k].1 <= line {
-            k += 1;
-        }
-        &tables[k][line - bounds[k].0]
-    };
-
-    let mut result = ParseResult::default();
-    let mut line = 0usize;
-    while line < n {
-        match lookup(line) {
-            Some(rec) => {
-                result.record_bytes += rec.byte_len();
-                line = rec.line_span.1;
-                result.records.push(rec.clone());
-            }
-            None => {
-                let (s, e) = dataset.line_span(line);
-                result.noise_bytes += e - s;
-                result.noise_lines.push(line);
-                line += 1;
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chars::CharSet;
-    use crate::parser::parse_dataset;
+    use crate::dataset::Dataset;
+    use crate::extract::parse_dataset_span_parallel;
+    use crate::parser::{parse_dataset, ParseResult};
     use crate::record::RecordTemplate;
     use crate::reduce::reduce;
+    use crate::structure::StructureTemplate;
 
     fn flat(example: &str, charset: &str) -> StructureTemplate {
         let cs = CharSet::from_chars(charset.chars());
@@ -243,6 +176,17 @@ mod tests {
         s
     }
 
+    /// The span engine's sharded pass, materialized for comparison with the tree walker.
+    fn span_parallel(
+        dataset: &Dataset,
+        templates: &[StructureTemplate],
+        max_line_span: usize,
+        options: ParallelOptions,
+    ) -> ParseResult {
+        parse_dataset_span_parallel(dataset, templates, max_line_span, options)
+            .to_parse_result(templates)
+    }
+
     fn assert_same(a: &ParseResult, b: &ParseResult) {
         assert_eq!(a.records.len(), b.records.len());
         assert_eq!(a.noise_lines, b.noise_lines);
@@ -263,7 +207,7 @@ mod tests {
         let st = flat("REQ 1\nuser=u2;ms=3\n", " =;\n");
         let seq = parse_dataset(&data, std::slice::from_ref(&st), 10);
         for threads in [2, 3, 7] {
-            let par = parse_dataset_parallel(
+            let par = span_parallel(
                 &data,
                 std::slice::from_ref(&st),
                 10,
@@ -301,7 +245,7 @@ mod tests {
         let bracket = flat("[01] host2 ok\n", "[] \n");
         let templates = vec![bracket, csv];
         let seq = parse_dataset(&data, &templates, 10);
-        let par = parse_dataset_parallel(
+        let par = span_parallel(
             &data,
             &templates,
             10,
@@ -322,7 +266,7 @@ mod tests {
         }
         let data = Dataset::new(text);
         let st = flat("HDR 1\nbody=2;done\n", " =;\n");
-        let par = parse_dataset_parallel(
+        let par = span_parallel(
             &data,
             std::slice::from_ref(&st),
             10,
@@ -342,7 +286,7 @@ mod tests {
     fn single_thread_option_falls_back_to_sequential() {
         let data = Dataset::new("a=1\na=2\n");
         let st = flat("a=1\n", "=\n");
-        let par = parse_dataset_parallel(
+        let par = span_parallel(
             &data,
             std::slice::from_ref(&st),
             10,
@@ -427,7 +371,7 @@ mod tests {
     fn empty_dataset_parses_to_nothing() {
         let data = Dataset::new("");
         let st = flat("a=1\n", "=\n");
-        let par = parse_dataset_parallel(
+        let par = span_parallel(
             &data,
             std::slice::from_ref(&st),
             10,

@@ -9,6 +9,11 @@
 //! the given structure templates starting at the line's first byte; on success the matched
 //! block becomes an instantiated record and the walk resumes at the line following the
 //! record, otherwise the line is a noise block.
+//!
+//! This module holds the materialized result types every extractor returns
+//! ([`ParseResult`], [`RecordMatch`], [`ValueTree`], [`FieldCell`]) and the recursive-descent
+//! tree walker [`parse_dataset`].  The walker is the test reference the span engine
+//! ([`crate::extract`]) is compared against; the pipeline never runs it.
 
 use crate::chars::CharSet;
 use crate::dataset::Dataset;
@@ -74,23 +79,6 @@ impl RecordMatch {
     /// Length of the record in bytes.
     pub fn byte_len(&self) -> usize {
         self.byte_span.1 - self.byte_span.0
-    }
-}
-
-/// Appends the array repetition counts of an instantiation tree to `out`, in the pre-order
-/// arena layout of the span engine (each array occurrence contributes its count before the
-/// counts of the arrays inside its groups).  This is the inverse of the span engine's tree
-/// materialization: `template shape + flat cells + these counts` fully determines the tree,
-/// which is what lets the streaming sinks consume legacy-backend matches through the same
-/// flat-record interface as span-backend matches.
-pub fn tree_reps(values: &[ValueTree], out: &mut Vec<u32>) {
-    for v in values {
-        if let ValueTree::Array { groups, .. } = v {
-            out.push(groups.len() as u32);
-            for group in groups {
-                tree_reps(group, out);
-            }
-        }
     }
 }
 
@@ -189,8 +177,7 @@ impl<'a> TemplateMatcher<'a> {
 ///
 /// The answer depends only on the text from that line onwards (never on how earlier lines
 /// were segmented), which is what makes the extraction pass embarrassingly parallel
-/// ([`crate::parallel`]): workers can evaluate disjoint line ranges and a cheap sequential
-/// stitch reproduces exactly the segmentation of [`parse_dataset`].
+/// ([`crate::parallel`]).  Only [`parse_dataset`] drives it.
 pub struct LineMatcher<'a> {
     matchers: Vec<TemplateMatcher<'a>>,
     max_line_span: usize,

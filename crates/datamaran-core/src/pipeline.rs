@@ -61,12 +61,8 @@ pub struct PipelineStats {
     pub sample_bytes: usize,
     /// Number of pipeline iterations (record types attempted).
     pub iterations: usize,
-    /// Name of the extraction backend the final pass ran on (`span` or `legacy`).
-    pub extraction_backend: String,
     /// Worker threads the final extraction pass was configured with (resolved; `>= 1`).
     pub extraction_threads: usize,
-    /// Name of the evaluation backend the refinement loop ran on (`span` or `legacy`).
-    pub evaluation_backend: String,
     /// Worker threads the per-candidate evaluation loop was configured with (resolved).
     pub evaluation_threads: usize,
     /// Evaluation-phase work breakdown (parse vs score time, memo hits) accumulated across
@@ -174,9 +170,7 @@ impl Datamaran {
         }
         let full = Dataset::new(text);
         let mut stats = PipelineStats {
-            extraction_backend: self.config.extraction_backend.name().to_string(),
             extraction_threads: crate::parallel::resolve_threads(self.config.extraction_threads),
-            evaluation_backend: self.config.evaluation_backend.name().to_string(),
             evaluation_threads: crate::parallel::resolve_threads(self.config.evaluation_threads),
             ..Default::default()
         };
@@ -210,8 +204,8 @@ impl Datamaran {
         }
         let templates = best.expect("at least one branch").0;
 
-        // Final extraction over the whole dataset with every discovered template, on the
-        // configured extraction backend sharded across the configured worker threads.
+        // Final extraction over the whole dataset with every discovered template, sharded
+        // across the configured worker threads.
         let started = Instant::now();
         let template_list: Vec<StructureTemplate> =
             templates.iter().map(|(t, _)| t.clone()).collect();
@@ -438,6 +432,8 @@ impl Datamaran {
 mod tests {
     use super::*;
     use crate::config::SearchStrategy;
+    use crate::parser::parse_dataset;
+    use crate::refine::refine_tree;
 
     fn web_log(n: usize) -> String {
         let mut s = String::new();
@@ -577,9 +573,9 @@ mod tests {
         assert!(Datamaran::new(config).is_err());
     }
 
-    #[test]
-    fn extraction_backends_agree_end_to_end() {
-        use crate::config::ExtractionBackend;
+    /// CSV rows interleaved at random (about one line in five) with bracketed lines: two
+    /// discovery rounds.
+    fn csv_among_bracket_lines() -> String {
         let mut text = String::new();
         for i in 0..90u64 {
             if mix(i).is_multiple_of(5) {
@@ -588,59 +584,92 @@ mod tests {
                 text.push_str(&format!("[{:02}:{:02}] host{} ok\n", i % 24, i % 60, i % 4));
             }
         }
-        let span = Datamaran::with_defaults().extract(&text).unwrap();
-        let legacy = Datamaran::new(
-            DatamaranConfig::default().with_extraction_backend(ExtractionBackend::Legacy),
-        )
-        .unwrap()
-        .extract(&text)
-        .unwrap();
-        assert_eq!(span.noise_lines, legacy.noise_lines);
-        assert_eq!(span.structures.len(), legacy.structures.len());
-        for (a, b) in span.structures.iter().zip(&legacy.structures) {
-            assert_eq!(a.template, b.template);
+        text
+    }
+
+    #[test]
+    fn extraction_backends_agree_end_to_end() {
+        // The extraction pass against the tree-walking reference on every template list
+        // the pipeline extracts with (each greedy continuation prefix, then the final set),
+        // and the relational outputs built from either parse.
+        let text = csv_among_bracket_lines();
+        let engine = Datamaran::with_defaults();
+        let config = engine.config();
+        let result = engine.extract(&text).unwrap();
+        let full = Dataset::new(text.as_str());
+        let templates: Vec<StructureTemplate> = result.templates().into_iter().cloned().collect();
+        assert!(templates.len() >= 2, "two discovery rounds: {templates:?}");
+        for n in 1..=templates.len() {
+            let reference = parse_dataset(&full, &templates[..n], config.max_line_span);
+            assert_eq!(
+                extract_records(&full, &templates[..n], config),
+                reference,
+                "{n} templates"
+            );
+        }
+        let reference = parse_dataset(&full, &templates, config.max_line_span);
+        assert_eq!(result.noise_lines, reference.noise_lines);
+        let scored: Vec<(StructureTemplate, f64)> = result
+            .structures
+            .iter()
+            .map(|s| (s.template.clone(), s.score))
+            .collect();
+        let rebuilt = engine.build_structures(&full, &scored, &reference);
+        for (a, b) in result.structures.iter().zip(&rebuilt) {
+            assert_eq!(a.records, b.records, "template {}", a.template);
             assert_eq!(a.relational, b.relational, "template {}", a.template);
             assert_eq!(a.denormalized, b.denormalized, "template {}", a.template);
         }
-        assert_eq!(span.stats.extraction_backend, "span");
-        assert_eq!(legacy.stats.extraction_backend, "legacy");
     }
 
     #[test]
     fn evaluation_backends_agree_end_to_end() {
-        use crate::config::EvaluationBackend;
-        let mut text = String::new();
-        for i in 0..90u64 {
-            if mix(i).is_multiple_of(5) {
-                text.push_str(&format!("{i},{},{}\n", mix(i) % 40, mix(i * 3) % 9));
-            } else {
-                text.push_str(&format!("[{:02}:{:02}] host{} ok\n", i % 24, i % 60, i % 4));
+        // The evaluation step against the tree reference on both discovery rounds'
+        // inputs: the first round's sample and pruned pool, then the residual's.
+        let text = csv_among_bracket_lines();
+        let engine = Datamaran::with_defaults();
+        let config = engine.config();
+        let result = engine.extract(&text).unwrap();
+        let full = Dataset::new(text.as_str());
+        let first = std::slice::from_ref(&result.structures[0].template);
+        let residual: String = extract_records(&full, first, config)
+            .noise_runs(&full)
+            .iter()
+            .map(|(s, e)| &text[*s..*e])
+            .collect();
+        for round in [text.as_str(), residual.as_str()] {
+            let sample =
+                Dataset::new(round).sample(config.sample_bytes, config.sample_chunks, config.seed);
+            let pool: Vec<StructureTemplate> = engine
+                .candidate_pool(round)
+                .unwrap()
+                .into_iter()
+                .map(|c| c.template)
+                .collect();
+            assert!(!pool.is_empty());
+            let refiner = Refiner::with_config(&sample, &MdlScorer, config);
+            let refined = refiner.refine_batch(pool.clone(), true, 2);
+            let mut reference = EvaluationMetrics::default();
+            for (a, t) in refined.iter().zip(pool) {
+                let b = refine_tree(
+                    &sample,
+                    &MdlScorer,
+                    config.max_line_span,
+                    t,
+                    true,
+                    &mut reference,
+                );
+                assert_eq!(a.template, b.template);
+                assert_eq!(
+                    a.score.to_bits(),
+                    b.score.to_bits(),
+                    "template {}",
+                    a.template
+                );
+                assert_eq!(a.summary, b.summary, "template {}", a.template);
             }
+            assert_eq!(refiner.metrics().evaluations, reference.evaluations);
         }
-        let span = Datamaran::with_defaults().extract(&text).unwrap();
-        let legacy = Datamaran::new(
-            DatamaranConfig::default().with_evaluation_backend(EvaluationBackend::Legacy),
-        )
-        .unwrap()
-        .extract(&text)
-        .unwrap();
-        assert_eq!(span.noise_lines, legacy.noise_lines);
-        assert_eq!(span.structures.len(), legacy.structures.len());
-        for (a, b) in span.structures.iter().zip(&legacy.structures) {
-            assert_eq!(a.template, b.template);
-            assert_eq!(
-                a.score.to_bits(),
-                b.score.to_bits(),
-                "template {}",
-                a.template
-            );
-            assert_eq!(a.relational, b.relational, "template {}", a.template);
-            assert_eq!(a.denormalized, b.denormalized, "template {}", a.template);
-        }
-        assert_eq!(span.stats.evaluation_backend, "span");
-        assert_eq!(legacy.stats.evaluation_backend, "legacy");
-        assert!(span.stats.evaluation_metrics.evaluations > 0);
-        assert_eq!(legacy.stats.evaluation_metrics.memo_hits, 0);
     }
 
     #[test]

@@ -69,13 +69,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::config::{ExtractionBackend, MatchingBackend};
 use crate::dataset::Dataset;
 use crate::error::{BudgetKind, Error, Result};
 use crate::export::RecordSink;
 use crate::extract::{LineMatchTable, MatchStats, SpanLineMatcher, SpanRecord, SpanScratch};
 use crate::parallel::{resolve_threads, ParallelOptions};
-use crate::parser::{tree_reps, FieldCell, LineMatcher};
+use crate::parser::FieldCell;
 use crate::pipeline::Datamaran;
 use crate::structure::StructureTemplate;
 use std::collections::VecDeque;
@@ -140,8 +139,8 @@ impl From<SpanRecord> for WindowRecord {
 }
 
 /// The reusable buffers a line match fills: the record's field cells and array repetition
-/// counts (pre-order arena layout, identical across backends), plus the span engine's
-/// scratch arenas, whose work counters the window loop carves into per-window stats.
+/// counts (the span engine's pre-order arena layout), plus its scratch arenas, whose work
+/// counters the window loop carves into per-window stats.
 #[derive(Default)]
 pub(crate) struct MatchBuffers {
     pub(crate) cells: Vec<FieldCell>,
@@ -263,78 +262,42 @@ impl WindowLoop {
     }
 }
 
-/// Per-stream matcher honouring the engine's configured extraction backend (both produce
-/// identical matches; the span matcher never materializes instantiation trees — cells go
-/// straight from the op-table run into the reused buffers).  Built **once** per stream:
-/// template compilation is hoisted out of the window loop.
-enum WindowMatcher<'a> {
-    Legacy(LineMatcher<'a>),
-    Span(Box<SpanLineMatcher>),
-}
-
-impl<'a> WindowMatcher<'a> {
-    fn new(
-        templates: &'a [StructureTemplate],
-        max_span: usize,
-        backend: ExtractionBackend,
-        matching: MatchingBackend,
-    ) -> Self {
-        match backend {
-            ExtractionBackend::Legacy => {
-                WindowMatcher::Legacy(LineMatcher::new(templates, max_span))
-            }
-            ExtractionBackend::Span => WindowMatcher::Span(Box::new(
-                SpanLineMatcher::with_backend(templates, max_span, matching),
-            )),
-        }
+/// Attempts to match one record starting at `line` into `bufs`.  With `chunks > 1` the
+/// matcher answers from the window's match `table`, computed by scoped workers at the
+/// window's first query: the per-line match question depends only on the text from each
+/// line onward, so the sequential decision loop replays it unchanged and record order and
+/// sink bytes are identical for any thread count.  Cells go straight from the op-table run
+/// into the reused buffers; no instantiation tree is materialized.
+fn match_window_line(
+    matcher: &SpanLineMatcher,
+    dataset: &Dataset,
+    line: usize,
+    bufs: &mut MatchBuffers,
+    chunks: usize,
+    table: &mut Option<LineMatchTable>,
+) -> Option<WindowRecord> {
+    if chunks <= 1 {
+        return matcher
+            .match_line_into(
+                dataset,
+                line,
+                &mut bufs.cells,
+                &mut bufs.reps,
+                &mut bufs.scratch,
+            )
+            .map(Into::into);
     }
-
-    /// Attempts to match one record starting at `line` into `bufs`.  With `chunks > 1` the
-    /// span matcher answers from the window's match `table`, computed by scoped workers at
-    /// the window's first query: the per-line match question depends only on the text from
-    /// each line onward, so the sequential decision loop replays it unchanged and record
-    /// order and sink bytes are identical for any thread count.
-    fn match_line(
-        &self,
-        dataset: &Dataset,
-        line: usize,
-        bufs: &mut MatchBuffers,
-        chunks: usize,
-        table: &mut Option<LineMatchTable>,
-    ) -> Option<WindowRecord> {
-        match self {
-            WindowMatcher::Legacy(m) => m.match_line(dataset, line).map(|rec| {
-                bufs.cells.extend_from_slice(&rec.fields);
-                tree_reps(&rec.values, &mut bufs.reps);
-                WindowRecord {
-                    template_index: rec.template_index,
-                    line_span: rec.line_span,
-                }
-            }),
-            WindowMatcher::Span(m) if chunks > 1 => {
-                let table = table.get_or_insert_with(|| {
-                    let table = m.match_table(dataset, chunks);
-                    // The workers' counters join the scratch the window stats come from.
-                    bufs.scratch.stats.merge(&table.stats());
-                    table
-                });
-                table.record_at(line).map(|(rec, cells, reps)| {
-                    bufs.cells.extend_from_slice(cells);
-                    bufs.reps.extend_from_slice(reps);
-                    rec.into()
-                })
-            }
-            WindowMatcher::Span(m) => m
-                .match_line_into(
-                    dataset,
-                    line,
-                    &mut bufs.cells,
-                    &mut bufs.reps,
-                    &mut bufs.scratch,
-                )
-                .map(Into::into),
-        }
-    }
+    let table = table.get_or_insert_with(|| {
+        let table = matcher.match_table(dataset, chunks);
+        // The workers' counters join the scratch the window stats come from.
+        bufs.scratch.stats.merge(&table.stats());
+        table
+    });
+    table.record_at(line).map(|(rec, cells, reps)| {
+        bufs.cells.extend_from_slice(cells);
+        bufs.reps.extend_from_slice(reps);
+        rec.into()
+    })
 }
 
 /// What the streaming loop does with lines it cannot cleanly process (undecodable bytes,
@@ -640,8 +603,7 @@ pub struct StreamSummary {
     /// Per-window lines / unmatched counters, in window order — the drift signal.
     pub window_unmatched: Vec<WindowUnmatched>,
     /// Per-window matcher work counters (templates trialed vs pruned, fused-dispatch
-    /// rate), in window order.  All zeros under the legacy extraction backend, whose tree
-    /// walker predates the counters.
+    /// rate), in window order.
     pub window_match_stats: Vec<MatchStats>,
     /// Why the stream stopped early, if it did.  `None` means the stream was consumed to
     /// the end.  On an early stop the sink is still finished cleanly: everything reported
@@ -707,11 +669,11 @@ impl<F: FnMut(OwnedRecord)> RecordSink for ClosureSink<F> {
 /// One configured streaming-extraction run — the only streaming entry point.
 ///
 /// A session borrows an engine (whose [`DatamaranConfig`](crate::config::DatamaranConfig)
-/// supplies the discovery parameters, extraction/matching backends, and worker-thread
-/// budget), carries the window tuning, error policy, and resource budgets of a
-/// [`StreamOptions`], and optionally pins known templates (skipping head discovery) and a
-/// [`QuarantineSink`].  [`run`](Self::run) consumes the session and drives the guarded
-/// window loop, whose per-window decision is the one [`crate::serve::ServeSession`] uses.
+/// supplies the discovery parameters, matching backend, and worker-thread budget), carries
+/// the window tuning, error policy, and resource budgets of a [`StreamOptions`], and
+/// optionally pins known templates (skipping head discovery) and a [`QuarantineSink`].
+/// [`run`](Self::run) consumes the session and drives the guarded window loop, whose
+/// per-window decision is the one [`crate::serve::ServeSession`] uses.
 ///
 /// * no templates → head discovery on the first [`StreamOptions::head_bytes`];
 /// * [`templates`](Self::templates) → zero discovery on the hot path (discover once,
@@ -849,17 +811,12 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
     let max_span = config.max_line_span;
     summary.templates = templates.clone();
     // Compile the templates once; the matcher is reused across every window.
-    let matcher = WindowMatcher::new(
-        &templates,
-        max_span,
-        config.extraction_backend,
-        config.matching_backend,
-    );
+    let matcher = SpanLineMatcher::with_backend(&templates, max_span, config.matching_backend);
     let timed = Instant::now();
     sink.begin(&templates)?;
     let begin_seconds = timed.elapsed().as_secs_f64();
 
-    // Worker budget for per-window extraction (span backend); small windows fall back to
+    // Worker budget for per-window extraction; small windows fall back to
     // the single-threaded loop via `effective_chunks` (thread-invariance is enforced by
     // `tests/streaming_export_equivalence.rs`).
     let par_options =
@@ -886,7 +843,9 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
             max_span,
             &mut summary,
             sink,
-            |dataset, line, bufs| matcher.match_line(dataset, line, bufs, chunks, &mut table),
+            |dataset, line, bufs| {
+                match_window_line(&matcher, dataset, line, bufs, chunks, &mut table)
+            },
             |line, text, summary| match metas.get(line) {
                 // Lossily decoded lines were already quarantined raw at read time;
                 // quarantining the window copy too would duplicate (and corrupt — the
@@ -1251,29 +1210,39 @@ mod tests {
 
     #[test]
     fn streaming_backends_agree() {
-        use crate::config::{DatamaranConfig, ExtractionBackend};
+        use crate::parser::parse_dataset;
         let text = multiline_log(150);
         let options = StreamOptions {
             head_bytes: 2 * 1024,
             window_bytes: 512,
             ..StreamOptions::default()
         };
-        let mut span_records = Vec::new();
-        let span_engine = Datamaran::with_defaults();
-        StreamSession::new(&span_engine)
+        let engine = Datamaran::with_defaults();
+        let mut streamed = Vec::new();
+        let templates = StreamSession::new(&engine)
             .options(options)
-            .run_with(Cursor::new(text.clone()), |r| span_records.push(r))
-            .unwrap();
-        let legacy_engine = Datamaran::new(
-            DatamaranConfig::default().with_extraction_backend(ExtractionBackend::Legacy),
-        )
-        .unwrap();
-        let mut legacy_records = Vec::new();
-        StreamSession::new(&legacy_engine)
-            .options(options)
-            .run_with(Cursor::new(text), |r| legacy_records.push(r))
-            .unwrap();
-        assert_eq!(span_records, legacy_records);
+            .run_with(Cursor::new(text.clone()), |r| streamed.push(r))
+            .unwrap()
+            .templates;
+        // The tree-walking reference on the whole text, with the templates the stream used.
+        let dataset = Dataset::new(text.as_str());
+        let reference: Vec<OwnedRecord> = parse_dataset(&dataset, &templates, 10)
+            .records
+            .iter()
+            .map(|rec| {
+                let mut columns = vec![Vec::new(); templates[rec.template_index].field_count()];
+                for cell in &rec.fields {
+                    columns[cell.column].push(text[cell.start..cell.end].to_string());
+                }
+                OwnedRecord {
+                    template_index: rec.template_index,
+                    line_span: rec.line_span,
+                    columns,
+                }
+            })
+            .collect();
+        assert_eq!(streamed.len(), 150);
+        assert_eq!(streamed, reference);
     }
 
     #[test]

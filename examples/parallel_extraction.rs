@@ -5,7 +5,9 @@
 //!
 //! Run with `cargo run --release --example parallel_extraction`.
 
-use datamaran::core::{parse_dataset_parallel, Datamaran, Dataset, ParallelOptions};
+use datamaran::core::{
+    parse_dataset_span, parse_dataset_span_parallel, Datamaran, Dataset, ParallelOptions,
+};
 use datamaran::logsynth::{corpus, DatasetSpec};
 use std::time::Instant;
 
@@ -42,12 +44,12 @@ fn main() {
     let dataset = Dataset::new(text.as_str());
 
     let started = Instant::now();
-    let sequential = datamaran::core::parse_dataset(&dataset, &templates, 10);
+    let sequential = parse_dataset_span(&dataset, &templates, 10);
     let seq_time = started.elapsed().as_secs_f64();
 
     for threads in [2, 4, 8] {
         let started = Instant::now();
-        let parallel = parse_dataset_parallel(
+        let parallel = parse_dataset_span_parallel(
             &dataset,
             &templates,
             10,

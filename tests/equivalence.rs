@@ -1,6 +1,7 @@
-//! Cross-implementation equivalence: the three extraction paths (recursive-descent parser,
-//! table-driven LL(1) grammar parser, parallel chunked parser) and the streaming extractor
-//! must all agree on the same inputs, and every discovered template must actually be LL(1).
+//! Cross-implementation equivalence: the three extraction paths (recursive-descent
+//! reference parser, table-driven LL(1) grammar parser, the span engine's parallel chunked
+//! pass) and the streaming extractor must all agree on the same inputs, and every
+//! discovered template must actually be LL(1).
 //! (The span instruction-table engine has its own differential suite,
 //! `extraction_equivalence.rs`, which stays in the tier-1 loop.)
 //!
@@ -9,7 +10,7 @@
 //! `cargo test -- --ignored` step.
 
 use datamaran::core::{
-    parse_dataset, parse_dataset_parallel, Datamaran, Dataset, Grammar, ParallelOptions,
+    parse_dataset, parse_dataset_span_parallel, Datamaran, Dataset, Grammar, ParallelOptions,
     StreamOptions, StreamSession,
 };
 use datamaran::logsynth::{corpus, DatasetSpec, RecordTypeSpec};
@@ -82,7 +83,7 @@ fn parallel_extraction_is_identical_to_sequential() {
         let dataset = Dataset::new(text.as_str());
         let sequential = parse_dataset(&dataset, &templates, 10);
         for threads in [2, 5] {
-            let parallel = parse_dataset_parallel(
+            let parallel = parse_dataset_span_parallel(
                 &dataset,
                 &templates,
                 10,
@@ -90,7 +91,8 @@ fn parallel_extraction_is_identical_to_sequential() {
                     threads,
                     min_chunk_lines: 1,
                 },
-            );
+            )
+            .to_parse_result(&templates);
             assert_eq!(
                 parallel.records.len(),
                 sequential.records.len(),

@@ -1,16 +1,18 @@
-//! Differential properties for the evaluation engine: the compiled span backend (arena
-//! parses, arena-native scoring, template-score memo) must be observationally identical to
-//! the legacy tree re-parse — identical ranked `(template, score)` lists out of the
-//! pipeline, bit-identical scores, byte-identical normalized and denormalized relational
-//! tables — plus the refinement-internal properties of the ISSUE: span-vs-legacy
+//! Differential properties for the evaluation engine: the [`Refiner`] (compiled span
+//! parses, delta evaluation, arena-native scoring, template-score memo) must be
+//! observationally identical to the tree-walking reference `refine::refine_tree` —
+//! identical refined templates, bit-identical scores and equal parse summaries on the
+//! pipeline's own candidate pools — plus the refinement-internal properties: span-vs-tree
 //! equivalence of `repetition_counts` on nested-array templates, and eligibility
 //! preservation of `unfold_at`/`shift_variants` candidates.
 
+use datamaran::core::parallel::resolve_threads;
+use datamaran::core::refine::refine_tree;
 use datamaran::core::{
     generate, parse_dataset, parse_dataset_span, reduce, repetition_counts, repetition_counts_span,
     shift_variants, unfold_at, CharSet, CoverageScorer, Datamaran, DatamaranConfig, Dataset,
-    EvaluationBackend, MdlScorer, NoisePenaltyScorer, NonFieldCoverageScorer, RecordTemplate,
-    Refiner, RegularityScorer, StructureTemplate, UntypedMdlScorer,
+    EvaluationMetrics, MdlScorer, NoisePenaltyScorer, NonFieldCoverageScorer, RecordTemplate,
+    Refined, Refiner, RegularityScorer, StructureTemplate, UntypedMdlScorer,
 };
 use datamaran::logsynth::{corpus, DatasetSpec};
 use proptest::prelude::*;
@@ -25,49 +27,50 @@ fn folded(example: &str, charset: &str) -> StructureTemplate {
     reduce(&RecordTemplate::from_instantiated(example, &cs))
 }
 
-/// Runs the full pipeline on all three evaluation backends — `span` (delta evaluation,
-/// the default), `span-full` (span engine, full re-parse per variant), and `legacy` — and
-/// asserts identical discovered structures: same templates in the same order,
-/// bit-identical scores, byte-identical relational output (the `EvaluationBackend`
-/// acceptance criterion).
+fn assert_same_refined(a: &Refined, b: &Refined, label: &str) {
+    assert_eq!(a.template, b.template, "{label}: refined template");
+    assert_eq!(
+        a.score.to_bits(),
+        b.score.to_bits(),
+        "{label}: score of {}",
+        a.template
+    );
+    assert_eq!(a.summary, b.summary, "{label}: summary of {}", a.template);
+}
+
+/// Evaluates the pipeline's first-round input on `text` — its sample and pruned candidate
+/// pool — with [`Refiner::refine_batch`] and with the tree reference, for both
+/// `apply_refinement` values, and asserts identical results candidate by candidate.
 fn check_pipeline(text: &str, label: &str) {
-    let span = Datamaran::with_defaults().extract(text).unwrap();
-    for backend in [EvaluationBackend::SpanFull, EvaluationBackend::Legacy] {
-        let other = Datamaran::new(DatamaranConfig::default().with_evaluation_backend(backend))
-            .unwrap()
-            .extract(text)
-            .unwrap();
-        let name = backend.name();
-        assert_eq!(
-            span.structures.len(),
-            other.structures.len(),
-            "{label} vs {name}: structure count"
+    let engine = Datamaran::with_defaults();
+    let config = engine.config();
+    let sample = Dataset::new(text).sample(config.sample_bytes, config.sample_chunks, config.seed);
+    let pool: Vec<StructureTemplate> = engine
+        .candidate_pool(text)
+        .unwrap()
+        .into_iter()
+        .map(|c| c.template)
+        .collect();
+    assert!(!pool.is_empty(), "{label}: empty candidate pool");
+    for apply in [true, false] {
+        let refiner = Refiner::with_config(&sample, &MdlScorer, config);
+        let refined = refiner.refine_batch(
+            pool.clone(),
+            apply,
+            resolve_threads(config.evaluation_threads),
         );
-        for (a, b) in span.structures.iter().zip(&other.structures) {
-            assert_eq!(a.template, b.template, "{label} vs {name}: ranked template");
-            assert_eq!(
-                a.score.to_bits(),
-                b.score.to_bits(),
-                "{label} vs {name}: score of {}",
-                a.template
+        let mut metrics = EvaluationMetrics::default();
+        for (a, t) in refined.iter().zip(&pool) {
+            let b = refine_tree(
+                &sample,
+                &MdlScorer,
+                config.max_line_span,
+                t.clone(),
+                apply,
+                &mut metrics,
             );
-            assert_eq!(
-                a.relational, b.relational,
-                "{label} vs {name}: normalized tables"
-            );
-            assert_eq!(
-                a.denormalized, b.denormalized,
-                "{label} vs {name}: denormalized table"
-            );
-            assert_eq!(
-                a.column_types, b.column_types,
-                "{label} vs {name}: column types"
-            );
+            assert_same_refined(a, &b, &format!("{label} (refinement {apply})"));
         }
-        assert_eq!(
-            span.noise_lines, other.noise_lines,
-            "{label} vs {name}: noise lines"
-        );
     }
 }
 
@@ -111,36 +114,19 @@ fn refiner_backends_agree_on_candidate_pools() {
         .collect();
     assert!(!templates.is_empty());
     let scorer = MdlScorer;
-    let span = Refiner::with_backend(&data, &scorer, 10, EvaluationBackend::Span);
-    let span_full = Refiner::with_backend(&data, &scorer, 10, EvaluationBackend::SpanFull);
-    let legacy = Refiner::with_backend(&data, &scorer, 10, EvaluationBackend::Legacy);
-    let a = span.refine_batch(templates.clone(), true, 1);
-    let f = span_full.refine_batch(templates.clone(), true, 1);
-    let b = legacy.refine_batch(templates, true, 1);
-    assert_eq!(a.len(), b.len());
-    assert_eq!(f.len(), b.len());
-    for ((x, y), z) in a.iter().zip(&b).zip(&f) {
-        assert_eq!(x.template, y.template);
-        assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "template {}",
-            x.template
-        );
-        assert_eq!(x.summary, y.summary, "template {}", x.template);
-        assert_eq!(z.template, y.template, "span-full template {}", y.template);
-        assert_eq!(
-            z.score.to_bits(),
-            y.score.to_bits(),
-            "span-full score of {}",
-            y.template
-        );
-        assert_eq!(z.summary, y.summary, "span-full summary of {}", y.template);
+    let span = Refiner::new(&data, &scorer, 10);
+    let refined = span.refine_batch(templates.clone(), true, 1);
+    assert_eq!(refined.len(), templates.len());
+    let mut tree = EvaluationMetrics::default();
+    for (a, t) in refined.iter().zip(templates) {
+        let b = refine_tree(&data, &scorer, 10, t, true, &mut tree);
+        assert_same_refined(a, &b, "candidate pool");
     }
-    // The delta engine must actually have engaged on this pool (arrays => unfolds).
+    // The delta engine must actually have engaged on this pool (arrays => unfolds), on
+    // exactly the reference's evaluation sequence.
     let metrics = span.metrics();
     assert!(metrics.delta_parses > 0, "{metrics:?}");
-    assert_eq!(span_full.metrics().delta_parses, 0);
+    assert_eq!(metrics.evaluations, tree.evaluations);
 }
 
 #[test]
@@ -208,13 +194,16 @@ fn custom_scorer_without_span_path_falls_back_to_materialization() {
     }
     let data = Dataset::new(text.as_str());
     let t = folded("1,2\n", ",\n");
-    let span = Refiner::with_backend(&data, &TreeOnly, 10, EvaluationBackend::Span);
-    let legacy = Refiner::with_backend(&data, &TreeOnly, 10, EvaluationBackend::Legacy);
-    let a = span.refine(&t);
-    let b = legacy.refine(&t);
-    assert_eq!(a.template, b.template);
-    assert_eq!(a.score.to_bits(), b.score.to_bits());
-    assert_eq!(a.summary, b.summary);
+    let span = Refiner::new(&data, &TreeOnly, 10);
+    let mut metrics = EvaluationMetrics::default();
+    let refined = refine_tree(&data, &TreeOnly, 10, t.clone(), true, &mut metrics);
+    assert_same_refined(&span.refine(&t), &refined, "refine");
+    let evaluated = refine_tree(&data, &TreeOnly, 10, t.clone(), false, &mut metrics);
+    assert_same_refined(
+        &Refiner::new(&data, &TreeOnly, 10).evaluate(&t),
+        &evaluated,
+        "evaluate",
+    );
 }
 
 proptest! {

@@ -1,9 +1,10 @@
 //! Property-based tests over the core invariants, spanning the workspace crates.
 
 use datamaran::core::{
-    collect_array_paths, compile, diff_compiled, parse_dataset, parse_dataset_span,
-    parse_dataset_span_delta, reduce, shift_variants, unfold_at, CharSet, Datamaran, Dataset,
-    MdlScorer, RecordTemplate, RegularityScorer, SpanParse, StructureTemplate,
+    collect_array_paths, compile, diff_compiled, extract_records, parse_dataset,
+    parse_dataset_span, parse_dataset_span_delta, reduce, shift_variants, unfold_at, CharSet,
+    Datamaran, DatamaranConfig, Dataset, MdlScorer, ParseResult, RecordTemplate, RegularityScorer,
+    SpanParse, StructureTemplate,
 };
 use logsynth::spec::seg::{field, lit};
 use logsynth::{DatasetSpec, FieldKind, RecordTypeSpec};
@@ -17,6 +18,60 @@ fn field_value() -> impl Strategy<Value = String> {
 /// Strategy producing a simple separator character.
 fn separator() -> impl Strategy<Value = char> {
     prop_oneof![Just(','), Just(';'), Just('|'), Just(':'), Just(' ')]
+}
+
+/// The accounting invariant of an extraction: records' line spans and noise lines cover
+/// every line of `dataset` exactly once, in order, and their bytes add up to the text.
+fn assert_accounts_for_every_line(
+    parse: &ParseResult,
+    dataset: &Dataset,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let mut records = parse.records.iter().peekable();
+    let mut noise = parse.noise_lines.iter().peekable();
+    let mut line = 0usize;
+    while line < dataset.line_count() {
+        if let Some(rec) = records.next_if(|r| r.line_span.0 == line) {
+            prop_assert!(
+                rec.line_span.1 > line,
+                "{}: empty record at line {}",
+                label,
+                line
+            );
+            line = rec.line_span.1;
+        } else {
+            prop_assert!(
+                noise.next_if(|&&n| n == line).is_some(),
+                "{}: line {} is neither a record start nor noise",
+                label,
+                line
+            );
+            line += 1;
+        }
+    }
+    prop_assert_eq!(
+        line,
+        dataset.line_count(),
+        "{}: records overrun the text",
+        label
+    );
+    prop_assert!(
+        records.next().is_none(),
+        "{}: records past the last line",
+        label
+    );
+    prop_assert!(
+        noise.next().is_none(),
+        "{}: noise past the last line",
+        label
+    );
+    prop_assert_eq!(
+        parse.record_bytes + parse.noise_bytes,
+        dataset.len(),
+        "{}",
+        label
+    );
+    Ok(())
 }
 
 proptest! {
@@ -57,22 +112,50 @@ proptest! {
         prop_assert!(parse.noise_lines.is_empty());
     }
 
-    /// Parsing never double-counts bytes: records plus noise tile the dataset exactly.
+    /// Extraction never loses or double-counts input: records plus noise cover every line
+    /// exactly once, in order, and tile the bytes — for the tree reference and for the
+    /// production pass at one and three extraction threads, with two templates live and
+    /// garbage lines mixed in.
     #[test]
-    fn parse_partitions_the_dataset(lines in prop::collection::vec(prop::collection::vec(field_value(), 1..6), 1..20), sep in separator()) {
-        let mut text = String::new();
-        for fields in &lines {
-            text.push_str(&fields.join(&sep.to_string()));
-            text.push('\n');
+    fn parse_partitions_the_dataset(
+        lines in prop::collection::vec(prop::collection::vec(field_value(), 1..6), 1..20),
+        sep in separator(),
+        extras in prop::collection::vec(0u8..3, 1..8),
+    ) {
+        // Rows of the first template, each followed by nothing, a `key=value` row of the
+        // second template, or a garbage line neither template matches.
+        let sep_s = sep.to_string();
+        let mut block = String::new();
+        for (i, fields) in lines.iter().enumerate() {
+            block.push_str(&fields.join(&sep_s));
+            block.push('\n');
+            match extras[i % extras.len()] {
+                1 => block.push_str(&format!("k{i}=v{}\n", fields.len())),
+                2 => block.push_str(&format!("{sep}{sep} garbage {i}\n")),
+                _ => {}
+            }
         }
-        let charset = CharSet::from_chars([sep, '\n']);
-        let first_line = format!("{}\n", lines[0].join(&sep.to_string()));
-        let st = StructureTemplate::from_record_template(
-            &RecordTemplate::from_instantiated(&first_line, &charset),
-        );
-        let dataset = Dataset::new(text.clone());
-        let parse = parse_dataset(&dataset, std::slice::from_ref(&st), 10);
-        prop_assert_eq!(parse.record_bytes + parse.noise_bytes, text.len());
+        // Tile the block past three 512-line chunks so three threads really shard.
+        let text = block.repeat(1536usize.div_ceil(block.lines().count()));
+        let first_line = format!("{}\n", lines[0].join(&sep_s));
+        let templates = [
+            StructureTemplate::from_record_template(&RecordTemplate::from_instantiated(
+                &first_line,
+                &CharSet::from_chars([sep, '\n']),
+            )),
+            StructureTemplate::from_record_template(&RecordTemplate::from_instantiated(
+                "k1=v2\n",
+                &CharSet::from_chars(['=', '\n']),
+            )),
+        ];
+        let dataset = Dataset::new(text.as_str());
+        let reference = parse_dataset(&dataset, &templates, 10);
+        assert_accounts_for_every_line(&reference, &dataset, "parse_dataset")?;
+        for threads in [1, 3] {
+            let config = DatamaranConfig::default().with_extraction_threads(threads);
+            let parse = extract_records(&dataset, &templates, &config);
+            assert_accounts_for_every_line(&parse, &dataset, &format!("{threads} threads"))?;
+        }
     }
 
     /// The sampling used by the search steps is always line-aligned and within budget.
