@@ -9,10 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datamaran_bench::exhaustive_weblog;
-use datamaran_core::{
-    parse_dataset, parse_dataset_span, parse_dataset_span_parallel, Datamaran, Dataset,
-    ParallelOptions, StructureTemplate,
-};
+use datamaran_core::{parse_dataset, Datamaran, Dataset, SpanLineMatcher, StructureTemplate};
 
 fn bench_extraction(c: &mut Criterion) {
     let text = exhaustive_weblog(96 * 1024, 14);
@@ -29,33 +26,24 @@ fn bench_extraction(c: &mut Criterion) {
     group.bench_function("legacy", |b| {
         b.iter(|| parse_dataset(&dataset, &templates, 10).records.len())
     });
-    group.bench_function("span", |b| {
-        b.iter(|| parse_dataset_span(&dataset, &templates, 10).records.len())
-    });
+    let span = || SpanLineMatcher::new(&templates, 10).parse(&dataset, 1);
+    group.bench_function("span", |b| b.iter(|| span().records.len()));
     group.bench_function("span_materialized", |b| {
-        b.iter(|| {
-            parse_dataset_span(&dataset, &templates, 10)
-                .to_parse_result(&templates)
-                .records
-                .len()
-        })
+        b.iter(|| span().to_parse_result(&templates).records.len())
     });
     group.finish();
 
     // Thread scaling of the sharded pass (informative on multi-core hosts only).
     let mut group = c.benchmark_group("extraction_span_threads");
     group.sample_size(10);
-    for threads in [1usize, 2, 4] {
-        let options = ParallelOptions {
-            threads,
-            min_chunk_lines: 64,
-        };
+    for chunks in [1usize, 2, 4] {
         group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &options,
-            |b, options| {
+            BenchmarkId::from_parameter(chunks),
+            &chunks,
+            |b, &chunks| {
                 b.iter(|| {
-                    parse_dataset_span_parallel(&dataset, &templates, 10, *options)
+                    SpanLineMatcher::new(&templates, 10)
+                        .parse(&dataset, chunks)
                         .records
                         .len()
                 })

@@ -386,8 +386,7 @@ impl ExtractionBench {
 /// thread) and cross-checks that they produce byte-identical parses and relational tables.
 pub fn extraction_benchmark(target_bytes: usize, runs: usize) -> ExtractionBench {
     use datamaran_core::{
-        parse_dataset, parse_dataset_span, to_denormalized, to_relational, Dataset, RecordMatch,
-        Table,
+        parse_dataset, to_denormalized, to_relational, Dataset, RecordMatch, SpanLineMatcher, Table,
     };
 
     let text = exhaustive_weblog(target_bytes, 14);
@@ -403,7 +402,8 @@ pub fn extraction_benchmark(target_bytes: usize, runs: usize) -> ExtractionBench
 
     // Correctness first: the parses and the relational conversions must agree exactly.
     let legacy = parse_dataset(&data, &templates, max_span);
-    let span = parse_dataset_span(&data, &templates, max_span).to_parse_result(&templates);
+    let span_parse = || SpanLineMatcher::new(&templates, max_span).parse(&data, 1);
+    let span = span_parse().to_parse_result(&templates);
     let same_records = legacy == span;
     let as_refs = |parse: &[RecordMatch]| -> Vec<Table> {
         let refs: Vec<&RecordMatch> = parse.iter().collect();
@@ -430,17 +430,8 @@ pub fn extraction_benchmark(target_bytes: usize, runs: usize) -> ExtractionBench
         records: legacy.records.len(),
         template: templates[0].to_string(),
         legacy_secs: best_of(&|| parse_dataset(&data, &templates, max_span).records.len()),
-        span_secs: best_of(&|| {
-            parse_dataset_span(&data, &templates, max_span)
-                .records
-                .len()
-        }),
-        span_materialized_secs: best_of(&|| {
-            parse_dataset_span(&data, &templates, max_span)
-                .to_parse_result(&templates)
-                .records
-                .len()
-        }),
+        span_secs: best_of(&|| span_parse().records.len()),
+        span_materialized_secs: best_of(&|| span_parse().to_parse_result(&templates).records.len()),
         outputs_identical,
     }
 }
@@ -949,18 +940,18 @@ pub struct MatchingBench {
     pub multi_templates: usize,
     /// Records extracted from the interleaved fixture (identical across backends).
     pub multi_records: usize,
-    /// Best wall-clock seconds, trial backend, interleaved fixture.
+    /// Best wall-clock seconds, trial reference, interleaved fixture.
     pub multi_trial_secs: f64,
-    /// Best wall-clock seconds, fused backend, interleaved fixture.
+    /// Best wall-clock seconds, production (fused) matcher, interleaved fixture.
     pub multi_fused_secs: f64,
     /// Single-template parity corpus size in bytes.
     pub single_bytes: usize,
     /// Records extracted from the single-template corpus.
     pub single_records: usize,
-    /// Best wall-clock seconds, trial backend, single template.
+    /// Best wall-clock seconds, trial reference, single template.
     pub single_trial_secs: f64,
-    /// Best wall-clock seconds, fused backend (which compiles no DFA for one template and
-    /// must therefore match the trial path), single template.
+    /// Best wall-clock seconds, production matcher (which compiles no DFA for one
+    /// template and must therefore match the trial path), single template.
     pub single_fused_secs: f64,
     /// Live template count of the Thunderbird-clone set (after dedup; the LogHub-2.0
     /// annotation counts 1,241 distinct templates).
@@ -969,16 +960,17 @@ pub struct MatchingBench {
     pub tbird_bytes: usize,
     /// Records extracted from the Thunderbird-clone corpus.
     pub tbird_records: usize,
-    /// Best wall-clock seconds, trial backend, Thunderbird-clone set.
+    /// Best wall-clock seconds, trial reference, Thunderbird-clone set.
     pub tbird_trial_secs: f64,
-    /// Best wall-clock seconds, fused backend, Thunderbird-clone set.
+    /// Best wall-clock seconds, production (fused) matcher, Thunderbird-clone set.
     pub tbird_fused_secs: f64,
     /// DFA states of the fused Thunderbird-clone compilation (0 when not built).
     pub tbird_dfa_states: usize,
     /// `true` when the fused Thunderbird-clone DFA hit the state cap and degrades to
     /// trial dispatch beyond the explored prefix.
     pub tbird_overflowed: bool,
-    /// `true` when both backends produced identical span arenas on every fixture.
+    /// `true` when the production matcher and the trial reference produced identical span
+    /// arenas on every fixture.
     pub outputs_identical: bool,
 }
 
@@ -1000,12 +992,12 @@ impl MatchingBench {
         self.tbird_trial_secs / self.tbird_fused_secs
     }
 
-    /// Megabytes matched per second on the interleaved fixture, fused backend.
+    /// Megabytes matched per second on the interleaved fixture, production (fused) matcher.
     pub fn fused_mb_per_sec(&self) -> f64 {
         self.multi_bytes as f64 / self.multi_fused_secs / (1024.0 * 1024.0)
     }
 
-    /// Megabytes matched per second on the interleaved fixture, trial backend.
+    /// Megabytes matched per second on the interleaved fixture, trial reference.
     pub fn trial_mb_per_sec(&self) -> f64 {
         self.multi_bytes as f64 / self.multi_trial_secs / (1024.0 * 1024.0)
     }
@@ -1225,8 +1217,8 @@ pub fn loghub_template_set(
     templates
 }
 
-/// Times one backend on one fixture: the matcher (and for the fused backend, the merged
-/// DFA) is compiled once outside the loop — the object the pipeline reuses across
+/// Times one matcher on one fixture: the matcher (and for the production matcher, the
+/// merged DFA) is compiled once outside the loop — the object the pipeline reuses across
 /// windows — and the batched match pass is what the clock sees.  Best of `runs`.
 fn time_matching(
     dataset: &datamaran_core::Dataset,
@@ -1250,19 +1242,16 @@ fn time_matching(
     )
 }
 
-/// Checks the two backends produce identical span arenas on one fixture.
+/// Checks the production matcher and the trial reference produce identical span arenas on
+/// one fixture.
 fn matching_outputs_identical(
     dataset: &datamaran_core::Dataset,
     templates: &[datamaran_core::StructureTemplate],
     max_line_span: usize,
 ) -> bool {
-    use datamaran_core::{MatchingBackend, SpanLineMatcher, SpanParse};
-    let mut a = SpanParse::default();
-    let mut b = SpanParse::default();
-    SpanLineMatcher::with_backend(templates, max_line_span, MatchingBackend::Trial)
-        .parse_into(dataset, &mut a);
-    SpanLineMatcher::with_backend(templates, max_line_span, MatchingBackend::Fused)
-        .parse_into(dataset, &mut b);
+    use datamaran_core::SpanLineMatcher;
+    let a = SpanLineMatcher::trial_reference(templates, max_line_span).parse(dataset, 1);
+    let b = SpanLineMatcher::new(templates, max_line_span).parse(dataset, 1);
     a.records == b.records
         && a.cells == b.cells
         && a.reps == b.reps
@@ -1281,7 +1270,7 @@ pub fn matching_benchmark(
     tbird_scale_divisor: usize,
     runs: usize,
 ) -> MatchingBench {
-    use datamaran_core::{Dataset, MatchingBackend, SpanLineMatcher};
+    use datamaran_core::{Dataset, SpanLineMatcher};
     let max_line_span = DatamaranConfig::default().max_line_span;
 
     let (multi_text, multi_templates) = matching_workload(10, multi_records, 41);
@@ -1301,23 +1290,24 @@ pub fn matching_benchmark(
         && matching_outputs_identical(&single, &single_templates, max_line_span)
         && matching_outputs_identical(&tbird, &tbird_templates, max_line_span);
 
-    let timed = |dataset: &Dataset,
-                 templates: &[datamaran_core::StructureTemplate],
-                 backend: MatchingBackend| {
-        let matcher = SpanLineMatcher::with_backend(templates, max_line_span, backend);
-        time_matching(dataset, &matcher, runs)
+    // The trial reference and the production (fused) matcher on each fixture.
+    let timed = |dataset: &Dataset, templates: &[datamaran_core::StructureTemplate]| {
+        let trial = SpanLineMatcher::trial_reference(templates, max_line_span);
+        let fused = SpanLineMatcher::new(templates, max_line_span);
+        (
+            time_matching(dataset, &trial, runs),
+            time_matching(dataset, &fused, runs),
+        )
     };
 
-    let (multi_trial_secs, multi_records_n, _, _) =
-        timed(&multi, &multi_templates, MatchingBackend::Trial);
-    let (multi_fused_secs, _, _, _) = timed(&multi, &multi_templates, MatchingBackend::Fused);
-    let (single_trial_secs, single_records_n, _, _) =
-        timed(&single, &single_templates, MatchingBackend::Trial);
-    let (single_fused_secs, _, _, _) = timed(&single, &single_templates, MatchingBackend::Fused);
-    let (tbird_trial_secs, tbird_records_n, _, _) =
-        timed(&tbird, &tbird_templates, MatchingBackend::Trial);
-    let (tbird_fused_secs, _, tbird_dfa_states, tbird_overflowed) =
-        timed(&tbird, &tbird_templates, MatchingBackend::Fused);
+    let ((multi_trial_secs, multi_records_n, _, _), (multi_fused_secs, _, _, _)) =
+        timed(&multi, &multi_templates);
+    let ((single_trial_secs, single_records_n, _, _), (single_fused_secs, _, _, _)) =
+        timed(&single, &single_templates);
+    let (
+        (tbird_trial_secs, tbird_records_n, _, _),
+        (tbird_fused_secs, _, tbird_dfa_states, tbird_overflowed),
+    ) = timed(&tbird, &tbird_templates);
 
     MatchingBench {
         multi_bytes: multi.len(),

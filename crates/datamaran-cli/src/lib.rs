@@ -42,10 +42,9 @@
 
 use datamaran_core::{
     all_tables_csv, table_to_csv, CountingSink, CsvSink, Datamaran, DatamaranConfig, Error,
-    ErrorPolicy, ExtractionReport, Grammar, JsonLinesSink, MatchingBackend, QuarantineSink,
-    RecordSink, RetryPolicy, RetryingSink, SearchStrategy, StreamBudgets, StreamOptions,
-    StreamReport, StreamSession, StreamSummary, StructureTemplate, TemplateArtifact,
-    WriteQuarantineSink,
+    ErrorPolicy, ExtractionReport, Grammar, JsonLinesSink, QuarantineSink, RecordSink, RetryPolicy,
+    RetryingSink, SearchStrategy, StreamBudgets, StreamOptions, StreamReport, StreamSession,
+    StreamSummary, StructureTemplate, TemplateArtifact, WriteQuarantineSink,
 };
 use logclust::{ClusterConfig, LogCluster};
 use std::fmt::Write as _;
@@ -245,11 +244,6 @@ impl Cli {
                 }
                 "--seed" => {
                     cli.config.seed = parse_number(&next_value(&mut iter, "--seed")?, "--seed")?
-                }
-                "--matching-backend" => {
-                    cli.config.matching_backend =
-                        MatchingBackend::parse(&next_value(&mut iter, "--matching-backend")?)
-                            .map_err(|e| e.to_string())?
                 }
                 "--extraction-threads" => {
                     cli.config.extraction_threads = parse_number(
@@ -474,10 +468,6 @@ FLAGS:
     --prune-keep <INT>            templates kept after pruning M       (default: 50)
     --sample-bytes <INT>          sampling budget for the search       (default: 65536)
     --seed <INT>                  RNG seed for sampling
-    --matching-backend <fused|trial>
-                                  multi-template record matching: one merged DFA pass
-                                  (fused) or per-template trials (trial); also settable
-                                  via DATAMARAN_MATCHING_BACKEND    (default: fused)
     --extraction-threads <INT>    extraction worker threads, 0 = auto  (default: 0)
     --generation-threads <INT>    generation worker threads, 0 = auto  (default: 0)
     --evaluation-threads <INT>    evaluation worker threads, 0 = auto  (default: 0)
@@ -1055,18 +1045,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_matching_backend_flag() {
-        let trial =
-            Cli::parse(&args(&["extract", "x.log", "--matching-backend", "trial"])).unwrap();
-        assert_eq!(trial.config.matching_backend, MatchingBackend::Trial);
-        let fused =
-            Cli::parse(&args(&["extract", "x.log", "--matching-backend", "fused"])).unwrap();
-        assert_eq!(fused.config.matching_backend, MatchingBackend::Fused);
-        assert!(
-            Cli::parse(&args(&["extract", "x.log", "--matching-backend", "dfa"]))
-                .unwrap_err()
-                .contains("unknown matching backend")
-        );
+    fn matching_backend_flag_is_unknown() {
+        for value in ["trial", "fused"] {
+            let argv = args(&["extract", "x.log", "--matching-backend", value]);
+            let err = Cli::parse(&argv).unwrap_err();
+            assert!(err.contains("unknown flag"), "{value}: {err}");
+            let mut out = Vec::new();
+            assert_eq!(run_cli(&argv, &mut out).unwrap_err().code, 2, "{value}");
+        }
     }
 
     #[test]
@@ -1627,7 +1613,8 @@ mod tests {
         );
         let config = DatamaranConfig::default();
         assert_eq!(artifact.max_line_span, config.max_line_span);
-        assert_eq!(artifact.matching_backend, config.matching_backend);
+        let document = fs::read_to_string(&artifact_path).unwrap();
+        assert!(document.contains("\"matching_backend\": \"fused\""));
 
         fs::remove_dir_all(base).ok();
         fs::remove_file(path).ok();

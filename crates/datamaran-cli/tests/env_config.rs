@@ -36,23 +36,11 @@ fn malformed_environment_is_exit_code_2_not_a_silent_default() {
     let file = path.to_str().unwrap();
 
     // Baseline: a clean environment extracts fine.
-    std::env::remove_var("DATAMARAN_MATCHING_BACKEND");
     std::env::remove_var("DATAMARAN_EXTRACTION_THREADS");
     run(&["extract", file]).expect("clean environment succeeds");
 
-    // A bogus matching backend used to silently fall back to the default; through the
-    // strict builder it is now a usage/configuration error with the stable exit code 2.
-    std::env::set_var("DATAMARAN_MATCHING_BACKEND", "bogus");
-    let err = run(&["extract", file]).unwrap_err();
-    assert_eq!(err.code, 2, "{}", err.message);
-    assert!(
-        err.message.contains("DATAMARAN_MATCHING_BACKEND"),
-        "{}",
-        err.message
-    );
-    std::env::remove_var("DATAMARAN_MATCHING_BACKEND");
-
-    // Same for a non-numeric thread count.
+    // Through the strict builder a non-numeric thread count is a usage/configuration
+    // error with the stable exit code 2, not a silent fallback to the default.
     std::env::set_var("DATAMARAN_EXTRACTION_THREADS", "many");
     let err = run(&["extract", file]).unwrap_err();
     assert_eq!(err.code, 2, "{}", err.message);
@@ -65,10 +53,10 @@ fn malformed_environment_is_exit_code_2_not_a_silent_default() {
 
     // `help` and `version` never touch the engine config and stay immune to the
     // environment, malformed or not.
-    std::env::set_var("DATAMARAN_MATCHING_BACKEND", "bogus");
+    std::env::set_var("DATAMARAN_EXTRACTION_THREADS", "many");
     run(&["help"]).expect("help ignores the environment");
     run(&["version"]).expect("version ignores the environment");
-    std::env::remove_var("DATAMARAN_MATCHING_BACKEND");
+    std::env::remove_var("DATAMARAN_EXTRACTION_THREADS");
 
     // And the environment recovers: the same extract succeeds again.
     run(&["extract", file]).expect("environment cleanup restores success");

@@ -14,8 +14,11 @@
 //!   serving wrong rows;
 //! * the template trees themselves (fields, literals, arrays), plus per-template
 //!   `field_count` / `array_count` cross-checks;
-//! * the compiled-set metadata the serving matcher needs: the engine's `max_line_span`
-//!   and the [`MatchingBackend`] the set was validated under.
+//! * the compiled-set metadata the serving matcher needs: the engine's `max_line_span`;
+//! * a `matching_backend` name kept only for compatibility.  Matching runs one engine, but
+//!   older builds require the key, so new artifacts still record `fused`; documents that
+//!   older builds saved with `trial` still load, because the checksum covers whichever
+//!   name the document records.
 //!
 //! Loading re-parses the trees and **recompiles** the matcher tables from them (via
 //! [`SpanLineMatcher`]), so a loaded artifact behaves byte-identically to the freshly
@@ -46,17 +49,17 @@ pub struct TemplateArtifact {
     /// The `max_line_span` (`L`) the templates were discovered under — the serving matcher
     /// must use the same bound or record segmentation changes.
     pub max_line_span: usize,
-    /// The matching backend the set was validated under.
-    pub matching_backend: MatchingBackend,
 }
 
 impl TemplateArtifact {
     /// Builds an artifact from a discovered template set.  Empty sets are rejected: an
-    /// artifact with nothing to match can never serve.
+    /// artifact with nothing to match can never serve.  `matching_backend` changes nothing
+    /// (matching runs one engine); the parameter stays because the end-to-end benchmark
+    /// driver passes its configuration's value.
     pub fn new(
         templates: Vec<StructureTemplate>,
         max_line_span: usize,
-        matching_backend: MatchingBackend,
+        _matching_backend: MatchingBackend,
     ) -> Result<Self> {
         if templates.is_empty() {
             return Err(Error::Artifact("template set is empty".into()));
@@ -67,22 +70,27 @@ impl TemplateArtifact {
         Ok(TemplateArtifact {
             templates,
             max_line_span,
-            matching_backend,
         })
     }
 
     /// The artifact's integrity checksum: FNV-1a 64 over the canonical strings of the
-    /// templates (joined with `\x00`) plus the compiled-set metadata.  Canonical strings
-    /// are injective over template trees, so any structural change to any template changes
-    /// the checksum.
+    /// templates (joined with `\x00`) plus the compiled-set metadata and the recorded
+    /// matching-backend name.  Canonical strings are injective over template trees, so any
+    /// structural change to any template changes the checksum.
     pub fn checksum(&self) -> u64 {
+        self.checksum_recording(MatchingBackend::default().name())
+    }
+
+    /// [`checksum`](Self::checksum) over a document that records `backend` as its
+    /// matching-backend name.
+    fn checksum_recording(&self, backend: &str) -> u64 {
         let mut hash = FNV_OFFSET;
         for t in &self.templates {
             hash = fnv1a64(hash, t.canonical_string().as_bytes());
             hash = fnv1a64(hash, &[0]);
         }
         hash = fnv1a64(hash, &(self.max_line_span as u64).to_le_bytes());
-        hash = fnv1a64(hash, self.matching_backend.name().as_bytes());
+        hash = fnv1a64(hash, backend.as_bytes());
         hash
     }
 
@@ -122,7 +130,7 @@ impl TemplateArtifact {
             ),
             (
                 "matching_backend".into(),
-                JsonValue::String(self.matching_backend.name().into()),
+                JsonValue::String(MatchingBackend::default().name().into()),
             ),
             ("templates".into(), JsonValue::Array(templates)),
         ])
@@ -156,11 +164,20 @@ impl TemplateArtifact {
             .require("max_line_span")
             .and_then(JsonValue::as_usize)
             .map_err(|e| Error::Artifact(format!("{e:?}")))?;
-        let matching_backend = doc
+        // Older builds saved either matching engine's name; both still load.
+        let recorded_backend = doc
             .require("matching_backend")
             .and_then(JsonValue::as_str)
-            .map_err(|e| Error::Artifact(format!("{e:?}")))
-            .and_then(|s| MatchingBackend::parse(s).map_err(|e| Error::Artifact(e.to_string())))?;
+            .map_err(|e| Error::Artifact(format!("{e:?}")))?
+            .trim();
+        let recorded_backend = match recorded_backend.to_ascii_lowercase().as_str() {
+            name @ ("fused" | "trial") => name.to_string(),
+            _ => {
+                return Err(Error::Artifact(format!(
+                    "unknown matching backend `{recorded_backend}` (expected `fused` or `trial`)"
+                )))
+            }
+        };
         let entries = doc
             .require("templates")
             .and_then(JsonValue::as_array)
@@ -201,14 +218,14 @@ impl TemplateArtifact {
             }
             templates.push(template);
         }
-        let artifact = TemplateArtifact::new(templates, max_line_span, matching_backend)?;
+        let artifact = TemplateArtifact::new(templates, max_line_span, MatchingBackend::default())?;
         let recorded = doc
             .require("checksum")
             .and_then(JsonValue::as_str)
             .map_err(|e| Error::Artifact(format!("{e:?}")))?;
         let recorded = u64::from_str_radix(recorded, 16)
             .map_err(|_| Error::Artifact(format!("malformed checksum `{recorded}`")))?;
-        let computed = artifact.checksum();
+        let computed = artifact.checksum_recording(&recorded_backend);
         if recorded != computed {
             return Err(Error::Artifact(format!(
                 "checksum mismatch: recorded {recorded:016x}, computed {computed:016x} \
@@ -252,11 +269,10 @@ impl TemplateArtifact {
         Self::from_json(&text)
     }
 
-    /// Recompiles the serving matcher from the artifact: the same tables (and, under the
-    /// fused backend, the same merged byte-class DFA) the freshly discovered set would
-    /// have produced.
+    /// Recompiles the serving matcher from the artifact: the same tables (and the same
+    /// merged byte-class DFA) the freshly discovered set would have produced.
     pub fn matcher(&self) -> SpanLineMatcher {
-        SpanLineMatcher::with_backend(&self.templates, self.max_line_span, self.matching_backend)
+        SpanLineMatcher::new(&self.templates, self.max_line_span)
     }
 }
 
@@ -395,6 +411,7 @@ mod tests {
         let artifact =
             TemplateArtifact::new(sample_templates(), 10, MatchingBackend::Fused).unwrap();
         let json = artifact.to_json();
+        assert!(json.contains("\"matching_backend\": \"fused\""), "{json}");
         let loaded = TemplateArtifact::from_json(&json).unwrap();
         assert_eq!(loaded, artifact);
         assert_eq!(loaded.checksum(), artifact.checksum());
@@ -436,12 +453,18 @@ mod tests {
             matches!(&err, Error::Artifact(msg) if msg.contains("version")),
             "{err:?}"
         );
+        let json = artifact.to_json().replace("\"fused\"", "\"dfa\"");
+        let err = TemplateArtifact::from_json(&json).unwrap_err();
+        assert!(
+            matches!(&err, Error::Artifact(msg) if msg.contains("matching backend")),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn save_load_round_trips_through_a_file() {
         let artifact =
-            TemplateArtifact::new(sample_templates(), 7, MatchingBackend::Trial).unwrap();
+            TemplateArtifact::new(sample_templates(), 7, MatchingBackend::Fused).unwrap();
         let dir = std::env::temp_dir().join("datamaran-artifact-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("templates.json");
@@ -450,7 +473,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, artifact);
         assert_eq!(loaded.max_line_span, 7);
-        assert_eq!(loaded.matching_backend, MatchingBackend::Trial);
     }
 
     #[test]

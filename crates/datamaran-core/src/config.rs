@@ -92,71 +92,30 @@ impl EvaluationBackend {
     }
 }
 
-/// How the span engine answers the per-line *"which template matches here?"* question when
-/// several templates are live (interleaved datasets, the streaming serve path).
+/// How the span engine answers the per-line *"which template matches here?"* question,
+/// printed in experiment and benchmark output.
 ///
-/// Both backends produce byte-identical [`crate::extract::SpanParse`] arenas, relational
-/// tables, and streaming sink bytes (enforced by `tests/matching_equivalence.rs`); the
-/// fused backend is the production path, the trial loop is kept as the differential oracle
-/// and the baseline the `reproduce -- matching` benchmark measures against.
+/// Matching runs one engine: the merged byte-class DFA of
+/// [`crate::extract::CompiledTemplateSet`] prunes the template set before the per-template
+/// matcher runs, and the matcher falls back to trialing every template in index order
+/// whenever fewer than two templates are live.  The always-trial loop survives only as
+/// the test reference `SpanLineMatcher::trial_reference`, called directly and never
+/// selected through configuration.  The enum stays, with one variant, because the
+/// end-to-end benchmark driver sets it through the builder and prints
+/// [`name`](Self::name) in its configuration line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MatchingBackend {
     /// One merged byte-class DFA over the whole template set: a single pass over a
     /// record's bytes prunes the set down to the few templates that can still match, and
-    /// only those are handed to the per-template span matcher (see
-    /// [`crate::extract::CompiledTemplateSet`]).  Falls back to the trial loop whenever
-    /// fewer than two templates are live.
+    /// only those are handed to the per-template span matcher.
     #[default]
     Fused,
-    /// Trial every compiled template in index order against every record start — the
-    /// original `O(templates)` passes over the same bytes.
-    Trial,
 }
 
 impl MatchingBackend {
     /// Short, human-readable name (used in experiment output and reports).
     pub fn name(&self) -> &'static str {
-        match self {
-            MatchingBackend::Fused => "fused",
-            MatchingBackend::Trial => "trial",
-        }
-    }
-
-    /// Parses a backend name (`fused` / `trial`, case-insensitive), rejecting anything
-    /// else with [`Error::InvalidConfig`](crate::error::Error::InvalidConfig).
-    pub fn parse(value: &str) -> Result<Self, crate::error::Error> {
-        match value.trim() {
-            v if v.eq_ignore_ascii_case("fused") => Ok(MatchingBackend::Fused),
-            v if v.eq_ignore_ascii_case("trial") => Ok(MatchingBackend::Trial),
-            other => Err(crate::error::Error::InvalidConfig(format!(
-                "unknown matching backend `{other}` (expected `fused` or `trial`)"
-            ))),
-        }
-    }
-
-    /// The backend selected by `DATAMARAN_MATCHING_BACKEND` (`fused` / `trial`), falling
-    /// back to the default on absent or unrecognized values.  Read by every matcher
-    /// constructor that is not handed an explicit backend, so the weekly soak matrix can
-    /// flip the whole engine from the environment.  The strict counterpart used by the
-    /// builder is [`MatchingBackend::from_env_strict`].
-    pub fn from_env() -> Self {
-        Self::from_env_strict().unwrap_or_default()
-    }
-
-    /// Like [`MatchingBackend::from_env`], but a present-yet-unparsable value is an
-    /// [`Error::InvalidConfig`](crate::error::Error::InvalidConfig) instead of a silent
-    /// fallback to the default.
-    pub fn from_env_strict() -> Result<Self, crate::error::Error> {
-        match std::env::var("DATAMARAN_MATCHING_BACKEND") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v).map_err(|_| {
-                crate::error::Error::InvalidConfig(format!(
-                    "DATAMARAN_MATCHING_BACKEND: unknown matching backend `{}` \
-                     (expected `fused` or `trial`)",
-                    v.trim()
-                ))
-            }),
-        }
+        "fused"
     }
 }
 
@@ -237,8 +196,7 @@ pub struct DatamaranConfig {
     pub generation_threads: usize,
     /// The final extraction pass's engine (one variant; reported, not selectable).
     pub extraction_backend: ExtractionBackend,
-    /// How multi-template record starts are matched inside the span engine (merged
-    /// byte-class DFA vs. trialing each template independently).
+    /// The matching engine (one variant; reported, not selectable).
     pub matching_backend: MatchingBackend,
     /// Worker threads for the final extraction pass.  `0` means one per available core;
     /// `1` forces the sequential path.  Results are identical for any value (the stitch
@@ -253,14 +211,13 @@ pub struct DatamaranConfig {
 }
 
 impl Default for DatamaranConfig {
-    /// The paper defaults with **lenient** environment pickup: the soak matrix flips
-    /// backends and thread counts via `DATAMARAN_*` variables, and absent or malformed
-    /// values silently fall back.  Use [`DatamaranConfig::builder`] when malformed
-    /// environment values should be an error instead.
+    /// The paper defaults with **lenient** environment pickup: the soak job sets thread
+    /// counts via `DATAMARAN_*_THREADS` variables, and absent or malformed values silently
+    /// fall back.  Use [`DatamaranConfig::builder`] when malformed environment values
+    /// should be an error instead.
     fn default() -> Self {
         DatamaranConfig {
             generation_threads: env_threads("DATAMARAN_GENERATION_THREADS", 0),
-            matching_backend: MatchingBackend::from_env(),
             extraction_threads: env_threads("DATAMARAN_EXTRACTION_THREADS", 0),
             evaluation_threads: env_threads("DATAMARAN_EVALUATION_THREADS", 0),
             ..Self::compiled_defaults()
@@ -376,12 +333,6 @@ impl DatamaranConfig {
         self
     }
 
-    /// Builder-style setter for the multi-template matching backend.
-    pub fn with_matching_backend(mut self, backend: MatchingBackend) -> Self {
-        self.matching_backend = backend;
-        self
-    }
-
     /// Builder-style setter for the evaluation worker-thread count (`0` = auto).
     pub fn with_evaluation_threads(mut self, threads: usize) -> Self {
         self.evaluation_threads = threads;
@@ -433,9 +384,9 @@ impl DatamaranConfig {
 /// lenient [`Default`] impl.
 ///
 /// Every knob has a typed setter; knobs the builder is not given explicitly are resolved
-/// at [`build`](Self::build) time: the four environment-covered knobs
+/// at [`build`](Self::build) time: the three environment-covered knobs
 /// (`DATAMARAN_GENERATION_THREADS`, `DATAMARAN_EXTRACTION_THREADS`,
-/// `DATAMARAN_EVALUATION_THREADS`, `DATAMARAN_MATCHING_BACKEND`) are parsed **strictly**
+/// `DATAMARAN_EVALUATION_THREADS`) are parsed **strictly**
 /// (a present-yet-malformed value is [`Error::InvalidConfig`](crate::error::Error::InvalidConfig),
 /// which the CLI maps to exit code 2), everything else takes the compiled default.  The
 /// built config is always [`validate`](DatamaranConfig::validate)d, so zero/NaN thresholds
@@ -466,7 +417,6 @@ pub struct DatamaranConfigBuilder {
     refine: Option<bool>,
     seed: Option<u64>,
     generation_threads: Option<usize>,
-    matching_backend: Option<MatchingBackend>,
     extraction_threads: Option<usize>,
     evaluation_threads: Option<usize>,
 }
@@ -551,9 +501,10 @@ impl DatamaranConfigBuilder {
         self
     }
 
-    /// Sets the multi-template matching backend, overriding `DATAMARAN_MATCHING_BACKEND`.
-    pub fn matching_backend(mut self, backend: MatchingBackend) -> Self {
-        self.matching_backend = Some(backend);
+    /// Accepts the matching engine for source compatibility with callers that pin every
+    /// knob explicitly (the end-to-end benchmark driver does); with one engine there is
+    /// nothing to set.
+    pub fn matching_backend(self, _backend: MatchingBackend) -> Self {
         self
     }
 
@@ -587,10 +538,6 @@ impl DatamaranConfigBuilder {
             Some(t) => t,
             None => env_threads_strict("DATAMARAN_EVALUATION_THREADS", 0)?,
         };
-        let matching_backend = match self.matching_backend {
-            Some(b) => b,
-            None => MatchingBackend::from_env_strict()?,
-        };
         let config = DatamaranConfig {
             alpha: self.alpha.unwrap_or(base.alpha),
             max_line_span: self.max_line_span.unwrap_or(base.max_line_span),
@@ -607,7 +554,6 @@ impl DatamaranConfigBuilder {
             refine: self.refine.unwrap_or(base.refine),
             seed: self.seed.unwrap_or(base.seed),
             generation_threads,
-            matching_backend,
             extraction_threads,
             evaluation_threads,
             ..base
@@ -688,14 +634,14 @@ mod tests {
             .alpha(0.2)
             .max_line_span(6)
             .beam_width(1)
-            .matching_backend(MatchingBackend::Trial)
+            .matching_backend(MatchingBackend::Fused)
             .extraction_threads(2)
             .build()
             .unwrap();
         assert!((c.alpha - 0.2).abs() < 1e-9);
         assert_eq!(c.max_line_span, 6);
         assert_eq!(c.beam_width, 1);
-        assert_eq!(c.matching_backend, MatchingBackend::Trial);
+        assert_eq!(c.matching_backend, MatchingBackend::Fused);
         assert_eq!(c.extraction_threads, 2);
         // Unset knobs resolve to the same values the lenient default carries (in a clean
         // environment both read the compiled defaults).
@@ -732,24 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_accepts_names_and_rejects_unknowns() {
-        assert_eq!(
-            MatchingBackend::parse(" Fused ").unwrap(),
-            MatchingBackend::Fused
-        );
-        assert_eq!(
-            MatchingBackend::parse("trial").unwrap(),
-            MatchingBackend::Trial
-        );
-        assert_eq!(
-            MatchingBackend::parse("TRIAL").unwrap(),
-            MatchingBackend::Trial
-        );
-        assert!(MatchingBackend::parse("dfa").is_err());
-        assert!(MatchingBackend::parse("").is_err());
-    }
-
-    #[test]
     fn strategy_names() {
         assert_eq!(SearchStrategy::Exhaustive.name(), "exhaustive");
         assert_eq!(SearchStrategy::Greedy.name(), "greedy");
@@ -769,9 +697,11 @@ mod tests {
     fn matching_backend_defaults_and_builders() {
         assert_eq!(MatchingBackend::default(), MatchingBackend::Fused);
         assert_eq!(MatchingBackend::Fused.name(), "fused");
-        assert_eq!(MatchingBackend::Trial.name(), "trial");
-        let c = DatamaranConfig::default().with_matching_backend(MatchingBackend::Trial);
-        assert_eq!(c.matching_backend, MatchingBackend::Trial);
+        let c = DatamaranConfig::builder()
+            .matching_backend(MatchingBackend::Fused)
+            .build()
+            .unwrap();
+        assert_eq!(c.matching_backend, MatchingBackend::Fused);
         assert!(c.validate().is_ok());
     }
 

@@ -23,18 +23,24 @@
 //!   allocations.  The instantiation trees of the old API are materialized only at the
 //!   boundary ([`SpanParse::to_parse_result`]), and are byte-identical to the tree walker's
 //!   (enforced by `tests/extraction_equivalence.rs`).
-//! * [`parse_dataset_span_parallel`] shards record-boundary extraction across scoped worker
+//! * [`SpanLineMatcher`] is the one way into dataset segmentation, and
+//!   [`extract_records`] the pass the pipeline runs with it.
+//!   [`SpanLineMatcher::parse`] shards record-boundary extraction across scoped worker
 //!   threads exactly like the generation engine ([`crate::parallel`]): per-line match
 //!   tables into worker-local arenas, then a cheap sequential stitch that replays the
-//!   greedy segmentation deterministically — output is identical for any thread count.
+//!   greedy segmentation deterministically — output is identical for any chunk count.
+//!   Every whole-dataset segmentation (sequential, stitched, single-template, and the
+//!   refiner's [`delta_parse`]) runs one private greedy loop, generic over its per-line
+//!   match step.
 //! * When several templates are live, [`CompiledTemplateSet`] fuses the whole set into one
 //!   merged byte-class DFA: a single pass over a record's bytes prunes the set down to the
 //!   template(s) that can still match there, and only those survivors are handed to the
 //!   per-template matcher — `O(1)` per byte regardless of template count, instead of one
-//!   failed trial scan per template.  [`SpanLineMatcher::parse_into`] layers batched
+//!   failed trial scan per template.  [`SpanLineMatcher::parse_into_with`] layers batched
 //!   dispatch on top (candidate masks for ~1000 upcoming lines are precomputed in one
-//!   tight loop so the dispatch tables stay hot), and the trial loop survives as
-//!   [`MatchingBackend::Trial`](crate::config::MatchingBackend) — the differential oracle
+//!   tight loop so the dispatch tables stay hot).  With fewer than two live templates the
+//!   matcher trials each template in index order; the always-trial loop survives only as
+//!   the test reference `SpanLineMatcher::trial_reference` — the differential oracle
 //!   proven byte-identical by `tests/matching_equivalence.rs`.
 //!
 //! The tree-walking extractor survives only as the test reference
@@ -43,10 +49,10 @@
 //! `generation::generate_legacy` is to the generation engine.
 
 use crate::chars::CharSet;
-use crate::config::{DatamaranConfig, MatchingBackend};
+use crate::config::DatamaranConfig;
 use crate::dataset::Dataset;
 use crate::fxhash::FxHashMap;
-use crate::parallel::{chunk_bounds, resolve_threads, ParallelOptions};
+use crate::parallel::{chunk_bounds, effective_workers, resolve_threads, MIN_CHUNK_LINES};
 use crate::parser::{line_of_offset, FieldCell, ParseResult, RecordMatch, ValueTree};
 use crate::structure::{Node, StructureTemplate};
 
@@ -549,7 +555,7 @@ fn decompile_range(ops: &[Op], lit_bytes: &[u8], ip: &mut usize, end: usize) -> 
 /// Structural diff between a parent's [`CompiledTemplate`] and a refinement variant's:
 /// which instruction ranges (and hence which columns) are shared, and how the shared
 /// suffix's column ids remap.  Produced by [`diff_compiled`]; consumed by
-/// [`parse_dataset_span_delta`], which copies the shared ranges forward from the parent's
+/// [`delta_parse`], which copies the shared ranges forward from the parent's
 /// arenas instead of re-matching their bytes, and by the incremental scorer, which reuses
 /// the per-column aggregates of unchanged columns (see
 /// [`TemplateDiff::column_reuse`]).
@@ -894,7 +900,7 @@ fn build_values(
 pub struct MatchStats {
     /// Record-start questions answered (one per line dispatched to the matcher).
     pub lines_dispatched: u64,
-    /// Lines answered through the fused DFA prefilter (0 under the trial backend or when
+    /// Lines answered through the fused DFA prefilter (0 under the trial reference or when
     /// fewer than two templates are live).
     pub fused_dispatches: u64,
     /// Per-template trial runs actually executed.
@@ -944,16 +950,11 @@ impl MatchStats {
     }
 }
 
-/// Reusable per-thread scratch for span matching: the array-nesting slots plus the
-/// cell/rep staging buffers used by per-record materialization
-/// ([`SpanLineMatcher::match_line_record`]), so repeated calls allocate only the two
-/// vectors the returned [`RecordMatch`] owns — the same per-record cost as the tree
-/// walker.
+/// Reusable per-thread scratch for span matching: the array-nesting slots, the fused
+/// prefilter's candidate mask and lazy DFA cache, and the work counters.
 #[derive(Clone, Debug, Default)]
 pub struct SpanScratch {
     stack: Vec<(usize, u32)>,
-    cells: Vec<FieldCell>,
-    reps: Vec<u32>,
     fused_mask: Vec<u64>,
     fused_cache: FusedDfaCache,
     /// Work counters accumulated by every match performed through this scratch.
@@ -974,46 +975,42 @@ impl SpanScratch {
 }
 
 /// Pre-compiled matcher for a fixed template set, the span engine's counterpart of
-/// [`crate::parser::LineMatcher`].  Owns its compiled tables (and a copy of the templates
-/// for materialization), so it borrows nothing and can be shared immutably across scoped
+/// [`crate::parser::LineMatcher`] and the one way into dataset segmentation.  Owns its
+/// compiled tables, so it borrows nothing and can be shared immutably across scoped
 /// worker threads.
 pub struct SpanLineMatcher {
     compiled: Vec<CompiledTemplate>,
-    templates: Vec<StructureTemplate>,
     max_line_span: usize,
     fused: Option<CompiledTemplateSet>,
 }
 
 impl SpanLineMatcher {
-    /// Compiles `templates`; `max_line_span` is the paper's `L` parameter.  The matching
-    /// backend comes from the environment ([`MatchingBackend::from_env`]) — callers that
-    /// need explicit control use [`SpanLineMatcher::with_backend`].
+    /// Compiles `templates`; `max_line_span` is the paper's `L` parameter.  With at least
+    /// two live (non-empty) templates the set is also fused into one merged DFA prefilter;
+    /// with fewer, the matcher trials every template in index order.
     pub fn new(templates: &[StructureTemplate], max_line_span: usize) -> Self {
-        Self::with_backend(templates, max_line_span, MatchingBackend::from_env())
-    }
-
-    /// Compiles `templates` with an explicit matching backend.  The fused DFA is only
-    /// built when the backend asks for it *and* at least two templates have a non-empty op
-    /// table — with zero or one live template both backends are the identical code path.
-    pub fn with_backend(
-        templates: &[StructureTemplate],
-        max_line_span: usize,
-        backend: MatchingBackend,
-    ) -> Self {
         let compiled: Vec<CompiledTemplate> = templates.iter().map(compile).collect();
-        let fused = match backend {
-            MatchingBackend::Fused => CompiledTemplateSet::build(&compiled),
-            MatchingBackend::Trial => None,
-        };
+        let fused = CompiledTemplateSet::build(&compiled);
         SpanLineMatcher {
             compiled,
-            templates: templates.to_vec(),
             max_line_span,
             fused,
         }
     }
 
-    /// The merged DFA prefilter, when the fused backend is active with ≥2 live templates.
+    /// The test reference: the same matcher with the fused prefilter never built, so every
+    /// record start trials every template in index order.  Only tests and the
+    /// `reproduce -- matching` benchmark construct it.
+    #[doc(hidden)]
+    pub fn trial_reference(templates: &[StructureTemplate], max_line_span: usize) -> Self {
+        SpanLineMatcher {
+            compiled: templates.iter().map(compile).collect(),
+            max_line_span,
+            fused: None,
+        }
+    }
+
+    /// The merged DFA prefilter, built when at least two templates are live.
     pub fn fused(&self) -> Option<&CompiledTemplateSet> {
         self.fused.as_ref()
     }
@@ -1021,7 +1018,7 @@ impl SpanLineMatcher {
     /// Attempts to match one record starting at `line`, appending its cells and repetition
     /// counts to the supplied arenas.  Same template order and acceptance rules as the
     /// tree walker: first template whose match ends on a line boundary within the span
-    /// limit wins.  With the fused backend, one DFA pass over the record's bytes first
+    /// limit wins.  With the fused prefilter, one DFA pass over the record's bytes first
     /// prunes the template set to the survivors — the trial order over survivors is the
     /// same index order, so the outcome is byte-identical.
     pub fn match_line_into(
@@ -1052,7 +1049,7 @@ impl SpanLineMatcher {
         }
     }
 
-    /// The original matching loop: trial every non-empty template in index order.
+    /// The plain matching loop: trial every non-empty template in index order.
     fn trial_all(
         &self,
         dataset: &Dataset,
@@ -1061,14 +1058,11 @@ impl SpanLineMatcher {
         reps: &mut Vec<u32>,
         scratch: &mut SpanScratch,
     ) -> Option<SpanRecord> {
-        let text = dataset.text().as_bytes();
-        let start = dataset.line_start(line);
         for (idx, ct) in self.compiled.iter().enumerate() {
             if ct.ops.is_empty() {
                 continue;
             }
-            if let Some(rec) = self.trial_one(idx, dataset, line, start, text, cells, reps, scratch)
-            {
+            if let Some(rec) = self.trial_one(idx, dataset, line, cells, reps, scratch) {
                 return Some(rec);
             }
         }
@@ -1086,8 +1080,6 @@ impl SpanLineMatcher {
         reps: &mut Vec<u32>,
         scratch: &mut SpanScratch,
     ) -> Option<SpanRecord> {
-        let text = dataset.text().as_bytes();
-        let start = dataset.line_start(line);
         scratch.stats.fused_dispatches += 1;
         let nonempty = self
             .fused
@@ -1101,9 +1093,7 @@ impl SpanLineMatcher {
             while bits != 0 {
                 let idx = (w << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if let Some(rec) =
-                    self.trial_one(idx, dataset, line, start, text, cells, reps, scratch)
-                {
+                if let Some(rec) = self.trial_one(idx, dataset, line, cells, reps, scratch) {
                     return Some(rec);
                 }
             }
@@ -1111,175 +1101,98 @@ impl SpanLineMatcher {
         None
     }
 
-    /// Runs one template against one record start, with the shared acceptance rules; rolls
-    /// the arenas back on any failure.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs template `idx` against one record start, counting the trial.
     #[inline]
     fn trial_one(
         &self,
         idx: usize,
         dataset: &Dataset,
         line: usize,
-        start: usize,
-        text: &[u8],
         cells: &mut Vec<FieldCell>,
         reps: &mut Vec<u32>,
         scratch: &mut SpanScratch,
     ) -> Option<SpanRecord> {
         scratch.stats.templates_trialed += 1;
-        let ct = &self.compiled[idx];
-        let cell_mark = cells.len() as u32;
-        let rep_mark = reps.len() as u32;
-        let end = ct.run(text, start, cells, reps, &mut scratch.stack)?;
-        if let Some(line_span_end) = accept_span(dataset, line, start, end, self.max_line_span) {
-            return Some(SpanRecord {
-                template_index: idx as u32,
-                byte_span: (start, end),
-                line_span: (line, line_span_end),
-                cell_range: (cell_mark, cells.len() as u32),
-                rep_range: (rep_mark, reps.len() as u32),
-            });
-        }
-        // Matched but rejected by the boundary/span rules: roll the arenas back and
-        // try the next template, exactly like the tree walker.
-        cells.truncate(cell_mark as usize);
-        reps.truncate(rep_mark as usize);
-        None
+        match_compiled(
+            &self.compiled[idx],
+            idx as u32,
+            dataset,
+            line,
+            self.max_line_span,
+            cells,
+            reps,
+            &mut scratch.stack,
+        )
     }
 
-    /// Convenience for callers that want one materialized [`RecordMatch`] per line (the
-    /// streaming extractor): matches and immediately builds the instantiation tree.
-    pub fn match_line_record(
-        &self,
-        dataset: &Dataset,
-        line: usize,
-        scratch: &mut SpanScratch,
-    ) -> Option<RecordMatch> {
-        let mut cells = std::mem::take(&mut scratch.cells);
-        let mut reps = std::mem::take(&mut scratch.reps);
-        cells.clear();
-        reps.clear();
-        let rec = self.match_line_into(dataset, line, &mut cells, &mut reps, scratch);
-        let result = rec.map(|rec| {
-            let mut cell_iter = cells.iter();
-            let mut rep_iter = reps.iter();
-            let mut array_id = 0usize;
-            let values = build_values(
-                self.templates[rec.template_index as usize].nodes(),
-                &mut cell_iter,
-                &mut rep_iter,
-                &mut array_id,
-            );
-            RecordMatch {
-                template_index: rec.template_index as usize,
-                byte_span: rec.byte_span,
-                line_span: rec.line_span,
-                values,
-                fields: cells.clone(),
-            }
-        });
-        scratch.cells = cells;
-        scratch.reps = reps;
-        result
-    }
-
-    /// The templates this matcher was built from.
-    pub fn templates(&self) -> &[StructureTemplate] {
-        &self.templates
-    }
-
-    /// Greedy left-to-right segmentation of the whole dataset (the sequential engine).
-    fn parse(&self, dataset: &Dataset) -> SpanParse {
+    /// Greedy left-to-right segmentation of the whole dataset across `chunks` scoped
+    /// worker threads (`0` or `1` runs sequentially).  The per-line match question depends
+    /// only on the text from each line onward, so the workers fill a [`LineMatchTable`]
+    /// and a sequential stitch replays the greedy segmentation from it, copying each
+    /// selected record's arena slices into the merged arenas in document order: the parse
+    /// is identical for any chunk count.
+    pub fn parse(&self, dataset: &Dataset, chunks: usize) -> SpanParse {
         let mut out = SpanParse::default();
-        self.parse_into(dataset, &mut out);
+        if chunks <= 1 {
+            self.parse_into_with(dataset, &mut out, &mut SpanScratch::default());
+            return out;
+        }
+        let table = self.match_table(dataset, chunks);
+        segment(dataset, &mut out, |line, out| {
+            let (rec, cells, reps) = table.record_at(line)?;
+            let cell_base = out.cells.len() as u32;
+            let rep_base = out.reps.len() as u32;
+            out.cells.extend_from_slice(cells);
+            out.reps.extend_from_slice(reps);
+            Some(SpanRecord {
+                cell_range: (cell_base, out.cells.len() as u32),
+                rep_range: (rep_base, out.reps.len() as u32),
+                ..rec
+            })
+        });
         out
     }
 
-    /// Greedy segmentation of the whole dataset into a caller-owned (recyclable) parse.
-    pub fn parse_into(&self, dataset: &Dataset, out: &mut SpanParse) {
-        let mut scratch = SpanScratch::default();
-        self.parse_into_with(dataset, out, &mut scratch);
-    }
-
-    /// Greedy segmentation reusing a caller-owned scratch, whose [`SpanScratch::stats`]
-    /// accumulate across calls.  With the fused backend active this runs the batched
-    /// dispatch layer: candidate masks for up to ~1000 upcoming line starts are
-    /// precomputed in one tight DFA loop, so the merged transition table, byte-class
-    /// table, and arenas stay hot across the whole batch.
+    /// Sequential greedy segmentation into a caller-owned (recyclable) parse, reusing a
+    /// caller-owned scratch whose [`SpanScratch::stats`] accumulate across calls.  With
+    /// the fused prefilter built this runs the batched dispatch layer: candidate masks for
+    /// up to ~1000 upcoming line starts are precomputed in one tight DFA loop, so the
+    /// merged transition table, byte-class table, and arenas stay hot across the whole
+    /// batch.
     pub fn parse_into_with(
         &self,
         dataset: &Dataset,
         out: &mut SpanParse,
         scratch: &mut SpanScratch,
     ) {
-        out.clear();
+        let Some(fused) = &self.fused else {
+            segment(dataset, out, |line, out| {
+                self.match_line_into(dataset, line, &mut out.cells, &mut out.reps, scratch)
+            });
+            return;
+        };
         let n = dataset.line_count();
-        match &self.fused {
-            Some(fused) => {
-                let text = dataset.text().as_bytes();
-                let words = fused.words;
-                let mut masks: Vec<u64> = Vec::new();
-                let mut batch_first = 0usize;
-                let mut batch_len = 0usize;
-                let mut line = 0usize;
-                while line < n {
-                    if line >= batch_first + batch_len {
-                        batch_first = line;
-                        batch_len = (n - line).min(FUSED_BATCH_LINES);
-                        masks.clear();
-                        masks.resize(batch_len * words, 0);
-                        let mut cache = std::mem::take(&mut scratch.fused_cache);
-                        for (k, row) in masks.chunks_exact_mut(words).enumerate() {
-                            fused.walk(&mut cache, text, dataset.line_start(batch_first + k), row);
-                        }
-                        scratch.fused_cache = cache;
-                    }
-                    let row = &masks[(line - batch_first) * words..][..words];
-                    scratch.stats.lines_dispatched += 1;
-                    let rec = self.trial_candidates(
-                        dataset,
-                        line,
-                        row,
-                        &mut out.cells,
-                        &mut out.reps,
-                        scratch,
-                    );
-                    line = Self::advance(dataset, out, line, rec);
+        let text = dataset.text().as_bytes();
+        let words = fused.words;
+        let mut masks: Vec<u64> = Vec::new();
+        let mut batch_first = 0usize;
+        let mut batch_len = 0usize;
+        segment(dataset, out, |line, out| {
+            if line >= batch_first + batch_len {
+                batch_first = line;
+                batch_len = (n - line).min(FUSED_BATCH_LINES);
+                masks.clear();
+                masks.resize(batch_len * words, 0);
+                let mut cache = std::mem::take(&mut scratch.fused_cache);
+                for (k, row) in masks.chunks_exact_mut(words).enumerate() {
+                    fused.walk(&mut cache, text, dataset.line_start(batch_first + k), row);
                 }
+                scratch.fused_cache = cache;
             }
-            None => {
-                let mut line = 0usize;
-                while line < n {
-                    let rec =
-                        self.match_line_into(dataset, line, &mut out.cells, &mut out.reps, scratch);
-                    line = Self::advance(dataset, out, line, rec);
-                }
-            }
-        }
-    }
-
-    /// Applies one greedy-segmentation step: record the match or the noise line, returning
-    /// the next line to consider.
-    fn advance(
-        dataset: &Dataset,
-        out: &mut SpanParse,
-        line: usize,
-        rec: Option<SpanRecord>,
-    ) -> usize {
-        match rec {
-            Some(rec) => {
-                out.record_bytes += rec.byte_len();
-                let next = rec.line_span.1;
-                out.records.push(rec);
-                next
-            }
-            None => {
-                let (s, e) = dataset.line_span(line);
-                out.noise_bytes += e - s;
-                out.noise_lines.push(line);
-                line + 1
-            }
-        }
+            let row = &masks[(line - batch_first) * words..][..words];
+            scratch.stats.lines_dispatched += 1;
+            self.trial_candidates(dataset, line, row, &mut out.cells, &mut out.reps, scratch)
+        });
     }
 
     /// Answers the per-line match question for the whole dataset across `chunks` scoped
@@ -1326,32 +1239,11 @@ impl SpanLineMatcher {
     }
 }
 
-/// Sequential span extraction into a caller-owned (recyclable) [`SpanParse`] — identical
-/// output to [`parse_dataset_span`], but arena capacity carries over between calls.
-pub fn parse_dataset_span_into(
-    dataset: &Dataset,
-    templates: &[StructureTemplate],
-    max_line_span: usize,
-    out: &mut SpanParse,
-) {
-    SpanLineMatcher::new(templates, max_line_span).parse_into(dataset, out);
-}
-
-/// Sequential span extraction: segments the dataset exactly like
-/// [`crate::parser::parse_dataset`], producing the flat [`SpanParse`] representation.
-pub fn parse_dataset_span(
-    dataset: &Dataset,
-    templates: &[StructureTemplate],
-    max_line_span: usize,
-) -> SpanParse {
-    SpanLineMatcher::new(templates, max_line_span).parse(dataset)
-}
-
 // ---------------------------------------------------------------------------------------
 // Delta parsing: re-parse only the dirty region of each record
 // ---------------------------------------------------------------------------------------
 
-/// Work counters of one [`parse_dataset_span_delta`] run — the delta-hit telemetry the
+/// Work counters of one [`delta_parse`] run — the delta-hit telemetry the
 /// refiner aggregates and the pipeline report surfaces.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaParseStats {
@@ -1392,11 +1284,15 @@ impl DeltaParseStats {
     }
 }
 
-/// Matches one record of `compiled` starting at `line`, with the full acceptance rules of
-/// [`SpanLineMatcher::match_line_into`] (single-template specialization shared by the delta
-/// parser's fallback path).
-fn match_line_compiled(
+/// Runs one compiled template against the record start at `line` and applies the shared
+/// acceptance rules ([`accept_span`]), recording the match as `template_index`; the arenas
+/// are rolled back on any failure.  Every per-template match goes through here: the
+/// matcher's trial loop, the single-template parse and the delta parser's fallback.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn match_compiled(
     compiled: &CompiledTemplate,
+    template_index: u32,
     dataset: &Dataset,
     line: usize,
     max_line_span: usize,
@@ -1414,16 +1310,47 @@ fn match_line_compiled(
     let end = compiled.run(text, start, cells, reps, stack)?;
     match accept_span(dataset, line, start, end, max_line_span) {
         Some(line_end) => Some(SpanRecord {
-            template_index: 0,
+            template_index,
             byte_span: (start, end),
             line_span: (line, line_end),
             cell_range: (cell_mark, cells.len() as u32),
             rep_range: (rep_mark, reps.len() as u32),
         }),
         None => {
+            // Matched but rejected by the boundary/span rules: roll the arenas back, exactly
+            // like the tree walker.
             cells.truncate(cell_mark as usize);
             reps.truncate(rep_mark as usize);
             None
+        }
+    }
+}
+
+/// The greedy left-to-right segmentation every full-dataset parse runs: at each line ask
+/// `match_at` for a record starting there (it appends the record's cells and repetition
+/// counts to `out`'s arenas) and jump past it, or else count the line as noise and move
+/// on by one.  `out` is cleared first.
+#[inline]
+fn segment<F>(dataset: &Dataset, out: &mut SpanParse, mut match_at: F)
+where
+    F: FnMut(usize, &mut SpanParse) -> Option<SpanRecord>,
+{
+    out.clear();
+    let n = dataset.line_count();
+    let mut line = 0usize;
+    while line < n {
+        match match_at(line, out) {
+            Some(rec) => {
+                out.record_bytes += rec.byte_len();
+                line = rec.line_span.1;
+                out.records.push(rec);
+            }
+            None => {
+                let (s, e) = dataset.line_span(line);
+                out.noise_bytes += e - s;
+                out.noise_lines.push(line);
+                line += 1;
+            }
         }
     }
 }
@@ -1455,42 +1382,29 @@ fn accept_span(
 }
 
 /// Full greedy segmentation with a single already-compiled template into a caller-owned
-/// (recyclable) parse — identical output to [`parse_dataset_span_into`] with that template
-/// alone, without re-compiling it.  The refiner's delta engine uses this as the exact
-/// fallback whenever no usable diff exists (different charsets, no shared ops, no parent).
-pub fn parse_compiled_into(
+/// (recyclable) parse — identical output to a [`SpanLineMatcher`] over that template
+/// alone, without re-compiling it.  The refiner parses every from-scratch evaluation
+/// through it, and it is the delta engine's exact fallback whenever no usable diff exists
+/// (different charsets, no shared ops, no parent).
+pub(crate) fn parse_compiled_into(
     dataset: &Dataset,
     compiled: &CompiledTemplate,
     max_line_span: usize,
     out: &mut SpanParse,
 ) {
-    out.clear();
-    let n = dataset.line_count();
     let mut stack: Vec<(usize, u32)> = Vec::new();
-    let mut line = 0usize;
-    while line < n {
-        match match_line_compiled(
+    segment(dataset, out, |line, out| {
+        match_compiled(
             compiled,
+            0,
             dataset,
             line,
             max_line_span,
             &mut out.cells,
             &mut out.reps,
             &mut stack,
-        ) {
-            Some(rec) => {
-                out.record_bytes += rec.byte_len();
-                line = rec.line_span.1;
-                out.records.push(rec);
-            }
-            None => {
-                let (s, e) = dataset.line_span(line);
-                out.noise_bytes += e - s;
-                out.noise_lines.push(line);
-                line += 1;
-            }
-        }
-    }
+        )
+    });
 }
 
 /// Parses the dataset with a refinement variant by *delta* against its parent's parse:
@@ -1501,14 +1415,15 @@ pub fn parse_compiled_into(
 /// [`TemplateDiff::suffix_col_shift`], repetition counts verbatim).  Lines without a
 /// parent record fall back to a full single-template match.
 ///
-/// The output is **identical** to `parse_dataset_span(dataset, &[variant], max_line_span)`
-/// for every template pair [`diff_compiled`] accepts: the per-line match question depends
-/// only on the text from that line onward, the shared ranges match byte-identically by
-/// construction (same ops, same charset, same start position), and every divergence —
-/// failed dirty region, misaligned suffix — falls back to running the real matcher.
-/// Enforced by the delta property suite and `tests/evaluation_equivalence.rs`.
+/// The output is **identical** to `SpanLineMatcher::new(&[variant], max_line_span)`'s
+/// parse for every template pair [`diff_compiled`] accepts: the per-line match question
+/// depends only on the text from that line onward, the shared ranges match
+/// byte-identically by construction (same ops, same charset, same start position), and
+/// every divergence — failed dirty region, misaligned suffix — falls back to running the
+/// real matcher.  Enforced by the delta property suite and
+/// `tests/evaluation_equivalence.rs`.
 #[allow(clippy::too_many_arguments)]
-pub fn parse_dataset_span_delta(
+pub fn delta_parse(
     dataset: &Dataset,
     parent_compiled: &CompiledTemplate,
     parent: &SpanParse,
@@ -1517,16 +1432,13 @@ pub fn parse_dataset_span_delta(
     max_line_span: usize,
     out: &mut SpanParse,
 ) -> DeltaParseStats {
-    out.clear();
     let mut stats = DeltaParseStats {
         parent_records: parent.records.len(),
         ..Default::default()
     };
-    let n = dataset.line_count();
     let mut stack: Vec<(usize, u32)> = Vec::new();
     let mut rec_idx = 0usize;
-    let mut line = 0usize;
-    while line < n {
+    segment(dataset, out, |line, out| {
         // The parent record starting exactly at `line`, if any (records are in document
         // order, and the greedy cursor only moves forward).
         while rec_idx < parent.records.len() && parent.records[rec_idx].line_span.0 < line {
@@ -1536,7 +1448,7 @@ pub fn parse_dataset_span_delta(
             .records
             .get(rec_idx)
             .filter(|r| r.line_span.0 == line);
-        let matched = match parent_rec {
+        match parent_rec {
             Some(prec) => {
                 stats.consulted_records += 1;
                 delta_match_record(
@@ -1554,8 +1466,9 @@ pub fn parse_dataset_span_delta(
             }
             None => {
                 stats.full_line_matches += 1;
-                let rec = match_line_compiled(
+                let rec = match_compiled(
                     variant_compiled,
+                    0,
                     dataset,
                     line,
                     max_line_span,
@@ -1568,21 +1481,8 @@ pub fn parse_dataset_span_delta(
                 }
                 rec
             }
-        };
-        match matched {
-            Some(rec) => {
-                out.record_bytes += rec.byte_len();
-                line = rec.line_span.1;
-                out.records.push(rec);
-            }
-            None => {
-                let (s, e) = dataset.line_span(line);
-                out.noise_bytes += e - s;
-                out.noise_lines.push(line);
-                line += 1;
-            }
         }
-    }
+    });
     stats
 }
 
@@ -1785,7 +1685,7 @@ const FUSED_CACHE_BUDGET: usize = 64 << 20;
 /// precision is exhausted long before this; the cap bounds worst-case work on degenerate
 /// inputs (one multi-megabyte line).
 const FUSED_WALK_CAP: usize = 4096;
-/// Lines per batched-dispatch refill in [`SpanLineMatcher::parse_into`].
+/// Lines per batched-dispatch refill in [`SpanLineMatcher::parse_into_with`].
 const FUSED_BATCH_LINES: usize = 1024;
 
 /// Byte capability of one NFA position: a single literal byte, the conservative
@@ -2063,8 +1963,8 @@ static FUSED_SET_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 
 impl CompiledTemplateSet {
     /// Builds the merged DFA for `compiled`, or `None` when fewer than two templates have
-    /// a non-empty op table (the per-template matcher is already optimal there, keeping
-    /// the single-template path at exact parity with the trial backend).
+    /// a non-empty op table (the per-template matcher is already optimal there, so the
+    /// single-template path is the trial loop itself).
     pub fn build(compiled: &[CompiledTemplate]) -> Option<CompiledTemplateSet> {
         let n_nonempty = compiled.iter().filter(|c| !c.ops.is_empty()).count();
         if n_nonempty < 2 {
@@ -2375,7 +2275,7 @@ struct ChunkMatches {
 
 /// The answer to *"does a record start at line `i`?"* for every line of a range, computed
 /// by scoped worker threads — phase 1 of the parallel engine, reusable by any consumer
-/// that replays the greedy segmentation itself (the whole-dataset stitch below, the
+/// that replays the greedy segmentation itself ([`SpanLineMatcher::parse`]'s stitch, the
 /// streaming extractor's per-window loop).  Records reference the worker-local arenas held
 /// inside the table.
 pub struct LineMatchTable {
@@ -2410,102 +2310,23 @@ impl LineMatchTable {
     }
 }
 
-/// One-pass fused extraction: compiles the template set into a merged
-/// [`CompiledTemplateSet`] DFA and parses sequentially with batched dispatch.  Output is
-/// byte-identical to [`parse_dataset_span`]; with fewer than two non-empty templates the
-/// matcher transparently runs the plain trial loop.
-pub fn parse_dataset_fused(
-    dataset: &Dataset,
-    templates: &[StructureTemplate],
-    max_line_span: usize,
-) -> SpanParse {
-    SpanLineMatcher::with_backend(templates, max_line_span, MatchingBackend::Fused).parse(dataset)
-}
-
-/// Parallel span extraction with `options.threads` scoped workers and a deterministic
-/// sequential stitch; the result is identical to [`parse_dataset_span`] for any thread
-/// count (the per-line match question depends only on the text from that line onwards).
-pub fn parse_dataset_span_parallel(
-    dataset: &Dataset,
-    templates: &[StructureTemplate],
-    max_line_span: usize,
-    options: ParallelOptions,
-) -> SpanParse {
-    parse_dataset_span_parallel_with(
-        dataset,
-        templates,
-        max_line_span,
-        options,
-        MatchingBackend::from_env(),
-    )
-}
-
-/// [`parse_dataset_span_parallel`] with an explicit matching backend instead of the
-/// `DATAMARAN_MATCHING_BACKEND` environment default.
-pub fn parse_dataset_span_parallel_with(
-    dataset: &Dataset,
-    templates: &[StructureTemplate],
-    max_line_span: usize,
-    options: ParallelOptions,
-    backend: MatchingBackend,
-) -> SpanParse {
-    let n = dataset.line_count();
-    let chunks = options.effective_chunks(n);
-    let matcher = SpanLineMatcher::with_backend(templates, max_line_span, backend);
-    if chunks <= 1 || n == 0 {
-        return matcher.parse(dataset);
-    }
-    let table = matcher.match_table(dataset, chunks);
-
-    // Phase 2: sequential stitch replaying the greedy segmentation, copying each selected
-    // record's arena slices into the merged arenas in document order.
-    let mut out = SpanParse::default();
-    let mut line = 0usize;
-    while line < n {
-        match table.record_at(line) {
-            Some((rec, cells, reps)) => {
-                let cell_base = out.cells.len() as u32;
-                let rep_base = out.reps.len() as u32;
-                out.cells.extend_from_slice(cells);
-                out.reps.extend_from_slice(reps);
-                out.record_bytes += rec.byte_len();
-                line = rec.line_span.1;
-                out.records.push(SpanRecord {
-                    cell_range: (cell_base, out.cells.len() as u32),
-                    rep_range: (rep_base, out.reps.len() as u32),
-                    ..rec
-                });
-            }
-            None => {
-                let (s, e) = dataset.line_span(line);
-                out.noise_bytes += e - s;
-                out.noise_lines.push(line);
-                line += 1;
-            }
-        }
-    }
-    out
-}
-
 /// The extraction pass the pipeline runs: the span engine sharded across
-/// [`DatamaranConfig::extraction_threads`] workers with the configured matching backend,
-/// materialized as the tree-walker-compatible [`ParseResult`].  Output is byte-identical
-/// to [`crate::parser::parse_dataset`] for any thread count.
+/// [`DatamaranConfig::extraction_threads`] workers (inputs under `MIN_CHUNK_LINES` lines
+/// per worker use fewer), materialized as the tree-walker-compatible [`ParseResult`].
+/// Output is byte-identical to [`crate::parser::parse_dataset`] for any thread count.
 pub fn extract_records(
     dataset: &Dataset,
     templates: &[StructureTemplate],
     config: &DatamaranConfig,
 ) -> ParseResult {
-    let options =
-        ParallelOptions::default().with_threads(resolve_threads(config.extraction_threads));
-    parse_dataset_span_parallel_with(
-        dataset,
-        templates,
-        config.max_line_span,
-        options,
-        config.matching_backend,
-    )
-    .to_parse_result(templates)
+    let chunks = effective_workers(
+        resolve_threads(config.extraction_threads),
+        dataset.line_count(),
+        MIN_CHUNK_LINES,
+    );
+    SpanLineMatcher::new(templates, config.max_line_span)
+        .parse(dataset, chunks)
+        .to_parse_result(templates)
 }
 
 #[cfg(test)]
@@ -2541,23 +2362,18 @@ mod tests {
         assert_eq!(a, b, "{label}: full ParseResult equality");
     }
 
+    /// The production matcher's sequential parse.
+    fn span(data: &Dataset, templates: &[StructureTemplate], max_line_span: usize) -> SpanParse {
+        SpanLineMatcher::new(templates, max_line_span).parse(data, 1)
+    }
+
     fn check(text: &str, templates: &[StructureTemplate], label: &str) {
         let data = Dataset::new(text);
         let legacy = parse_dataset(&data, templates, 10);
-        let span = parse_dataset_span(&data, templates, 10).to_parse_result(templates);
-        assert_same(&legacy, &span, label);
-        for threads in [2, 3, 7] {
-            let par = parse_dataset_span_parallel(
-                &data,
-                templates,
-                10,
-                ParallelOptions {
-                    threads,
-                    min_chunk_lines: 1,
-                },
-            )
-            .to_parse_result(templates);
-            assert_same(&legacy, &par, &format!("{label} ({threads} threads)"));
+        let matcher = SpanLineMatcher::new(templates, 10);
+        for chunks in [1, 2, 3, 7] {
+            let par = matcher.parse(&data, chunks).to_parse_result(templates);
+            assert_same(&legacy, &par, &format!("{label} ({chunks} chunks)"));
         }
     }
 
@@ -2648,7 +2464,7 @@ mod tests {
     fn span_limit_and_boundary_rules_replicated() {
         let st = flat("x:1\n", ":\n");
         let data = Dataset::new("x:1\nx:2\n");
-        let span = parse_dataset_span(&data, std::slice::from_ref(&st), 0);
+        let span = span(&data, std::slice::from_ref(&st), 0);
         assert!(span.records.is_empty());
         assert_eq!(span.noise_lines.len(), 2);
         // Record ending mid-line is rejected.
@@ -2662,20 +2478,8 @@ mod tests {
         let data = Dataset::new("k=v\nk2=v2");
         // The final line lacks '\n', so only the first line matches — same as legacy.
         let legacy = parse_dataset(&data, std::slice::from_ref(&st), 10);
-        let span = parse_dataset_span(&data, std::slice::from_ref(&st), 10).to_parse_result(&[st]);
+        let span = span(&data, std::slice::from_ref(&st), 10).to_parse_result(&[st]);
         assert_same(&legacy, &span, "no trailing newline");
-    }
-
-    #[test]
-    fn match_line_record_materializes_like_tree_walker() {
-        let st = array("1,2,3\n", ",\n");
-        let data = Dataset::new("7,8,9\n");
-        let matcher = SpanLineMatcher::new(std::slice::from_ref(&st), 10);
-        let mut scratch = SpanScratch::default();
-        let rec = matcher.match_line_record(&data, 0, &mut scratch).unwrap();
-        let legacy = parse_dataset(&data, std::slice::from_ref(&st), 10);
-        assert_eq!(rec.fields, legacy.records[0].fields);
-        assert_eq!(rec.values, legacy.records[0].values);
     }
 
     fn assert_span_parse_eq(a: &SpanParse, b: &SpanParse, label: &str) {
@@ -2698,11 +2502,11 @@ mod tests {
         let data = Dataset::new(text);
         let pc = compile(parent);
         let vc = compile(variant);
-        let parent_parse = parse_dataset_span(&data, std::slice::from_ref(parent), 10);
-        let full = parse_dataset_span(&data, std::slice::from_ref(variant), 10);
+        let parent_parse = span(&data, std::slice::from_ref(parent), 10);
+        let full = span(&data, std::slice::from_ref(variant), 10);
         let diff = diff_compiled(&pc, &vc)?;
         let mut delta = SpanParse::default();
-        let stats = parse_dataset_span_delta(&data, &pc, &parent_parse, &vc, &diff, 10, &mut delta);
+        let stats = delta_parse(&data, &pc, &parent_parse, &vc, &diff, 10, &mut delta);
         assert_span_parse_eq(&full, &delta, label);
         assert_eq!(
             stats.consulted_records,
@@ -2803,7 +2607,7 @@ mod tests {
         let text = "1,2,3\n4,5\n!! noise\n6,7,8,9\n";
         let data = Dataset::new(text);
         let t = array("1,2,3\n", ",\n");
-        let full = parse_dataset_span(&data, std::slice::from_ref(&t), 10);
+        let full = span(&data, std::slice::from_ref(&t), 10);
         let mut out = SpanParse::default();
         parse_compiled_into(&data, &compile(&t), 10, &mut out);
         assert_span_parse_eq(&full, &out, "parse_compiled_into");
@@ -2883,10 +2687,13 @@ mod tests {
 
     fn fused_vs_trial(text: &str, templates: &[StructureTemplate], label: &str) {
         let data = Dataset::new(text);
-        let trial =
-            SpanLineMatcher::with_backend(templates, 10, MatchingBackend::Trial).parse(&data);
-        let fused = parse_dataset_fused(&data, templates, 10);
-        assert_span_parse_eq(&trial, &fused, label);
+        let trial = SpanLineMatcher::trial_reference(templates, 10).parse(&data, 1);
+        let matcher = SpanLineMatcher::new(templates, 10);
+        assert!(
+            matcher.fused().is_some(),
+            "{label}: the fused prefilter is built"
+        );
+        assert_span_parse_eq(&trial, &matcher.parse(&data, 1), label);
     }
 
     #[test]
@@ -2920,11 +2727,11 @@ mod tests {
     #[test]
     fn fused_build_requires_two_nonempty_templates() {
         let one = vec![flat("a,b\n", ",\n")];
-        let matcher = SpanLineMatcher::with_backend(&one, 10, MatchingBackend::Fused);
+        let matcher = SpanLineMatcher::new(&one, 10);
         assert!(matcher.fused().is_none(), "single template stays on trial");
 
         let two = vec![flat("a,b\n", ",\n"), flat("[x] y\n", "[] \n")];
-        let matcher = SpanLineMatcher::with_backend(&two, 10, MatchingBackend::Fused);
+        let matcher = SpanLineMatcher::new(&two, 10);
         let set = matcher.fused().expect("two templates compile to a set");
         assert_eq!(set.template_count(), 2);
         assert!(set.byte_class_count() >= 2);
@@ -2937,10 +2744,10 @@ mod tests {
         assert!(scratch.fused_dfa_states() >= 2, "walks interned DFA states");
         assert!(!scratch.fused_dfa_overflowed());
 
-        let trial = SpanLineMatcher::with_backend(&two, 10, MatchingBackend::Trial);
+        let trial = SpanLineMatcher::trial_reference(&two, 10);
         assert!(
             trial.fused().is_none(),
-            "trial backend never compiles a set"
+            "the trial reference never compiles a set"
         );
     }
 
@@ -2953,7 +2760,7 @@ mod tests {
             flat("1,2,3\n", ",\n"),
             array("1;2;3\n", ";\n"),
         ];
-        let matcher = SpanLineMatcher::with_backend(&templates, 10, MatchingBackend::Fused);
+        let matcher = SpanLineMatcher::new(&templates, 10);
         let mut out = SpanParse::default();
         let mut scratch = SpanScratch::default();
         matcher.parse_into_with(&data, &mut out, &mut scratch);
@@ -2968,8 +2775,8 @@ mod tests {
         assert!(stats.prune_rate() > 0.0 && stats.prune_rate() <= 1.0);
         assert!((stats.fused_dispatch_rate() - 1.0).abs() < 1e-9);
 
-        // Trial backend: every line trials every template, nothing is pruned.
-        let trial = SpanLineMatcher::with_backend(&templates, 10, MatchingBackend::Trial);
+        // Trial reference: every line trials every template, nothing is pruned.
+        let trial = SpanLineMatcher::trial_reference(&templates, 10);
         let mut scratch = SpanScratch::default();
         trial.parse_into_with(&data, &mut out, &mut scratch);
         assert_eq!(scratch.stats.fused_dispatches, 0);
@@ -2991,24 +2798,8 @@ mod tests {
         let text = interleaved_text();
         let data = Dataset::new(&text);
         let templates = vec![flat("[00:01] host1 ok\n", "[:] \n"), flat("1,2,3\n", ",\n")];
-        let options = ParallelOptions {
-            threads: 3,
-            min_chunk_lines: 1,
-        };
-        let trial = parse_dataset_span_parallel_with(
-            &data,
-            &templates,
-            10,
-            options,
-            MatchingBackend::Trial,
-        );
-        let fused = parse_dataset_span_parallel_with(
-            &data,
-            &templates,
-            10,
-            options,
-            MatchingBackend::Fused,
-        );
+        let trial = SpanLineMatcher::trial_reference(&templates, 10).parse(&data, 3);
+        let fused = SpanLineMatcher::new(&templates, 10).parse(&data, 3);
         assert_span_parse_eq(&trial, &fused, "parallel fused vs trial");
     }
 }

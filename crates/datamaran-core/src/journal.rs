@@ -493,12 +493,7 @@ pub fn recovered_snapshot(
             }
         }
     }
-    TemplateSnapshot::from_templates(
-        1 + deltas.len() as u64,
-        templates,
-        artifact.max_line_span,
-        artifact.matching_backend,
-    )
+    TemplateSnapshot::from_templates(1 + deltas.len() as u64, templates, artifact.max_line_span)
 }
 
 /// How a [`JournalPersistence`] compacts.
@@ -526,7 +521,6 @@ struct JournalInner {
 pub struct JournalPersistence {
     artifact_path: PathBuf,
     max_line_span: usize,
-    matching_backend: crate::config::MatchingBackend,
     config: JournalConfig,
     inner: Mutex<JournalInner>,
     appended: AtomicU64,
@@ -555,7 +549,6 @@ impl JournalPersistence {
         let persistence = JournalPersistence {
             artifact_path: artifact_path.to_path_buf(),
             max_line_span: artifact.max_line_span,
-            matching_backend: artifact.matching_backend,
             config,
             inner: Mutex::new(JournalInner {
                 journal,
@@ -581,7 +574,6 @@ impl JournalPersistence {
         Ok(JournalPersistence {
             artifact_path: artifact_path.to_path_buf(),
             max_line_span: artifact.max_line_span,
-            matching_backend: artifact.matching_backend,
             config,
             inner: Mutex::new(JournalInner {
                 journal,
@@ -621,7 +613,7 @@ impl JournalPersistence {
         let artifact = TemplateArtifact::new(
             snapshot.templates().to_vec(),
             self.max_line_span,
-            self.matching_backend,
+            crate::config::MatchingBackend::default(),
         )?;
         artifact.save(&self.artifact_path)?;
         crash_point("compact.after-save");
@@ -907,7 +899,6 @@ mod tests {
             2,
             vec![template("a"), template("b")],
             art.max_line_span,
-            art.matching_backend,
         )
         .unwrap();
         persistence.persist_swap(&base, &with_b).unwrap();
@@ -917,7 +908,6 @@ mod tests {
             3,
             vec![template("a"), template("b"), template("c")],
             art.max_line_span,
-            art.matching_backend,
         )
         .unwrap();
         persistence.persist_swap(&with_b, &with_c).unwrap();
@@ -978,7 +968,6 @@ mod tests {
             2,
             vec![template("a"), template("b")],
             art.max_line_span,
-            art.matching_backend,
         )
         .unwrap();
         let err = persistence.persist_swap(&base, &next).unwrap_err();

@@ -15,9 +15,11 @@
 //! 3. **evaluates** the survivors with a pluggable regularity score (the default is the
 //!    minimum-description-length score of [`mdl`]), refining each one by array unfolding and
 //!    structure shifting ([`refine`]);
-//! 4. **extracts** every instantiated record of the winning template(s) by LL(1) matching
-//!    over compiled instruction tables ([`extract`]) and emits normalized / denormalized
-//!    relational output ([`relational`]);
+//! 4. **extracts** every instantiated record of the winning template(s) in one greedy LL(1)
+//!    pass over compiled instruction tables ([`extract`]): one [`SpanLineMatcher`] prunes
+//!    the live templates with a merged DFA and shards the pass across worker threads, and
+//!    [`extract_records`] is the pipeline's way in.  The records become normalized /
+//!    denormalized relational output ([`relational`]);
 //! 5. repeats the search on the unexplained residual to handle **interleaved** datasets with
 //!    multiple record types ([`pipeline`]).
 //!
@@ -87,9 +89,7 @@ pub use export::{
     RetryingSink, Sleeper, StreamReport, Tee, ThreadSleeper,
 };
 pub use extract::{
-    compile, decompile, diff_compiled, extract_records, parse_compiled_into, parse_dataset_fused,
-    parse_dataset_span, parse_dataset_span_delta, parse_dataset_span_into,
-    parse_dataset_span_parallel, parse_dataset_span_parallel_with, CompiledTemplate,
+    compile, decompile, delta_parse, diff_compiled, extract_records, CompiledTemplate,
     CompiledTemplateSet, DeltaParseStats, FusedDfaCache, MatchStats, Op, SpanLineMatcher,
     SpanParse, SpanRecord, SpanScratch, TemplateDiff,
 };
@@ -105,7 +105,6 @@ pub use journal::{
 };
 pub use json::{JsonError, JsonValue};
 pub use mdl::{ColumnStats, CoverageScorer, MdlScorer, RegularityScorer, ScoreParts};
-pub use parallel::ParallelOptions;
 pub use parser::{parse_dataset, FieldCell, LineMatcher, ParseResult, RecordMatch, ValueTree};
 pub use pipeline::{Datamaran, ExtractedStructure, ExtractionResult, PipelineStats, StepTimings};
 pub use record::{field_values, FieldValue, RecordTemplate, TemplateToken};

@@ -709,7 +709,7 @@ mod tests {
 
     #[test]
     fn span_fields_bits_matches_tree_walker_bit_for_bit() {
-        use crate::extract::parse_dataset_span;
+        use crate::extract::SpanLineMatcher;
         // Integer, real, enum, free-text and array columns in one corpus.
         let mut data = String::new();
         let words = ["alpha", "beta", "gamma delta", "unique-0", "unique-1"];
@@ -732,7 +732,7 @@ mod tests {
             )),
         ] {
             let legacy = parse_dataset(&dataset, std::slice::from_ref(&st), 10);
-            let span = parse_dataset_span(&dataset, std::slice::from_ref(&st), 10);
+            let span = SpanLineMatcher::new(std::slice::from_ref(&st), 10).parse(&dataset, 1);
             let tree_score = MdlScorer.score(&dataset, &st, &legacy);
             let span_score = MdlScorer
                 .score_span(&dataset, &st, &span)

@@ -4,8 +4,12 @@
 //! The paper observes that for large datasets the running time is dominated by the actual
 //! data-extraction pass ("the majority of the running time is spent on running the LL(1)
 //! parser"), and that this pass "is eminently parallelizable".
-//! [`crate::extract::parse_dataset_span_parallel`] implements that parallelization with
-//! `std::thread::scope` scoped threads.
+//! [`SpanLineMatcher::parse`](crate::extract::SpanLineMatcher::parse) implements that
+//! parallelization with `std::thread::scope` scoped threads; its callers
+//! ([`extract_records`](crate::extract::extract_records) and the streaming window loop)
+//! size the chunk count from
+//! [`DatamaranConfig::extraction_threads`](crate::config::DatamaranConfig::extraction_threads)
+//! with [`effective_workers`] and `MIN_CHUNK_LINES`.
 //!
 //! The key property that makes the pass parallel is that the question *"does a record of one
 //! of the templates start at line `i`?"* depends only on the text from line `i` onwards —
@@ -26,39 +30,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Options for the parallel extraction pass.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelOptions {
-    /// Number of worker threads (chunks).  `0` or `1` falls back to the sequential parser.
-    pub threads: usize,
-    /// Minimum number of lines per chunk; datasets smaller than `threads * min_chunk_lines`
-    /// use fewer workers so that per-thread overhead never dominates.
-    pub min_chunk_lines: usize,
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            min_chunk_lines: 512,
-        }
-    }
-}
-
-impl ParallelOptions {
-    /// Builder-style setter for the worker count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Effective number of chunks for a dataset with `n_lines` lines.
-    pub fn effective_chunks(&self, n_lines: usize) -> usize {
-        effective_workers(self.threads, n_lines, self.min_chunk_lines)
-    }
-}
+/// Minimum number of lines per extraction chunk: inputs smaller than `threads *
+/// MIN_CHUNK_LINES` lines use fewer workers, so per-thread overhead never dominates.
+/// Batch extraction and every streaming window size their chunk count with it.
+pub(crate) const MIN_CHUNK_LINES: usize = 512;
 
 /// Number of workers worth spawning for `n_items` units of work: the requested `threads`,
 /// capped so that each worker gets at least `min_items_per_worker` items (per-thread
@@ -141,7 +116,7 @@ mod tests {
     use super::*;
     use crate::chars::CharSet;
     use crate::dataset::Dataset;
-    use crate::extract::parse_dataset_span_parallel;
+    use crate::extract::SpanLineMatcher;
     use crate::parser::{parse_dataset, ParseResult};
     use crate::record::RecordTemplate;
     use crate::reduce::reduce;
@@ -176,14 +151,16 @@ mod tests {
         s
     }
 
-    /// The span engine's sharded pass, materialized for comparison with the tree walker.
+    /// The span engine's pass over `chunks` shards, materialized for comparison with the
+    /// tree walker.
     fn span_parallel(
         dataset: &Dataset,
         templates: &[StructureTemplate],
         max_line_span: usize,
-        options: ParallelOptions,
+        chunks: usize,
     ) -> ParseResult {
-        parse_dataset_span_parallel(dataset, templates, max_line_span, options)
+        SpanLineMatcher::new(templates, max_line_span)
+            .parse(dataset, chunks)
             .to_parse_result(templates)
     }
 
@@ -206,16 +183,8 @@ mod tests {
         let data = Dataset::new(text);
         let st = flat("REQ 1\nuser=u2;ms=3\n", " =;\n");
         let seq = parse_dataset(&data, std::slice::from_ref(&st), 10);
-        for threads in [2, 3, 7] {
-            let par = span_parallel(
-                &data,
-                std::slice::from_ref(&st),
-                10,
-                ParallelOptions {
-                    threads,
-                    min_chunk_lines: 1,
-                },
-            );
+        for chunks in [2, 3, 7] {
+            let par = span_parallel(&data, std::slice::from_ref(&st), 10, chunks);
             assert_same(&seq, &par);
         }
         assert!(seq.records.len() >= 390);
@@ -245,15 +214,7 @@ mod tests {
         let bracket = flat("[01] host2 ok\n", "[] \n");
         let templates = vec![bracket, csv];
         let seq = parse_dataset(&data, &templates, 10);
-        let par = span_parallel(
-            &data,
-            &templates,
-            10,
-            ParallelOptions {
-                threads: 4,
-                min_chunk_lines: 1,
-            },
-        );
+        let par = span_parallel(&data, &templates, 10, 4);
         assert_same(&seq, &par);
     }
 
@@ -266,15 +227,7 @@ mod tests {
         }
         let data = Dataset::new(text);
         let st = flat("HDR 1\nbody=2;done\n", " =;\n");
-        let par = span_parallel(
-            &data,
-            std::slice::from_ref(&st),
-            10,
-            ParallelOptions {
-                threads: 7,
-                min_chunk_lines: 1,
-            },
-        );
+        let par = span_parallel(&data, std::slice::from_ref(&st), 10, 7);
         assert_eq!(par.records.len(), 101);
         assert!(par.noise_lines.is_empty());
         for r in &par.records {
@@ -286,33 +239,16 @@ mod tests {
     fn single_thread_option_falls_back_to_sequential() {
         let data = Dataset::new("a=1\na=2\n");
         let st = flat("a=1\n", "=\n");
-        let par = span_parallel(
-            &data,
-            std::slice::from_ref(&st),
-            10,
-            ParallelOptions {
-                threads: 1,
-                min_chunk_lines: 1,
-            },
-        );
+        let par = span_parallel(&data, std::slice::from_ref(&st), 10, 1);
         assert_eq!(par.records.len(), 2);
     }
 
     #[test]
     fn small_datasets_use_fewer_chunks() {
-        let opts = ParallelOptions {
-            threads: 16,
-            min_chunk_lines: 512,
-        };
-        assert_eq!(opts.effective_chunks(100), 1);
-        assert_eq!(opts.effective_chunks(1024), 2);
-        assert_eq!(opts.effective_chunks(1_000_000), 16);
-        assert_eq!(
-            ParallelOptions::default()
-                .with_threads(0)
-                .effective_chunks(10_000),
-            1
-        );
+        assert_eq!(effective_workers(16, 100, MIN_CHUNK_LINES), 1);
+        assert_eq!(effective_workers(16, 1024, MIN_CHUNK_LINES), 2);
+        assert_eq!(effective_workers(16, 1_000_000, MIN_CHUNK_LINES), 16);
+        assert_eq!(effective_workers(0, 10_000, MIN_CHUNK_LINES), 1);
     }
 
     #[test]
@@ -371,13 +307,10 @@ mod tests {
     fn empty_dataset_parses_to_nothing() {
         let data = Dataset::new("");
         let st = flat("a=1\n", "=\n");
-        let par = span_parallel(
-            &data,
-            std::slice::from_ref(&st),
-            10,
-            ParallelOptions::default(),
-        );
-        assert!(par.records.is_empty());
-        assert!(par.noise_lines.is_empty());
+        for chunks in [1, 4] {
+            let par = span_parallel(&data, std::slice::from_ref(&st), 10, chunks);
+            assert!(par.records.is_empty());
+            assert!(par.noise_lines.is_empty());
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! variant per line, and each variant needs a sample parse and score.  The [`Refiner`]
 //! therefore runs on the compiled span engine **with delta evaluation**: each variant
 //! compiles once to its flat op table ([`crate::extract`]) and is then parsed *by delta*
-//! against its refinement parent ([`parse_dataset_span_delta`]) — shared op ranges replay
+//! against its refinement parent ([`delta_parse`]) — shared op ranges replay
 //! from the parent's recycled arenas with zero byte scanning, only the dirty region
 //! re-matches, and the MDL scorer re-aggregates only the columns the edit touched
 //! ([`RegularityScorer::score_span_delta`], reusing the parent's retained [`ScoreParts`]).
@@ -34,8 +34,7 @@
 use crate::config::DatamaranConfig;
 use crate::dataset::Dataset;
 use crate::extract::{
-    compile, diff_compiled, parse_compiled_into, parse_dataset_span_delta, parse_dataset_span_into,
-    CompiledTemplate, SpanParse,
+    compile, delta_parse, diff_compiled, parse_compiled_into, CompiledTemplate, SpanParse,
 };
 use crate::fxhash::FxHashMap;
 use crate::intern::TemplateInterner;
@@ -427,7 +426,7 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
         let mut delta = false;
         match parent.and_then(|p| diff_compiled(&p.compiled, &compiled).map(|d| (p, d))) {
             Some((p, diff)) if diff.has_common() => {
-                let stats = parse_dataset_span_delta(
+                let stats = delta_parse(
                     self.dataset,
                     &p.compiled,
                     &p.parse,
@@ -781,9 +780,9 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
         }
         let started = Instant::now();
         let mut parse = self.acquire_span_parse();
-        parse_dataset_span_into(
+        parse_compiled_into(
             self.dataset,
-            std::slice::from_ref(&template),
+            &compile(&template),
             self.max_line_span,
             &mut parse,
         );
@@ -1220,7 +1219,7 @@ pub fn shift_variants(template: &StructureTemplate) -> Vec<StructureTemplate> {
 mod tests {
     use super::*;
     use crate::chars::CharSet;
-    use crate::extract::parse_dataset_span;
+    use crate::extract::SpanLineMatcher;
     use crate::mdl::MdlScorer;
     use crate::record::RecordTemplate;
     use crate::reduce::reduce;
@@ -1384,7 +1383,8 @@ mod tests {
             let data = Dataset::new(text);
             let templates = std::slice::from_ref(&template);
             let legacy = repetition_counts(&parse_dataset(&data, templates, 10));
-            let span = repetition_counts_span(&parse_dataset_span(&data, templates, 10), &template);
+            let parse = SpanLineMatcher::new(templates, 10).parse(&data, 1);
+            let span = repetition_counts_span(&parse, &template);
             assert_eq!(legacy, span, "template {template}");
         }
     }

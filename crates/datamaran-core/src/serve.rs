@@ -32,7 +32,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::artifact::TemplateArtifact;
-use crate::config::MatchingBackend;
 use crate::error::{Error, Result};
 use crate::export::{RecordSink, StreamReport};
 use crate::extract::SpanLineMatcher;
@@ -131,24 +130,17 @@ pub struct TemplateSnapshot {
     templates: Vec<StructureTemplate>,
     matcher: SpanLineMatcher,
     max_line_span: usize,
-    matching_backend: MatchingBackend,
 }
 
 impl TemplateSnapshot {
-    /// Compiles a snapshot from templates, using the engine's extraction configuration
-    /// (`max_line_span` bound, matching backend).  Empty sets are rejected.
+    /// Compiles a snapshot from templates under the engine's `max_line_span` bound.
+    /// Empty sets are rejected.
     pub fn compile(
         version: u64,
         templates: Vec<StructureTemplate>,
         engine: &Datamaran,
     ) -> Result<Self> {
-        let config = engine.config();
-        Self::from_templates(
-            version,
-            templates,
-            config.max_line_span,
-            config.matching_backend,
-        )
+        Self::from_templates(version, templates, engine.config().max_line_span)
     }
 
     /// The snapshot's monotonically increasing version (1 = the initial snapshot).
@@ -171,30 +163,23 @@ impl TemplateSnapshot {
         self.max_line_span
     }
 
-    /// The matching backend the matcher was compiled under.
-    pub fn matching_backend(&self) -> MatchingBackend {
-        self.matching_backend
-    }
-
-    /// Compiles a snapshot directly from templates and matcher metadata — the restart
-    /// path ([`crate::journal::recovered_snapshot`]) and hot swaps, which keep the
-    /// parameters of the snapshot they replace.  Empty sets are rejected.
+    /// Compiles a snapshot directly from templates and a record-span bound — the restart
+    /// path ([`crate::journal::recovered_snapshot`]) and hot swaps, which keep the bound of
+    /// the snapshot they replace.  Empty sets are rejected.
     pub fn from_templates(
         version: u64,
         templates: Vec<StructureTemplate>,
         max_line_span: usize,
-        matching_backend: MatchingBackend,
     ) -> Result<Self> {
         if templates.is_empty() {
             return Err(Error::NoStructureFound);
         }
-        let matcher = SpanLineMatcher::with_backend(&templates, max_line_span, matching_backend);
+        let matcher = SpanLineMatcher::new(&templates, max_line_span);
         Ok(TemplateSnapshot {
             version,
             templates,
             matcher,
             max_line_span,
-            matching_backend,
         })
     }
 }
@@ -231,15 +216,14 @@ pub trait SwapPersistence: Send + Sync {
 
 /// Builds the initial snapshot (version 1) from a saved [`TemplateArtifact`] — the
 /// `datamaran discover --save-templates` → `datamaran-serve --templates` hand-off.  The
-/// matcher is recompiled with the artifact's own `max_line_span` and backend, so serving
-/// behaves byte-identically to the discovering engine.
+/// matcher is recompiled with the artifact's own `max_line_span`, so serving behaves
+/// byte-identically to the discovering engine.
 pub fn snapshot_from_artifact(artifact: &TemplateArtifact) -> TemplateSnapshot {
     TemplateSnapshot {
         version: 1,
         templates: artifact.templates.clone(),
         matcher: artifact.matcher(),
         max_line_span: artifact.max_line_span,
-        matching_backend: artifact.matching_backend,
     }
 }
 
@@ -706,7 +690,6 @@ impl<'a> ServeSession<'a> {
             self.store.claim_version(),
             merged,
             self.snapshot.max_line_span(),
-            self.snapshot.matching_backend(),
         )?;
         self.store.swap(Arc::new(next));
         self.swaps += 1;
@@ -810,12 +793,12 @@ mod tests {
         assert!(current.templates().len() > 1);
     }
 
-    /// A hot swap recompiles under the replaced snapshot's `max_line_span` and matching
-    /// backend, the parameters startup, compaction and restart take from the artifact —
-    /// not under the rediscovery engine's, which may differ.
+    /// A hot swap recompiles under the replaced snapshot's `max_line_span`, the bound
+    /// startup, compaction and restart take from the artifact — not under the rediscovery
+    /// engine's, which may differ.
     #[test]
-    fn hot_swap_keeps_the_snapshot_span_bound_and_backend() {
-        let engine = engine(); // builder defaults: L = 10, fused matching
+    fn hot_swap_keeps_the_snapshot_span_bound() {
+        let engine = engine(); // builder defaults: L = 10
         let format_a = kv_lines("host", 300);
         let templates = engine
             .extract(&format_a.concat())
@@ -824,8 +807,7 @@ mod tests {
             .into_iter()
             .cloned()
             .collect();
-        let snapshot =
-            TemplateSnapshot::from_templates(1, templates, 3, MatchingBackend::Trial).unwrap();
+        let snapshot = TemplateSnapshot::from_templates(1, templates, 3).unwrap();
         let store = SnapshotStore::new(snapshot);
         let options = ServeOptions::default().with_window_lines(64);
         let mut session = ServeSession::new(&engine, &store, options).unwrap();
@@ -839,7 +821,6 @@ mod tests {
         let current = store.current();
         assert_eq!(current.version(), metrics.snapshot_version);
         assert_eq!(current.max_line_span(), 3);
-        assert_eq!(current.matching_backend(), MatchingBackend::Trial);
     }
 
     #[test]

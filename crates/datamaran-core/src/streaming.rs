@@ -73,7 +73,7 @@ use crate::dataset::Dataset;
 use crate::error::{BudgetKind, Error, Result};
 use crate::export::RecordSink;
 use crate::extract::{LineMatchTable, MatchStats, SpanLineMatcher, SpanRecord, SpanScratch};
-use crate::parallel::{resolve_threads, ParallelOptions};
+use crate::parallel::{effective_workers, resolve_threads, MIN_CHUNK_LINES};
 use crate::parser::FieldCell;
 use crate::pipeline::Datamaran;
 use crate::structure::StructureTemplate;
@@ -669,7 +669,7 @@ impl<F: FnMut(OwnedRecord)> RecordSink for ClosureSink<F> {
 /// One configured streaming-extraction run — the only streaming entry point.
 ///
 /// A session borrows an engine (whose [`DatamaranConfig`](crate::config::DatamaranConfig)
-/// supplies the discovery parameters, matching backend, and worker-thread budget), carries
+/// supplies the discovery parameters, record-span bound, and worker-thread budget), carries
 /// the window tuning, error policy, and resource budgets of a [`StreamOptions`], and
 /// optionally pins known templates (skipping head discovery) and a [`QuarantineSink`].
 /// [`run`](Self::run) consumes the session and drives the guarded window loop, whose
@@ -740,6 +740,12 @@ impl<'e, 'q> StreamSession<'e, 'q> {
             templates,
             mut quarantine,
         } = self;
+        // A zero head would read nothing and report a non-empty stream as empty.
+        if options.head_bytes == 0 {
+            return Err(Error::InvalidConfig(
+                "StreamOptions::head_bytes must be positive".into(),
+            ));
+        }
         // Phase 1: buffer the head — enough for discovery, or one window when the
         // templates are already known.
         let mut window_reader = WindowReader::new(reader);
@@ -811,16 +817,15 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
     let max_span = config.max_line_span;
     summary.templates = templates.clone();
     // Compile the templates once; the matcher is reused across every window.
-    let matcher = SpanLineMatcher::with_backend(&templates, max_span, config.matching_backend);
+    let matcher = SpanLineMatcher::new(&templates, max_span);
     let timed = Instant::now();
     sink.begin(&templates)?;
     let begin_seconds = timed.elapsed().as_secs_f64();
 
     // Worker budget for per-window extraction; small windows fall back to
-    // the single-threaded loop via `effective_chunks` (thread-invariance is enforced by
+    // the single-threaded loop via `effective_workers` (thread-invariance is enforced by
     // `tests/streaming_export_equivalence.rs`).
-    let par_options =
-        ParallelOptions::default().with_threads(resolve_threads(config.extraction_threads));
+    let threads = resolve_threads(config.extraction_threads);
     let mut window_loop = WindowLoop::default();
 
     // Phase 2: window-by-window extraction.
@@ -835,7 +840,7 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
         }
         // `metas` holds one entry per buffered line: its length is the window's line count.
         let metas = &window_reader.metas;
-        let chunks = par_options.effective_chunks(metas.len());
+        let chunks = effective_workers(threads, metas.len(), MIN_CHUNK_LINES);
         let mut table = None;
         let (window, carried) = window_loop.decide(
             &mut buffer,
@@ -1243,6 +1248,32 @@ mod tests {
             .collect();
         assert_eq!(streamed.len(), 150);
         assert_eq!(streamed, reference);
+    }
+
+    #[test]
+    fn zero_head_is_a_config_error_not_an_empty_dataset() {
+        let text = kv_log(200);
+        let engine = Datamaran::with_defaults();
+        let zero_head = StreamOptions {
+            head_bytes: 0,
+            ..StreamOptions::default()
+        };
+        let err = StreamSession::new(&engine)
+            .options(zero_head)
+            .run_with(Cursor::new(text.clone()), |_| {})
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+        assert!(err.to_string().contains("head_bytes"), "{err}");
+        assert_eq!(err.exit_code(), 2);
+        let one_byte_head = StreamOptions {
+            head_bytes: 1,
+            ..StreamOptions::default()
+        };
+        let summary = StreamSession::new(&engine)
+            .options(one_byte_head)
+            .run_with(Cursor::new(text), |_| {})
+            .unwrap();
+        assert!(summary.records > 0);
     }
 
     #[test]

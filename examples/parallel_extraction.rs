@@ -5,9 +5,7 @@
 //!
 //! Run with `cargo run --release --example parallel_extraction`.
 
-use datamaran::core::{
-    parse_dataset_span, parse_dataset_span_parallel, Datamaran, Dataset, ParallelOptions,
-};
+use datamaran::core::{Datamaran, Dataset, SpanLineMatcher};
 use datamaran::logsynth::{corpus, DatasetSpec};
 use std::time::Instant;
 
@@ -42,19 +40,15 @@ fn main() {
     // templates.
     let templates: Vec<_> = result.templates().into_iter().cloned().collect();
     let dataset = Dataset::new(text.as_str());
+    let matcher = SpanLineMatcher::new(&templates, 10);
 
     let started = Instant::now();
-    let sequential = parse_dataset_span(&dataset, &templates, 10);
+    let sequential = matcher.parse(&dataset, 1);
     let seq_time = started.elapsed().as_secs_f64();
 
     for threads in [2, 4, 8] {
         let started = Instant::now();
-        let parallel = parse_dataset_span_parallel(
-            &dataset,
-            &templates,
-            10,
-            ParallelOptions::default().with_threads(threads),
-        );
+        let parallel = matcher.parse(&dataset, threads);
         let par_time = started.elapsed().as_secs_f64();
         assert_eq!(parallel.records.len(), sequential.records.len());
         assert_eq!(parallel.noise_lines, sequential.noise_lines);

@@ -10,8 +10,7 @@
 //! `cargo test -- --ignored` step.
 
 use datamaran::core::{
-    parse_dataset, parse_dataset_span_parallel, Datamaran, Dataset, Grammar, ParallelOptions,
-    StreamOptions, StreamSession,
+    parse_dataset, Datamaran, Dataset, Grammar, SpanLineMatcher, StreamOptions, StreamSession,
 };
 use datamaran::logsynth::{corpus, DatasetSpec, RecordTypeSpec};
 use std::io::Cursor;
@@ -82,17 +81,9 @@ fn parallel_extraction_is_identical_to_sequential() {
         let templates: Vec<_> = result.templates().into_iter().cloned().collect();
         let dataset = Dataset::new(text.as_str());
         let sequential = parse_dataset(&dataset, &templates, 10);
+        let matcher = SpanLineMatcher::new(&templates, 10);
         for threads in [2, 5] {
-            let parallel = parse_dataset_span_parallel(
-                &dataset,
-                &templates,
-                10,
-                ParallelOptions {
-                    threads,
-                    min_chunk_lines: 1,
-                },
-            )
-            .to_parse_result(&templates);
+            let parallel = matcher.parse(&dataset, threads).to_parse_result(&templates);
             assert_eq!(
                 parallel.records.len(),
                 sequential.records.len(),

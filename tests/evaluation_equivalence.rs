@@ -9,10 +9,10 @@
 use datamaran::core::parallel::resolve_threads;
 use datamaran::core::refine::refine_tree;
 use datamaran::core::{
-    generate, parse_dataset, parse_dataset_span, reduce, repetition_counts, repetition_counts_span,
-    shift_variants, unfold_at, CharSet, CoverageScorer, Datamaran, DatamaranConfig, Dataset,
-    EvaluationMetrics, MdlScorer, NoisePenaltyScorer, NonFieldCoverageScorer, RecordTemplate,
-    Refined, Refiner, RegularityScorer, StructureTemplate, UntypedMdlScorer,
+    generate, parse_dataset, reduce, repetition_counts, repetition_counts_span, shift_variants,
+    unfold_at, CharSet, CoverageScorer, Datamaran, DatamaranConfig, Dataset, EvaluationMetrics,
+    MdlScorer, NoisePenaltyScorer, NonFieldCoverageScorer, RecordTemplate, Refined, Refiner,
+    RegularityScorer, SpanLineMatcher, StructureTemplate, UntypedMdlScorer,
 };
 use datamaran::logsynth::{corpus, DatasetSpec};
 use proptest::prelude::*;
@@ -152,7 +152,7 @@ fn all_shipped_scorers_have_exact_span_paths() {
     ];
     fn check<S: RegularityScorer>(scorer: &S, data: &Dataset, t: &StructureTemplate) {
         let legacy = parse_dataset(data, std::slice::from_ref(t), 10);
-        let span = parse_dataset_span(data, std::slice::from_ref(t), 10);
+        let span = SpanLineMatcher::new(std::slice::from_ref(t), 10).parse(data, 1);
         let tree = scorer.score(data, t, &legacy);
         let arena = scorer
             .score_span(data, t, &span)
@@ -235,7 +235,8 @@ proptest! {
         let data = Dataset::new(text.as_str());
         let templates = std::slice::from_ref(&template);
         let legacy = repetition_counts(&parse_dataset(&data, templates, 10));
-        let span = repetition_counts_span(&parse_dataset_span(&data, templates, 10), &template);
+        let parse = SpanLineMatcher::new(templates, 10).parse(&data, 1);
+        let span = repetition_counts_span(&parse, &template);
         prop_assert_eq!(legacy, span);
     }
 

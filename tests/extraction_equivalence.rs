@@ -6,9 +6,9 @@
 //! template the generator emits.
 
 use datamaran::core::{
-    compile, decompile, generate, parse_dataset, parse_dataset_span, parse_dataset_span_parallel,
-    reduce, to_denormalized, to_relational, CharSet, DatamaranConfig, Dataset, ParallelOptions,
-    ParseResult, RecordMatch, RecordTemplate, StructureTemplate,
+    compile, decompile, generate, parse_dataset, reduce, to_denormalized, to_relational, CharSet,
+    DatamaranConfig, Dataset, ParseResult, RecordMatch, RecordTemplate, SpanLineMatcher,
+    StructureTemplate,
 };
 use datamaran::logsynth::{corpus, DatasetSpec};
 use proptest::prelude::*;
@@ -44,20 +44,12 @@ fn assert_same(a: &ParseResult, b: &ParseResult, label: &str) {
 fn check_extraction(text: &str, templates: &[StructureTemplate], label: &str) {
     let data = Dataset::new(text);
     let legacy = parse_dataset(&data, templates, 10);
-    let span = parse_dataset_span(&data, templates, 10).to_parse_result(templates);
+    let matcher = SpanLineMatcher::new(templates, 10);
+    let span = matcher.parse(&data, 1).to_parse_result(templates);
     assert_same(&legacy, &span, label);
-    for threads in [2, 5] {
-        let par = parse_dataset_span_parallel(
-            &data,
-            templates,
-            10,
-            ParallelOptions {
-                threads,
-                min_chunk_lines: 1,
-            },
-        )
-        .to_parse_result(templates);
-        assert_same(&legacy, &par, &format!("{label} ({threads} threads)"));
+    for chunks in [2, 5] {
+        let par = matcher.parse(&data, chunks).to_parse_result(templates);
+        assert_same(&legacy, &par, &format!("{label} ({chunks} chunks)"));
     }
     // The relational conversions of the two parses must also be byte-identical — this is
     // the `RelationalTable` acceptance criterion.
@@ -186,7 +178,9 @@ proptest! {
         }
         let data = Dataset::new(text.as_str());
         let legacy = parse_dataset(&data, &templates, 10);
-        let span = parse_dataset_span(&data, &templates, 10).to_parse_result(&templates);
+        let span = SpanLineMatcher::new(&templates, 10)
+            .parse(&data, 1)
+            .to_parse_result(&templates);
         prop_assert_eq!(legacy.records.len(), span.records.len());
         prop_assert_eq!(&legacy.noise_lines, &span.noise_lines);
         for (x, y) in legacy.records.iter().zip(&span.records) {

@@ -139,22 +139,26 @@ proptest! {
         prop_assert!(summary.records >= n, "records {} < {}", summary.records, n);
         prop_assert_eq!(summary.records, sink.records);
 
-        // Quarantine: same input, and every rejected line round-trips byte-identically.
-        let mut sink = CountingSink::default();
+        // Quarantine: same input, every rejected line round-trips byte-identically, and
+        // records, noise and dropped oversized lines account for every input line.
         let mut quarantine = VecQuarantineSink::default();
-        let result = run_guarded(
-            &engine,
-            Cursor::new(bytes.clone()),
-            small_windows().with_on_error(ErrorPolicy::Quarantine),
-            &mut sink,
-            Some(&mut quarantine),
-        );
+        let mut record_lines = 0usize;
+        let result = StreamSession::new(&engine)
+            .options(small_windows().with_on_error(ErrorPolicy::Quarantine))
+            .quarantine(&mut quarantine)
+            .run_with(Cursor::new(bytes.clone()), |r| {
+                record_lines += r.line_span.1 - r.line_span.0;
+            });
         let summary = match result {
             Ok(s) => s,
             Err(e) => { let _ = e.to_string(); return Ok(()); }
         };
         prop_assert_eq!(summary.quarantined_lines, quarantine.entries.len());
         assert_quarantine_round_trips(&bytes, &quarantine);
+        let input_lines =
+            bytes.split(|&b| b == b'\n').count() - usize::from(bytes.ends_with(b"\n"));
+        prop_assert_eq!(record_lines + summary.noise_lines, summary.lines_processed);
+        prop_assert_eq!(summary.lines_processed + summary.oversized_lines, input_lines);
     }
 }
 

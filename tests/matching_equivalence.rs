@@ -1,19 +1,23 @@
-//! Differential suite for the fused multi-template matcher: on every fixture the fused
-//! backend (one merged prefix-trie/DFA pass per record start) must produce **byte-identical**
-//! output to the trial backend (every template trialed in index order) — the flat
-//! [`SpanParse`] arenas, the tree-walker-compatible [`ParseResult`], the end-to-end
-//! relational tables, and the streaming CSV/JSONL sink bytes, on interleaved, multi-line,
-//! and array fixtures, plus randomized template subsets and the guarded fault-injection
-//! path over corrupted input.
+//! Differential suite for the fused multi-template matcher: on every fixture the
+//! production [`SpanLineMatcher`] (one merged prefix-trie/DFA pass per record start) must
+//! produce **byte-identical** output to its trial reference (every template trialed in
+//! index order) — the flat [`SpanParse`] arenas at every chunk count, the
+//! tree-walker-compatible [`ParseResult`], the end-to-end relational tables, and the
+//! streaming CSV/JSONL sink bytes against the materialized serializers run on the
+//! reference's parse — on interleaved, multi-line, and array fixtures, plus randomized
+//! template subsets and the guarded fault-injection path over corrupted input.
 
 use datamaran::core::{
-    extract_records, parse_dataset_fused, parse_dataset_span_parallel_with, reduce, CharSet,
-    CsvSink, Datamaran, DatamaranConfig, Dataset, ErrorPolicy, JsonLinesSink, MatchingBackend,
-    ParallelOptions, RecordTemplate, SpanParse, StreamOptions, StructureTemplate, Tee,
+    all_records_jsonl, extract_records, reduce, table_to_csv, to_denormalized, to_relational,
+    CharSet, CsvSink, Datamaran, DatamaranConfig, Dataset, ErrorPolicy, ExtractedStructure,
+    ExtractionResult, JsonLinesSink, ParseResult, PipelineStats, RecordMatch, RecordTemplate,
+    SpanLineMatcher, SpanParse, StreamOptions, StreamSession, StructureTemplate, Tee,
     VecQuarantineSink,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
+
+mod common;
 
 /// Flat structure template reduced from one instantiated example record.
 fn template(example: &str, charset: &str) -> StructureTemplate {
@@ -30,39 +34,82 @@ fn assert_span_parse_eq(a: &SpanParse, b: &SpanParse, label: &str) {
     assert_eq!(a.noise_bytes, b.noise_bytes, "{label}: noise bytes");
 }
 
-/// Asserts the two backends agree on the span arenas (sequential and sharded) and on the
-/// dispatched [`ParseResult`] for one template set.
+/// The trial reference's sequential parse of `dataset`, materialized.
+fn reference_parse(dataset: &Dataset, templates: &[StructureTemplate]) -> ParseResult {
+    SpanLineMatcher::trial_reference(templates, 10)
+        .parse(dataset, 1)
+        .to_parse_result(templates)
+}
+
+/// What the pipeline materializes from a final parse: one structure per template with its
+/// records and relational tables (scores, types and coverage are not compared).
+fn materialize(
+    dataset: &Dataset,
+    templates: &[StructureTemplate],
+    parse: &ParseResult,
+) -> ExtractionResult {
+    let source = dataset.shared_text();
+    let structures = templates
+        .iter()
+        .enumerate()
+        .map(|(idx, template)| {
+            let records: Vec<RecordMatch> = parse
+                .records
+                .iter()
+                .filter(|r| r.template_index == idx)
+                .cloned()
+                .collect();
+            let refs: Vec<&RecordMatch> = records.iter().collect();
+            let name = format!("type{idx}");
+            ExtractedStructure {
+                template: template.clone(),
+                score: 0.0,
+                relational: to_relational(template, &source, &refs, &name),
+                denormalized: to_denormalized(template, &source, &refs, &name),
+                records,
+                column_types: Vec::new(),
+                coverage: 0.0,
+            }
+        })
+        .collect();
+    ExtractionResult {
+        structures,
+        noise_lines: parse.noise_lines.clone(),
+        noise_fraction: 0.0,
+        stats: PipelineStats::default(),
+    }
+}
+
+/// The CSV bytes of every normalized table of a materialized result, in sink order.
+fn materialized_csv(result: &ExtractionResult) -> Vec<(String, Vec<u8>)> {
+    result
+        .structures
+        .iter()
+        .flat_map(|s| s.relational.tables.iter())
+        .map(|t| (t.name.clone(), table_to_csv(t).into_bytes()))
+        .collect()
+}
+
+/// Asserts the production matcher agrees with the trial reference on the span arenas (at
+/// one, two and five chunks) and that the pipeline's extraction pass materializes the
+/// reference's [`ParseResult`] for one template set.
 fn assert_matching_equivalence(name: &str, text: &str, templates: &[StructureTemplate]) {
     let dataset = Dataset::new(text);
-    let seq = ParallelOptions {
-        threads: 1,
-        min_chunk_lines: 1,
-    };
-    let trial =
-        parse_dataset_span_parallel_with(&dataset, templates, 10, seq, MatchingBackend::Trial);
-    let fused = parse_dataset_fused(&dataset, templates, 10);
-    assert_span_parse_eq(&trial, &fused, name);
-
-    for threads in [2, 5] {
-        let options = ParallelOptions {
-            threads,
-            min_chunk_lines: 1,
-        };
-        let sharded = parse_dataset_span_parallel_with(
-            &dataset,
-            templates,
-            10,
-            options,
-            MatchingBackend::Fused,
+    let production = SpanLineMatcher::new(templates, 10);
+    let reference = SpanLineMatcher::trial_reference(templates, 10);
+    for chunks in [1, 2, 5] {
+        assert_span_parse_eq(
+            &reference.parse(&dataset, chunks),
+            &production.parse(&dataset, chunks),
+            &format!("{name} ({chunks} chunks)"),
         );
-        assert_span_parse_eq(&trial, &sharded, &format!("{name} ({threads} shards)"));
     }
-
-    let fused_cfg = DatamaranConfig::default().with_matching_backend(MatchingBackend::Fused);
-    let trial_cfg = DatamaranConfig::default().with_matching_backend(MatchingBackend::Trial);
-    let a = extract_records(&dataset, templates, &fused_cfg);
-    let b = extract_records(&dataset, templates, &trial_cfg);
-    assert_eq!(a, b, "{name}: ParseResult across backends");
+    let parse = extract_records(&dataset, templates, &DatamaranConfig::default());
+    assert_eq!(
+        parse,
+        reference_parse(&dataset, templates),
+        "{name}: ParseResult against the reference"
+    );
 }
 
 /// Interleaved fixture: bracketed syslog-style lines, csv rows, semicolon arrays, noise.
@@ -159,33 +206,37 @@ fn leading_field_templates_are_backend_identical() {
     assert_matching_equivalence("leading-field reversed", &text, &reversed);
 }
 
-/// End-to-end discovery + extraction + relational output must be identical across
-/// backends: matching equivalence implies the whole pipeline (residual computation,
-/// set scoring, final extraction) takes the same path.
+/// End-to-end discovery + extraction + relational output must match the trial reference:
+/// every template list the pipeline extracts with (each greedy continuation prefix, then
+/// the final set) parses identically, so the whole pipeline (residual computation, final
+/// extraction, relational output) takes the reference's path.
 #[test]
 fn full_pipeline_is_backend_identical() {
     let text = interleaved_text(300);
-    let fused =
-        Datamaran::new(DatamaranConfig::default().with_matching_backend(MatchingBackend::Fused))
-            .unwrap()
-            .extract(&text)
-            .unwrap();
-    let trial =
-        Datamaran::new(DatamaranConfig::default().with_matching_backend(MatchingBackend::Trial))
-            .unwrap()
-            .extract(&text)
-            .unwrap();
-    assert_eq!(fused.noise_lines, trial.noise_lines);
-    assert_eq!(fused.structures.len(), trial.structures.len());
-    for (a, b) in fused.structures.iter().zip(&trial.structures) {
-        assert_eq!(a.template, b.template);
+    let engine = Datamaran::with_defaults();
+    let result = engine.extract(&text).unwrap();
+    let templates: Vec<StructureTemplate> = result.templates().into_iter().cloned().collect();
+    let dataset = Dataset::new(text.as_str());
+    for n in 1..=templates.len() {
+        assert_eq!(
+            extract_records(&dataset, &templates[..n], engine.config()),
+            reference_parse(&dataset, &templates[..n]),
+            "{n} templates"
+        );
+    }
+    let reference = materialize(&dataset, &templates, &reference_parse(&dataset, &templates));
+    assert_eq!(result.noise_lines, reference.noise_lines);
+    assert_eq!(result.structures.len(), reference.structures.len());
+    for (a, b) in result.structures.iter().zip(&reference.structures) {
+        assert_eq!(a.records, b.records, "template {}", a.template);
         assert_eq!(a.relational, b.relational, "template {}", a.template);
         assert_eq!(a.denormalized, b.denormalized, "template {}", a.template);
     }
 }
 
-/// Streaming with a fixed multi-template set: CSV and JSONL sink bytes must match across
-/// backends, windows and all, and the fused run must actually go through the fused path.
+/// Streaming with a fixed multi-template set: CSV and JSONL sink bytes, windows and all,
+/// must equal the materialized serializers run on the trial reference's parse, and the
+/// run must actually go through the fused path.
 #[test]
 fn streaming_sink_bytes_are_backend_identical() {
     let text = interleaved_text(500);
@@ -195,48 +246,43 @@ fn streaming_sink_bytes_are_backend_identical() {
         window_bytes: 2048,
         ..StreamOptions::default()
     };
-
-    let run = |backend: MatchingBackend| {
-        let engine =
-            Datamaran::new(DatamaranConfig::default().with_matching_backend(backend)).unwrap();
-        let mut sink = Tee(
-            CsvSink::new(|_name: &str| Ok(Vec::<u8>::new())),
-            JsonLinesSink::new(Vec::<u8>::new()),
-        );
-        let summary = datamaran::core::StreamSession::new(&engine)
-            .options(options)
-            .templates(templates.clone())
-            .run(Cursor::new(text.clone()), &mut sink)
-            .expect("streaming succeeds");
-        let Tee(csv, jsonl) = sink;
-        let csv_bytes: Vec<(String, Vec<u8>)> = csv.into_writers();
-        (summary, csv_bytes, jsonl.into_writer())
-    };
-
-    let (fused_summary, fused_csv, fused_jsonl) = run(MatchingBackend::Fused);
-    let (trial_summary, trial_csv, trial_jsonl) = run(MatchingBackend::Trial);
-
-    assert_eq!(fused_summary.records, trial_summary.records);
-    assert_eq!(fused_summary.noise_lines, trial_summary.noise_lines);
-    assert_eq!(fused_summary.windows, trial_summary.windows);
-    assert_eq!(fused_csv, trial_csv, "CSV bytes across backends");
-    assert_eq!(fused_jsonl, trial_jsonl, "JSONL bytes across backends");
-
-    let fs = fused_summary.match_stats();
-    let ts = trial_summary.match_stats();
-    assert!(fs.fused_dispatches > 0, "fused run used the fused path");
-    assert!(fs.templates_pruned > 0, "fused run pruned trials");
-    assert_eq!(ts.fused_dispatches, 0, "trial run never fused");
-    assert_eq!(ts.templates_pruned, 0);
-    assert_eq!(fs.lines_dispatched, ts.lines_dispatched);
-    assert_eq!(
-        fused_summary.window_match_stats.len(),
-        fused_summary.windows
+    let engine = Datamaran::with_defaults();
+    let mut sink = Tee(
+        CsvSink::new(|_name: &str| Ok(Vec::<u8>::new())),
+        JsonLinesSink::new(Vec::<u8>::new()),
     );
+    let summary = StreamSession::new(&engine)
+        .options(options)
+        .templates(templates.clone())
+        .run(Cursor::new(text.clone()), &mut sink)
+        .expect("streaming succeeds");
+    let Tee(csv, jsonl) = sink;
+
+    let dataset = Dataset::new(text.as_str());
+    let reference = reference_parse(&dataset, &templates);
+    let materialized = materialize(&dataset, &templates, &reference);
+    assert_eq!(summary.records, reference.records.len());
+    assert_eq!(summary.noise_lines, reference.noise_lines.len());
+    assert_eq!(
+        csv.into_writers(),
+        materialized_csv(&materialized),
+        "CSV bytes against the reference"
+    );
+    assert_eq!(
+        String::from_utf8(jsonl.into_writer()).unwrap(),
+        all_records_jsonl(&text, &materialized),
+        "JSONL bytes against the reference"
+    );
+
+    let stats = summary.match_stats();
+    assert!(stats.fused_dispatches > 0, "the run used the fused path");
+    assert!(stats.templates_pruned > 0, "the run pruned trials");
+    assert_eq!(summary.window_match_stats.len(), summary.windows);
 }
 
-/// Guarded fault-injection fixtures (invalid UTF-8, NUL bytes, oversized lines) through
-/// the fused path: summaries, sink bytes, and quarantine contents match the trial path.
+/// Guarded fault-injection fixtures (invalid UTF-8, NUL bytes) through the fused path:
+/// summaries, sink bytes, and quarantine contents match the trial reference's parse of the
+/// lossily decoded text.
 #[test]
 fn guarded_fault_fixtures_are_backend_identical() {
     let mut bytes = Vec::new();
@@ -262,41 +308,45 @@ fn guarded_fault_fixtures_are_backend_identical() {
         template("[00:01] host1 ok\n", "[:] \n"),
         template("1,2,3\n", ",\n"),
     ];
+    let engine = Datamaran::with_defaults();
+    let mut sink = JsonLinesSink::new(Vec::<u8>::new());
+    let mut quarantine = VecQuarantineSink::default();
+    let summary = StreamSession::new(&engine)
+        .options(options)
+        .templates(templates.clone())
+        .quarantine(&mut quarantine)
+        .run(Cursor::new(bytes.clone()), &mut sink)
+        .expect("guarded streaming succeeds");
 
-    let run = |backend: MatchingBackend| {
-        let engine =
-            Datamaran::new(DatamaranConfig::default().with_matching_backend(backend)).unwrap();
-        let mut sink = JsonLinesSink::new(Vec::<u8>::new());
-        let mut quarantine = VecQuarantineSink::default();
-        let summary = datamaran::core::StreamSession::new(&engine)
-            .options(options)
-            .templates(templates.clone())
-            .quarantine(&mut quarantine)
-            .run(Cursor::new(bytes.clone()), &mut sink)
-            .expect("guarded streaming succeeds");
-        (summary, sink.into_writer(), quarantine.entries)
-    };
-
-    let (fused_summary, fused_jsonl, fused_q) = run(MatchingBackend::Fused);
-    let (trial_summary, trial_jsonl, trial_q) = run(MatchingBackend::Trial);
-
-    assert_eq!(fused_summary.records, trial_summary.records);
-    assert_eq!(fused_summary.noise_lines, trial_summary.noise_lines);
+    let text = String::from_utf8_lossy(&bytes).into_owned();
+    let dataset = Dataset::new(text.as_str());
+    let reference = reference_parse(&dataset, &templates);
+    assert_eq!(summary.records, reference.records.len());
+    assert_eq!(summary.noise_lines, reference.noise_lines.len());
     assert_eq!(
-        fused_summary.quarantined_lines,
-        trial_summary.quarantined_lines
+        String::from_utf8(sink.into_writer()).unwrap(),
+        all_records_jsonl(&text, &materialize(&dataset, &templates, &reference)),
+        "guarded JSONL bytes"
     );
-    assert_eq!(
-        fused_summary.invalid_utf8_lines,
-        trial_summary.invalid_utf8_lines
-    );
-    assert_eq!(fused_jsonl, trial_jsonl, "guarded JSONL bytes");
-    assert_eq!(fused_q.len(), trial_q.len(), "quarantine entry count");
-    for (a, b) in fused_q.iter().zip(&trial_q) {
-        assert_eq!(a.reason, b.reason);
-        assert_eq!(a.bytes, b.bytes);
-    }
-    assert!(fused_summary.match_stats().fused_dispatches > 0);
+    // Every reference noise line, and every undecodable line, is quarantined byte-exact.
+    let raw_lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+    let expected: Vec<(usize, &[u8])> = raw_lines
+        .iter()
+        .enumerate()
+        .filter(|(i, raw)| {
+            reference.noise_lines.binary_search(i).is_ok() || std::str::from_utf8(raw).is_err()
+        })
+        .map(|(i, raw)| (i, *raw))
+        .collect();
+    let mut quarantined: Vec<(usize, &[u8])> = quarantine
+        .entries
+        .iter()
+        .map(|e| (e.line, e.bytes.as_slice()))
+        .collect();
+    quarantined.sort_unstable();
+    assert_eq!(quarantined, expected, "quarantine contents");
+    assert_eq!(summary.quarantined_lines, expected.len());
+    assert!(summary.match_stats().fused_dispatches > 0);
 }
 
 /// Example record shapes the randomized subsets draw from: distinct charsets, shared
@@ -334,8 +384,9 @@ fn shape_line(shape: usize, i: usize) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random template subsets over random interleavings: the fused matcher is
-    /// byte-identical to trialing each template, whatever the live set is.
+    /// Random template subsets over random interleavings: the production matcher is
+    /// byte-identical to the trial reference, whatever the live set is, and every record
+    /// renders back to its exact source bytes.
     #[test]
     fn random_template_subsets_are_backend_identical(
         subset in prop::collection::vec(0usize..8, 2..6),
@@ -360,14 +411,14 @@ proptest! {
             }
         }
         let dataset = Dataset::new(text.as_str());
-        let seq = ParallelOptions { threads: 1, min_chunk_lines: 1 };
-        let trial = parse_dataset_span_parallel_with(
-            &dataset, &templates, 10, seq, MatchingBackend::Trial,
-        );
-        let fused = parse_dataset_fused(&dataset, &templates, 10);
+        let trial = SpanLineMatcher::trial_reference(&templates, 10).parse(&dataset, 1);
+        let fused = SpanLineMatcher::new(&templates, 10).parse(&dataset, 1);
         prop_assert_eq!(&trial.records, &fused.records, "records for subset {:?}", picked);
         prop_assert_eq!(&trial.cells, &fused.cells);
         prop_assert_eq!(&trial.reps, &fused.reps);
         prop_assert_eq!(&trial.noise_lines, &fused.noise_lines);
+        let mismatch =
+            common::round_trip_mismatch(&fused.to_parse_result(&templates), &templates, &text);
+        prop_assert!(mismatch.is_none(), "subset {:?}: {:?}", picked, mismatch);
     }
 }

@@ -1,14 +1,15 @@
 //! Property-based tests over the core invariants, spanning the workspace crates.
 
 use datamaran::core::{
-    collect_array_paths, compile, diff_compiled, extract_records, parse_dataset,
-    parse_dataset_span, parse_dataset_span_delta, reduce, shift_variants, unfold_at, CharSet,
-    Datamaran, DatamaranConfig, Dataset, MdlScorer, ParseResult, RecordTemplate, RegularityScorer,
-    SpanParse, StructureTemplate,
+    collect_array_paths, compile, delta_parse, diff_compiled, extract_records, parse_dataset,
+    reduce, shift_variants, unfold_at, CharSet, Datamaran, DatamaranConfig, Dataset, MdlScorer,
+    ParseResult, RecordTemplate, RegularityScorer, SpanLineMatcher, SpanParse, StructureTemplate,
 };
 use logsynth::spec::seg::{field, lit};
 use logsynth::{DatasetSpec, FieldKind, RecordTypeSpec};
 use proptest::prelude::*;
+
+mod common;
 
 /// Strategy producing field values that contain no formatting characters.
 fn field_value() -> impl Strategy<Value = String> {
@@ -115,7 +116,8 @@ proptest! {
     /// Extraction never loses or double-counts input: records plus noise cover every line
     /// exactly once, in order, and tile the bytes — for the tree reference and for the
     /// production pass at one and three extraction threads, with two templates live and
-    /// garbage lines mixed in.
+    /// garbage lines mixed in.  Every production record also renders back to its exact
+    /// source bytes.
     #[test]
     fn parse_partitions_the_dataset(
         lines in prop::collection::vec(prop::collection::vec(field_value(), 1..6), 1..20),
@@ -155,6 +157,8 @@ proptest! {
             let config = DatamaranConfig::default().with_extraction_threads(threads);
             let parse = extract_records(&dataset, &templates, &config);
             assert_accounts_for_every_line(&parse, &dataset, &format!("{threads} threads"))?;
+            let mismatch = common::round_trip_mismatch(&parse, &templates, &text);
+            prop_assert!(mismatch.is_none(), "{} threads: {:?}", threads, mismatch);
         }
     }
 
@@ -396,6 +400,11 @@ fn flat_template(example: &str, charset: &str) -> StructureTemplate {
     StructureTemplate::from_record_template(&RecordTemplate::from_instantiated(example, &cs))
 }
 
+/// The production matcher's sequential parse.
+fn span_parse(data: &Dataset, templates: &[StructureTemplate]) -> SpanParse {
+    SpanLineMatcher::new(templates, 10).parse(data, 1)
+}
+
 fn assert_parses_identical(full: &SpanParse, delta: &SpanParse, label: &str) {
     assert_eq!(full.records, delta.records, "{label}: records");
     assert_eq!(full.cells, delta.cells, "{label}: cells");
@@ -419,7 +428,7 @@ fn check_delta_step(
     variant: &StructureTemplate,
     label: &str,
 ) -> SpanParse {
-    let full = parse_dataset_span(data, std::slice::from_ref(variant), 10);
+    let full = span_parse(data, std::slice::from_ref(variant));
     let pc = compile(parent);
     let vc = compile(variant);
     let Some(diff) = diff_compiled(&pc, &vc) else {
@@ -428,7 +437,7 @@ fn check_delta_step(
         return full;
     };
     let mut delta = SpanParse::default();
-    let stats = parse_dataset_span_delta(data, &pc, parent_parse, &vc, &diff, 10, &mut delta);
+    let stats = delta_parse(data, &pc, parent_parse, &vc, &diff, 10, &mut delta);
     assert_parses_identical(&full, &delta, label);
 
     // Incremental scoring: reuse the parent's per-column aggregates exactly as the
@@ -493,7 +502,7 @@ proptest! {
         } else {
             folded(&format!("1{sep}2{sep}3\n"), &format!("{sep}\n"))
         };
-        let mut current_parse = parse_dataset_span(&data, std::slice::from_ref(&current), 10);
+        let mut current_parse = span_parse(&data, std::slice::from_ref(&current));
         for (step, pick) in edits.iter().enumerate() {
             // Enumerate this template's possible edits the way the refiner would.
             let mut variants: Vec<StructureTemplate> = Vec::new();
@@ -532,7 +541,7 @@ fn shift_variant_straddling_record_boundaries_delta_parses_exactly() {
     }
     let data = Dataset::new(text.as_str());
     let parent = flat_template("HDR 1\nval=2;st=ok\n", " =;\n");
-    let parent_parse = parse_dataset_span(&data, std::slice::from_ref(&parent), 10);
+    let parent_parse = span_parse(&data, std::slice::from_ref(&parent));
     assert_eq!(parent_parse.records.len(), 30);
 
     let variants = shift_variants(&parent);
@@ -542,8 +551,8 @@ fn shift_variant_straddling_record_boundaries_delta_parses_exactly() {
     let vc = compile(variant);
     let diff = diff_compiled(&pc, &vc).expect("rotation shares boundary ops");
     let mut delta = SpanParse::default();
-    let stats = parse_dataset_span_delta(&data, &pc, &parent_parse, &vc, &diff, 10, &mut delta);
-    let full = parse_dataset_span(&data, std::slice::from_ref(variant), 10);
+    let stats = delta_parse(&data, &pc, &parent_parse, &vc, &diff, 10, &mut delta);
+    let full = span_parse(&data, std::slice::from_ref(variant));
     assert_parses_identical(&full, &delta, "straddling shift");
 
     // Every variant record starts mid-parent-record (odd line) and crosses the boundary

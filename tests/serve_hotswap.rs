@@ -1,10 +1,12 @@
 //! Serving-layer correctness: concurrent readers never observe a torn template snapshot
 //! while a writer hot-swaps the compiled set, and the versioned template artifact format
-//! round-trips arbitrary discovered template sets losslessly.
+//! round-trips arbitrary discovered template sets losslessly — including documents older
+//! builds saved under the retired `trial` matching backend.
 
 use datamaran::core::{
-    reduce, CharSet, Datamaran, Dataset, MatchingBackend, RecordTemplate, SnapshotStore,
-    SpanScratch, StructureTemplate, TemplateArtifact, TemplateSnapshot,
+    reduce, snapshot_from_artifact, CharSet, Datamaran, Dataset, JsonLinesSink, MatchingBackend,
+    RecordTemplate, ServeOptions, ServeSession, SnapshotStore, SpanScratch, StructureTemplate,
+    TemplateArtifact, TemplateSnapshot,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -136,25 +138,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The artifact format is lossless: serialize → parse preserves every template's
-    /// canonical form, the matcher metadata, and the content checksum.
+    /// canonical form, the matcher metadata, and the content checksum; the document records
+    /// the `fused` matching backend older builds require.
     #[test]
     fn artifact_json_round_trip_is_lossless(
         values_list in prop::collection::vec(prop::collection::vec("[a-zA-Z0-9]{1,10}", 1..7), 1..6),
         sep in separator(),
         max_line_span in 1usize..16,
-        fused in any::<bool>(),
     ) {
-        let backend = if fused { MatchingBackend::Fused } else { MatchingBackend::Trial };
-        let artifact = TemplateArtifact::new(templates_from(&values_list, sep), max_line_span, backend)
-            .expect("artifact from generated templates");
-        let parsed = TemplateArtifact::from_json(&artifact.to_json())
+        let artifact = TemplateArtifact::new(
+            templates_from(&values_list, sep),
+            max_line_span,
+            MatchingBackend::Fused,
+        )
+        .expect("artifact from generated templates");
+        let json = artifact.to_json();
+        prop_assert!(json.contains("\"matching_backend\": \"fused\""));
+        let parsed = TemplateArtifact::from_json(&json)
             .expect("round trip through the wire format");
         let canon = |a: &TemplateArtifact| -> Vec<String> {
             a.templates.iter().map(|t| t.to_string()).collect()
         };
         prop_assert_eq!(canon(&parsed), canon(&artifact));
         prop_assert_eq!(parsed.max_line_span, artifact.max_line_span);
-        prop_assert_eq!(parsed.matching_backend, artifact.matching_backend);
         prop_assert_eq!(parsed.checksum(), artifact.checksum());
     }
 
@@ -183,4 +189,114 @@ proptest! {
         prop_assert_ne!(&corrupted, &json);
         prop_assert!(TemplateArtifact::from_json(&corrupted).is_err());
     }
+}
+
+/// A document an older build saved with `"matching_backend": "trial"`; its checksum covers
+/// that name.
+const TRIAL_ARTIFACT: &str = r#"{
+  "format": "datamaran-templates",
+  "version": 1,
+  "checksum": "7dbcca719ab3a513",
+  "max_line_span": 10,
+  "matching_backend": "trial",
+  "templates": [
+    {
+      "nodes": [
+        {
+          "literal": "["
+        },
+        "field",
+        {
+          "literal": ":"
+        },
+        "field",
+        {
+          "literal": "] "
+        },
+        "field",
+        {
+          "literal": " "
+        },
+        "field",
+        {
+          "literal": "\n"
+        }
+      ],
+      "display": "[F:F] F F\\n",
+      "field_count": 4,
+      "array_count": 0
+    },
+    {
+      "nodes": [
+        "field",
+        {
+          "literal": ";"
+        },
+        "field",
+        {
+          "literal": ";"
+        },
+        "field",
+        {
+          "literal": ";\n"
+        }
+      ],
+      "display": "F;F;F;\\n",
+      "field_count": 3,
+      "array_count": 0
+    }
+  ]
+}"#;
+
+/// Serves `text` line by line through a monitor-only session on the artifact's snapshot,
+/// returning the JSON Lines bytes it emitted.
+fn serve(artifact: &TemplateArtifact, text: &str) -> Vec<u8> {
+    let engine = Datamaran::with_defaults();
+    let store = SnapshotStore::new(snapshot_from_artifact(artifact));
+    let options = ServeOptions::default().with_rediscover(false);
+    let mut session = ServeSession::new(&engine, &store, options).expect("session starts");
+    let mut sink = JsonLinesSink::new(Vec::<u8>::new());
+    for line in text.split_inclusive('\n') {
+        session.push_line(line, &mut sink).expect("line is served");
+    }
+    session.finish(&mut sink).expect("session drains");
+    sink.into_writer()
+}
+
+/// Artifacts older builds saved under the `trial` matching backend still load, verify and
+/// serve the same records as the same set saved today; re-saving records `fused`.
+#[test]
+fn artifact_saved_with_trial_matching_still_loads_and_serves() {
+    let loaded = TemplateArtifact::from_json(TRIAL_ARTIFACT).expect("trial artifact loads");
+    let charset = |chars: &str| CharSet::from_chars(chars.chars());
+    let templates = vec![
+        reduce(&RecordTemplate::from_instantiated(
+            "[00:01] host1 ok\n",
+            &charset("[:] \n"),
+        )),
+        reduce(&RecordTemplate::from_instantiated(
+            "1;2;3;\n",
+            &charset(";\n"),
+        )),
+    ];
+    assert_eq!(loaded.templates, templates);
+    assert_eq!(loaded.max_line_span, 10);
+    let fused = TemplateArtifact::new(templates, 10, MatchingBackend::Fused).unwrap();
+    assert_eq!(loaded, fused);
+    assert!(loaded.to_json().contains("\"matching_backend\": \"fused\""));
+
+    let text: String = (0..300)
+        .map(|i| match i % 3 {
+            0 => format!("[{:02}:{:02}] host{} ok\n", i % 24, i % 60, i % 7),
+            1 => format!("{i};{};{};\n", i % 13, i * 7 % 40),
+            _ => "!! not a record !!\n".to_string(),
+        })
+        .collect();
+    let served = serve(&loaded, &text);
+    assert_eq!(
+        served.iter().filter(|&&b| b == b'\n').count(),
+        200,
+        "two records in every three lines"
+    );
+    assert_eq!(served, serve(&fused, &text));
 }
