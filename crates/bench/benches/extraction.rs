@@ -29,7 +29,7 @@ fn bench_extraction(c: &mut Criterion) {
     let span = || SpanLineMatcher::new(&templates, 10).parse(&dataset, 1);
     group.bench_function("span", |b| b.iter(|| span().records.len()));
     group.bench_function("span_materialized", |b| {
-        b.iter(|| span().to_parse_result(&templates).records.len())
+        b.iter(|| span().to_parse_result().records.len())
     });
     group.finish();
 

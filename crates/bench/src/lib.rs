@@ -285,8 +285,8 @@ pub struct ExtractionBench {
     pub legacy_secs: f64,
     /// Best wall-clock seconds of the span engine (native flat-arena output).
     pub span_secs: f64,
-    /// Best wall-clock seconds of the span engine including materialization of the
-    /// tree-walker-compatible `ParseResult` (what the pipeline consumes).
+    /// Best wall-clock seconds of the span engine including the copy of its arenas into an
+    /// owned `ParseResult` (what the pipeline consumes).
     pub span_materialized_secs: f64,
     /// `true` when both backends produced byte-identical parses and relational tables.
     pub outputs_identical: bool,
@@ -318,7 +318,7 @@ impl ExtractionBench {
         self.legacy_secs / self.span_secs
     }
 
-    /// Speedup including the `ParseResult` materialization.
+    /// Speedup including the copy into an owned `ParseResult`.
     pub fn speedup_materialized(&self) -> f64 {
         self.legacy_secs / self.span_materialized_secs
     }
@@ -403,7 +403,7 @@ pub fn extraction_benchmark(target_bytes: usize, runs: usize) -> ExtractionBench
     // Correctness first: the parses and the relational conversions must agree exactly.
     let legacy = parse_dataset(&data, &templates, max_span);
     let span_parse = || SpanLineMatcher::new(&templates, max_span).parse(&data, 1);
-    let span = span_parse().to_parse_result(&templates);
+    let span = span_parse().to_parse_result();
     let same_records = legacy == span;
     let as_refs = |parse: &[RecordMatch]| -> Vec<Table> {
         let refs: Vec<&RecordMatch> = parse.iter().collect();
@@ -431,7 +431,7 @@ pub fn extraction_benchmark(target_bytes: usize, runs: usize) -> ExtractionBench
         template: templates[0].to_string(),
         legacy_secs: best_of(&|| parse_dataset(&data, &templates, max_span).records.len()),
         span_secs: best_of(&|| span_parse().records.len()),
-        span_materialized_secs: best_of(&|| span_parse().to_parse_result(&templates).records.len()),
+        span_materialized_secs: best_of(&|| span_parse().to_parse_result().records.len()),
         outputs_identical,
     }
 }

@@ -33,12 +33,12 @@ use crate::fieldtype::FieldType;
 use crate::json::{self, JsonError, JsonValue};
 use crate::parser::{FieldCell, RecordMatch};
 use crate::pipeline::{ExtractionResult, PipelineStats};
-use crate::relational::{build_schema, RowIdSynth, Schema, Table};
+use crate::relational::{build_schema, layout_record, RowIdSynth, RowWriter, Table};
 use crate::semtype::{
     annotate_table, ColumnAnnotation, CompositeColumn, SemanticType, TableAnnotation,
 };
 use crate::streaming::{StreamRecord, StreamSummary, WindowUnmatched};
-use crate::structure::{Node, StructureTemplate};
+use crate::structure::StructureTemplate;
 use std::io::{self, Write};
 use std::time::Duration;
 
@@ -836,83 +836,83 @@ impl<S: RecordSink, P: Sleeper> RecordSink for RetryingSink<S, P> {
 }
 
 /// Per-table incremental CSV row writer: rows of one table always arrive sequentially
-/// (template traversal opens and closes child rows before the next sibling repetition), so
-/// cells can stream out left to right with empty-cell padding for any skipped positions.
+/// (the layout walk closes a table's row before opening its next), so cells stream out
+/// left to right and the close pads any data columns the row did not fill.
 struct CsvTableState<W> {
     name: String,
     out: W,
     n_data: usize,
     /// Data cells already emitted in the currently open row.
     filled: usize,
-    /// Row id of the currently open (or most recently closed) row.
-    current_id: usize,
 }
 
-impl<W: Write> CsvTableState<W> {
-    /// Opens a row: synthesized key cells first, exactly like the materializing converter.
-    /// `buf` is the sink's recycled staging buffer — no per-row allocation.
+/// One record's view of the sink for the layout walk: the tables of the record's type,
+/// the window its cells point into, and the sink's recycled staging buffer (no per-row
+/// allocation).
+struct CsvRows<'a, W> {
+    tables: &'a mut [CsvTableState<W>],
+    window: &'a str,
+    buf: &'a mut String,
+}
+
+impl<W: Write> RowWriter for CsvRows<'_, W> {
+    type Error = io::Error;
+
+    /// Writes the synthesized key cells, exactly like the materialized tables.
     fn open_row(
         &mut self,
+        table: usize,
         id: usize,
         parent: Option<(usize, usize)>,
-        buf: &mut String,
     ) -> io::Result<()> {
         use std::fmt::Write as _;
-        self.current_id = id;
-        self.filled = 0;
-        buf.clear();
-        let _ = write!(buf, "{id}");
+        let t = &mut self.tables[table];
+        t.filled = 0;
+        self.buf.clear();
+        let _ = write!(self.buf, "{id}");
         if let Some((parent_id, position)) = parent {
-            let _ = write!(buf, ",{parent_id},{position}");
+            let _ = write!(self.buf, ",{parent_id},{position}");
         }
-        self.out.write_all(buf.as_bytes())
+        t.out.write_all(self.buf.as_bytes())
     }
 
-    /// Emits the data cell at `position`, padding skipped positions with empty cells.
-    fn data_cell(&mut self, position: usize, text: &str, buf: &mut String) -> io::Result<()> {
-        debug_assert!(position >= self.filled, "cells arrive in column order");
-        if position < self.filled {
-            return Ok(());
-        }
-        while self.filled < position {
-            self.out.write_all(b",")?;
-            self.filled += 1;
-        }
-        buf.clear();
-        buf.push(',');
-        push_csv_cell(buf, text);
-        self.out.write_all(buf.as_bytes())?;
-        self.filled += 1;
-        Ok(())
+    fn cell(&mut self, table: usize, cell: &FieldCell) -> io::Result<()> {
+        let t = &mut self.tables[table];
+        self.buf.clear();
+        self.buf.push(',');
+        push_csv_cell(self.buf, &self.window[cell.start..cell.end]);
+        t.filled += 1;
+        t.out.write_all(self.buf.as_bytes())
     }
 
-    /// Closes the open row: pads the remaining data columns and terminates the line.
-    fn close_row(&mut self) -> io::Result<()> {
-        while self.filled < self.n_data {
-            self.out.write_all(b",")?;
-            self.filled += 1;
+    fn close_row(&mut self, table: usize) -> io::Result<()> {
+        let t = &mut self.tables[table];
+        while t.filled < t.n_data {
+            t.out.write_all(b",")?;
+            t.filled += 1;
         }
-        self.out.write_all(b"\n")
+        t.out.write_all(b"\n")
     }
 }
 
 /// Streams the **normalized relational output** (one root table per record type plus one
 /// table per array node, linked by synthesized keys) as CSV, byte-identical to running
 /// [`table_to_csv`] on the materialized [`to_relational`](crate::relational::to_relational)
-/// tables — without ever building those tables.
+/// tables — without ever building those tables: both run the same layout walk over each
+/// record's cells and repetition counts.
 ///
 /// One writer per table is obtained from the factory (called with the table name, e.g.
 /// `type0`, `type0_array0`, in the same order the materialized tables appear in).  Row ids
-/// and foreign keys come from a [`RowIdSynth`] that lives for the whole stream, so the
-/// numbering stays correct across chunk-window boundaries.
+/// and foreign keys come from one [`RowIdSynth`] per record type that lives for the whole
+/// stream, so the numbering stays correct across chunk-window boundaries.
 pub struct CsvSink<W: Write, F: FnMut(&str) -> io::Result<W>> {
     factory: F,
     templates: Vec<StructureTemplate>,
-    schemas: Vec<Schema>,
-    /// Index of each template's first table in the flat `tables` list.
-    bases: Vec<usize>,
+    /// Per template: the range of its tables in the flat `tables` list.
+    ranges: Vec<std::ops::Range<usize>>,
+    /// Per template: its row-id counters.
+    synths: Vec<RowIdSynth>,
     tables: Vec<CsvTableState<W>>,
-    synth: RowIdSynth,
     buf: String,
 }
 
@@ -922,10 +922,9 @@ impl<W: Write, F: FnMut(&str) -> io::Result<W>> CsvSink<W, F> {
         CsvSink {
             factory,
             templates: Vec::new(),
-            schemas: Vec::new(),
-            bases: Vec::new(),
+            ranges: Vec::new(),
+            synths: Vec::new(),
             tables: Vec::new(),
-            synth: RowIdSynth::default(),
             buf: String::new(),
         }
     }
@@ -949,7 +948,7 @@ impl<W: Write, F: FnMut(&str) -> io::Result<W>> RecordSink for CsvSink<W, F> {
         self.templates = templates.to_vec();
         for (idx, template) in templates.iter().enumerate() {
             let schema = build_schema(template, &format!("type{idx}"));
-            self.bases.push(self.tables.len());
+            let first = self.tables.len();
             for st in &schema.tables {
                 let mut out = (self.factory)(&st.name)
                     .map_err(|e| Error::io(&e).in_sink(format!("csv:{}", st.name)))?;
@@ -962,45 +961,29 @@ impl<W: Write, F: FnMut(&str) -> io::Result<W>> RecordSink for CsvSink<W, F> {
                     out,
                     n_data: st.column_ids.len(),
                     filled: 0,
-                    current_id: 0,
                 });
             }
-            self.schemas.push(schema);
+            self.ranges.push(first..self.tables.len());
+            self.synths.push(RowIdSynth::new(schema.tables.len()));
         }
-        self.synth = RowIdSynth::new(self.tables.len());
         Ok(())
     }
 
     fn record(&mut self, record: &StreamRecord<'_>) -> CoreResult<()> {
-        let base = self.bases[record.template_index];
-        let schema = &self.schemas[record.template_index];
-        let template = &self.templates[record.template_index];
-        let mut cells = record.cells.iter();
-        let mut reps = record.reps.iter();
-        let mut array_counter = 0usize;
-        let id = self.synth.next_id(base);
-        let sink_id = |e: &io::Error| Error::io(e).in_sink("csv");
-        self.tables[base]
-            .open_row(id, None, &mut self.buf)
-            .map_err(|e| sink_id(&e))?;
-        emit_group(
-            template.nodes(),
-            schema,
-            base,
-            0,
-            &mut self.tables,
-            &mut self.synth,
-            record,
-            &mut cells,
-            &mut reps,
-            &mut array_counter,
-            &mut self.buf,
+        let t = record.template_index;
+        let mut rows = CsvRows {
+            tables: &mut self.tables[self.ranges[t].clone()],
+            window: record.window,
+            buf: &mut self.buf,
+        };
+        layout_record(
+            self.templates[t].nodes(),
+            record.cells,
+            record.reps,
+            &mut self.synths[t],
+            &mut rows,
         )
-        .map_err(|e| sink_id(&e))?;
-        self.tables[base].close_row().map_err(|e| sink_id(&e))?;
-        debug_assert!(cells.next().is_none(), "all cells consumed");
-        debug_assert!(reps.next().is_none(), "all repetition counts consumed");
-        Ok(())
+        .map_err(|e| Error::io(&e).in_sink("csv"))
     }
 
     fn finish(&mut self) -> CoreResult<()> {
@@ -1011,74 +994,6 @@ impl<W: Write, F: FnMut(&str) -> io::Result<W>> RecordSink for CsvSink<W, F> {
         }
         Ok(())
     }
-}
-
-/// Streams the cells and repetition counts of one repetition group into the table rows it
-/// spans, mirroring the materializing converter's recursion exactly: fields land in the
-/// current table's open row, each array repetition opens/fills/closes one child-table row.
-/// Array numbering replays the span engine's static pre-order scheme (every repetition
-/// re-numbers inner arrays from the same base).
-#[allow(clippy::too_many_arguments)]
-fn emit_group<W: Write>(
-    nodes: &[Node],
-    schema: &Schema,
-    base: usize,
-    table: usize,
-    tables: &mut [CsvTableState<W>],
-    synth: &mut RowIdSynth,
-    record: &StreamRecord<'_>,
-    cells: &mut std::slice::Iter<'_, FieldCell>,
-    reps: &mut std::slice::Iter<'_, u32>,
-    array_counter: &mut usize,
-    buf: &mut String,
-) -> io::Result<()> {
-    for node in nodes {
-        match node {
-            Node::Field => {
-                let Some(cell) = cells.next() else {
-                    debug_assert!(false, "cell stream matches template shape");
-                    continue;
-                };
-                if let Some(pos) = schema.tables[table]
-                    .column_ids
-                    .iter()
-                    .position(|c| *c == cell.column)
-                {
-                    tables[base + table].data_cell(pos, record.cell_text(cell), buf)?;
-                }
-            }
-            Node::Literal(_) => {}
-            Node::Array { body, .. } => {
-                let my_id = *array_counter;
-                *array_counter += 1;
-                let count = reps.next().copied().unwrap_or(0) as usize;
-                // The schema is built from the same template, so every array node has a
-                // table; a miss means the sink was fed records from a different template
-                // set — surface it as a sink error rather than tearing the process down.
-                let Some(child) = schema.tables.iter().position(|t| t.array_id == Some(my_id))
-                else {
-                    debug_assert!(false, "array table exists for every array node");
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("no child table for array node {my_id}"),
-                    ));
-                };
-                let parent_id = tables[base + table].current_id;
-                for position in 0..count {
-                    let id = synth.next_id(base + child);
-                    tables[base + child].open_row(id, Some((parent_id, position)), buf)?;
-                    let mut inner = *array_counter;
-                    emit_group(
-                        body, schema, base, child, tables, synth, record, cells, reps, &mut inner,
-                        buf,
-                    )?;
-                    tables[base + child].close_row()?;
-                }
-                *array_counter += body.iter().map(Node::array_count).sum::<usize>();
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Streams records as JSON Lines — one object per record, in stream order, of the form

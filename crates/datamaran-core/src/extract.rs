@@ -2,8 +2,8 @@
 //!
 //! The original extractor ([`crate::parser`]) re-walks the structure-template *tree* for
 //! every record: recursive descent over [`Node`]s, per-character `CharSet` membership tests
-//! through `char_indices`, and two heap allocations per record (the `ValueTree` vector and
-//! the `FieldCell` vector).  After PR 1 made generation ~81× faster this pass became the
+//! through `char_indices`, and heap allocations per record (its private instantiation tree
+//! and the `FieldCell` vector).  After PR 1 made generation ~81× faster this pass became the
 //! pipeline's dominant cost, exactly as the paper observes ("the majority of the running
 //! time is spent on running the LL(1) parser").
 //!
@@ -20,9 +20,11 @@
 //!   of decoding code points and probing a bitset per character.
 //! * Matches land in flat arenas ([`SpanParse`]): one shared `FieldCell` vector plus one
 //!   repetition-count vector, so the per-record hot loop performs **zero** heap
-//!   allocations.  The instantiation trees of the old API are materialized only at the
-//!   boundary ([`SpanParse::to_parse_result`]), and are byte-identical to the tree walker's
-//!   (enforced by `tests/extraction_equivalence.rs`).
+//!   allocations.  A record is its template plus its cells and its pre-order repetition
+//!   counts — the one record shape every consumer reads (scoring, relational layout,
+//!   streaming sinks).  [`SpanParse::to_parse_result`] copies each record's slices into an
+//!   owned [`RecordMatch`], identical to the tree walker's (enforced by
+//!   `tests/extraction_equivalence.rs`).
 //! * [`SpanLineMatcher`] is the one way into dataset segmentation, and
 //!   [`extract_records`] the pass the pipeline runs with it.
 //!   [`SpanLineMatcher::parse`] shards record-boundary extraction across scoped worker
@@ -53,7 +55,7 @@ use crate::config::DatamaranConfig;
 use crate::dataset::Dataset;
 use crate::fxhash::FxHashMap;
 use crate::parallel::{chunk_bounds, effective_workers, resolve_threads, MIN_CHUNK_LINES};
-use crate::parser::{line_of_offset, FieldCell, ParseResult, RecordMatch, ValueTree};
+use crate::parser::{line_of_offset, FieldCell, ParseResult, RecordMatch};
 use crate::structure::{Node, StructureTemplate};
 
 /// A formatting delimiter (array separator or terminator) with its UTF-8 encoding
@@ -813,82 +815,28 @@ impl SpanParse {
         self.records.len() + self.noise_lines.len()
     }
 
-    /// Materializes the tree-walker-compatible [`ParseResult`] (instantiation trees and
-    /// per-record cell vectors).  Byte-identical to what [`crate::parser::parse_dataset`]
-    /// produces on the same input — the differential suite compares the two directly.
-    pub fn to_parse_result(&self, templates: &[StructureTemplate]) -> ParseResult {
-        let mut result = ParseResult {
-            records: Vec::with_capacity(self.records.len()),
+    /// Copies the parse into an owned [`ParseResult`]: each record's cell and repetition
+    /// count slices become its [`RecordMatch`].  Identical to what
+    /// [`crate::parser::parse_dataset`] produces on the same input — the differential suite
+    /// compares the two directly.
+    pub fn to_parse_result(&self) -> ParseResult {
+        ParseResult {
+            records: self
+                .records
+                .iter()
+                .map(|rec| RecordMatch {
+                    template_index: rec.template_index as usize,
+                    byte_span: rec.byte_span,
+                    line_span: rec.line_span,
+                    reps: self.record_reps(rec).to_vec(),
+                    fields: self.record_cells(rec).to_vec(),
+                })
+                .collect(),
             noise_lines: self.noise_lines.clone(),
             record_bytes: self.record_bytes,
             noise_bytes: self.noise_bytes,
-        };
-        for rec in &self.records {
-            let cells = self.record_cells(rec);
-            let reps = self.record_reps(rec);
-            let mut cell_iter = cells.iter();
-            let mut rep_iter = reps.iter();
-            let mut array_id = 0usize;
-            let values = build_values(
-                templates[rec.template_index as usize].nodes(),
-                &mut cell_iter,
-                &mut rep_iter,
-                &mut array_id,
-            );
-            debug_assert!(cell_iter.next().is_none(), "all cells consumed");
-            debug_assert!(rep_iter.next().is_none(), "all repetition counts consumed");
-            result.records.push(RecordMatch {
-                template_index: rec.template_index as usize,
-                byte_span: rec.byte_span,
-                line_span: rec.line_span,
-                values,
-                fields: cells.to_vec(),
-            });
         }
-        result
     }
-}
-
-/// Rebuilds the instantiation trees of one record from the template shape plus the flat
-/// cell and repetition-count streams.  Array numbering replays the tree walker's dynamic
-/// scheme: each repetition re-numbers inner arrays from the same base, and siblings after
-/// an array continue past the whole reserved body range.
-fn build_values(
-    nodes: &[Node],
-    cells: &mut std::slice::Iter<'_, FieldCell>,
-    reps: &mut std::slice::Iter<'_, u32>,
-    array_id: &mut usize,
-) -> Vec<ValueTree> {
-    nodes
-        .iter()
-        .map(|node| match node {
-            Node::Field => {
-                let cell = cells.next().expect("cell stream matches template shape");
-                ValueTree::Field {
-                    column: cell.column,
-                    start: cell.start,
-                    end: cell.end,
-                }
-            }
-            Node::Literal(_) => ValueTree::Literal,
-            Node::Array { body, .. } => {
-                let my_id = *array_id;
-                *array_id += 1;
-                let count = *reps.next().expect("rep stream matches template shape");
-                let groups = (0..count)
-                    .map(|_| {
-                        let mut inner_id = *array_id;
-                        build_values(body, cells, reps, &mut inner_id)
-                    })
-                    .collect();
-                *array_id += body.iter().map(Node::array_count).sum::<usize>();
-                ValueTree::Array {
-                    array_id: my_id,
-                    groups,
-                }
-            }
-        })
-        .collect()
 }
 
 /// Matcher work counters, accumulated into the [`SpanScratch`] every match goes through:
@@ -974,8 +922,8 @@ impl SpanScratch {
     }
 }
 
-/// Pre-compiled matcher for a fixed template set, the span engine's counterpart of
-/// [`crate::parser::LineMatcher`] and the one way into dataset segmentation.  Owns its
+/// Pre-compiled matcher for a fixed template set, the one way into dataset segmentation
+/// (the tree walker [`crate::parser::parse_dataset`] is its test reference).  Owns its
 /// compiled tables, so it borrows nothing and can be shared immutably across scoped
 /// worker threads.
 pub struct SpanLineMatcher {
@@ -2312,7 +2260,7 @@ impl LineMatchTable {
 
 /// The extraction pass the pipeline runs: the span engine sharded across
 /// [`DatamaranConfig::extraction_threads`] workers (inputs under `MIN_CHUNK_LINES` lines
-/// per worker use fewer), materialized as the tree-walker-compatible [`ParseResult`].
+/// per worker use fewer), copied into an owned [`ParseResult`].
 /// Output is byte-identical to [`crate::parser::parse_dataset`] for any thread count.
 pub fn extract_records(
     dataset: &Dataset,
@@ -2326,7 +2274,7 @@ pub fn extract_records(
     );
     SpanLineMatcher::new(templates, config.max_line_span)
         .parse(dataset, chunks)
-        .to_parse_result(templates)
+        .to_parse_result()
 }
 
 #[cfg(test)]
@@ -2356,7 +2304,7 @@ mod tests {
             assert_eq!(x.byte_span, y.byte_span, "{label}");
             assert_eq!(x.line_span, y.line_span, "{label}");
             assert_eq!(x.fields, y.fields, "{label}");
-            assert_eq!(x.values, y.values, "{label}");
+            assert_eq!(x.reps, y.reps, "{label}");
         }
         // Field-drift backstop: whatever fields ParseResult grows, full equality holds.
         assert_eq!(a, b, "{label}: full ParseResult equality");
@@ -2372,7 +2320,7 @@ mod tests {
         let legacy = parse_dataset(&data, templates, 10);
         let matcher = SpanLineMatcher::new(templates, 10);
         for chunks in [1, 2, 3, 7] {
-            let par = matcher.parse(&data, chunks).to_parse_result(templates);
+            let par = matcher.parse(&data, chunks).to_parse_result();
             assert_same(&legacy, &par, &format!("{label} ({chunks} chunks)"));
         }
     }
@@ -2478,7 +2426,7 @@ mod tests {
         let data = Dataset::new("k=v\nk2=v2");
         // The final line lacks '\n', so only the first line matches — same as legacy.
         let legacy = parse_dataset(&data, std::slice::from_ref(&st), 10);
-        let span = span(&data, std::slice::from_ref(&st), 10).to_parse_result(&[st]);
+        let span = span(&data, std::slice::from_ref(&st), 10).to_parse_result();
         assert_same(&legacy, &span, "no trailing newline");
     }
 

@@ -105,7 +105,7 @@ pub use journal::{
 };
 pub use json::{JsonError, JsonValue};
 pub use mdl::{ColumnStats, CoverageScorer, MdlScorer, RegularityScorer, ScoreParts};
-pub use parser::{parse_dataset, FieldCell, LineMatcher, ParseResult, RecordMatch, ValueTree};
+pub use parser::{parse_dataset, FieldCell, ParseResult, RecordMatch};
 pub use pipeline::{Datamaran, ExtractedStructure, ExtractionResult, PipelineStats, StepTimings};
 pub use record::{field_values, FieldValue, RecordTemplate, TemplateToken};
 pub use reduce::reduce;

@@ -5,16 +5,22 @@
 //! dataset given the structure template: the template itself, a record/noise indicator per
 //! block, each noise block verbatim, and each record through the template with per-column
 //! data types (enumerated / integer / real / string).  Lower is better.
+//!
+//! A record is described by two things only: its field values and the repetition count of
+//! each of its array instances — exactly the cells and `reps` a parse stores per record.
+//! Scorers therefore read the span engine's arenas ([`SpanParse`]) directly;
+//! [`RegularityScorer::score_set`] charges the same terms over an owned [`ParseResult`],
+//! which makes it the independent formula the arena passes are checked against.
 
 use crate::dataset::Dataset;
 use crate::extract::SpanParse;
 use crate::fieldtype::{infer, parse_real, FieldType};
 use crate::fxhash::FxHashSet;
-use crate::parser::{ParseResult, ValueTree};
+use crate::parser::ParseResult;
 use crate::structure::StructureTemplate;
 
 /// Bits charged for describing the repetition count of one array instance.
-const ARRAY_COUNT_BITS: f64 = 16.0;
+pub(crate) const ARRAY_COUNT_BITS: f64 = 16.0;
 
 /// Bits charged for the block-count header (the `32` of the formula in Appendix 9.2).
 const HEADER_BITS: f64 = 32.0;
@@ -29,30 +35,14 @@ const HEADER_BITS: f64 = 32.0;
 /// loop across scoped worker threads that share one scorer reference; every shipped scorer
 /// is a zero-sized value, and custom scorers only need to avoid non-`Sync` interior state.
 pub trait RegularityScorer: Sync {
-    /// Scores a structure template against a dataset given the segmentation produced by the
-    /// extraction parser.  Lower is better.
-    fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &ParseResult) -> f64;
+    /// Scores a structure template against a dataset given the segmentation the span
+    /// engine produced with it (records of template index 0, noise lines).  Lower is better.
+    fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &SpanParse) -> f64;
 
-    /// Arena-native scoring over the span evaluation engine's [`SpanParse`], without
-    /// materialized instantiation trees.  Implementations must return exactly the value
-    /// [`RegularityScorer::score`] would return on the materialized parse; returning `None`
-    /// (the default) makes the evaluation engine materialize a [`ParseResult`] and fall
-    /// back to `score`, so custom scorers stay correct without a span path.
-    fn score_span(
-        &self,
-        _dataset: &Dataset,
-        _template: &StructureTemplate,
-        _parse: &SpanParse,
-    ) -> Option<f64> {
-        None
-    }
-
-    /// [`RegularityScorer::score_span`] that additionally returns the scorer's per-column
+    /// [`RegularityScorer::score`] that additionally returns the scorer's per-column
     /// aggregates ([`ScoreParts`]) for reuse by later delta evaluations.  `None` (the
     /// default) means the scorer keeps no reusable parts; the evaluation engine then scores
-    /// every variant from scratch (still arena-native when [`score_span`] is implemented).
-    ///
-    /// [`score_span`]: RegularityScorer::score_span
+    /// every variant from scratch with [`RegularityScorer::score`].
     fn score_span_stats(
         &self,
         _dataset: &Dataset,
@@ -68,8 +58,8 @@ pub trait RegularityScorer: Sync {
     /// its aggregate may be copied; `None` columns must be recomputed from `parse`.
     ///
     /// Implementations must return exactly the value [`RegularityScorer::score`] would
-    /// return on the materialized parse (the bit-identity contract of the span paths);
-    /// returning `None` (the default) makes the engine fall back to a full scoring pass.
+    /// return on `parse` (the bit-identity contract of delta scoring); returning `None`
+    /// (the default) makes the engine fall back to a full scoring pass.
     fn score_span_delta(
         &self,
         _dataset: &Dataset,
@@ -107,8 +97,10 @@ pub trait RegularityScorer: Sync {
     }
 }
 
-/// Description length of all field values of records of `template_index`, including the
-/// per-column model parameters (shared helper for single- and multi-template scoring).
+/// Description length of all records of `template_index`: the per-column model parameters,
+/// each cell's `bits_per_value` under its column's inferred type, and
+/// [`ARRAY_COUNT_BITS`] per repetition count.  The owned-parse formula behind
+/// [`RegularityScorer::score_set`], and the independent check of [`fields_bits_span_stats`].
 fn fields_bits(
     dataset: &Dataset,
     template: &StructureTemplate,
@@ -128,8 +120,10 @@ fn fields_bits(
         .iter()
         .filter(|r| r.template_index == template_index)
     {
-        for value in &rec.values {
-            bits += describe_value(text, value, &types);
+        bits += ARRAY_COUNT_BITS * rec.reps.len() as f64;
+        for cell in &rec.fields {
+            let t = types.get(cell.column).unwrap_or(&FieldType::String);
+            bits += t.bits_per_value(&text[cell.start..cell.end]);
         }
     }
     bits
@@ -332,20 +326,11 @@ fn array_instances(parse: &SpanParse, template_index: usize) -> usize {
 ///
 /// Every MDL term is an integer-valued `f64` (ceil'd logarithms, multiples of 8, the array
 /// count constant), and every partial sum stays far below 2^53, so f64 addition is exact and
-/// order-independent.  That lets the per-cell tree walk of [`describe_value`] collapse into
+/// order-independent.  That lets the per-cell charges of [`fields_bits`] collapse into
 /// per-column aggregates ([`ColumnStats`]), with the type inference, model and per-value
 /// charges fused into single-parse passes over the cell arena — while returning the
-/// *bit-identical* value (enforced by the evaluation differential suite).
-pub(crate) fn fields_bits_span(
-    dataset: &Dataset,
-    template: &StructureTemplate,
-    parse: &SpanParse,
-    template_index: usize,
-) -> f64 {
-    fields_bits_span_stats(dataset, template, parse, template_index).0
-}
-
-/// [`fields_bits_span`] that also returns the per-column aggregates for later reuse.
+/// *bit-identical* value (enforced by the evaluation differential suite).  Also returns
+/// the per-column aggregates for later reuse.
 fn fields_bits_span_stats(
     dataset: &Dataset,
     template: &StructureTemplate,
@@ -463,7 +448,7 @@ impl MdlScorer {
 }
 
 impl RegularityScorer for MdlScorer {
-    fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &ParseResult) -> f64 {
+    fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &SpanParse) -> f64 {
         // Template description plus per-block record/noise indicator.
         let mut bits = template.description_chars() as f64 * 8.0 + HEADER_BITS;
         bits += parse.block_count() as f64;
@@ -473,21 +458,7 @@ impl RegularityScorer for MdlScorer {
 
         // Records are described through the template, with per-column data types and model
         // parameters (enum dictionaries, numeric ranges).
-        bits += fields_bits(dataset, template, parse, 0);
-        bits
-    }
-
-    fn score_span(
-        &self,
-        dataset: &Dataset,
-        template: &StructureTemplate,
-        parse: &SpanParse,
-    ) -> Option<f64> {
-        let mut bits = template.description_chars() as f64 * 8.0 + HEADER_BITS;
-        bits += parse.block_count() as f64;
-        bits += parse.noise_bytes as f64 * 8.0;
-        bits += fields_bits_span(dataset, template, parse, 0);
-        Some(bits)
+        bits + fields_bits_span_stats(dataset, template, parse, 0).0
     }
 
     fn score_span_stats(
@@ -525,46 +496,14 @@ impl RegularityScorer for MdlScorer {
     }
 }
 
-/// Description length of one instantiation subtree.
-fn describe_value(text: &str, value: &ValueTree, types: &[FieldType]) -> f64 {
-    match value {
-        ValueTree::Literal => 0.0,
-        ValueTree::Field { column, start, end } => {
-            let v = &text[*start..*end];
-            match types.get(*column) {
-                Some(t) => t.bits_per_value(v),
-                None => FieldType::String.bits_per_value(v),
-            }
-        }
-        ValueTree::Array { groups, .. } => {
-            let mut bits = ARRAY_COUNT_BITS;
-            for group in groups {
-                for v in group {
-                    bits += describe_value(text, v, types);
-                }
-            }
-            bits
-        }
-    }
-}
-
 /// A trivial scorer that only rewards record coverage (used in tests and as an example of the
 /// pluggable-score design).  Lower is better, so it returns the number of uncovered bytes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CoverageScorer;
 
 impl RegularityScorer for CoverageScorer {
-    fn score(&self, dataset: &Dataset, _template: &StructureTemplate, parse: &ParseResult) -> f64 {
+    fn score(&self, dataset: &Dataset, _template: &StructureTemplate, parse: &SpanParse) -> f64 {
         (dataset.len() - parse.record_bytes.min(dataset.len())) as f64
-    }
-
-    fn score_span(
-        &self,
-        dataset: &Dataset,
-        _template: &StructureTemplate,
-        parse: &SpanParse,
-    ) -> Option<f64> {
-        Some((dataset.len() - parse.record_bytes.min(dataset.len())) as f64)
     }
 
     fn name(&self) -> &'static str {
@@ -576,6 +515,7 @@ impl RegularityScorer for CoverageScorer {
 mod tests {
     use super::*;
     use crate::chars::CharSet;
+    use crate::extract::SpanLineMatcher;
     use crate::fieldtype::parse_integer;
     use crate::parser::parse_dataset;
     use crate::record::RecordTemplate;
@@ -586,10 +526,13 @@ mod tests {
         StructureTemplate::from_record_template(&RecordTemplate::from_instantiated(example, &cs))
     }
 
+    fn span(dataset: &Dataset, st: &StructureTemplate) -> SpanParse {
+        SpanLineMatcher::new(std::slice::from_ref(st), 10).parse(dataset, 1)
+    }
+
     fn score_on(data: &str, st: &StructureTemplate) -> f64 {
         let dataset = Dataset::new(data);
-        let parse = parse_dataset(&dataset, std::slice::from_ref(st), 10);
-        MdlScorer.score(&dataset, st, &parse)
+        MdlScorer.score(&dataset, st, &span(&dataset, st))
     }
 
     #[test]
@@ -652,10 +595,8 @@ mod tests {
             "1,2,3\n",
             &CharSet::from_chars(",\n".chars()),
         ));
-        let sp = parse_dataset(&dataset, std::slice::from_ref(&struct_t), 10);
-        let ap = parse_dataset(&dataset, std::slice::from_ref(&array_t), 10);
-        let s_score = MdlScorer.score(&dataset, &struct_t, &sp);
-        let a_score = MdlScorer.score(&dataset, &array_t, &ap);
+        let s_score = MdlScorer.score(&dataset, &struct_t, &span(&dataset, &struct_t));
+        let a_score = MdlScorer.score(&dataset, &array_t, &span(&dataset, &array_t));
         assert!(
             s_score < a_score,
             "struct {s_score} should beat array {a_score}"
@@ -666,7 +607,7 @@ mod tests {
     fn column_types_reports_inferred_types() {
         let data = Dataset::new("1,INFO,3.5\n2,WARN,4.25\n3,INFO,0.5\n4,INFO,1.0\n");
         let st = template("1,INFO,3.5\n", ",\n");
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = span(&data, &st).to_parse_result();
         let types = MdlScorer.column_types(&data, &st, &parse, 0);
         assert_eq!(types.len(), 3);
         assert_eq!(types[0].name(), "int");
@@ -707,9 +648,10 @@ mod tests {
         }
     }
 
+    /// The arena passes against the independent owned-parse formula of `score_set`, fed by
+    /// the tree-walking reference parser.
     #[test]
     fn span_fields_bits_matches_tree_walker_bit_for_bit() {
-        use crate::extract::SpanLineMatcher;
         // Integer, real, enum, free-text and array columns in one corpus.
         let mut data = String::new();
         let words = ["alpha", "beta", "gamma delta", "unique-0", "unique-1"];
@@ -731,12 +673,10 @@ mod tests {
                 &CharSet::from_chars(",\n".chars()),
             )),
         ] {
-            let legacy = parse_dataset(&dataset, std::slice::from_ref(&st), 10);
-            let span = SpanLineMatcher::new(std::slice::from_ref(&st), 10).parse(&dataset, 1);
-            let tree_score = MdlScorer.score(&dataset, &st, &legacy);
-            let span_score = MdlScorer
-                .score_span(&dataset, &st, &span)
-                .expect("mdl has a span path");
+            let templates = std::slice::from_ref(&st);
+            let tree_score =
+                MdlScorer.score_set(&dataset, templates, &parse_dataset(&dataset, templates, 10));
+            let span_score = MdlScorer.score(&dataset, &st, &span(&dataset, &st));
             assert_eq!(
                 span_score.to_bits(),
                 tree_score.to_bits(),
@@ -749,11 +689,10 @@ mod tests {
     fn coverage_scorer_prefers_higher_coverage() {
         let data = Dataset::new("a=1\nnoise\na=2\n");
         let st = template("a=1\n", "=\n");
-        let dataset = &data;
-        let parse = parse_dataset(dataset, std::slice::from_ref(&st), 10);
-        let empty = ParseResult::default();
+        let parse = span(&data, &st);
+        let empty = SpanParse::default();
         assert!(
-            CoverageScorer.score(dataset, &st, &parse) < CoverageScorer.score(dataset, &st, &empty)
+            CoverageScorer.score(&data, &st, &parse) < CoverageScorer.score(&data, &st, &empty)
         );
         assert_eq!(CoverageScorer.name(), "coverage");
         assert_eq!(MdlScorer.name(), "mdl");

@@ -161,7 +161,7 @@ mod tests {
     ) -> ParseResult {
         SpanLineMatcher::new(templates, max_line_span)
             .parse(dataset, chunks)
-            .to_parse_result(templates)
+            .to_parse_result()
     }
 
     fn assert_same(a: &ParseResult, b: &ParseResult) {

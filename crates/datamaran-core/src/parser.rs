@@ -11,9 +11,12 @@
 //! record, otherwise the line is a noise block.
 //!
 //! This module holds the materialized result types every extractor returns
-//! ([`ParseResult`], [`RecordMatch`], [`ValueTree`], [`FieldCell`]) and the recursive-descent
-//! tree walker [`parse_dataset`].  The walker is the test reference the span engine
-//! ([`crate::extract`]) is compared against; the pipeline never runs it.
+//! ([`ParseResult`], [`RecordMatch`], [`FieldCell`]) and the recursive-descent tree walker
+//! [`parse_dataset`].  The walker is the test reference the span engine ([`crate::extract`])
+//! is compared against; the pipeline never runs it.  It still builds the original walker's
+//! instantiation tree per record as private detail, and at its boundary flattens the tree's
+//! array repetition counts into pre-order `reps` next to the field cells it collects while
+//! matching — the record shape the engine computes on.
 
 use crate::chars::CharSet;
 use crate::dataset::Dataset;
@@ -31,30 +34,6 @@ pub struct FieldCell {
     pub end: usize,
 }
 
-/// The instantiation tree of one record: mirrors the structure template, with concrete spans
-/// at the field leaves and one group per array repetition.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ValueTree {
-    /// A field leaf instantiated by the byte span `[start, end)`.
-    Field {
-        /// Template column index.
-        column: usize,
-        /// Byte offset of the first character.
-        start: usize,
-        /// Byte offset one past the last character.
-        end: usize,
-    },
-    /// A literal (formatting) node; carries no value.
-    Literal,
-    /// An array node: one inner vector per body repetition.
-    Array {
-        /// Pre-order index of the array node in the template.
-        array_id: usize,
-        /// One group of value trees per repetition of the array body.
-        groups: Vec<Vec<ValueTree>>,
-    },
-}
-
 /// A matched (instantiated) record.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecordMatch {
@@ -64,8 +43,11 @@ pub struct RecordMatch {
     pub byte_span: (usize, usize),
     /// Line span `[first, last)` of the record.
     pub line_span: (usize, usize),
-    /// Top-level instantiation trees (one per template node).
-    pub values: Vec<ValueTree>,
+    /// Repetition count of every array instance, in pre-order by occurrence in match order
+    /// (an array's count precedes the counts of the arrays inside its repetitions) — the
+    /// layout of [`SpanParse::reps`](crate::extract::SpanParse::reps).  With the template
+    /// and [`Self::fields`] it determines the record's instantiation tree.
+    pub reps: Vec<u32>,
     /// All field cells of the record, flattened in match order.
     pub fields: Vec<FieldCell>,
 }
@@ -172,57 +154,43 @@ impl<'a> TemplateMatcher<'a> {
     }
 }
 
-/// Pre-computed matching context for a fixed set of templates, able to answer "does a record
-/// of any template start at line `i`?" independently for every line.
-///
-/// The answer depends only on the text from that line onwards (never on how earlier lines
-/// were segmented), which is what makes the extraction pass embarrassingly parallel
-/// ([`crate::parallel`]).  Only [`parse_dataset`] drives it.
-pub struct LineMatcher<'a> {
-    matchers: Vec<TemplateMatcher<'a>>,
+/// Attempts to match one record starting at line `line`.  Templates are tried in order; the
+/// first that matches and ends on a line boundary within the span limit wins.
+fn match_line(
+    matchers: &[TemplateMatcher<'_>],
     max_line_span: usize,
-}
-
-impl<'a> LineMatcher<'a> {
-    /// Builds a matcher for `templates`; `max_line_span` is the paper's `L` parameter.
-    pub fn new(templates: &'a [StructureTemplate], max_line_span: usize) -> Self {
-        LineMatcher {
-            matchers: templates.iter().map(TemplateMatcher::new).collect(),
-            max_line_span,
+    dataset: &Dataset,
+    line: usize,
+) -> Option<RecordMatch> {
+    let text = dataset.text();
+    let n = dataset.line_count();
+    let start = dataset.line_start(line);
+    for (idx, m) in matchers.iter().enumerate() {
+        if m.template.is_empty() {
+            continue;
         }
-    }
-
-    /// Attempts to match one record starting at line `line`.  Templates are tried in order;
-    /// the first that matches and ends on a line boundary within the span limit wins.
-    pub fn match_line(&self, dataset: &Dataset, line: usize) -> Option<RecordMatch> {
-        let text = dataset.text();
-        let n = dataset.line_count();
-        let start = dataset.line_start(line);
-        for (idx, m) in self.matchers.iter().enumerate() {
-            if m.template.is_empty() {
-                continue;
-            }
-            if let Some((end, values, fields)) = match_template(text, start, m) {
-                // The record must end exactly at a line boundary and respect the span limit.
-                let end_line = line_of_offset(dataset, end, line);
-                let ends_on_boundary = end == text.len()
-                    || end_line
-                        .map(|l| dataset.line_start(l) == end)
-                        .unwrap_or(false);
-                let line_span_end = end_line.unwrap_or(n);
-                if ends_on_boundary && line_span_end - line <= self.max_line_span && end > start {
-                    return Some(RecordMatch {
-                        template_index: idx,
-                        byte_span: (start, end),
-                        line_span: (line, line_span_end),
-                        values,
-                        fields,
-                    });
-                }
+        if let Some((end, values, fields)) = match_template(text, start, m) {
+            // The record must end exactly at a line boundary and respect the span limit.
+            let end_line = line_of_offset(dataset, end, line);
+            let ends_on_boundary = end == text.len()
+                || end_line
+                    .map(|l| dataset.line_start(l) == end)
+                    .unwrap_or(false);
+            let line_span_end = end_line.unwrap_or(n);
+            if ends_on_boundary && line_span_end - line <= max_line_span && end > start {
+                let mut reps = Vec::new();
+                flatten_reps(&values, &mut reps);
+                return Some(RecordMatch {
+                    template_index: idx,
+                    byte_span: (start, end),
+                    line_span: (line, line_span_end),
+                    reps,
+                    fields,
+                });
             }
         }
-        None
     }
+    None
 }
 
 /// Matches the supplied templates against the dataset.  Templates are tried in order at every
@@ -232,13 +200,13 @@ pub fn parse_dataset(
     templates: &[StructureTemplate],
     max_line_span: usize,
 ) -> ParseResult {
-    let matcher = LineMatcher::new(templates, max_line_span);
+    let matchers: Vec<TemplateMatcher<'_>> = templates.iter().map(TemplateMatcher::new).collect();
     let n = dataset.line_count();
 
     let mut result = ParseResult::default();
     let mut line = 0usize;
     while line < n {
-        match matcher.match_line(dataset, line) {
+        match match_line(&matchers, max_line_span, dataset, line) {
             Some(rec) => {
                 result.record_bytes += rec.byte_len();
                 line = rec.line_span.1;
@@ -271,6 +239,36 @@ pub(crate) fn line_of_offset(dataset: &Dataset, offset: usize, hint: usize) -> O
         Some(line)
     } else {
         None
+    }
+}
+
+/// The instantiation tree of one record: mirrors the structure template, with concrete spans
+/// at the field leaves and one group per array repetition.  Private to the reference, which
+/// builds the complete trees of the original walker (its timing is the baseline of the
+/// extraction benchmark) and reads back only the repetition counts ([`flatten_reps`]).
+#[allow(dead_code)]
+enum ValueTree {
+    Field {
+        column: usize,
+        start: usize,
+        end: usize,
+    },
+    Literal,
+    Array {
+        array_id: usize,
+        groups: Vec<Vec<ValueTree>>,
+    },
+}
+
+/// Flattens instantiation trees into pre-order repetition counts ([`RecordMatch::reps`]).
+fn flatten_reps(values: &[ValueTree], reps: &mut Vec<u32>) {
+    for value in values {
+        if let ValueTree::Array { groups, .. } = value {
+            reps.push(groups.len() as u32);
+            for group in groups {
+                flatten_reps(group, reps);
+            }
+        }
     }
 }
 
@@ -460,15 +458,8 @@ mod tests {
         // "4,5\n" also matches (F,)*F\n with a single repetition plus the trailing element.
         assert_eq!(result.records.len(), 3);
         assert!(result.noise_lines.is_empty());
-        let reps: Vec<usize> = result
-            .records
-            .iter()
-            .map(|r| match &r.values[0] {
-                ValueTree::Array { groups, .. } => groups.len(),
-                _ => panic!("expected array"),
-            })
-            .collect();
-        assert_eq!(reps, vec![3, 2, 4]);
+        let reps: Vec<Vec<u32>> = result.records.iter().map(|r| r.reps.clone()).collect();
+        assert_eq!(reps, vec![vec![3], vec![2], vec![4]]);
     }
 
     #[test]

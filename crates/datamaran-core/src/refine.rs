@@ -21,10 +21,10 @@
 //! variants free, with a parent-lineage fast path (`(parent id, edit)` → entry) that skips
 //! even the template hash.
 //!
-//! The original behaviour — one tree-walking parse and one tree-walking scoring pass per
-//! variant, no memo — survives as the test reference `refine_tree`;
-//! `tests/evaluation_equivalence.rs` proves both produce identical `(template, score,
-//! summary)` triples.
+//! The original behaviour — one tree-walking parse per variant scored by the owned-parse
+//! formula [`RegularityScorer::score_set`], no memo — survives as the test reference
+//! `refine_tree`; `tests/evaluation_equivalence.rs` proves both produce identical
+//! `(template, score, summary)` triples.
 //!
 //! [`Refiner::refine_batch`] shards the per-candidate loop across scoped worker threads with
 //! a deterministic merge (results in candidate order), mirroring the generation and
@@ -40,7 +40,7 @@ use crate::fxhash::FxHashMap;
 use crate::intern::TemplateInterner;
 use crate::mdl::{RegularityScorer, ScoreParts};
 use crate::parallel::{chunk_bounds, effective_workers};
-use crate::parser::{parse_dataset, ParseResult, ValueTree};
+use crate::parser::{parse_dataset, ParseResult};
 use crate::structure::{Node, StructureTemplate};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -507,17 +507,7 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
                     .score_span_stats(self.dataset, template, &vp.parse)
                 {
                     Some((score, parts)) => (score, Some(parts)),
-                    None => match self.scorer.score_span(self.dataset, template, &vp.parse) {
-                        Some(score) => (score, None),
-                        None => {
-                            let materialized =
-                                vp.parse.to_parse_result(std::slice::from_ref(template));
-                            (
-                                self.scorer.score(self.dataset, template, &materialized),
-                                None,
-                            )
-                        }
-                    },
+                    None => (self.scorer.score(self.dataset, template, &vp.parse), None),
                 }
             }
         };
@@ -767,8 +757,7 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
     /// [`Refiner::evaluate`] taking the template by value: the unchanged template moves
     /// into the result, so callers that already own it (the refinement loop, the batch
     /// driver) never pay a clone.  Memo probe, else one full span parse scored from the
-    /// arenas (the tree-compatible parse is materialized once only for a scorer without a
-    /// span implementation) and memoized.
+    /// arenas and memoized.
     pub fn evaluate_owned(&self, template: StructureTemplate) -> Refined {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         if let Some((_, score, summary)) = self.memo_probe_id(&template) {
@@ -789,13 +778,7 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
         self.parse_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let started = Instant::now();
-        let score = match self.scorer.score_span(self.dataset, &template, &parse) {
-            Some(score) => score,
-            None => {
-                let materialized = parse.to_parse_result(std::slice::from_ref(&template));
-                self.scorer.score(self.dataset, &template, &materialized)
-            }
-        };
+        let score = self.scorer.score(self.dataset, &template, &parse);
         self.score_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let summary = span_summary(&parse);
@@ -868,12 +851,14 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
 }
 
 /// The test reference for the [`Refiner`]: the original evaluation of one candidate, with
-/// one tree-walking parse ([`parse_dataset`]) and one tree-walking scoring pass per
-/// variant, no memo, and the same unfold and shift order.  Returns the `(template, score,
-/// summary)` of [`Refiner::refine_owned`], or of [`Refiner::evaluate_owned`] when
-/// `apply_refinement` is `false`; `metrics` accumulates the evaluation count and the
-/// parse/score time split.  Kept only so the differential suites and the
-/// `reproduce -- evaluation` gate can compare against it, never reached from the pipeline.
+/// one tree-walking parse ([`parse_dataset`]) per variant scored by the owned-parse formula
+/// [`RegularityScorer::score_set`], no memo, and the same unfold and shift order.  For
+/// [`MdlScorer`](crate::mdl::MdlScorer) that is the independent formula the arena scoring
+/// passes must match bit for bit.  Returns the `(template, score, summary)` of
+/// [`Refiner::refine_owned`], or of [`Refiner::evaluate_owned`] when `apply_refinement` is
+/// `false`; `metrics` accumulates the evaluation count and the parse/score time split.
+/// Kept only so the differential suites and the `reproduce -- evaluation` gate can compare
+/// against it, never reached from the pipeline.
 #[doc(hidden)]
 pub fn refine_tree<S: RegularityScorer>(
     dataset: &Dataset,
@@ -889,7 +874,7 @@ pub fn refine_tree<S: RegularityScorer>(
         let parse = parse_dataset(dataset, std::slice::from_ref(t), max_line_span);
         metrics.parse_seconds += started.elapsed().as_secs_f64();
         let started = Instant::now();
-        let score = scorer.score(dataset, t, &parse);
+        let score = scorer.score_set(dataset, std::slice::from_ref(t), &parse);
         metrics.score_seconds += started.elapsed().as_secs_f64();
         let summary = ParseSummary {
             record_count: parse.records.len(),
@@ -913,7 +898,7 @@ pub fn refine_tree<S: RegularityScorer>(
         if collect_array_paths(best.template.nodes()).is_empty() {
             break;
         }
-        let counts = repetition_counts(&parse);
+        let counts = repetition_counts(&parse, &best.template);
         let mut improved = false;
         for (_, candidate) in unfold_candidates_keyed(&best.template, &counts) {
             let (score, summary, candidate_parse) = eval(&candidate);
@@ -1005,7 +990,8 @@ fn unfold_candidates_keyed(
     out
 }
 
-/// Collects pre-order paths to every array node (matching the parser's `array_id` numbering).
+/// Collects pre-order paths to every array node: path `i` belongs to array id `i` (the
+/// static pre-order numbering of [`repetition_counts`] and of the normalized tables).
 pub fn collect_array_paths(nodes: &[Node]) -> Vec<Vec<usize>> {
     fn walk(nodes: &[Node], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
         for (i, n) in nodes.iter().enumerate() {
@@ -1022,38 +1008,30 @@ pub fn collect_array_paths(nodes: &[Node]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Gathers, per array id, the observed repetition counts across all records of a parse
-/// (the tree-walking original; kept as the oracle for the arena mirror below).
-pub fn repetition_counts(parse: &ParseResult) -> HashMap<usize, Vec<usize>> {
-    fn walk(value: &ValueTree, out: &mut HashMap<usize, Vec<usize>>) {
-        if let ValueTree::Array { array_id, groups } = value {
-            out.entry(*array_id).or_default().push(groups.len());
-            for g in groups {
-                for v in g {
-                    walk(v, out);
-                }
-            }
-        }
-    }
-    let mut out = HashMap::new();
-    for rec in &parse.records {
-        for v in &rec.values {
-            walk(v, &mut out);
-        }
-    }
-    out
+/// Gathers, per array id, the observed repetition counts across all records of an owned
+/// parse with `template` — identical to [`repetition_counts_span`] on the span parse.
+pub fn repetition_counts(
+    parse: &ParseResult,
+    template: &StructureTemplate,
+) -> HashMap<usize, Vec<usize>> {
+    collect_repetition_counts(template, parse.records.iter().map(|r| r.reps.as_slice()))
 }
 
 /// Gathers, per array id, the observed repetition counts across all records of a span parse
-/// — identical to [`repetition_counts`] on the materialized parse, read straight from the
-/// repetition-count arena by replaying the template shape (no instantiation trees).
-///
-/// The parser's dynamic array numbering re-starts every repetition from the same base, so it
-/// always coincides with the template's static pre-order numbering; the walk below mirrors
-/// [`crate::extract`]'s materializer exactly.
+/// with `template`, read straight from the repetition-count arena.
 pub fn repetition_counts_span(
     parse: &SpanParse,
     template: &StructureTemplate,
+) -> HashMap<usize, Vec<usize>> {
+    collect_repetition_counts(template, parse.records.iter().map(|r| parse.record_reps(r)))
+}
+
+/// Replays the template shape over each record's pre-order repetition counts.  Every
+/// repetition numbers its inner arrays from the same base, so the ids are the template's
+/// static pre-order array numbering ([`collect_array_paths`]).
+fn collect_repetition_counts<'a>(
+    template: &StructureTemplate,
+    records: impl Iterator<Item = &'a [u32]>,
 ) -> HashMap<usize, Vec<usize>> {
     fn walk(
         nodes: &[Node],
@@ -1076,10 +1054,9 @@ pub fn repetition_counts_span(
         }
     }
     let mut out = HashMap::new();
-    for rec in &parse.records {
-        let mut reps = parse.record_reps(rec).iter();
-        let mut array_id = 0usize;
-        walk(template.nodes(), &mut reps, &mut array_id, &mut out);
+    for reps in records {
+        let mut reps = reps.iter();
+        walk(template.nodes(), &mut reps, &mut 0, &mut out);
         debug_assert!(reps.next().is_none(), "all repetition counts consumed");
     }
     out
@@ -1363,7 +1340,7 @@ mod tests {
         let data = Dataset::new("1,2,3\n4,5\n6,7,8,9\n");
         let t = folded("1,2,3\n", ",\n");
         let parse = parse_dataset(&data, std::slice::from_ref(&t), 10);
-        let counts = repetition_counts(&parse);
+        let counts = repetition_counts(&parse, &t);
         assert_eq!(counts.get(&0).unwrap(), &vec![3, 2, 4]);
     }
 
@@ -1382,7 +1359,7 @@ mod tests {
         ] {
             let data = Dataset::new(text);
             let templates = std::slice::from_ref(&template);
-            let legacy = repetition_counts(&parse_dataset(&data, templates, 10));
+            let legacy = repetition_counts(&parse_dataset(&data, templates, 10), &template);
             let parse = SpanLineMatcher::new(templates, 10).parse(&data, 1);
             let span = repetition_counts_span(&parse, &template);
             assert_eq!(legacy, span, "template {template}");

@@ -15,9 +15,15 @@
 //! only for synthesized cells — row ids, foreign keys, and denormalized multi-value
 //! concatenations.  `String` conversion happens at the export/serialization boundary
 //! ([`crate::export`]), never here.
+//!
+//! The normalized layout has one implementation: a private walk over a record's template
+//! nodes, field cells and pre-order repetition counts, generic over a row writer.
+//! [`to_relational`] writes the rows into [`Table`]s; the streaming
+//! [`CsvSink`](crate::export::CsvSink) writes them straight out as CSV.
 
-use crate::parser::{RecordMatch, ValueTree};
+use crate::parser::{FieldCell, RecordMatch};
 use crate::structure::{Node, StructureTemplate};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// One relational cell: either a span of the table's shared source buffer (extracted field
@@ -165,15 +171,13 @@ impl RelationalOutput {
 }
 
 /// Schema information for one table derived from the template tree.  Crate-visible so the
-/// streaming CSV sink ([`crate::export::CsvSink`]) can emit rows with exactly the layout
-/// the materializing converter below produces.
+/// streaming CSV sink ([`crate::export::CsvSink`]) names and heads its tables exactly like
+/// the materializing converter below.
 #[derive(Clone, Debug)]
 pub(crate) struct SchemaTable {
     pub(crate) name: String,
     /// Global column ids (field-leaf indices) stored directly in this table.
     pub(crate) column_ids: Vec<usize>,
-    /// The array node (pre-order id) this table corresponds to; `None` for the root.
-    pub(crate) array_id: Option<usize>,
     /// Index of the parent table in the schema.
     pub(crate) parent: Option<usize>,
 }
@@ -192,7 +196,9 @@ impl SchemaTable {
     }
 }
 
-/// Flattened schema of a structure template.
+/// Flattened schema of a structure template: the root table first, then one table per
+/// array node in pre-order — so the table of array `a` (pre-order id) is `a + 1`, and a
+/// table's data columns are the fields directly in its body, in order.
 #[derive(Clone, Debug)]
 pub(crate) struct Schema {
     pub(crate) tables: Vec<SchemaTable>,
@@ -203,11 +209,11 @@ pub(crate) struct Schema {
 }
 
 /// Synthesizes the key columns (`id`, `parent_id`, `position`) of the normalized tables:
-/// one running row counter per table.  The materializing converter derives ids implicitly
-/// from the in-memory row count; the streaming export path cannot (rows leave the process
-/// as soon as they are written), so the counters live here and **persist across chunk
-/// windows** — a record emitted from window 17 continues the numbering started in window 0,
-/// which is what keeps foreign keys correct on out-of-core streams.
+/// one running row counter per table.  The layout walk draws every row id from it; the
+/// streaming export path keeps one for the whole stream (rows leave the process as soon
+/// as they are written), so the counters **persist across chunk windows** — a record
+/// emitted from window 17 continues the numbering started in window 0, which is what keeps
+/// foreign keys correct on out-of-core streams.
 #[derive(Clone, Debug, Default)]
 pub struct RowIdSynth {
     next: Vec<usize>,
@@ -239,14 +245,12 @@ pub(crate) fn build_schema(template: &StructureTemplate, type_name: &str) -> Sch
         tables: vec![SchemaTable {
             name: type_name.to_string(),
             column_ids: Vec::new(),
-            array_id: None,
             parent: None,
         }],
         column_separator: Vec::new(),
         n_columns: 0,
     };
     let mut column = 0usize;
-    let mut array_id = 0usize;
     walk_schema(
         template.nodes(),
         0,
@@ -254,7 +258,6 @@ pub(crate) fn build_schema(template: &StructureTemplate, type_name: &str) -> Sch
         type_name,
         &mut schema,
         &mut column,
-        &mut array_id,
     );
     schema.n_columns = column;
     schema
@@ -267,7 +270,6 @@ fn walk_schema(
     type_name: &str,
     schema: &mut Schema,
     column: &mut usize,
-    array_id: &mut usize,
 ) {
     for node in nodes {
         match node {
@@ -280,26 +282,137 @@ fn walk_schema(
             Node::Array {
                 body, separator, ..
             } => {
-                let my_id = *array_id;
-                *array_id += 1;
                 let child_idx = schema.tables.len();
                 schema.tables.push(SchemaTable {
-                    name: format!("{type_name}_array{my_id}"),
+                    name: format!("{type_name}_array{}", child_idx - 1),
                     column_ids: Vec::new(),
-                    array_id: Some(my_id),
                     parent: Some(table_idx),
                 });
-                walk_schema(
-                    body,
-                    child_idx,
-                    Some(*separator),
-                    type_name,
-                    schema,
-                    column,
-                    array_id,
-                );
+                walk_schema(body, child_idx, Some(*separator), type_name, schema, column);
             }
         }
+    }
+}
+
+/// Where [`layout_record`] writes the rows of the normalized tables.  A row is opened with
+/// its synthesized keys, receives its data cells left to right, and is closed before the
+/// next row of the same table opens (rows of other tables may open and close in between).
+pub(crate) trait RowWriter {
+    /// What a failed write reports.
+    type Error;
+    /// Opens row `id` of `table`; a child-table row carries `(parent row id, position)`.
+    fn open_row(
+        &mut self,
+        table: usize,
+        id: usize,
+        parent: Option<(usize, usize)>,
+    ) -> Result<(), Self::Error>;
+    /// Appends the next data cell to the open row of `table`.
+    fn cell(&mut self, table: usize, cell: &FieldCell) -> Result<(), Self::Error>;
+    /// Closes the open row of `table`.
+    fn close_row(&mut self, table: usize) -> Result<(), Self::Error>;
+}
+
+/// Lays one record out as rows of the normalized tables of its template: one root row, and
+/// for every array instance one child row per repetition, keyed to the enclosing row.
+/// `cells` and `reps` are the record's match output ([`RecordMatch`] or a span-arena
+/// slice); row ids come from `synth`.  The k-th field directly in a body fills the row's
+/// k-th data column, and array `a` (pre-order) fills table `a + 1` — the [`Schema`] order.
+pub(crate) fn layout_record<W: RowWriter + ?Sized>(
+    nodes: &[Node],
+    cells: &[FieldCell],
+    reps: &[u32],
+    synth: &mut RowIdSynth,
+    out: &mut W,
+) -> Result<(), W::Error> {
+    let mut cells = cells.iter();
+    let mut reps = reps.iter();
+    let id = synth.next_id(0);
+    out.open_row(0, id, None)?;
+    layout_group(nodes, (0, id), &mut 1, &mut cells, &mut reps, synth, out)?;
+    out.close_row(0)?;
+    debug_assert!(cells.next().is_none(), "all cells consumed");
+    debug_assert!(reps.next().is_none(), "all repetition counts consumed");
+    Ok(())
+}
+
+/// Writes the cells of one open row (`row` = (table, id)) and the child rows of its
+/// arrays.  `next_table` is the table of the next array node in pre-order; every
+/// repetition of an array numbers its inner arrays from the same base.
+fn layout_group<W: RowWriter + ?Sized>(
+    nodes: &[Node],
+    (table, id): (usize, usize),
+    next_table: &mut usize,
+    cells: &mut std::slice::Iter<'_, FieldCell>,
+    reps: &mut std::slice::Iter<'_, u32>,
+    synth: &mut RowIdSynth,
+    out: &mut W,
+) -> Result<(), W::Error> {
+    for node in nodes {
+        match node {
+            Node::Field => {
+                if let Some(cell) = cells.next() {
+                    out.cell(table, cell)?;
+                }
+            }
+            Node::Literal(_) => {}
+            Node::Array { body, .. } => {
+                let child = *next_table;
+                *next_table += 1;
+                for position in 0..reps.next().copied().unwrap_or(0) as usize {
+                    let child_id = synth.next_id(child);
+                    out.open_row(child, child_id, Some((id, position)))?;
+                    let mut inner = *next_table;
+                    layout_group(body, (child, child_id), &mut inner, cells, reps, synth, out)?;
+                    out.close_row(child)?;
+                }
+                *next_table += body.iter().map(Node::array_count).sum::<usize>();
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The materializing writer: rows are pushed at `open_row` (ids are row indices), so the
+/// open row of a table is always its last.
+impl RowWriter for [Table] {
+    type Error = Infallible;
+
+    fn open_row(
+        &mut self,
+        table: usize,
+        id: usize,
+        parent: Option<(usize, usize)>,
+    ) -> Result<(), Infallible> {
+        let t = &mut self[table];
+        debug_assert_eq!(id, t.rows.len(), "ids are row indices");
+        let mut row = Vec::with_capacity(t.columns.len());
+        row.push(Cell::Owned(id.to_string()));
+        if let Some((parent_id, position)) = parent {
+            row.push(Cell::Owned(parent_id.to_string()));
+            row.push(Cell::Owned(position.to_string()));
+        }
+        t.rows.push(row);
+        Ok(())
+    }
+
+    fn cell(&mut self, table: usize, cell: &FieldCell) -> Result<(), Infallible> {
+        if let Some(row) = self[table].rows.last_mut() {
+            row.push(Cell::Span {
+                start: cell.start,
+                end: cell.end,
+            });
+        }
+        Ok(())
+    }
+
+    fn close_row(&mut self, table: usize) -> Result<(), Infallible> {
+        let t = &mut self[table];
+        let width = t.columns.len();
+        if let Some(row) = t.rows.last_mut() {
+            row.resize(width, Cell::Owned(String::new()));
+        }
+        Ok(())
     }
 }
 
@@ -321,92 +434,18 @@ pub fn to_relational(
         .map(|t| Table::new(t.name.clone(), t.header(), Arc::clone(source)))
         .collect();
 
-    let mut synth = RowIdSynth::new(schema.tables.len());
+    let mut synth = RowIdSynth::new(tables.len());
     for record in records {
-        fill_row(
-            &schema,
-            &mut tables,
+        let Ok(()) = layout_record(
+            template.nodes(),
+            &record.fields,
+            &record.reps,
             &mut synth,
-            0,
-            None,
-            None,
-            &record.values,
+            tables.as_mut_slice(),
         );
     }
 
     RelationalOutput { tables }
-}
-
-/// Appends one row to `table_idx` built from `values`, recursing into arrays.
-fn fill_row(
-    schema: &Schema,
-    tables: &mut Vec<Table>,
-    synth: &mut RowIdSynth,
-    table_idx: usize,
-    parent_row: Option<usize>,
-    position: Option<usize>,
-    values: &[ValueTree],
-) -> usize {
-    let row_idx = synth.next_id(table_idx);
-    debug_assert_eq!(row_idx, tables[table_idx].rows.len(), "ids are row indices");
-    let meta_cols = if parent_row.is_some() { 3 } else { 1 };
-    let n_data_cols = schema.tables[table_idx].column_ids.len();
-    let mut row: Vec<Cell> = vec![Cell::Owned(String::new()); meta_cols + n_data_cols];
-    row[0] = Cell::Owned(row_idx.to_string());
-    if let (Some(p), Some(pos)) = (parent_row, position) {
-        row[1] = Cell::Owned(p.to_string());
-        row[2] = Cell::Owned(pos.to_string());
-    }
-    tables[table_idx].rows.push(row);
-
-    fill_values(schema, tables, synth, table_idx, row_idx, meta_cols, values);
-    row_idx
-}
-
-fn fill_values(
-    schema: &Schema,
-    tables: &mut Vec<Table>,
-    synth: &mut RowIdSynth,
-    table_idx: usize,
-    row_idx: usize,
-    meta_cols: usize,
-    values: &[ValueTree],
-) {
-    for v in values {
-        match v {
-            ValueTree::Literal => {}
-            ValueTree::Field { column, start, end } => {
-                if let Some(pos) = schema.tables[table_idx]
-                    .column_ids
-                    .iter()
-                    .position(|c| c == column)
-                {
-                    tables[table_idx].rows[row_idx][meta_cols + pos] = Cell::Span {
-                        start: *start,
-                        end: *end,
-                    };
-                }
-            }
-            ValueTree::Array { array_id, groups } => {
-                let child_idx = schema
-                    .tables
-                    .iter()
-                    .position(|t| t.array_id == Some(*array_id))
-                    .expect("array table exists for every array node");
-                for (gi, group) in groups.iter().enumerate() {
-                    fill_row(
-                        schema,
-                        tables,
-                        synth,
-                        child_idx,
-                        Some(row_idx),
-                        Some(gi),
-                        group,
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Converts the records of one template into a single denormalized table: one row per record,
@@ -472,13 +511,20 @@ mod tests {
     use super::*;
     use crate::chars::CharSet;
     use crate::dataset::Dataset;
-    use crate::parser::parse_dataset;
+    use crate::extract::SpanLineMatcher;
+    use crate::parser::ParseResult;
     use crate::record::RecordTemplate;
     use crate::reduce::reduce;
 
     fn flat(example: &str, charset: &str) -> StructureTemplate {
         let cs = CharSet::from_chars(charset.chars());
         StructureTemplate::from_record_template(&RecordTemplate::from_instantiated(example, &cs))
+    }
+
+    fn parse(data: &Dataset, template: &StructureTemplate) -> ParseResult {
+        SpanLineMatcher::new(std::slice::from_ref(template), 10)
+            .parse(data, 1)
+            .to_parse_result()
     }
 
     fn row_strings(table: &Table, row: usize) -> Vec<String> {
@@ -489,7 +535,7 @@ mod tests {
     fn flat_template_produces_single_table() {
         let data = Dataset::new("[01:05] alice\n[02:06] bob\n");
         let st = flat("[01:05] alice\n", "[]: \n");
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = parse(&data, &st);
         let recs: Vec<&RecordMatch> = parse.records.iter().collect();
         let rel = to_relational(&st, &data.shared_text(), &recs, "log");
         assert_eq!(rel.tables.len(), 1);
@@ -510,7 +556,7 @@ mod tests {
     fn extracted_cells_are_spans_over_the_dataset_buffer() {
         let data = Dataset::new("[01:05] alice\n[02:06] bob\n");
         let st = flat("[01:05] alice\n", "[]: \n");
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = parse(&data, &st);
         let recs: Vec<&RecordMatch> = parse.records.iter().collect();
         let rel = to_relational(&st, &data.shared_text(), &recs, "log");
         let root = rel.root();
@@ -535,7 +581,7 @@ mod tests {
         let data = Dataset::new("1,2,3\n4,5\n");
         let cs = CharSet::from_chars(",\n".chars());
         let st = reduce(&RecordTemplate::from_instantiated("1,2,3\n", &cs));
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = parse(&data, &st);
         let recs: Vec<&RecordMatch> = parse.records.iter().collect();
         let rel = to_relational(&st, &data.shared_text(), &recs, "csv");
         assert_eq!(rel.tables.len(), 2);
@@ -562,7 +608,7 @@ mod tests {
         let data = Dataset::new("a,\"x,y,z\",b\nc,\"p,q\",d\n");
         let cs = CharSet::from_chars(",\"\n".chars());
         let st = reduce(&RecordTemplate::from_instantiated("a,\"x,y,z\",b\n", &cs));
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = parse(&data, &st);
         assert_eq!(parse.records.len(), 2);
         let recs: Vec<&RecordMatch> = parse.records.iter().collect();
         let rel = to_relational(&st, &data.shared_text(), &recs, "rec");
@@ -577,12 +623,74 @@ mod tests {
         assert_eq!(values, vec!["x", "y", "z", "p", "q"]);
     }
 
+    /// Pins the normalized layout of a two-level nested array by value, through both
+    /// writers of the layout walk: the materialized tables and the streaming CSV sink.
+    #[test]
+    fn nested_array_layout_is_pinned_by_value() {
+        use crate::export::{table_to_csv, CsvSink, RecordSink};
+        use crate::streaming::StreamRecord;
+
+        let inner = Node::Array {
+            body: vec![Node::Field],
+            separator: ',',
+            terminator: ';',
+        };
+        let st = StructureTemplate::new(vec![Node::Array {
+            body: vec![Node::Field, Node::Literal(":".into()), inner],
+            separator: ' ',
+            terminator: '\n',
+        }]);
+        let data = Dataset::new("k0:a,b; k1:c;\nk2:d;\n");
+        let span = SpanLineMatcher::new(std::slice::from_ref(&st), 10).parse(&data, 1);
+        let expected = [
+            ("type0", "id\n0\n1\n"),
+            (
+                "type0_array0",
+                "id,parent_id,position,field_0\n0,0,0,k0\n1,0,1,k1\n2,1,0,k2\n",
+            ),
+            (
+                "type0_array1",
+                "id,parent_id,position,field_1\n0,0,0,a\n1,0,1,b\n2,1,0,c\n3,2,0,d\n",
+            ),
+        ]
+        .map(|(name, csv)| (name.to_string(), csv.to_string()));
+
+        let parse = span.to_parse_result();
+        let recs: Vec<&RecordMatch> = parse.records.iter().collect();
+        let rel = to_relational(&st, &data.shared_text(), &recs, "type0");
+        let materialized: Vec<(String, String)> = rel
+            .tables
+            .iter()
+            .map(|t| (t.name.clone(), table_to_csv(t)))
+            .collect();
+        assert_eq!(materialized, expected);
+
+        let mut sink = CsvSink::new(|_: &str| Ok(Vec::<u8>::new()));
+        sink.begin(std::slice::from_ref(&st)).unwrap();
+        for rec in &span.records {
+            sink.record(&StreamRecord {
+                template_index: rec.template_index as usize,
+                line_span: rec.line_span,
+                window: data.text(),
+                cells: span.record_cells(rec),
+                reps: span.record_reps(rec),
+            })
+            .unwrap();
+        }
+        let streamed: Vec<(String, String)> = sink
+            .into_writers()
+            .into_iter()
+            .map(|(name, bytes)| (name, String::from_utf8(bytes).unwrap()))
+            .collect();
+        assert_eq!(streamed, expected);
+    }
+
     #[test]
     fn denormalized_table_joins_array_values_with_separator() {
         let data = Dataset::new("1,2,3\n4,5\n");
         let cs = CharSet::from_chars(",\n".chars());
         let st = reduce(&RecordTemplate::from_instantiated("1,2,3\n", &cs));
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = parse(&data, &st);
         let recs: Vec<&RecordMatch> = parse.records.iter().collect();
         let table = to_denormalized(&st, &data.shared_text(), &recs, "csv");
         assert_eq!(table.row_count(), 2);
@@ -594,7 +702,7 @@ mod tests {
     fn denormalized_flat_template_is_one_row_per_record() {
         let data = Dataset::new("k=v\nk2=v2\n");
         let st = flat("k=v\n", "=\n");
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = parse(&data, &st);
         let recs: Vec<&RecordMatch> = parse.records.iter().collect();
         let table = to_denormalized(&st, &data.shared_text(), &recs, "kv");
         assert_eq!(table.columns, vec!["field_0", "field_1"]);

@@ -17,8 +17,7 @@
 
 use crate::dataset::Dataset;
 use crate::extract::SpanParse;
-use crate::mdl::RegularityScorer;
-use crate::parser::ParseResult;
+use crate::mdl::{RegularityScorer, ARRAY_COUNT_BITS};
 use crate::structure::StructureTemplate;
 
 /// Scores a template by how much formatting-character mass it explains: the negated
@@ -30,31 +29,14 @@ use crate::structure::StructureTemplate;
 pub struct NonFieldCoverageScorer;
 
 impl RegularityScorer for NonFieldCoverageScorer {
-    fn score(&self, dataset: &Dataset, _template: &StructureTemplate, parse: &ParseResult) -> f64 {
-        let field_bytes: usize = parse
-            .records
-            .iter()
-            .flat_map(|r| r.fields.iter())
-            .map(|f| f.end - f.start)
-            .sum();
+    fn score(&self, dataset: &Dataset, _template: &StructureTemplate, parse: &SpanParse) -> f64 {
+        // The cell arena holds exactly the cells of the matched records (rolled back on
+        // every failed or rejected match).
+        let field_bytes: usize = parse.cells.iter().map(|f| f.end - f.start).sum();
         let covered = parse.record_bytes;
         let non_field = covered.saturating_sub(field_bytes);
         // Larger non-field coverage is better; break ties toward higher total coverage.
         -(non_field as f64) - covered as f64 / dataset.len().max(1) as f64
-    }
-
-    fn score_span(
-        &self,
-        dataset: &Dataset,
-        _template: &StructureTemplate,
-        parse: &SpanParse,
-    ) -> Option<f64> {
-        // The cell arena holds exactly the cells of the matched records (rolled back on
-        // every failed or rejected match), so summing it equals the per-record walk.
-        let field_bytes: usize = parse.cells.iter().map(|f| f.end - f.start).sum();
-        let covered = parse.record_bytes;
-        let non_field = covered.saturating_sub(field_bytes);
-        Some(-(non_field as f64) - covered as f64 / dataset.len().max(1) as f64)
     }
 
     fn name(&self) -> &'static str {
@@ -64,33 +46,14 @@ impl RegularityScorer for NonFieldCoverageScorer {
 
 /// The Appendix 9.2 description length with the field-type models disabled: every field value
 /// is charged as a raw string (`(len + 1) * 8` bits), regardless of whether the column is
-/// enumerable, integral, or real.
+/// enumerable, integral, or real.  Everything else is charged as in
+/// [`MdlScorer`](crate::mdl::MdlScorer): the template, one indicator bit per block, noise
+/// verbatim, and 16 bits per array repetition count.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UntypedMdlScorer;
 
 impl RegularityScorer for UntypedMdlScorer {
-    fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &ParseResult) -> f64 {
-        let mut bits = template.description_chars() as f64 * 8.0;
-        bits += 32.0 + parse.block_count() as f64;
-        bits += parse.noise_bytes as f64 * 8.0;
-        let text = dataset.text();
-        for rec in parse.records.iter().filter(|r| r.template_index == 0) {
-            for cell in &rec.fields {
-                let len = text[cell.start..cell.end].chars().count();
-                bits += (len as f64 + 1.0) * 8.0;
-            }
-            // Array repetition counts, as in the typed scorer, cost one byte each.
-            bits += 8.0;
-        }
-        bits
-    }
-
-    fn score_span(
-        &self,
-        dataset: &Dataset,
-        template: &StructureTemplate,
-        parse: &SpanParse,
-    ) -> Option<f64> {
+    fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &SpanParse) -> f64 {
         let mut bits = template.description_chars() as f64 * 8.0;
         bits += 32.0 + parse.block_count() as f64;
         bits += parse.noise_bytes as f64 * 8.0;
@@ -100,9 +63,9 @@ impl RegularityScorer for UntypedMdlScorer {
                 let len = text[cell.start..cell.end].chars().count();
                 bits += (len as f64 + 1.0) * 8.0;
             }
-            bits += 8.0;
+            bits += ARRAY_COUNT_BITS * parse.record_reps(rec).len() as f64;
         }
-        Some(bits)
+        bits
     }
 
     fn name(&self) -> &'static str {
@@ -137,23 +100,10 @@ impl<S: RegularityScorer> NoisePenaltyScorer<S> {
 }
 
 impl<S: RegularityScorer> RegularityScorer for NoisePenaltyScorer<S> {
-    fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &ParseResult) -> f64 {
+    fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &SpanParse) -> f64 {
         let base = self.inner.score(dataset, template, parse);
         // The inner scorer already charges noise at 8 bits per byte; add the difference.
         base + (self.noise_weight - 1.0) * parse.noise_bytes as f64 * 8.0
-    }
-
-    fn score_span(
-        &self,
-        dataset: &Dataset,
-        template: &StructureTemplate,
-        parse: &SpanParse,
-    ) -> Option<f64> {
-        // Span-native only when the wrapped scorer is; otherwise the engine falls back to
-        // the materialized path for the whole wrapper.
-        self.inner
-            .score_span(dataset, template, parse)
-            .map(|base| base + (self.noise_weight - 1.0) * parse.noise_bytes as f64 * 8.0)
     }
 
     fn name(&self) -> &'static str {
@@ -165,8 +115,8 @@ impl<S: RegularityScorer> RegularityScorer for NoisePenaltyScorer<S> {
 mod tests {
     use super::*;
     use crate::chars::CharSet;
+    use crate::extract::SpanLineMatcher;
     use crate::mdl::MdlScorer;
-    use crate::parser::parse_dataset;
     use crate::record::RecordTemplate;
 
     fn flat(example: &str, charset: &str) -> StructureTemplate {
@@ -174,10 +124,13 @@ mod tests {
         StructureTemplate::from_record_template(&RecordTemplate::from_instantiated(example, &cs))
     }
 
+    fn span(data: &Dataset, template: &StructureTemplate) -> SpanParse {
+        SpanLineMatcher::new(std::slice::from_ref(template), 10).parse(data, 1)
+    }
+
     fn score_on<S: RegularityScorer>(scorer: &S, text: &str, template: &StructureTemplate) -> f64 {
         let data = Dataset::new(text);
-        let parse = parse_dataset(&data, std::slice::from_ref(template), 10);
-        scorer.score(&data, template, &parse)
+        scorer.score(&data, template, &span(&data, template))
     }
 
     #[test]
@@ -205,6 +158,44 @@ mod tests {
             untyped > typed,
             "untyped {untyped} should exceed typed {typed} on integer columns"
         );
+    }
+
+    /// Where every column infers String, typing changes nothing but the 8 model bits each
+    /// String column pays in MDL: the block, noise and repetition-count charges (16 bits
+    /// per entry of a record's `reps`) must be the same in both scorers.
+    #[test]
+    fn untyped_mdl_differs_from_mdl_only_by_string_model_bits() {
+        use crate::structure::Node;
+        let mut kv_text = String::new();
+        for i in 0..40 {
+            kv_text.push_str(&format!("k{i}x=v{}y\n", 7 * i));
+        }
+        let kv = flat("k0x=v0y\n", "=\n");
+        // Two-level nested arrays over distinct words: five repetition counts in two records.
+        let inner = Node::Array {
+            body: vec![Node::Field],
+            separator: ',',
+            terminator: ';',
+        };
+        let nested = StructureTemplate::new(vec![Node::Array {
+            body: vec![Node::Field, Node::Literal(":".into()), inner],
+            separator: ' ',
+            terminator: '\n',
+        }]);
+        let nested_text = "k0:a,b; k1:c;\nk2:d;\nnoise\n";
+        assert_eq!(
+            span(&Dataset::new(nested_text), &nested).reps,
+            [2, 2, 1, 1, 1]
+        );
+        for (text, template) in [(kv_text.as_str(), &kv), (nested_text, &nested)] {
+            let typed = score_on(&MdlScorer, text, template);
+            let untyped = score_on(&UntypedMdlScorer, text, template);
+            assert_eq!(
+                typed - untyped,
+                8.0 * template.field_count() as f64,
+                "{template}: {typed} vs {untyped}"
+            );
+        }
     }
 
     #[test]

@@ -1,35 +1,53 @@
-//! Invariant oracles shared by the integration suites.
+//! Invariant oracles shared by the integration suites.  Each suite uses a subset.
+#![allow(dead_code)]
 
-use datamaran::core::{Node, ParseResult, StructureTemplate, ValueTree};
+use datamaran::core::{FieldCell, Node, ParseResult, StructureTemplate};
 
-/// Rebuilds one record's text from its template `nodes` and instantiation tree: a field
-/// renders its cell text, a literal itself, and an array its groups joined by the
-/// separator, then the terminator.
-fn render(nodes: &[Node], values: &[ValueTree], text: &str, out: &mut String) {
-    assert_eq!(nodes.len(), values.len(), "one value per template node");
-    for (node, value) in nodes.iter().zip(values) {
-        match (node, value) {
-            (Node::Field, ValueTree::Field { start, end, .. }) => out.push_str(&text[*start..*end]),
-            (Node::Literal(literal), ValueTree::Literal) => out.push_str(literal),
-            (
+/// Rebuilds one record's text from its template `nodes`, its field `cells` (offsets into
+/// `text`) and its pre-order repetition counts `reps`: a field renders its cell text, a
+/// literal itself, and an array its repetitions joined by the separator, then the
+/// terminator.  Panics if the cells or counts do not fit the template exactly.
+pub fn render(nodes: &[Node], cells: &[FieldCell], reps: &[u32], text: &str) -> String {
+    fn walk(
+        nodes: &[Node],
+        cells: &mut std::slice::Iter<'_, FieldCell>,
+        reps: &mut std::slice::Iter<'_, u32>,
+        text: &str,
+        out: &mut String,
+    ) {
+        for node in nodes {
+            match node {
+                Node::Field => {
+                    let cell = cells.next().expect("one cell per field node");
+                    out.push_str(&text[cell.start..cell.end]);
+                }
+                Node::Literal(literal) => out.push_str(literal),
                 Node::Array {
                     body,
                     separator,
                     terminator,
-                },
-                ValueTree::Array { groups, .. },
-            ) => {
-                for (i, group) in groups.iter().enumerate() {
-                    if i > 0 {
-                        out.push(*separator);
+                } => {
+                    let count = *reps.next().expect("one count per array instance");
+                    for i in 0..count {
+                        if i > 0 {
+                            out.push(*separator);
+                        }
+                        walk(body, cells, reps, text, out);
                     }
-                    render(body, group, text, out);
+                    out.push(*terminator);
                 }
-                out.push(*terminator);
             }
-            (node, value) => panic!("{value:?} does not instantiate {node:?}"),
         }
     }
+    let mut out = String::new();
+    let (mut cells, mut reps) = (cells.iter(), reps.iter());
+    walk(nodes, &mut cells, &mut reps, text, &mut out);
+    assert!(cells.next().is_none(), "cells left over after {out:?}");
+    assert!(
+        reps.next().is_none(),
+        "repetition counts left over after {out:?}"
+    );
+    out
 }
 
 /// The round-trip invariant: every record of `parse` renders back to exactly
@@ -39,14 +57,12 @@ pub fn round_trip_mismatch(
     templates: &[StructureTemplate],
     text: &str,
 ) -> Option<String> {
-    let mut rendered = String::new();
     parse.records.iter().find_map(|rec| {
-        rendered.clear();
-        render(
+        let rendered = render(
             templates[rec.template_index].nodes(),
-            &rec.values,
+            &rec.fields,
+            &rec.reps,
             text,
-            &mut rendered,
         );
         let source = &text[rec.byte_span.0..rec.byte_span.1];
         (rendered != source).then(|| {

@@ -83,7 +83,7 @@ fn parallel_extraction_is_identical_to_sequential() {
         let sequential = parse_dataset(&dataset, &templates, 10);
         let matcher = SpanLineMatcher::new(&templates, 10);
         for threads in [2, 5] {
-            let parallel = matcher.parse(&dataset, threads).to_parse_result(&templates);
+            let parallel = matcher.parse(&dataset, threads).to_parse_result();
             assert_eq!(
                 parallel.records.len(),
                 sequential.records.len(),

@@ -2,7 +2,8 @@
 //! parses, delta evaluation, arena-native scoring, template-score memo) must be
 //! observationally identical to the tree-walking reference `refine::refine_tree` —
 //! identical refined templates, bit-identical scores and equal parse summaries on the
-//! pipeline's own candidate pools — plus the refinement-internal properties: span-vs-tree
+//! pipeline's own candidate pools — plus the refinement-internal properties: the MDL
+//! identity between arena scoring and the owned-parse formula `score_set`, span-vs-tree
 //! equivalence of `repetition_counts` on nested-array templates, and eligibility
 //! preservation of `unfold_at`/`shift_variants` candidates.
 
@@ -10,9 +11,8 @@ use datamaran::core::parallel::resolve_threads;
 use datamaran::core::refine::refine_tree;
 use datamaran::core::{
     generate, parse_dataset, reduce, repetition_counts, repetition_counts_span, shift_variants,
-    unfold_at, CharSet, CoverageScorer, Datamaran, DatamaranConfig, Dataset, EvaluationMetrics,
-    MdlScorer, NoisePenaltyScorer, NonFieldCoverageScorer, RecordTemplate, Refined, Refiner,
-    RegularityScorer, SpanLineMatcher, StructureTemplate, UntypedMdlScorer,
+    unfold_at, CharSet, Datamaran, DatamaranConfig, Dataset, EvaluationMetrics, MdlScorer, Node,
+    RecordTemplate, Refined, Refiner, RegularityScorer, SpanLineMatcher, StructureTemplate,
 };
 use datamaran::logsynth::{corpus, DatasetSpec};
 use proptest::prelude::*;
@@ -129,8 +129,11 @@ fn refiner_backends_agree_on_candidate_pools() {
     assert_eq!(metrics.evaluations, tree.evaluations);
 }
 
+/// The arena MDL score of a span parse equals the owned-parse formula `score_set` over the
+/// tree walker's parse of the same template, bit for bit — flat, folded and two-level
+/// nested array templates alike.
 #[test]
-fn all_shipped_scorers_have_exact_span_paths() {
+fn mdl_span_score_matches_tree_score_set() {
     let mut text = String::new();
     for i in 0..80 {
         text.push_str(&format!(
@@ -144,66 +147,51 @@ fn all_shipped_scorers_have_exact_span_paths() {
             text.push_str("-- noise --\n");
         }
     }
+    // Records of a two-level nested array: two outer repetitions, each a key and a
+    // 1-3 element list.
+    for i in 0..90 {
+        let list = |n: usize| {
+            (0..n)
+                .map(|j| format!("v{}", i * j % 13))
+                .collect::<Vec<_>>()
+        };
+        text.push_str(&format!(
+            "k{i}:{}; j{}:{};\n",
+            list(1 + i % 3).join(","),
+            i % 4,
+            list(1 + i % 2).join(",")
+        ));
+    }
     let data = Dataset::new(text.as_str());
+    let nested = StructureTemplate::new(vec![Node::Array {
+        body: vec![
+            Node::Field,
+            Node::Literal(":".into()),
+            Node::Array {
+                body: vec![Node::Field],
+                separator: ',',
+                terminator: ';',
+            },
+        ],
+        separator: ' ',
+        terminator: '\n',
+    }]);
     let templates = [
         flat("[01] GET 3.5 x\n", "[] \n"),
         folded("a b c d\n", " \n"),
         folded("1,2,3\n", ",\n"),
+        nested,
     ];
-    fn check<S: RegularityScorer>(scorer: &S, data: &Dataset, t: &StructureTemplate) {
-        let legacy = parse_dataset(data, std::slice::from_ref(t), 10);
-        let span = SpanLineMatcher::new(std::slice::from_ref(t), 10).parse(data, 1);
-        let tree = scorer.score(data, t, &legacy);
-        let arena = scorer
-            .score_span(data, t, &span)
-            .expect("shipped scorers are span-native");
-        assert_eq!(
-            arena.to_bits(),
-            tree.to_bits(),
-            "{}: {arena} vs {tree} on {t}",
-            scorer.name()
-        );
-    }
     for t in &templates {
-        check(&MdlScorer, &data, t);
-        check(&CoverageScorer, &data, t);
-        check(&UntypedMdlScorer, &data, t);
-        check(&NonFieldCoverageScorer, &data, t);
-        check(&NoisePenaltyScorer::new(MdlScorer, 2.5), &data, t);
+        let single = std::slice::from_ref(t);
+        let tree = MdlScorer.score_set(&data, single, &parse_dataset(&data, single, 10));
+        let span = SpanLineMatcher::new(single, 10).parse(&data, 1);
+        let arena = MdlScorer.score(&data, t, &span);
+        assert_eq!(arena.to_bits(), tree.to_bits(), "{arena} vs {tree} on {t}");
     }
-}
-
-#[test]
-fn custom_scorer_without_span_path_falls_back_to_materialization() {
-    /// A scorer that only implements the tree path (simulates downstream custom scorers).
-    struct TreeOnly;
-    impl RegularityScorer for TreeOnly {
-        fn score(
-            &self,
-            dataset: &Dataset,
-            _template: &StructureTemplate,
-            parse: &datamaran::core::ParseResult,
-        ) -> f64 {
-            (dataset.len() - parse.record_bytes.min(dataset.len())) as f64
-                + parse.records.len() as f64
-        }
-    }
-    let mut text = String::new();
-    for i in 0..60 {
-        text.push_str(&format!("{},{}\n", i, i * 2));
-    }
-    let data = Dataset::new(text.as_str());
-    let t = folded("1,2\n", ",\n");
-    let span = Refiner::new(&data, &TreeOnly, 10);
-    let mut metrics = EvaluationMetrics::default();
-    let refined = refine_tree(&data, &TreeOnly, 10, t.clone(), true, &mut metrics);
-    assert_same_refined(&span.refine(&t), &refined, "refine");
-    let evaluated = refine_tree(&data, &TreeOnly, 10, t.clone(), false, &mut metrics);
-    assert_same_refined(
-        &Refiner::new(&data, &TreeOnly, 10).evaluate(&t),
-        &evaluated,
-        "evaluate",
-    );
+    let nested_parse = SpanLineMatcher::new(&templates[3..], 10).parse(&data, 1);
+    assert_eq!(nested_parse.records.len(), 90);
+    assert_eq!(nested_parse.reps.len(), 270);
 }
 
 proptest! {
@@ -234,7 +222,7 @@ proptest! {
         };
         let data = Dataset::new(text.as_str());
         let templates = std::slice::from_ref(&template);
-        let legacy = repetition_counts(&parse_dataset(&data, templates, 10));
+        let legacy = repetition_counts(&parse_dataset(&data, templates, 10), &template);
         let parse = SpanLineMatcher::new(templates, 10).parse(&data, 1);
         let span = repetition_counts_span(&parse, &template);
         prop_assert_eq!(legacy, span);

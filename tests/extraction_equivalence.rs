@@ -1,6 +1,6 @@
 //! Differential properties for the extraction engine: the compiled instruction-table span
 //! backend must be observationally identical to the legacy tree-walking parser — same
-//! segmentation, same field cells, same instantiation trees, byte-identical relational
+//! segmentation, same field cells, same repetition counts, byte-identical relational
 //! tables — on arbitrary input and for any worker-thread count; and the compiled
 //! instruction table must round-trip (compile → decompile → same template) for every
 //! template the generator emits.
@@ -33,7 +33,7 @@ fn assert_same(a: &ParseResult, b: &ParseResult, label: &str) {
         assert_eq!(x.byte_span, y.byte_span, "{label}");
         assert_eq!(x.line_span, y.line_span, "{label}");
         assert_eq!(x.fields, y.fields, "{label}");
-        assert_eq!(x.values, y.values, "{label}");
+        assert_eq!(x.reps, y.reps, "{label}");
     }
     // Field-drift backstop: whatever fields ParseResult grows, full equality holds.
     assert_eq!(a, b, "{label}: full ParseResult equality");
@@ -45,10 +45,10 @@ fn check_extraction(text: &str, templates: &[StructureTemplate], label: &str) {
     let data = Dataset::new(text);
     let legacy = parse_dataset(&data, templates, 10);
     let matcher = SpanLineMatcher::new(templates, 10);
-    let span = matcher.parse(&data, 1).to_parse_result(templates);
+    let span = matcher.parse(&data, 1).to_parse_result();
     assert_same(&legacy, &span, label);
     for chunks in [2, 5] {
-        let par = matcher.parse(&data, chunks).to_parse_result(templates);
+        let par = matcher.parse(&data, chunks).to_parse_result();
         assert_same(&legacy, &par, &format!("{label} ({chunks} chunks)"));
     }
     // The relational conversions of the two parses must also be byte-identical — this is
@@ -180,13 +180,13 @@ proptest! {
         let legacy = parse_dataset(&data, &templates, 10);
         let span = SpanLineMatcher::new(&templates, 10)
             .parse(&data, 1)
-            .to_parse_result(&templates);
+            .to_parse_result();
         prop_assert_eq!(legacy.records.len(), span.records.len());
         prop_assert_eq!(&legacy.noise_lines, &span.noise_lines);
         for (x, y) in legacy.records.iter().zip(&span.records) {
             prop_assert_eq!(x.byte_span, y.byte_span);
             prop_assert_eq!(&x.fields, &y.fields);
-            prop_assert_eq!(&x.values, &y.values);
+            prop_assert_eq!(&x.reps, &y.reps);
         }
     }
 }

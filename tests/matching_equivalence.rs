@@ -2,7 +2,7 @@
 //! production [`SpanLineMatcher`] (one merged prefix-trie/DFA pass per record start) must
 //! produce **byte-identical** output to its trial reference (every template trialed in
 //! index order) — the flat [`SpanParse`] arenas at every chunk count, the
-//! tree-walker-compatible [`ParseResult`], the end-to-end relational tables, and the
+//! owned [`ParseResult`], the end-to-end relational tables, and the
 //! streaming CSV/JSONL sink bytes against the materialized serializers run on the
 //! reference's parse — on interleaved, multi-line, and array fixtures, plus randomized
 //! template subsets and the guarded fault-injection path over corrupted input.
@@ -38,7 +38,7 @@ fn assert_span_parse_eq(a: &SpanParse, b: &SpanParse, label: &str) {
 fn reference_parse(dataset: &Dataset, templates: &[StructureTemplate]) -> ParseResult {
     SpanLineMatcher::trial_reference(templates, 10)
         .parse(dataset, 1)
-        .to_parse_result(templates)
+        .to_parse_result()
 }
 
 /// What the pipeline materializes from a final parse: one structure per template with its
@@ -418,7 +418,7 @@ proptest! {
         prop_assert_eq!(&trial.reps, &fused.reps);
         prop_assert_eq!(&trial.noise_lines, &fused.noise_lines);
         let mismatch =
-            common::round_trip_mismatch(&fused.to_parse_result(&templates), &templates, &text);
+            common::round_trip_mismatch(&fused.to_parse_result(), &templates, &text);
         prop_assert!(mismatch.is_none(), "subset {:?}: {:?}", picked, mismatch);
     }
 }

@@ -6,14 +6,66 @@
 //! synthesized across windows, interleaved record types, and cells that need RFC-4180
 //! quoting (`\r`, embedded quotes, commas).  The serving path ([`ServeSession`]) is one
 //! more surface: pushed line by line through the same templates, it must emit the same
-//! JSON Lines bytes at any window size.
+//! JSON Lines bytes at any window size.  Every streamed record must also render back from
+//! its template, cells and repetition counts to exactly its source lines.
+
+mod common;
 
 use datamaran::core::{
     all_records_jsonl, table_to_csv, CountingSink, CsvSink, Datamaran, ErrorPolicy, JsonLinesSink,
-    RecordingSleeper, RetryPolicy, RetryingSink, ServeOptions, ServeSession, SnapshotStore,
-    StreamOptions, StreamSession, Tee, TemplateSnapshot, VecQuarantineSink,
+    RecordSink, RecordingSleeper, Result as CoreResult, RetryPolicy, RetryingSink, ServeOptions,
+    ServeSession, SnapshotStore, StreamOptions, StreamRecord, StreamSession, StructureTemplate,
+    Tee, TemplateSnapshot, VecQuarantineSink,
 };
 use std::io::Cursor;
+
+/// The round-trip invariant on the streaming path: renders each record from its template,
+/// window-relative cells and repetition counts, and asserts the render is the record's
+/// source lines concatenated.
+struct RoundTripSink<'a> {
+    lines: Vec<&'a str>,
+    templates: Vec<StructureTemplate>,
+    records: usize,
+}
+
+impl<'a> RoundTripSink<'a> {
+    fn new(text: &'a str) -> Self {
+        RoundTripSink {
+            lines: text.split_inclusive('\n').collect(),
+            templates: Vec::new(),
+            records: 0,
+        }
+    }
+}
+
+impl RecordSink for RoundTripSink<'_> {
+    fn begin(&mut self, templates: &[StructureTemplate]) -> CoreResult<()> {
+        self.templates = templates.to_vec();
+        Ok(())
+    }
+
+    fn record(&mut self, record: &StreamRecord<'_>) -> CoreResult<()> {
+        let rendered = common::render(
+            self.templates[record.template_index].nodes(),
+            record.cells,
+            record.reps,
+            record.window,
+        );
+        let (first, last) = record.line_span;
+        assert_eq!(
+            rendered,
+            self.lines[first..last].concat(),
+            "record at lines {:?}",
+            record.line_span
+        );
+        self.records += 1;
+        Ok(())
+    }
+
+    fn finish(&mut self) -> CoreResult<()> {
+        Ok(())
+    }
+}
 
 /// Runs in-memory extraction and the streaming sinks on the same text and asserts the
 /// serialized bytes agree exactly.  `options` should make the window far smaller than the
@@ -27,14 +79,14 @@ fn assert_streaming_equivalence(name: &str, text: &str, options: StreamOptions) 
         CsvSink::new(|_name: &str| Ok(Vec::<u8>::new())),
         Tee(
             JsonLinesSink::new(Vec::<u8>::new()),
-            CountingSink::default(),
+            Tee(CountingSink::default(), RoundTripSink::new(text)),
         ),
     );
     let summary = StreamSession::new(&engine)
         .options(options)
         .run(Cursor::new(text.to_string()), &mut sink)
         .expect("streaming extraction succeeds");
-    let Tee(csv, Tee(jsonl, counter)) = sink;
+    let Tee(csv, Tee(jsonl, Tee(counter, round_trip))) = sink;
 
     // Head discovery must agree with full-file discovery for the comparison to be
     // meaningful; every fixture is built to satisfy this.
@@ -44,6 +96,10 @@ fn assert_streaming_equivalence(name: &str, text: &str, options: StreamOptions) 
     assert_eq!(streamed_templates, in_memory_templates, "{name}: templates");
     assert_eq!(summary.records, result.record_count(), "{name}: records");
     assert_eq!(counter.records, summary.records, "{name}: counter");
+    assert_eq!(
+        round_trip.records, summary.records,
+        "{name}: round-tripped records"
+    );
 
     // CSV: every normalized table, in order, byte for byte.
     let streamed_tables = csv.into_writers();
