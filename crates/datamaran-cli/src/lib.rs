@@ -41,10 +41,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use datamaran_core::{
-    all_tables_csv, table_to_csv, CountingSink, CsvSink, Datamaran, DatamaranConfig, Error,
-    ErrorPolicy, ExtractionReport, Grammar, JsonLinesSink, QuarantineSink, RecordSink, RetryPolicy,
-    RetryingSink, SearchStrategy, StreamBudgets, StreamOptions, StreamReport, StreamSession,
-    StreamSummary, StructureTemplate, TemplateArtifact, WriteQuarantineSink,
+    all_tables_csv, extraction_report, stream_report, table_to_csv, CountingSink, CsvSink,
+    Datamaran, DatamaranConfig, Error, ErrorPolicy, Grammar, JsonLinesSink, QuarantineSink,
+    RecordSink, RetryPolicy, RetryingSink, SearchStrategy, StreamBudgets, StreamOptions,
+    StreamSession, StreamSummary, StructureTemplate, TemplateArtifact, WriteQuarantineSink,
 };
 use logclust::{ClusterConfig, LogCluster};
 use std::fmt::Write as _;
@@ -557,7 +557,7 @@ pub fn run_cli<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
             let result = extract(&cli, &text)?;
             let rendered = match cli.format {
                 OutputFormat::Summary => render_summary(&text, &result),
-                OutputFormat::Json => ExtractionReport::new(&text, &result).to_json() + "\n",
+                OutputFormat::Json => extraction_report(&text, &result).to_pretty() + "\n",
                 OutputFormat::Csv => {
                     if let Some(dir) = &cli.out_dir {
                         return write_csv_dir(dir, &result, out);
@@ -806,7 +806,7 @@ fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliEr
                 let mut sink = JsonLinesSink::new(BufWriter::new(sink_file));
                 let (summary, _retries) =
                     run_guarded(cli, &engine, reader, options, &mut sink, quarantine)?;
-                writeln!(out, "{}", StreamReport::new(&summary).to_json())
+                writeln!(out, "{}", stream_report(&summary).to_pretty())
                     .map_err(|e| CliError::io(e.to_string()))
             } else {
                 let mut sink = JsonLinesSink::new(&mut *out);
@@ -842,7 +842,7 @@ fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliEr
                         writeln!(out, "wrote {}", final_path.display())
                             .map_err(|e| CliError::io(e.to_string()))?;
                     }
-                    writeln!(out, "{}", StreamReport::new(&summary).to_json())
+                    writeln!(out, "{}", stream_report(&summary).to_pretty())
                         .map_err(|e| CliError::io(e.to_string()))
                 }
                 Err(err) => {
@@ -964,6 +964,7 @@ fn write_csv_dir<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datamaran_core::JsonValue;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1130,9 +1131,11 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let report = ExtractionReport::from_json(text.trim()).unwrap();
-        assert_eq!(report.record_count, 60);
+        let report = JsonValue::parse(String::from_utf8(out).unwrap().trim()).unwrap();
+        assert_eq!(
+            report.require("record_count").unwrap().as_usize().unwrap(),
+            60
+        );
         fs::remove_file(path).ok();
     }
 
@@ -1251,7 +1254,7 @@ mod tests {
 
     #[test]
     fn stream_jsonl_and_csv_match_in_memory_export() {
-        use datamaran_core::{all_records_jsonl, StreamReport};
+        use datamaran_core::all_records_jsonl;
         let log = web_log(150);
         let path = temp_log("stream_eq", &log);
         let base =
@@ -1276,9 +1279,10 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        let report = StreamReport::from_json(String::from_utf8(out).unwrap().trim()).unwrap();
-        assert_eq!(report.records, 150);
-        assert!(report.peak_window_bytes > 0);
+        let report = JsonValue::parse(String::from_utf8(out).unwrap().trim()).unwrap();
+        let count = |key: &str| report.require(key).unwrap().as_usize().unwrap();
+        assert_eq!(count("records"), 150);
+        assert!(count("peak_window_bytes") > 0);
 
         // The streamed bytes equal the in-memory serializer's output.
         let result = Datamaran::with_defaults().extract(&log).unwrap();

@@ -287,10 +287,12 @@ fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// One FNV-1a 64 absorption step over `bytes`, continuing from `hash`.
-fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
+/// One FNV-1a 64 absorption step over `bytes`, continuing from `hash` — the checksum of
+/// the artifact and of each [`crate::journal`] entry.
+pub(crate) fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -404,6 +406,18 @@ mod tests {
                 },
             ]),
         ]
+    }
+
+    /// The published FNV-1a 64 test vectors: stored artifact and journal checksums rely
+    /// on these exact values.
+    #[test]
+    fn fnv1a64_matches_the_published_vectors() {
+        assert_eq!(fnv1a64(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a64(fnv1a64(FNV_OFFSET, b"fo"), b"obar"),
+            0x8594_4171_f739_67e8
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! (§1: "analyzed in conjunction with other datasets").  This module provides the formats
 //! those tools most commonly ingest:
 //!
-//! * a machine-readable **JSON report** ([`ExtractionReport`]) summarizing the discovered
-//!   structure templates, per-column types (both the MDL data types and the semantic types of
-//!   [`crate::semtype`]), coverage, and step timings;
+//! * machine-readable **JSON reports**, each written straight from the engine's own
+//!   summary by one function: [`extraction_report`] (discovered structure templates,
+//!   per-column MDL data types and the semantic types of [`crate::semtype`], coverage,
+//!   search statistics and step timings) and [`stream_report`] (the counters of a
+//!   streaming run, also the `stream` section of the serving metrics document);
 //! * **CSV** serialization of the relational output ([`table_to_csv`], [`write_table_csv`],
 //!   [`all_tables_csv`]), with RFC-4180-style quoting;
 //! * **JSON Lines** serialization of the per-record values ([`all_records_jsonl`]);
@@ -30,264 +32,83 @@
 use crate::error::{Error, Result as CoreResult};
 use crate::extract::MatchStats;
 use crate::fieldtype::FieldType;
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, JsonValue};
 use crate::parser::{FieldCell, RecordMatch};
 use crate::pipeline::{ExtractionResult, PipelineStats};
 use crate::relational::{build_schema, layout_record, RowIdSynth, RowWriter, Table};
-use crate::semtype::{
-    annotate_table, ColumnAnnotation, CompositeColumn, SemanticType, TableAnnotation,
-};
-use crate::streaming::{StreamRecord, StreamSummary, WindowUnmatched};
+use crate::semtype::{annotate_table, TableAnnotation};
+use crate::streaming::{StreamRecord, StreamSummary};
 use crate::structure::StructureTemplate;
 use std::io::{self, Write};
 use std::time::Duration;
 
-/// Serializable summary of one discovered record type.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StructureReport {
-    /// Human-readable structure template (e.g. `[F:F] F\n`).
-    pub template: String,
-    /// Number of field columns in the denormalized output.
-    pub field_count: usize,
-    /// Number of records extracted.
-    pub record_count: usize,
-    /// Fraction of the dataset's bytes covered by records of this type.
-    pub coverage: f64,
-    /// Regularity score of the template (lower is better).
-    pub score: f64,
-    /// Per-column MDL data types (`enum` / `int` / `real` / `string`).
-    pub column_types: Vec<String>,
-    /// Per-column and composite semantic annotations.
-    pub semantics: TableAnnotation,
-    /// Names of the normalized tables (root first).
-    pub tables: Vec<String>,
-}
-
-/// Serializable summary of the pipeline statistics (subset of [`PipelineStats`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct StatsReport {
-    /// Candidates emitted by the generation step(s).
-    pub candidates_generated: usize,
-    /// Candidates surviving the pruning step(s).
-    pub candidates_pruned: usize,
-    /// Character sets enumerated.
-    pub charsets_enumerated: usize,
-    /// Candidate records examined.
-    pub records_examined: usize,
-    /// Bytes of sampled data used by the search.
-    pub sample_bytes: usize,
-    /// Pipeline iterations (record types attempted).
-    pub iterations: usize,
-    /// Per-step wall-clock seconds: sampling, generation, pruning, evaluation, extraction.
-    pub step_seconds: [f64; 5],
-    /// Worker threads the final extraction pass was sharded across.
-    pub extraction_threads: usize,
-    /// Worker threads the per-candidate evaluation loop was sharded across.
-    pub evaluation_threads: usize,
-    /// Template evaluations performed during refinement (including memo hits).
-    pub evaluation_count: usize,
-    /// Evaluations answered by the template-score memo without re-parsing.
-    pub evaluation_memo_hits: usize,
-    /// Memo hits resolved through the parent-lineage fast path.
-    pub evaluation_lineage_hits: usize,
-    /// Seconds the evaluation phase spent parsing candidates against the sample.
-    pub evaluation_parse_seconds: f64,
-    /// Seconds the evaluation phase spent computing regularity scores.
-    pub evaluation_score_seconds: f64,
-    /// Variant evaluations parsed by delta against their refinement parent.
-    pub evaluation_delta_parses: usize,
-    /// Span evaluations parsed from scratch (roots, unusable diffs).
-    pub evaluation_full_parses: usize,
-    /// Fraction of parent records copy-forwarded by delta parses (the delta-hit rate).
-    pub evaluation_delta_record_reuse: f64,
-    /// Fraction of columns re-aggregated by delta-parsed evaluations (dirty-column
-    /// fraction; lower = more incremental scoring).
-    pub evaluation_dirty_column_fraction: f64,
-}
-
-impl StatsReport {
-    fn from_stats(stats: &PipelineStats) -> Self {
-        let t = &stats.timings;
-        StatsReport {
-            candidates_generated: stats.candidates_generated,
-            candidates_pruned: stats.candidates_pruned,
-            charsets_enumerated: stats.charsets_enumerated,
-            records_examined: stats.records_examined,
-            sample_bytes: stats.sample_bytes,
-            iterations: stats.iterations,
-            step_seconds: [
-                t.sampling.as_secs_f64(),
-                t.generation.as_secs_f64(),
-                t.pruning.as_secs_f64(),
-                t.evaluation.as_secs_f64(),
-                t.extraction.as_secs_f64(),
-            ],
-            extraction_threads: stats.extraction_threads,
-            evaluation_threads: stats.evaluation_threads,
-            evaluation_count: stats.evaluation_metrics.evaluations,
-            evaluation_memo_hits: stats.evaluation_metrics.memo_hits,
-            evaluation_lineage_hits: stats.evaluation_metrics.lineage_hits,
-            evaluation_parse_seconds: stats.evaluation_metrics.parse_seconds,
-            evaluation_score_seconds: stats.evaluation_metrics.score_seconds,
-            evaluation_delta_parses: stats.evaluation_metrics.delta_parses,
-            evaluation_full_parses: stats.evaluation_metrics.delta_full_parses,
-            evaluation_delta_record_reuse: stats.evaluation_metrics.delta_record_reuse_rate(),
-            evaluation_dirty_column_fraction: stats.evaluation_metrics.dirty_column_fraction(),
-        }
-    }
-}
-
-/// A complete, serializable extraction report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExtractionReport {
-    /// Size of the input dataset in bytes.
-    pub dataset_bytes: usize,
-    /// Number of lines in the input dataset.
-    pub dataset_lines: usize,
-    /// Total records extracted across all record types.
-    pub record_count: usize,
-    /// Number of lines left as noise.
-    pub noise_lines: usize,
-    /// Fraction of the dataset's bytes left unexplained.
-    pub noise_fraction: f64,
-    /// One report per discovered record type.
-    pub structures: Vec<StructureReport>,
-    /// Search statistics.
-    pub stats: StatsReport,
-}
-
-impl ExtractionReport {
-    /// Builds a report from the raw input text and the extraction result.
-    pub fn new(text: &str, result: &ExtractionResult) -> Self {
-        let structures = result
-            .structures
-            .iter()
-            .map(|s| StructureReport {
-                template: s.template.to_string(),
-                field_count: s.template.field_count(),
-                record_count: s.records.len(),
-                coverage: s.coverage,
-                score: s.score,
-                column_types: s
-                    .column_types
-                    .iter()
-                    .map(FieldType::name)
-                    .map(str::to_string)
-                    .collect(),
-                semantics: annotate_table(&s.denormalized),
-                tables: s.relational.tables.iter().map(|t| t.name.clone()).collect(),
-            })
-            .collect();
-        ExtractionReport {
-            dataset_bytes: text.len(),
-            dataset_lines: text.lines().count(),
-            record_count: result.record_count(),
-            noise_lines: result.noise_lines.len(),
-            noise_fraction: result.noise_fraction,
-            structures,
-            stats: StatsReport::from_stats(&result.stats),
-        }
-    }
-
-    /// Serializes the report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    pub fn from_json(json: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&JsonValue::parse(json)?)
-    }
-
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("dataset_bytes".into(), num(self.dataset_bytes)),
-            ("dataset_lines".into(), num(self.dataset_lines)),
-            ("record_count".into(), num(self.record_count)),
-            ("noise_lines".into(), num(self.noise_lines)),
-            (
-                "noise_fraction".into(),
-                JsonValue::Number(self.noise_fraction),
-            ),
-            (
-                "structures".into(),
-                JsonValue::Array(self.structures.iter().map(structure_to_json).collect()),
-            ),
-            ("stats".into(), stats_to_json(&self.stats)),
-        ])
-    }
-
-    fn from_json_value(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(ExtractionReport {
-            dataset_bytes: v.require("dataset_bytes")?.as_usize()?,
-            dataset_lines: v.require("dataset_lines")?.as_usize()?,
-            record_count: v.require("record_count")?.as_usize()?,
-            noise_lines: v.require("noise_lines")?.as_usize()?,
-            noise_fraction: v.require("noise_fraction")?.as_f64()?,
-            structures: v
-                .require("structures")?
-                .as_array()?
-                .iter()
-                .map(structure_from_json)
-                .collect::<Result<_, _>>()?,
-            stats: stats_from_json(v.require("stats")?)?,
+/// The JSON report of one extraction run over `text` (what the CLI's `extract --format
+/// json` prints): dataset size, record and noise counts, one object per discovered record
+/// type, and the search statistics.  Render it with [`JsonValue::to_pretty`].
+pub fn extraction_report(text: &str, result: &ExtractionResult) -> JsonValue {
+    let structures = result
+        .structures
+        .iter()
+        .map(|s| {
+            object([
+                ("template", JsonValue::String(s.template.to_string())),
+                ("field_count", num(s.template.field_count())),
+                ("record_count", num(s.records.len())),
+                ("coverage", JsonValue::Number(s.coverage)),
+                ("score", JsonValue::Number(s.score)),
+                (
+                    "column_types",
+                    strings(s.column_types.iter().map(FieldType::name)),
+                ),
+                (
+                    "semantics",
+                    semantics_json(&annotate_table(&s.denormalized)),
+                ),
+                (
+                    "tables",
+                    strings(s.relational.tables.iter().map(|t| t.name.as_str())),
+                ),
+            ])
         })
-    }
+        .collect();
+    object([
+        ("dataset_bytes", num(text.len())),
+        ("dataset_lines", num(text.lines().count())),
+        ("record_count", num(result.record_count())),
+        ("noise_lines", num(result.noise_lines.len())),
+        ("noise_fraction", JsonValue::Number(result.noise_fraction)),
+        ("structures", JsonValue::Array(structures)),
+        ("stats", stats_json(&result.stats)),
+    ])
+}
+
+/// A JSON object with `fields` in order.
+fn object<const N: usize>(fields: [(&str, JsonValue); N]) -> JsonValue {
+    JsonValue::Object(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 fn num(n: usize) -> JsonValue {
     JsonValue::Number(n as f64)
 }
 
-fn strings(items: &[String]) -> JsonValue {
-    JsonValue::Array(items.iter().map(|s| JsonValue::String(s.clone())).collect())
+fn strings<S: Into<String>>(items: impl Iterator<Item = S>) -> JsonValue {
+    JsonValue::Array(items.map(|s| JsonValue::String(s.into())).collect())
 }
 
-fn string_vec(v: &JsonValue) -> Result<Vec<String>, JsonError> {
-    v.as_array()?
-        .iter()
-        .map(|item| item.as_str().map(str::to_string))
-        .collect()
-}
-
-fn structure_to_json(s: &StructureReport) -> JsonValue {
-    JsonValue::Object(vec![
-        ("template".into(), JsonValue::String(s.template.clone())),
-        ("field_count".into(), num(s.field_count)),
-        ("record_count".into(), num(s.record_count)),
-        ("coverage".into(), JsonValue::Number(s.coverage)),
-        ("score".into(), JsonValue::Number(s.score)),
-        ("column_types".into(), strings(&s.column_types)),
-        ("semantics".into(), semantics_to_json(&s.semantics)),
-        ("tables".into(), strings(&s.tables)),
-    ])
-}
-
-fn structure_from_json(v: &JsonValue) -> Result<StructureReport, JsonError> {
-    Ok(StructureReport {
-        template: v.require("template")?.as_str()?.to_string(),
-        field_count: v.require("field_count")?.as_usize()?,
-        record_count: v.require("record_count")?.as_usize()?,
-        coverage: v.require("coverage")?.as_f64()?,
-        score: v.require("score")?.as_f64()?,
-        column_types: string_vec(v.require("column_types")?)?,
-        semantics: semantics_from_json(v.require("semantics")?)?,
-        tables: string_vec(v.require("tables")?)?,
-    })
-}
-
-fn semantics_to_json(annotation: &TableAnnotation) -> JsonValue {
+fn semantics_json(annotation: &TableAnnotation) -> JsonValue {
     let columns = annotation
         .columns
         .iter()
         .map(|c| {
-            JsonValue::Object(vec![
-                ("column".into(), num(c.column)),
-                (
-                    "semantic".into(),
-                    JsonValue::String(c.semantic.name().into()),
-                ),
-                ("confidence".into(), JsonValue::Number(c.confidence)),
+            object([
+                ("column", num(c.column)),
+                ("semantic", JsonValue::String(c.semantic.name().into())),
+                ("confidence", JsonValue::Number(c.confidence)),
             ])
         })
         .collect();
@@ -295,194 +116,72 @@ fn semantics_to_json(annotation: &TableAnnotation) -> JsonValue {
         .composites
         .iter()
         .map(|c| {
-            JsonValue::Object(vec![
-                ("first_column".into(), num(c.first_column)),
-                ("width".into(), num(c.width)),
-                (
-                    "delimiter".into(),
-                    JsonValue::String(c.delimiter.to_string()),
-                ),
-                (
-                    "semantic".into(),
-                    JsonValue::String(c.semantic.name().into()),
-                ),
+            object([
+                ("first_column", num(c.first_column)),
+                ("width", num(c.width)),
+                ("delimiter", JsonValue::String(c.delimiter.to_string())),
+                ("semantic", JsonValue::String(c.semantic.name().into())),
             ])
         })
         .collect();
-    JsonValue::Object(vec![
-        ("columns".into(), JsonValue::Array(columns)),
-        ("composites".into(), JsonValue::Array(composites)),
+    object([
+        ("columns", JsonValue::Array(columns)),
+        ("composites", JsonValue::Array(composites)),
     ])
 }
 
-fn semantic_from_json(v: &JsonValue) -> Result<SemanticType, JsonError> {
-    let name = v.as_str()?;
-    SemanticType::from_name(name)
-        .ok_or_else(|| JsonError::shape(format!("unknown semantic type {name:?}")))
-}
-
-fn semantics_from_json(v: &JsonValue) -> Result<TableAnnotation, JsonError> {
-    let columns = v
-        .require("columns")?
-        .as_array()?
-        .iter()
-        .map(|c| {
-            Ok(ColumnAnnotation {
-                column: c.require("column")?.as_usize()?,
-                semantic: semantic_from_json(c.require("semantic")?)?,
-                confidence: c.require("confidence")?.as_f64()?,
-            })
-        })
-        .collect::<Result<_, JsonError>>()?;
-    let composites = v
-        .require("composites")?
-        .as_array()?
-        .iter()
-        .map(|c| {
-            let delimiter = c.require("delimiter")?.as_str()?;
-            Ok(CompositeColumn {
-                first_column: c.require("first_column")?.as_usize()?,
-                width: c.require("width")?.as_usize()?,
-                delimiter: delimiter
-                    .chars()
-                    .next()
-                    .ok_or_else(|| JsonError::shape("empty composite delimiter"))?,
-                semantic: semantic_from_json(c.require("semantic")?)?,
-            })
-        })
-        .collect::<Result<_, JsonError>>()?;
-    Ok(TableAnnotation {
-        columns,
-        composites,
-    })
-}
-
-fn stats_to_json(stats: &StatsReport) -> JsonValue {
-    JsonValue::Object(vec![
+/// The search statistics: generation and evaluation work counters, resolved worker
+/// threads, and per-step seconds (sampling, generation, pruning, evaluation, extraction).
+fn stats_json(stats: &PipelineStats) -> JsonValue {
+    let eval = &stats.evaluation_metrics;
+    let t = &stats.timings;
+    let steps = [
+        t.sampling,
+        t.generation,
+        t.pruning,
+        t.evaluation,
+        t.extraction,
+    ];
+    object([
+        ("candidates_generated", num(stats.candidates_generated)),
+        ("candidates_pruned", num(stats.candidates_pruned)),
+        ("charsets_enumerated", num(stats.charsets_enumerated)),
+        ("records_examined", num(stats.records_examined)),
+        ("sample_bytes", num(stats.sample_bytes)),
+        ("iterations", num(stats.iterations)),
+        ("extraction_threads", num(stats.extraction_threads)),
+        ("evaluation_threads", num(stats.evaluation_threads)),
+        ("evaluation_count", num(eval.evaluations)),
+        ("evaluation_memo_hits", num(eval.memo_hits)),
+        ("evaluation_lineage_hits", num(eval.lineage_hits)),
         (
-            "candidates_generated".into(),
-            num(stats.candidates_generated),
-        ),
-        ("candidates_pruned".into(), num(stats.candidates_pruned)),
-        ("charsets_enumerated".into(), num(stats.charsets_enumerated)),
-        ("records_examined".into(), num(stats.records_examined)),
-        ("sample_bytes".into(), num(stats.sample_bytes)),
-        ("iterations".into(), num(stats.iterations)),
-        ("extraction_threads".into(), num(stats.extraction_threads)),
-        ("evaluation_threads".into(), num(stats.evaluation_threads)),
-        ("evaluation_count".into(), num(stats.evaluation_count)),
-        (
-            "evaluation_memo_hits".into(),
-            num(stats.evaluation_memo_hits),
+            "evaluation_parse_seconds",
+            JsonValue::Number(eval.parse_seconds),
         ),
         (
-            "evaluation_lineage_hits".into(),
-            num(stats.evaluation_lineage_hits),
+            "evaluation_score_seconds",
+            JsonValue::Number(eval.score_seconds),
+        ),
+        ("evaluation_delta_parses", num(eval.delta_parses)),
+        ("evaluation_full_parses", num(eval.delta_full_parses)),
+        (
+            "evaluation_delta_record_reuse",
+            JsonValue::Number(eval.delta_record_reuse_rate()),
         ),
         (
-            "evaluation_parse_seconds".into(),
-            JsonValue::Number(stats.evaluation_parse_seconds),
+            "evaluation_dirty_column_fraction",
+            JsonValue::Number(eval.dirty_column_fraction()),
         ),
         (
-            "evaluation_score_seconds".into(),
-            JsonValue::Number(stats.evaluation_score_seconds),
-        ),
-        (
-            "evaluation_delta_parses".into(),
-            num(stats.evaluation_delta_parses),
-        ),
-        (
-            "evaluation_full_parses".into(),
-            num(stats.evaluation_full_parses),
-        ),
-        (
-            "evaluation_delta_record_reuse".into(),
-            JsonValue::Number(stats.evaluation_delta_record_reuse),
-        ),
-        (
-            "evaluation_dirty_column_fraction".into(),
-            JsonValue::Number(stats.evaluation_dirty_column_fraction),
-        ),
-        (
-            "step_seconds".into(),
+            "step_seconds",
             JsonValue::Array(
-                stats
-                    .step_seconds
+                steps
                     .iter()
-                    .map(|s| JsonValue::Number(*s))
+                    .map(|d| JsonValue::Number(d.as_secs_f64()))
                     .collect(),
             ),
         ),
     ])
-}
-
-fn stats_from_json(v: &JsonValue) -> Result<StatsReport, JsonError> {
-    let seconds = v.require("step_seconds")?.as_array()?;
-    if seconds.len() != 5 {
-        return Err(JsonError::shape("step_seconds must have 5 entries"));
-    }
-    let mut step_seconds = [0.0f64; 5];
-    for (slot, value) in step_seconds.iter_mut().zip(seconds) {
-        *slot = value.as_f64()?;
-    }
-    Ok(StatsReport {
-        candidates_generated: v.require("candidates_generated")?.as_usize()?,
-        candidates_pruned: v.require("candidates_pruned")?.as_usize()?,
-        charsets_enumerated: v.require("charsets_enumerated")?.as_usize()?,
-        records_examined: v.require("records_examined")?.as_usize()?,
-        sample_bytes: v.require("sample_bytes")?.as_usize()?,
-        iterations: v.require("iterations")?.as_usize()?,
-        step_seconds,
-        // Reports written before the span extraction engine lack this field; reports
-        // written while the engine was selectable also carry `extraction_backend` and
-        // `evaluation_backend`, which are ignored.
-        extraction_threads: match v.get("extraction_threads") {
-            Some(t) => t.as_usize()?,
-            None => 0,
-        },
-        // Reports written before the span evaluation engine lack the evaluation fields.
-        evaluation_threads: match v.get("evaluation_threads") {
-            Some(t) => t.as_usize()?,
-            None => 0,
-        },
-        evaluation_count: match v.get("evaluation_count") {
-            Some(t) => t.as_usize()?,
-            None => 0,
-        },
-        evaluation_memo_hits: match v.get("evaluation_memo_hits") {
-            Some(t) => t.as_usize()?,
-            None => 0,
-        },
-        evaluation_parse_seconds: match v.get("evaluation_parse_seconds") {
-            Some(t) => t.as_f64()?,
-            None => 0.0,
-        },
-        evaluation_score_seconds: match v.get("evaluation_score_seconds") {
-            Some(t) => t.as_f64()?,
-            None => 0.0,
-        },
-        // Reports written before delta evaluation lack the delta telemetry.
-        evaluation_lineage_hits: match v.get("evaluation_lineage_hits") {
-            Some(t) => t.as_usize()?,
-            None => 0,
-        },
-        evaluation_delta_parses: match v.get("evaluation_delta_parses") {
-            Some(t) => t.as_usize()?,
-            None => 0,
-        },
-        evaluation_full_parses: match v.get("evaluation_full_parses") {
-            Some(t) => t.as_usize()?,
-            None => 0,
-        },
-        evaluation_delta_record_reuse: match v.get("evaluation_delta_record_reuse") {
-            Some(t) => t.as_f64()?,
-            None => 0.0,
-        },
-        evaluation_dirty_column_fraction: match v.get("evaluation_dirty_column_fraction") {
-            Some(t) => t.as_f64()?,
-            None => 0.0,
-        },
-    })
 }
 
 /// Quotes one CSV cell per RFC 4180: cells containing commas, quotes, or newlines are wrapped
@@ -1145,228 +844,72 @@ pub fn all_records_jsonl(text: &str, result: &ExtractionResult) -> String {
     out
 }
 
-/// The streaming counterpart of [`ExtractionReport`]: a machine-readable summary of one
-/// bounded-memory streaming run (what the CLI's `extract --stream --format json` prints).
-#[derive(Clone, Debug, PartialEq)]
-pub struct StreamReport {
-    /// Records emitted to the sink.
-    pub records: usize,
-    /// Lines classified as noise.
-    pub noise_lines: usize,
-    /// Total bytes consumed from the stream.
-    pub bytes_processed: usize,
-    /// Total lines consumed from the stream.
-    pub lines_processed: usize,
-    /// Chunk windows processed.
-    pub windows: usize,
-    /// Peak resident window bytes (see
-    /// [`StreamSummary::peak_window_bytes`]).
-    pub peak_window_bytes: usize,
-    /// Wall-clock seconds spent inside the sink callbacks.
-    pub sink_seconds: f64,
-    /// Wall-clock seconds spent matching templates against window text.
-    pub match_seconds: f64,
-    /// Lines diverted to the quarantine (all reasons).
-    pub quarantined_lines: usize,
-    /// Input lines that were not valid UTF-8 (processed lossily).
-    pub invalid_utf8_lines: usize,
-    /// Input lines dropped for exceeding the line-bytes budget.
-    pub oversized_lines: usize,
-    /// Why the stream stopped early ([`crate::streaming::StopReason::name`]), `None` when
-    /// it ran to the end.
-    pub stopped_reason: Option<String>,
-    /// Human-readable renderings of the discovered structure templates.
-    pub templates: Vec<String>,
-    /// Aggregate matcher work counters (fused prefilter dispatches, per-template trials
-    /// executed vs pruned) summed over every window.
-    pub match_stats: MatchStats,
-    /// The same counters per processed window, in window order.
-    pub window_match_stats: Vec<MatchStats>,
-    /// Per-window line and unmatched-line counts, in window order — the drift signal the
-    /// serving layer's metrics endpoint shares with this report.
-    pub window_unmatched: Vec<WindowUnmatched>,
-}
-
-/// Serializes one [`MatchStats`] as a JSON object.
-fn match_stats_json(stats: &MatchStats) -> JsonValue {
-    JsonValue::Object(vec![
+/// The JSON report of one streaming run (what the CLI's `extract --stream --format json`
+/// and `--format csv` print, and the `stream` section of
+/// [`ServeMetrics`](crate::serve::ServeMetrics)): the run's counters, the templates in
+/// match-priority order, the matcher work totals, and the recent-window histories of
+/// [`StreamSummary`].  Render it with [`JsonValue::to_pretty`].
+pub fn stream_report(summary: &StreamSummary) -> JsonValue {
+    let window_unmatched = summary
+        .window_unmatched
+        .iter()
+        .map(|w| {
+            object([
+                ("lines", num(w.lines)),
+                ("unmatched", num(w.unmatched)),
+                ("unmatched_rate", JsonValue::Number(w.unmatched_rate())),
+            ])
+        })
+        .collect();
+    object([
+        ("records", num(summary.records)),
+        ("noise_lines", num(summary.noise_lines)),
+        ("bytes_processed", num(summary.bytes_processed)),
+        ("lines_processed", num(summary.lines_processed)),
+        ("windows", num(summary.windows)),
+        ("peak_window_bytes", num(summary.peak_window_bytes)),
+        ("sink_seconds", JsonValue::Number(summary.sink_seconds)),
+        ("match_seconds", JsonValue::Number(summary.match_seconds)),
+        ("quarantined_lines", num(summary.quarantined_lines)),
+        ("invalid_utf8_lines", num(summary.invalid_utf8_lines)),
+        ("oversized_lines", num(summary.oversized_lines)),
         (
-            "lines_dispatched".into(),
-            num(stats.lines_dispatched as usize),
+            "stopped_reason",
+            summary
+                .stopped_reason
+                .map_or(JsonValue::Null, |r| JsonValue::String(r.name().into())),
         ),
         (
-            "fused_dispatches".into(),
-            num(stats.fused_dispatches as usize),
+            "templates",
+            strings(summary.templates.iter().map(ToString::to_string)),
         ),
+        ("match_stats", match_stats_json(&summary.match_stats())),
         (
-            "templates_trialed".into(),
-            num(stats.templates_trialed as usize),
+            "window_match_stats",
+            JsonValue::Array(
+                summary
+                    .window_match_stats
+                    .iter()
+                    .map(match_stats_json)
+                    .collect(),
+            ),
         ),
-        (
-            "templates_pruned".into(),
-            num(stats.templates_pruned as usize),
-        ),
-        ("prune_rate".into(), JsonValue::Number(stats.prune_rate())),
-        (
-            "fused_dispatch_rate".into(),
-            JsonValue::Number(stats.fused_dispatch_rate()),
-        ),
+        ("window_unmatched", JsonValue::Array(window_unmatched)),
     ])
 }
 
-/// Parses one [`MatchStats`] object (rates are derived, not read back).
-fn match_stats_from_json(v: &JsonValue) -> Result<MatchStats, JsonError> {
-    let field = |key: &str| -> Result<u64, JsonError> {
-        v.get(key).map_or(Ok(0), |x| x.as_usize().map(|n| n as u64))
-    };
-    Ok(MatchStats {
-        lines_dispatched: field("lines_dispatched")?,
-        fused_dispatches: field("fused_dispatches")?,
-        templates_trialed: field("templates_trialed")?,
-        templates_pruned: field("templates_pruned")?,
-    })
-}
-
-impl StreamReport {
-    /// Builds the report from a streaming run's summary.
-    pub fn new(summary: &StreamSummary) -> Self {
-        StreamReport {
-            records: summary.records,
-            noise_lines: summary.noise_lines,
-            bytes_processed: summary.bytes_processed,
-            lines_processed: summary.lines_processed,
-            windows: summary.windows,
-            peak_window_bytes: summary.peak_window_bytes,
-            sink_seconds: summary.sink_seconds,
-            match_seconds: summary.match_seconds,
-            quarantined_lines: summary.quarantined_lines,
-            invalid_utf8_lines: summary.invalid_utf8_lines,
-            oversized_lines: summary.oversized_lines,
-            stopped_reason: summary.stopped_reason.map(|r| r.name().to_string()),
-            templates: summary.templates.iter().map(|t| t.to_string()).collect(),
-            match_stats: summary.match_stats(),
-            window_match_stats: summary.window_match_stats.clone(),
-            window_unmatched: summary.window_unmatched.clone(),
-        }
-    }
-
-    /// Serializes the report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_pretty()
-    }
-
-    /// The report as a [`JsonValue`] tree, for callers that nest it inside a larger
-    /// document (the serve metrics endpoint wraps it in a `stream` section).
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("records".into(), num(self.records)),
-            ("noise_lines".into(), num(self.noise_lines)),
-            ("bytes_processed".into(), num(self.bytes_processed)),
-            ("lines_processed".into(), num(self.lines_processed)),
-            ("windows".into(), num(self.windows)),
-            ("peak_window_bytes".into(), num(self.peak_window_bytes)),
-            ("sink_seconds".into(), JsonValue::Number(self.sink_seconds)),
-            (
-                "match_seconds".into(),
-                JsonValue::Number(self.match_seconds),
-            ),
-            ("quarantined_lines".into(), num(self.quarantined_lines)),
-            ("invalid_utf8_lines".into(), num(self.invalid_utf8_lines)),
-            ("oversized_lines".into(), num(self.oversized_lines)),
-            (
-                "stopped_reason".into(),
-                match &self.stopped_reason {
-                    Some(r) => JsonValue::String(r.clone()),
-                    None => JsonValue::Null,
-                },
-            ),
-            ("templates".into(), strings(&self.templates)),
-            ("match_stats".into(), match_stats_json(&self.match_stats)),
-            (
-                "window_match_stats".into(),
-                JsonValue::Array(
-                    self.window_match_stats
-                        .iter()
-                        .map(match_stats_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "window_unmatched".into(),
-                JsonValue::Array(
-                    self.window_unmatched
-                        .iter()
-                        .map(|w| {
-                            JsonValue::Object(vec![
-                                ("lines".into(), num(w.lines)),
-                                ("unmatched".into(), num(w.unmatched)),
-                                (
-                                    "unmatched_rate".into(),
-                                    JsonValue::Number(w.unmatched_rate()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses a report back from JSON.  The fault-tolerance fields are optional so reports
-    /// written by earlier versions still parse (they default to zero / absent).
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let v = JsonValue::parse(text)?;
-        let opt_usize = |key: &str| -> Result<usize, JsonError> {
-            v.get(key).map_or(Ok(0), JsonValue::as_usize)
-        };
-        let stopped_reason = match v.get("stopped_reason") {
-            None | Some(JsonValue::Null) => None,
-            Some(other) => Some(other.as_str()?.to_string()),
-        };
-        Ok(StreamReport {
-            records: v.require("records")?.as_usize()?,
-            noise_lines: v.require("noise_lines")?.as_usize()?,
-            bytes_processed: v.require("bytes_processed")?.as_usize()?,
-            lines_processed: v.require("lines_processed")?.as_usize()?,
-            windows: v.require("windows")?.as_usize()?,
-            peak_window_bytes: v.require("peak_window_bytes")?.as_usize()?,
-            sink_seconds: v.require("sink_seconds")?.as_f64()?,
-            match_seconds: v.get("match_seconds").map_or(Ok(0.0), JsonValue::as_f64)?,
-            quarantined_lines: opt_usize("quarantined_lines")?,
-            invalid_utf8_lines: opt_usize("invalid_utf8_lines")?,
-            oversized_lines: opt_usize("oversized_lines")?,
-            stopped_reason,
-            templates: string_vec(v.require("templates")?)?,
-            match_stats: v
-                .get("match_stats")
-                .map_or(Ok(MatchStats::default()), match_stats_from_json)?,
-            window_match_stats: match v.get("window_match_stats") {
-                None | Some(JsonValue::Null) => Vec::new(),
-                Some(JsonValue::Array(items)) => items
-                    .iter()
-                    .map(match_stats_from_json)
-                    .collect::<Result<_, _>>()?,
-                Some(_) => {
-                    return Err(JsonError::shape("window_match_stats must be an array"));
-                }
-            },
-            window_unmatched: match v.get("window_unmatched") {
-                None | Some(JsonValue::Null) => Vec::new(),
-                Some(JsonValue::Array(items)) => items
-                    .iter()
-                    .map(|w| {
-                        Ok(WindowUnmatched {
-                            lines: w.require("lines")?.as_usize()?,
-                            unmatched: w.require("unmatched")?.as_usize()?,
-                        })
-                    })
-                    .collect::<Result<_, JsonError>>()?,
-                Some(_) => {
-                    return Err(JsonError::shape("window_unmatched must be an array"));
-                }
-            },
-        })
-    }
+fn match_stats_json(stats: &MatchStats) -> JsonValue {
+    object([
+        ("lines_dispatched", num(stats.lines_dispatched as usize)),
+        ("fused_dispatches", num(stats.fused_dispatches as usize)),
+        ("templates_trialed", num(stats.templates_trialed as usize)),
+        ("templates_pruned", num(stats.templates_pruned as usize)),
+        ("prune_rate", JsonValue::Number(stats.prune_rate())),
+        (
+            "fused_dispatch_rate",
+            JsonValue::Number(stats.fused_dispatch_rate()),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -1389,63 +932,182 @@ mod tests {
         s
     }
 
+    fn get<'a>(v: &'a JsonValue, key: &str) -> &'a JsonValue {
+        v.require(key).unwrap()
+    }
+
     #[test]
     fn report_summarizes_extraction() {
         let text = sample_log();
         let result = Datamaran::with_defaults().extract(&text).unwrap();
-        let report = ExtractionReport::new(&text, &result);
-        assert_eq!(report.dataset_bytes, text.len());
-        assert_eq!(report.record_count, 80);
-        assert_eq!(report.structures.len(), 1);
-        let s = &report.structures[0];
-        assert!(s.field_count >= 6);
-        assert_eq!(s.column_types.len(), s.field_count);
-        assert_eq!(s.semantics.columns.len(), s.field_count);
-        assert!(!s.tables.is_empty());
-        assert!(report.stats.step_seconds.iter().all(|x| *x >= 0.0));
+        let report = JsonValue::parse(&extraction_report(&text, &result).to_pretty()).unwrap();
+        assert_eq!(
+            get(&report, "dataset_bytes").as_usize().unwrap(),
+            text.len()
+        );
+        assert_eq!(get(&report, "record_count").as_usize().unwrap(), 80);
+        let structures = get(&report, "structures").as_array().unwrap();
+        assert_eq!(structures.len(), 1);
+        let s = &structures[0];
+        let field_count = get(s, "field_count").as_usize().unwrap();
+        assert!(field_count >= 6);
+        assert_eq!(
+            get(s, "column_types").as_array().unwrap().len(),
+            field_count
+        );
+        let columns = get(get(s, "semantics"), "columns").as_array().unwrap();
+        assert_eq!(columns.len(), field_count);
+        assert!(!get(s, "tables").as_array().unwrap().is_empty());
+        let steps = get(get(&report, "stats"), "step_seconds")
+            .as_array()
+            .unwrap();
+        assert!(steps.iter().all(|x| x.as_f64().unwrap() >= 0.0));
     }
 
+    /// The extraction report's exact bytes for a fixed run: the keys, their order and the
+    /// number formatting are the report schema.  The run is single-threaded so the
+    /// evaluation memo counters are deterministic; the timings and the resolved thread
+    /// counts, which follow the host, are overwritten before rendering.
     #[test]
-    fn report_json_round_trips() {
+    fn extraction_report_bytes_are_pinned() {
+        use crate::config::DatamaranConfig;
+        use crate::pipeline::StepTimings;
         let text = sample_log();
-        let result = Datamaran::with_defaults().extract(&text).unwrap();
-        let report = ExtractionReport::new(&text, &result);
-        let json = report.to_json();
-        assert!(json.contains("\"template\""));
-        let back = ExtractionReport::from_json(&json).unwrap();
-        // Compare the structural content; exact float equality is not what the format
-        // guarantees (timings are environment-dependent anyway).
-        assert_eq!(back.dataset_bytes, report.dataset_bytes);
-        assert_eq!(back.record_count, report.record_count);
-        assert_eq!(back.noise_lines, report.noise_lines);
-        assert_eq!(back.structures.len(), report.structures.len());
-        for (a, b) in back.structures.iter().zip(&report.structures) {
-            assert_eq!(a.template, b.template);
-            assert_eq!(a.field_count, b.field_count);
-            assert_eq!(a.record_count, b.record_count);
-            assert_eq!(a.column_types, b.column_types);
-            assert_eq!(a.tables, b.tables);
-        }
-        assert_eq!(back.stats.iterations, report.stats.iterations);
-        assert!(!json.contains("\"evaluation_backend\""));
-        assert_eq!(back.stats.evaluation_count, report.stats.evaluation_count);
+        let config = DatamaranConfig::default()
+            .with_generation_threads(1)
+            .with_extraction_threads(1)
+            .with_evaluation_threads(1);
+        let mut result = Datamaran::new(config).unwrap().extract(&text).unwrap();
+        result.stats.timings = StepTimings {
+            sampling: Duration::from_millis(125),
+            generation: Duration::from_millis(2500),
+            pruning: Duration::from_micros(62_500),
+            evaluation: Duration::from_millis(750),
+            extraction: Duration::from_millis(40),
+        };
+        result.stats.evaluation_metrics.parse_seconds = 0.375;
+        result.stats.evaluation_metrics.score_seconds = 0.1;
+        result.stats.extraction_threads = 4;
+        result.stats.evaluation_threads = 3;
         assert_eq!(
-            back.stats.evaluation_memo_hits,
-            report.stats.evaluation_memo_hits
+            extraction_report(&text, &result).to_pretty(),
+            PINNED_EXTRACTION_REPORT
         );
-        assert!(back.stats.evaluation_parse_seconds >= 0.0);
-        assert!(back.stats.evaluation_score_seconds >= 0.0);
-        // Reports written while the extraction and evaluation engines were selectable
-        // carry their names in the stats object; they still parse.
-        assert_eq!(json.matches("\"candidates_generated\"").count(), 1);
-        let older = json.replace(
-            "\"candidates_generated\"",
-            "\"extraction_backend\": \"legacy\", \"evaluation_backend\": \"span-full\", \
-             \"candidates_generated\"",
-        );
-        let back = ExtractionReport::from_json(&older).unwrap();
-        assert_eq!(back.stats.iterations, report.stats.iterations);
     }
+
+    const PINNED_EXTRACTION_REPORT: &str = r#"{
+  "dataset_bytes": 2122,
+  "dataset_lines": 80,
+  "record_count": 80,
+  "noise_lines": 0,
+  "noise_fraction": 0,
+  "structures": [
+    {
+      "template": "[F:F] F.F.F.F F /F\\n",
+      "field_count": 8,
+      "record_count": 80,
+      "coverage": 1,
+      "score": 3088,
+      "column_types": [
+        "int",
+        "int",
+        "int",
+        "int",
+        "int",
+        "int",
+        "enum",
+        "enum"
+      ],
+      "semantics": {
+        "columns": [
+          {
+            "column": 0,
+            "semantic": "integer",
+            "confidence": 1
+          },
+          {
+            "column": 1,
+            "semantic": "integer",
+            "confidence": 1
+          },
+          {
+            "column": 2,
+            "semantic": "integer",
+            "confidence": 1
+          },
+          {
+            "column": 3,
+            "semantic": "integer",
+            "confidence": 1
+          },
+          {
+            "column": 4,
+            "semantic": "integer",
+            "confidence": 1
+          },
+          {
+            "column": 5,
+            "semantic": "integer",
+            "confidence": 1
+          },
+          {
+            "column": 6,
+            "semantic": "identifier",
+            "confidence": 1
+          },
+          {
+            "column": 7,
+            "semantic": "identifier",
+            "confidence": 1
+          }
+        ],
+        "composites": [
+          {
+            "first_column": 0,
+            "width": 4,
+            "delimiter": ".",
+            "semantic": "ipv4"
+          },
+          {
+            "first_column": 4,
+            "width": 2,
+            "delimiter": ":",
+            "semantic": "time"
+          }
+        ]
+      },
+      "tables": [
+        "type0"
+      ]
+    }
+  ],
+  "stats": {
+    "candidates_generated": 640,
+    "candidates_pruned": 50,
+    "charsets_enumerated": 64,
+    "records_examined": 48320,
+    "sample_bytes": 2122,
+    "iterations": 1,
+    "extraction_threads": 4,
+    "evaluation_threads": 3,
+    "evaluation_count": 3555,
+    "evaluation_memo_hits": 60,
+    "evaluation_lineage_hits": 0,
+    "evaluation_parse_seconds": 0.375,
+    "evaluation_score_seconds": 0.1,
+    "evaluation_delta_parses": 3445,
+    "evaluation_full_parses": 50,
+    "evaluation_delta_record_reuse": 0.2797442879128685,
+    "evaluation_dirty_column_fraction": 0.3393592004703116,
+    "step_seconds": [
+      0.125,
+      2.5,
+      0.0625,
+      0.75,
+      0.04
+    ]
+  }
+}"#;
 
     #[test]
     fn csv_quoting_handles_special_characters() {
@@ -1514,76 +1176,139 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stream_report_round_trips() {
-        let report = StreamReport {
-            records: 12,
-            noise_lines: 3,
-            bytes_processed: 4096,
-            lines_processed: 15,
-            windows: 4,
-            peak_window_bytes: 2048,
-            sink_seconds: 0.25,
-            match_seconds: 0.5,
-            quarantined_lines: 2,
-            invalid_utf8_lines: 1,
-            oversized_lines: 1,
-            stopped_reason: Some("window-bytes".into()),
-            templates: vec!["F=F\\n".into()],
-            match_stats: MatchStats {
-                lines_dispatched: 15,
-                fused_dispatches: 15,
-                templates_trialed: 18,
-                templates_pruned: 27,
-            },
-            window_match_stats: vec![
+    /// A streaming summary with every reported field set, two templates (one with an
+    /// array and a quote to escape), an early stop and three windows.
+    fn pinned_summary() -> StreamSummary {
+        use crate::streaming::{StopReason, WindowUnmatched};
+        use crate::structure::Node;
+        let mut summary = StreamSummary::default();
+        summary.templates = vec![
+            StructureTemplate::new(vec![
+                Node::Field,
+                Node::Literal("=".into()),
+                Node::Field,
+                Node::Literal("\n".into()),
+            ]),
+            StructureTemplate::new(vec![
+                Node::Literal("[".into()),
+                Node::Array {
+                    body: vec![Node::Field],
+                    separator: ',',
+                    terminator: ']',
+                },
+                Node::Literal(" \"q\"\n".into()),
+            ]),
+        ];
+        summary.records = 12;
+        summary.noise_lines = 3;
+        summary.bytes_processed = 4096;
+        summary.lines_processed = 15;
+        summary.windows = 3;
+        summary.peak_window_bytes = 2048;
+        summary.sink_seconds = 0.25;
+        summary.match_seconds = 0.1;
+        summary.quarantined_lines = 2;
+        summary.quarantined_bytes = 57;
+        summary.invalid_utf8_lines = 1;
+        summary.oversized_lines = 1;
+        summary.stopped_reason = Some(StopReason::WindowBytes);
+        for (lines, unmatched, [dispatched, fused, trialed, pruned]) in [
+            (8, 2, [8, 6, 10, 14]),
+            (6, 1, [6, 6, 7, 5]),
+            (1, 0, [1, 0, 2, 0]),
+        ] {
+            summary.push_window(
+                WindowUnmatched { lines, unmatched },
                 MatchStats {
-                    lines_dispatched: 8,
-                    fused_dispatches: 8,
-                    templates_trialed: 10,
-                    templates_pruned: 14,
+                    lines_dispatched: dispatched,
+                    fused_dispatches: fused,
+                    templates_trialed: trialed,
+                    templates_pruned: pruned,
                 },
-                MatchStats {
-                    lines_dispatched: 7,
-                    fused_dispatches: 7,
-                    templates_trialed: 8,
-                    templates_pruned: 13,
-                },
-            ],
-            window_unmatched: vec![
-                WindowUnmatched {
-                    lines: 8,
-                    unmatched: 2,
-                },
-                WindowUnmatched {
-                    lines: 7,
-                    unmatched: 1,
-                },
-            ],
-        };
-        let back = StreamReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
+            );
+        }
+        summary
     }
 
-    /// Reports written before the fault-tolerance fields existed must still parse.
+    /// The stream report's exact bytes for a fixed summary: keys, key order, number
+    /// formatting, the `null`-or-name stop reason and the window histories.
     #[test]
-    fn stream_report_parses_legacy_json_without_fault_fields() {
-        let legacy = r#"{
-            "records": 5, "noise_lines": 1, "bytes_processed": 100,
-            "lines_processed": 6, "windows": 2, "peak_window_bytes": 64,
-            "sink_seconds": 0.5, "templates": ["F\n"]
-        }"#;
-        let report = StreamReport::from_json(legacy).unwrap();
-        assert_eq!(report.records, 5);
-        assert_eq!(report.quarantined_lines, 0);
-        assert_eq!(report.invalid_utf8_lines, 0);
-        assert_eq!(report.oversized_lines, 0);
-        assert_eq!(report.stopped_reason, None);
-        assert_eq!(report.match_stats, MatchStats::default());
-        assert!(report.window_match_stats.is_empty());
-        assert_eq!(report.match_seconds, 0.0);
-        assert!(report.window_unmatched.is_empty());
+    fn stream_report_bytes_are_pinned() {
+        assert_eq!(
+            stream_report(&pinned_summary()).to_pretty(),
+            PINNED_STREAM_REPORT
+        );
     }
+
+    const PINNED_STREAM_REPORT: &str = r#"{
+  "records": 12,
+  "noise_lines": 3,
+  "bytes_processed": 4096,
+  "lines_processed": 15,
+  "windows": 3,
+  "peak_window_bytes": 2048,
+  "sink_seconds": 0.25,
+  "match_seconds": 0.1,
+  "quarantined_lines": 2,
+  "invalid_utf8_lines": 1,
+  "oversized_lines": 1,
+  "stopped_reason": "window-bytes",
+  "templates": [
+    "F=F\\n",
+    "[(F,)*F] \"q\"\\n"
+  ],
+  "match_stats": {
+    "lines_dispatched": 15,
+    "fused_dispatches": 12,
+    "templates_trialed": 19,
+    "templates_pruned": 19,
+    "prune_rate": 0.5,
+    "fused_dispatch_rate": 0.8
+  },
+  "window_match_stats": [
+    {
+      "lines_dispatched": 8,
+      "fused_dispatches": 6,
+      "templates_trialed": 10,
+      "templates_pruned": 14,
+      "prune_rate": 0.5833333333333334,
+      "fused_dispatch_rate": 0.75
+    },
+    {
+      "lines_dispatched": 6,
+      "fused_dispatches": 6,
+      "templates_trialed": 7,
+      "templates_pruned": 5,
+      "prune_rate": 0.4166666666666667,
+      "fused_dispatch_rate": 1
+    },
+    {
+      "lines_dispatched": 1,
+      "fused_dispatches": 0,
+      "templates_trialed": 2,
+      "templates_pruned": 0,
+      "prune_rate": 0,
+      "fused_dispatch_rate": 0
+    }
+  ],
+  "window_unmatched": [
+    {
+      "lines": 8,
+      "unmatched": 2,
+      "unmatched_rate": 0.25
+    },
+    {
+      "lines": 6,
+      "unmatched": 1,
+      "unmatched_rate": 0.16666666666666666
+    },
+    {
+      "lines": 1,
+      "unmatched": 0,
+      "unmatched_rate": 0
+    }
+  ]
+}"#;
 
     #[test]
     fn streaming_sinks_match_materialized_serializers() {

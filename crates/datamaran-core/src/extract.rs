@@ -842,8 +842,9 @@ impl SpanParse {
 /// Matcher work counters, accumulated into the [`SpanScratch`] every match goes through:
 /// how many record-start questions were asked, how many went through the fused DFA
 /// prefilter, and how many per-template trials the prefilter executed vs. eliminated.
-/// Surfaced per window by the streaming extractor ([`crate::streaming::StreamSummary`])
-/// and aggregated in the CLI summary / `StreamReport` JSON.
+/// The streaming extractor ([`crate::streaming::StreamSummary`]) keeps a running total
+/// and the counters of its most recent windows; the CLI summary and
+/// [`stream_report`](crate::export::stream_report) print them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Record-start questions answered (one per line dispatched to the matcher).

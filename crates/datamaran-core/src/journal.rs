@@ -41,7 +41,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::artifact::{node_from_json, node_to_json, TemplateArtifact};
+use crate::artifact::{fnv1a64, node_from_json, node_to_json, TemplateArtifact, FNV_OFFSET};
 use crate::error::{Error, Result};
 use crate::json::JsonValue;
 use crate::serve::{PersistenceStats, SwapPersistence, TemplateSnapshot};
@@ -216,7 +216,7 @@ pub fn replay_journal(bytes: &[u8]) -> JournalReplay {
             return out;
         }
         let payload = &bytes[pos + 12..pos + 12 + len];
-        if fnv1a64_bytes(payload) != recorded {
+        if fnv1a64(FNV_OFFSET, payload) != recorded {
             out.torn = tear("entry checksum mismatch");
             return out;
         }
@@ -237,16 +237,6 @@ pub fn replay_journal(bytes: &[u8]) -> JournalReplay {
         pos += 12 + len;
         out.valid_len = pos;
     }
-}
-
-/// FNV-1a 64 over a whole byte slice (the artifact's checksum primitive).
-fn fnv1a64_bytes(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The storage a [`TemplateJournal`] appends to.  The filesystem implementation is
@@ -434,7 +424,7 @@ impl TemplateJournal {
         }
         let mut frame = Vec::with_capacity(12 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64_bytes(payload).to_le_bytes());
+        frame.extend_from_slice(&fnv1a64(FNV_OFFSET, payload).to_le_bytes());
         frame.extend_from_slice(payload);
         // Chaos point: a crash that tears the entry mid-write.  Half the frame lands on
         // disk, then the process dies without unwinding.

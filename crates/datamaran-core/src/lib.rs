@@ -84,9 +84,9 @@ pub use config::{
 pub use dataset::Dataset;
 pub use error::{BudgetKind, Error, Result};
 pub use export::{
-    all_records_jsonl, all_tables_csv, csv_quote, table_to_csv, write_table_csv, CountingSink,
-    CsvSink, ExtractionReport, JsonLinesSink, RecordSink, RecordingSleeper, RetryPolicy,
-    RetryingSink, Sleeper, StreamReport, Tee, ThreadSleeper,
+    all_records_jsonl, all_tables_csv, csv_quote, extraction_report, stream_report, table_to_csv,
+    write_table_csv, CountingSink, CsvSink, JsonLinesSink, RecordSink, RecordingSleeper,
+    RetryPolicy, RetryingSink, Sleeper, Tee, ThreadSleeper,
 };
 pub use extract::{
     compile, decompile, delta_parse, diff_compiled, extract_records, CompiledTemplate,

@@ -85,31 +85,6 @@ impl SemanticType {
         }
     }
 
-    /// Inverse of [`SemanticType::name`]: parses the short lowercase name back.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "ipv4" => SemanticType::IpV4,
-            "ipv6" => SemanticType::IpV6,
-            "date" => SemanticType::Date,
-            "time" => SemanticType::Time,
-            "timestamp" => SemanticType::Timestamp,
-            "url" => SemanticType::Url,
-            "path" => SemanticType::Path,
-            "email" => SemanticType::Email,
-            "uuid" => SemanticType::Uuid,
-            "mac" => SemanticType::MacAddress,
-            "hex_id" => SemanticType::HexId,
-            "integer" => SemanticType::Integer,
-            "real" => SemanticType::Real,
-            "percentage" => SemanticType::Percentage,
-            "byte_size" => SemanticType::ByteSize,
-            "severity" => SemanticType::Severity,
-            "identifier" => SemanticType::Identifier,
-            "text" => SemanticType::Text,
-            _ => return None,
-        })
-    }
-
     /// `true` for types that carry a single numeric value.
     pub fn is_numeric(&self) -> bool {
         matches!(

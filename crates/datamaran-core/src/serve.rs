@@ -33,7 +33,7 @@
 
 use crate::artifact::TemplateArtifact;
 use crate::error::{Error, Result};
-use crate::export::{RecordSink, StreamReport};
+use crate::export::{stream_report, RecordSink};
 use crate::extract::SpanLineMatcher;
 use crate::json::JsonValue;
 use crate::pipeline::Datamaran;
@@ -352,8 +352,8 @@ impl SnapshotStore {
 /// endpoint and the end-of-connection report expose).
 #[derive(Clone, Debug)]
 pub struct ServeMetrics {
-    /// The streaming counters, window histories included — the same shape as a batch
-    /// [`StreamSummary`], so [`StreamReport`] serializes both.
+    /// The streaming counters, recent-window histories included — the same shape as a
+    /// batch [`StreamSummary`], so [`stream_report`] serializes both.
     pub summary: StreamSummary,
     /// Version of the snapshot the session is currently matching with.
     pub snapshot_version: u64,
@@ -370,9 +370,9 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Renders the metrics as one JSON document: a `stream` section sharing the
-    /// [`StreamReport`] schema byte-for-byte with the pipeline's JSON report, plus a
-    /// `serve` section with the snapshot/drift counters.
+    /// Renders the metrics as one JSON document: a `stream` section written by
+    /// [`stream_report`], the streaming CLI's JSON report, plus a `serve` section with the
+    /// snapshot/drift counters.
     pub fn to_json(&self) -> String {
         self.to_json_value().to_pretty()
     }
@@ -380,9 +380,8 @@ impl ServeMetrics {
     /// The metrics document as a [`JsonValue`], for callers that append their own
     /// sections (the daemon adds a `journal` section when a durability layer is attached).
     pub fn to_json_value(&self) -> JsonValue {
-        let report = StreamReport::new(&self.summary);
         JsonValue::Object(vec![
-            ("stream".into(), report.to_json_value()),
+            ("stream".into(), stream_report(&self.summary)),
             (
                 "serve".into(),
                 JsonValue::Object(vec![
@@ -414,9 +413,9 @@ impl ServeMetrics {
 }
 
 /// Folds one session's finished counters into a daemon-wide aggregate (used by the
-/// daemon's `/metrics` endpoint across connections).  Scalar counters add, window
-/// histories concatenate, the peak takes the max, and the aggregate adopts the newer
-/// template set.
+/// daemon's `/metrics` endpoint across connections).  Scalar counters and matcher totals
+/// add, the recent-window histories keep the newest windows of both, the peak takes the
+/// max, and the aggregate adopts the newer template set.
 pub fn merge_summaries(total: &mut StreamSummary, part: &StreamSummary) {
     total.records += part.records;
     total.noise_lines += part.noise_lines;
@@ -430,12 +429,7 @@ pub fn merge_summaries(total: &mut StreamSummary, part: &StreamSummary) {
     total.quarantined_bytes += part.quarantined_bytes;
     total.invalid_utf8_lines += part.invalid_utf8_lines;
     total.oversized_lines += part.oversized_lines;
-    total
-        .window_unmatched
-        .extend(part.window_unmatched.iter().copied());
-    total
-        .window_match_stats
-        .extend(part.window_match_stats.iter().copied());
+    total.append_windows(part);
     if !part.templates.is_empty() {
         total.templates = part.templates.clone();
     }
@@ -509,10 +503,8 @@ impl<'a> ServeSession<'a> {
     ) -> Result<Self> {
         options.validate()?;
         let snapshot = store.current();
-        let summary = StreamSummary {
-            templates: snapshot.templates().to_vec(),
-            ..StreamSummary::default()
-        };
+        let mut summary = StreamSummary::default();
+        summary.templates = snapshot.templates().to_vec();
         Ok(ServeSession {
             engine,
             store,
@@ -706,7 +698,9 @@ impl<'a> ServeSession<'a> {
 mod tests {
     use super::*;
     use crate::export::CountingSink;
+    use crate::extract::MatchStats;
     use crate::streaming::WindowUnmatched;
+    use crate::structure::Node;
 
     fn kv_lines(prefix: &str, n: usize) -> Vec<String> {
         (0..n)
@@ -783,7 +777,7 @@ mod tests {
         assert_eq!(store.version(), metrics.snapshot_version);
         // After the swap, format-B windows match again: the last window's unmatched rate
         // must have recovered below the threshold.
-        let last = metrics.summary.window_unmatched.last().unwrap();
+        let last = metrics.summary.window_unmatched.back().unwrap();
         assert!(
             last.unmatched_rate() < 0.5,
             "unmatched rate did not recover: {last:?}"
@@ -1010,35 +1004,150 @@ mod tests {
         assert_eq!(store.persist_failures(), 0);
     }
 
+    /// A one-window summary with `lines` decided lines, `unmatched` of them noise.
+    fn one_window(lines: usize, unmatched: usize, stats: MatchStats) -> StreamSummary {
+        let mut summary = StreamSummary::default();
+        summary.records = lines - unmatched;
+        summary.noise_lines = unmatched;
+        summary.lines_processed = lines;
+        summary.windows = 1;
+        summary.push_window(WindowUnmatched { lines, unmatched }, stats);
+        summary
+    }
+
     #[test]
     fn merge_summaries_adds_counters_and_concatenates_windows() {
-        let mut a = StreamSummary {
-            records: 10,
-            noise_lines: 1,
-            windows: 2,
-            peak_window_bytes: 100,
-            window_unmatched: vec![WindowUnmatched {
-                lines: 10,
-                unmatched: 1,
-            }],
-            ..StreamSummary::default()
-        };
-        let b = StreamSummary {
-            records: 5,
-            noise_lines: 2,
-            windows: 1,
-            peak_window_bytes: 300,
-            window_unmatched: vec![WindowUnmatched {
-                lines: 5,
-                unmatched: 2,
-            }],
-            ..StreamSummary::default()
-        };
+        let mut a = one_window(10, 1, MatchStats::default());
+        a.windows = 2;
+        a.peak_window_bytes = 100;
+        let mut b = one_window(5, 2, MatchStats::default());
+        b.peak_window_bytes = 300;
         merge_summaries(&mut a, &b);
-        assert_eq!(a.records, 15);
+        assert_eq!(a.records, 12);
         assert_eq!(a.noise_lines, 3);
         assert_eq!(a.windows, 3);
         assert_eq!(a.peak_window_bytes, 300);
-        assert_eq!(a.window_unmatched.len(), 2);
+        let history: Vec<usize> = a.window_unmatched.iter().map(|w| w.lines).collect();
+        assert_eq!(history, [10, 5]);
+        assert_eq!(a.window_match_stats.len(), 2);
     }
+
+    /// A long-running daemon folds every connection into one aggregate: the window
+    /// history stays at the newest 64 windows while the totals cover all of them.
+    #[test]
+    fn merged_window_history_is_bounded_and_totals_cover_every_window() {
+        let mut total = StreamSummary::default();
+        let mut expected = MatchStats::default();
+        for i in 0..1_000u64 {
+            let stats = MatchStats {
+                lines_dispatched: 4,
+                fused_dispatches: i % 5,
+                templates_trialed: i,
+                templates_pruned: 2 * i + 1,
+            };
+            expected.merge(&stats);
+            merge_summaries(&mut total, &one_window(4, (i % 3) as usize, stats));
+        }
+        assert_eq!(total.windows, 1_000);
+        assert_eq!(total.lines_processed, 4_000);
+        assert_eq!(total.window_unmatched.len(), 64);
+        assert_eq!(total.window_match_stats.len(), 64);
+        assert_eq!(total.match_stats(), expected);
+        // The history is the newest windows, oldest first.
+        let trialed: Vec<u64> = total
+            .window_match_stats
+            .iter()
+            .map(|s| s.templates_trialed)
+            .collect();
+        assert_eq!(trialed, (936..1_000).collect::<Vec<u64>>());
+    }
+
+    /// The metrics document's exact bytes for a fixed value: the `stream` section of
+    /// [`stream_report`] with a `null` stop reason, then the `serve` section.
+    #[test]
+    fn metrics_json_bytes_are_pinned() {
+        let mut summary = one_window(
+            6,
+            1,
+            MatchStats {
+                lines_dispatched: 6,
+                fused_dispatches: 5,
+                templates_trialed: 6,
+                templates_pruned: 3,
+            },
+        );
+        summary.templates = vec![StructureTemplate::new(vec![
+            Node::Field,
+            Node::Literal(" | ".into()),
+            Node::Field,
+            Node::Literal("\n".into()),
+        ])];
+        summary.bytes_processed = 120;
+        summary.peak_window_bytes = 256;
+        summary.sink_seconds = 0.5;
+        summary.match_seconds = 0.125;
+        let metrics = ServeMetrics {
+            summary,
+            snapshot_version: 7,
+            swaps: 2,
+            rediscover_failures: 1,
+            residual_lines: 9,
+            residual_bytes: 321,
+            residual_dropped: 4,
+        };
+        assert_eq!(metrics.to_json(), PINNED_METRICS);
+    }
+
+    const PINNED_METRICS: &str = r#"{
+  "stream": {
+    "records": 5,
+    "noise_lines": 1,
+    "bytes_processed": 120,
+    "lines_processed": 6,
+    "windows": 1,
+    "peak_window_bytes": 256,
+    "sink_seconds": 0.5,
+    "match_seconds": 0.125,
+    "quarantined_lines": 0,
+    "invalid_utf8_lines": 0,
+    "oversized_lines": 0,
+    "stopped_reason": null,
+    "templates": [
+      "F | F\\n"
+    ],
+    "match_stats": {
+      "lines_dispatched": 6,
+      "fused_dispatches": 5,
+      "templates_trialed": 6,
+      "templates_pruned": 3,
+      "prune_rate": 0.3333333333333333,
+      "fused_dispatch_rate": 0.8333333333333334
+    },
+    "window_match_stats": [
+      {
+        "lines_dispatched": 6,
+        "fused_dispatches": 5,
+        "templates_trialed": 6,
+        "templates_pruned": 3,
+        "prune_rate": 0.3333333333333333,
+        "fused_dispatch_rate": 0.8333333333333334
+      }
+    ],
+    "window_unmatched": [
+      {
+        "lines": 6,
+        "unmatched": 1,
+        "unmatched_rate": 0.16666666666666666
+      }
+    ]
+  },
+  "serve": {
+    "snapshot_version": 7,
+    "swaps": 2,
+    "rediscover_failures": 1,
+    "residual_lines": 9,
+    "residual_bytes": 321,
+    "residual_dropped": 4
+  }
+}"#;
 }

@@ -65,7 +65,9 @@
 //!   [`StreamSummary::stopped_reason`] records why.
 //! * **Per-window unmatched-rate counters** ([`StreamSummary::window_unmatched`]) — the
 //!   drift signal a resident ingest service needs: a window whose unmatched rate degrades
-//!   is the trigger for re-running discovery on the residual.
+//!   is the trigger for re-running discovery on the residual.  The summary keeps them for
+//!   the most recent 64 windows only, next to running totals, so its size does not grow
+//!   with the stream.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -252,10 +254,7 @@ impl WindowLoop {
         };
         summary.bytes_processed += consumed_bytes;
         summary.lines_processed += consumed_lines;
-        summary.window_unmatched.push(window);
-        summary
-            .window_match_stats
-            .push(self.bufs.scratch.stats.since(&stats_before));
+        summary.push_window(window, self.bufs.scratch.stats.since(&stats_before));
         self.global_line += consumed_lines;
         *buffer = buffer.split_off(consumed_bytes);
         Ok((window, n - consumed_lines))
@@ -564,6 +563,21 @@ impl WindowUnmatched {
     }
 }
 
+/// Windows of per-window history a [`StreamSummary`] keeps.  Totals cover every window,
+/// the history only the most recent ones, so a resident daemon's summary and its metrics
+/// document stay the same size for any uptime.  64 windows cover a 64 MiB CLI stream at
+/// the default 1 MiB window.
+const WINDOW_HISTORY: usize = 64;
+
+/// Appends `item` to a recent-window history, evicting the oldest entry past
+/// [`WINDOW_HISTORY`].
+fn push_recent<T>(history: &mut VecDeque<T>, item: T) {
+    history.push_back(item);
+    if history.len() > WINDOW_HISTORY {
+        history.pop_front();
+    }
+}
+
 /// Summary of a streaming extraction run.
 #[derive(Clone, Debug, Default)]
 pub struct StreamSummary {
@@ -600,11 +614,16 @@ pub struct StreamSummary {
     pub invalid_utf8_lines: usize,
     /// Input lines dropped for exceeding [`StreamBudgets::max_line_bytes`].
     pub oversized_lines: usize,
-    /// Per-window lines / unmatched counters, in window order — the drift signal.
-    pub window_unmatched: Vec<WindowUnmatched>,
-    /// Per-window matcher work counters (templates trialed vs pruned, fused-dispatch
-    /// rate), in window order.
-    pub window_match_stats: Vec<MatchStats>,
+    /// Lines / unmatched counters of the most recent windows (at most 64), oldest first —
+    /// the drift signal.  The whole-stream counts are
+    /// [`lines_processed`](Self::lines_processed) and [`noise_lines`](Self::noise_lines).
+    pub window_unmatched: VecDeque<WindowUnmatched>,
+    /// Matcher work counters (templates trialed vs pruned, fused-dispatch rate) of the same
+    /// recent windows, oldest first.  The whole-stream total is
+    /// [`match_stats`](Self::match_stats).
+    pub window_match_stats: VecDeque<MatchStats>,
+    /// Matcher work counters summed over every window.
+    match_totals: MatchStats,
     /// Why the stream stopped early, if it did.  `None` means the stream was consumed to
     /// the end.  On an early stop the sink is still finished cleanly: everything reported
     /// in [`records`](Self::records) was pushed and flushed.
@@ -614,11 +633,27 @@ pub struct StreamSummary {
 impl StreamSummary {
     /// Matcher work counters summed over every processed window.
     pub fn match_stats(&self) -> MatchStats {
-        let mut total = MatchStats::default();
-        for w in &self.window_match_stats {
-            total.merge(w);
+        self.match_totals
+    }
+
+    /// Accounts one decided window: its matcher counters join the running total, and both
+    /// histories keep the most recent [`WINDOW_HISTORY`] windows.
+    pub(crate) fn push_window(&mut self, window: WindowUnmatched, stats: MatchStats) {
+        self.match_totals.merge(&stats);
+        push_recent(&mut self.window_unmatched, window);
+        push_recent(&mut self.window_match_stats, stats);
+    }
+
+    /// Appends `part`'s windows after this summary's: the running totals add, and both
+    /// histories keep the most recent [`WINDOW_HISTORY`] windows of the two.
+    pub(crate) fn append_windows(&mut self, part: &StreamSummary) {
+        self.match_totals.merge(&part.match_totals);
+        for &window in &part.window_unmatched {
+            push_recent(&mut self.window_unmatched, window);
         }
-        total
+        for &stats in &part.window_match_stats {
+            push_recent(&mut self.window_match_stats, stats);
+        }
     }
 
     /// Unmatched lines over decided lines for the whole stream.

@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run --release --example export_tables`.
 
-use datamaran::core::{all_tables_csv, Datamaran, ExtractionReport};
+use datamaran::core::{all_tables_csv, extraction_report, Datamaran};
 use datamaran::logsynth::{corpus, DatasetSpec};
 
 fn main() {
@@ -22,8 +22,7 @@ fn main() {
         .expect("extraction succeeds");
 
     // 1. The JSON report: structure templates, column types, coverage, timings.
-    let report = ExtractionReport::new(&dataset.text, &result);
-    let json = report.to_json();
+    let json = extraction_report(&dataset.text, &result).to_pretty();
     println!("--- JSON report (first 25 lines) ---");
     for line in json.lines().take(25) {
         println!("{line}");

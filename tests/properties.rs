@@ -209,6 +209,28 @@ proptest! {
     }
 }
 
+/// The round-trip and accounting invariants on every dataset of the LogHub-clone catalog
+/// at full scale, matched against its ground-truth templates at the paper's L = 10, in one
+/// and three chunks: every record renders back to its exact source bytes, and records plus
+/// noise cover every line exactly once.
+#[test]
+fn every_catalog_record_rebuilds_its_bytes() {
+    for entry in logsynth::loghub::catalog() {
+        let generated = entry.spec(1).generate();
+        let templates = datamaran_bench::loghub_template_set(&generated);
+        let dataset = Dataset::new(generated.text.as_str());
+        let matcher = SpanLineMatcher::new(&templates, 10);
+        for chunks in [1, 3] {
+            let label = format!("{} in {chunks} chunks", entry.name);
+            let parse = matcher.parse(&dataset, chunks).to_parse_result();
+            assert!(!parse.records.is_empty(), "{label}: no records");
+            let mismatch = common::round_trip_mismatch(&parse, &templates, &generated.text);
+            assert!(mismatch.is_none(), "{label}: {mismatch:?}");
+            assert_accounts_for_every_line(&parse, &dataset, &label).unwrap();
+        }
+    }
+}
+
 /// Strategy producing CSV cell content that stresses the quoting rules: embedded quotes,
 /// commas, carriage returns, bare newlines, and plain text, in any mix.
 fn csv_cell() -> impl Strategy<Value = String> {
