@@ -81,6 +81,13 @@ pub struct GenerationOutput {
     pub charsets_enumerated: usize,
     /// Number of candidate records examined across all character sets.
     pub records_examined: usize,
+    /// Window-memo misses: candidate windows whose template the span engine had to build.
+    /// Every worker keeps its own memo, so the count depends on the worker count; the test
+    /// reference leaves it at 0.
+    pub novel_windows: usize,
+    /// Novel windows that ran a full [`reduce`] (the rest were above the fold cap or proven
+    /// fold-free).  Depends on the worker count like `novel_windows`; 0 from the reference.
+    pub reductions: usize,
 }
 
 /// Accumulator stored in the generation hash table for one structure template.
@@ -211,7 +218,9 @@ fn merge_candidates(merged: &mut HashMap<StructureTemplate, Candidate>, found: V
 /// statistics and, per candidate, template, coverage, field coverage, hits, first line,
 /// and charset.  This is the oracle of the differential suites comparing [`generate`] with
 /// `generate_legacy` (unit tests here and `tests/span_equivalence.rs`); hidden from docs,
-/// not for production use.
+/// not for production use.  The span engine's work counters (`novel_windows`,
+/// `reductions`) are not compared: they vary with the worker count, and the reference
+/// does not count them.
 #[doc(hidden)]
 pub fn assert_outputs_identical(a: &GenerationOutput, b: &GenerationOutput, label: &str) {
     assert_eq!(a.sample_len, b.sample_len, "{label}: sample_len");
@@ -396,6 +405,21 @@ struct WorkerState {
     proj: ProjectedLines,
     /// Reusable token buffer for materializing a window's record template on memo miss.
     buffer: Vec<TemplateToken>,
+    counts: WorkCounts,
+}
+
+/// The window work one worker did: memo misses, and the misses that ran a full [`reduce`].
+#[derive(Clone, Copy, Debug, Default)]
+struct WorkCounts {
+    novel_windows: usize,
+    reductions: usize,
+}
+
+impl WorkCounts {
+    fn add_to(self, out: &mut GenerationOutput) {
+        out.novel_windows += self.novel_windows;
+        out.reductions += self.reductions;
+    }
 }
 
 /// One template's best discovery within a worker, pending materialization.
@@ -477,7 +501,7 @@ impl<'a> SpanEngine<'a> {
             // `fold_free` tracks whether the *previous* (shorter) window was proven free of
             // foldable tandem repeats — the invariant that lets a memo miss decide the
             // grown window with a scan restricted to the region near the freshly appended
-            // line instead of a full quadratic `reduce`.
+            // line instead of a full `reduce`.
             buffer.clear();
             let mut fold_free = true;
             for span in 1..=max_span {
@@ -498,6 +522,7 @@ impl<'a> SpanEngine<'a> {
                 let (id, window_fold_free) = match state.window_memo.get(window) {
                     Some(&hit) => hit,
                     None => {
+                        state.counts.novel_windows += 1;
                         // First sighting of this window.  Three cases, cheapest first:
                         // above the fold cap `reduce` stays flat by definition; a window
                         // whose prefix was fold-free and whose restricted scan finds no
@@ -513,6 +538,7 @@ impl<'a> SpanEngine<'a> {
                         {
                             (StructureTemplate::new(flat_nodes(&buffer)), true)
                         } else {
+                            state.counts.reductions += 1;
                             (reduce(&RecordTemplate::from_tokens(buffer.clone())), false)
                         };
                         let id = state.interner.intern(template);
@@ -602,7 +628,7 @@ impl<'a> SpanEngine<'a> {
 
         // Each worker owns its interner / memo / bins and merges its claimed masks locally
         // (keyed by template id); materialized results are merged globally afterwards.
-        let results: Vec<(Vec<Candidate>, usize)> = std::thread::scope(|scope| {
+        let results: Vec<(Vec<Candidate>, usize, WorkCounts)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(move || {
@@ -624,7 +650,7 @@ impl<'a> SpanEngine<'a> {
                             .into_iter()
                             .map(|(id, p)| p.materialize(state.interner.get(id).clone()))
                             .collect();
-                        (candidates, records)
+                        (candidates, records, state.counts)
                     })
                 })
                 .collect();
@@ -635,8 +661,9 @@ impl<'a> SpanEngine<'a> {
         });
 
         let mut merged: HashMap<StructureTemplate, Candidate> = HashMap::new();
-        for (candidates, records) in results {
+        for (candidates, records, counts) in results {
             out.records_examined += records;
+            counts.add_to(&mut out);
             merge_candidates(&mut merged, candidates);
         }
         out.candidates = merged.into_values().collect();
@@ -749,6 +776,9 @@ impl<'a> SpanEngine<'a> {
             }
         }
 
+        for state in &states {
+            state.counts.add_to(&mut out);
+        }
         out.candidates = merged.into_values().collect();
         sort_candidates(&mut out.candidates);
         out
@@ -1101,6 +1131,36 @@ mod tests {
             let spans = generate(&data, &greedy);
             let legacy = generate_legacy(&data, &greedy);
             assert_outputs_identical(&spans, &legacy, name);
+        }
+    }
+
+    #[test]
+    fn work_counters_are_pinned_at_one_thread() {
+        // (records examined, novel windows, full reductions) of the exhaustive and the
+        // greedy search on one worker.  The counts are exact, so a change that makes
+        // generation reduce more (or fewer) windows shows here, apart from its timing.
+        let expected = [
+            ("weblog", (28_608, 192, 156), (9_834, 66, 51)),
+            ("multiline", (12_000, 95, 70), (8_250, 71, 50)),
+            ("csv_quoted", (1_788, 12, 3), (1_788, 12, 3)),
+            ("tiny", (2, 2, 0), (2, 2, 0)),
+            ("no_trailing_newline", (12, 10, 0), (12, 10, 0)),
+        ];
+        for ((name, text), (label, exhaustive, greedy)) in workloads().into_iter().zip(expected) {
+            assert_eq!(name, label);
+            let data = Dataset::new(text);
+            let one = config().with_generation_threads(1);
+            for (search, want) in [
+                (SearchStrategy::Exhaustive, exhaustive),
+                (SearchStrategy::Greedy, greedy),
+            ] {
+                let out = generate(&data, &one.clone().with_search(search));
+                assert_eq!(
+                    (out.records_examined, out.novel_windows, out.reductions),
+                    want,
+                    "{name}, {search:?}"
+                );
+            }
         }
     }
 

@@ -486,7 +486,7 @@ mod tests {
     use super::*;
     use crate::chars::CharSet;
     use crate::dataset::Dataset;
-    use crate::parser::parse_dataset;
+    use crate::extract::SpanLineMatcher;
     use crate::record::RecordTemplate;
     use crate::reduce::reduce;
 
@@ -567,7 +567,9 @@ mod tests {
         let st = flat("[01:05] alice\n", "[]: \n");
         let g = Grammar::from_template(&st);
         let data = Dataset::new(text);
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = SpanLineMatcher::new(std::slice::from_ref(&st), 10)
+            .parse(&data, 1)
+            .to_parse_result();
         assert_eq!(parse.records.len(), 2);
         for rec in &parse.records {
             let (end, fields) = g.match_at(text, rec.byte_span.0).expect("grammar matches");
@@ -582,7 +584,9 @@ mod tests {
         let st = arrayed("1,2,3\n", ",\n");
         let g = Grammar::from_template(&st);
         let data = Dataset::new(text);
-        let parse = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let parse = SpanLineMatcher::new(std::slice::from_ref(&st), 10)
+            .parse(&data, 1)
+            .to_parse_result();
         assert_eq!(parse.records.len(), 3);
         for rec in &parse.records {
             let (end, fields) = g.match_at(text, rec.byte_span.0).expect("grammar matches");

@@ -20,9 +20,8 @@
 //!    *match table*;
 //! 3. a cheap sequential stitch pass replays the greedy left-to-right segmentation by
 //!    reading the precomputed tables, so the output is byte-for-byte identical to the
-//!    sequential extractor and to the tree-walking reference
-//!    [`crate::parser::parse_dataset`] (verified by this module's tests and by the property
-//!    suite).
+//!    sequential extractor (verified by this module's tests) and to the tree-walking
+//!    reference parser in [`crate::parser`] (verified by the property suite).
 //!
 //! The stitch is `O(n)` with trivial constants; all template matching happens in the workers.
 //! The generation and evaluation engines reuse the worker sizing ([`effective_workers`],
@@ -117,7 +116,7 @@ mod tests {
     use crate::chars::CharSet;
     use crate::dataset::Dataset;
     use crate::extract::SpanLineMatcher;
-    use crate::parser::{parse_dataset, ParseResult};
+    use crate::parser::ParseResult;
     use crate::record::RecordTemplate;
     use crate::reduce::reduce;
     use crate::structure::StructureTemplate;
@@ -152,7 +151,7 @@ mod tests {
     }
 
     /// The span engine's pass over `chunks` shards, materialized for comparison with the
-    /// tree walker.
+    /// sequential pass (`chunks` = 1).
     fn span_parallel(
         dataset: &Dataset,
         templates: &[StructureTemplate],
@@ -182,7 +181,7 @@ mod tests {
         let text = noisy_multiline_log(400);
         let data = Dataset::new(text);
         let st = flat("REQ 1\nuser=u2;ms=3\n", " =;\n");
-        let seq = parse_dataset(&data, std::slice::from_ref(&st), 10);
+        let seq = span_parallel(&data, std::slice::from_ref(&st), 10, 1);
         for chunks in [2, 3, 7] {
             let par = span_parallel(&data, std::slice::from_ref(&st), 10, chunks);
             assert_same(&seq, &par);
@@ -213,7 +212,7 @@ mod tests {
         ));
         let bracket = flat("[01] host2 ok\n", "[] \n");
         let templates = vec![bracket, csv];
-        let seq = parse_dataset(&data, &templates, 10);
+        let seq = span_parallel(&data, &templates, 10, 1);
         let par = span_parallel(&data, &templates, 10, 4);
         assert_same(&seq, &par);
     }

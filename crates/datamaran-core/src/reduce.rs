@@ -21,14 +21,15 @@ pub(crate) const MAX_UNIT_TOKENS: usize = 48;
 /// Minimum number of adjacent unit repetitions (before the trailing copy) required to fold.
 pub(crate) const MIN_REPS: usize = 2;
 
-/// Maximum token count on which tandem-repeat folding is attempted.  Every fold restarts
-/// [`find_fold`] from the left, so a window with many small repeats costs
-/// `O(folds × tokens × MAX_UNIT_TOKENS²)` — quadratic in the window length when fold count
-/// scales with it.  Real candidate records sit far below this cap (an `L`-line window of
-/// ordinary log lines is a few hundred tokens); a pathological window (very long lines, or
-/// thousands of short repeated groups) is left as a flat Struct template instead of
-/// stalling the generation step.  Both generation backends share this function, so the cap
-/// cannot break their differential equivalence.
+/// Maximum token count on which tandem-repeat folding is attempted.  [`fold_at`] counts a
+/// unit's copies as far as they repeat, so a long periodic run that never folds (its copies
+/// run to the end without a distinct terminator) costs every start inside it
+/// `O(tokens × MAX_UNIT_TOKENS)`: quadratic in the window length.  Real candidate records
+/// sit far below this cap (an `L`-line window of ordinary log lines is a few hundred
+/// tokens); a pathological window (very long lines, or thousands of short repeated groups)
+/// is left as a flat Struct template instead of stalling the generation step.  The
+/// generation engine and its reference share this function, so the cap cannot break their
+/// differential equivalence.
 pub(crate) const MAX_FOLD_TOKENS: usize = 4096;
 
 /// Reduces a record template to its minimal structure template.
@@ -36,28 +37,33 @@ pub fn reduce(rt: &RecordTemplate) -> StructureTemplate {
     StructureTemplate::new(reduce_tokens(rt.tokens()))
 }
 
-/// Converts a token sequence with **no foldable tandem repeat** straight to its node
-/// sequence (the literal-merge pass of [`reduce_tokens`] with the folding loop skipped).
-/// Equals [`reduce`]'s output whenever [`tokens_have_fold_from`]`(tokens, 0)` is false *or*
-/// the sequence exceeds [`MAX_FOLD_TOKENS`] (above the cap, [`reduce_tokens`] skips folding
-/// too) — the generation step's window fast path relies on exactly that equality.
+/// Converts a token sequence to nodes without folding, merging adjacent characters into
+/// one literal.  Equals [`reduce`]'s output whenever [`tokens_have_fold_from`]`(tokens, 0)`
+/// is false *or* the sequence exceeds [`MAX_FOLD_TOKENS`] (above the cap, [`reduce_tokens`]
+/// skips folding too) — the generation step's window fast path relies on exactly that
+/// equality.
 pub(crate) fn flat_nodes(tokens: &[TemplateToken]) -> Vec<Node> {
-    let mut nodes: Vec<Node> = Vec::new();
-    for t in tokens {
-        match t {
-            TemplateToken::Field => nodes.push(Node::Field),
-            TemplateToken::Ch(c) => match nodes.last_mut() {
-                Some(Node::Literal(s)) => s.push(*c),
-                _ => nodes.push(Node::Literal(c.to_string())),
-            },
-        }
+    let mut nodes = Vec::new();
+    for &token in tokens {
+        push_token(&mut nodes, token);
     }
     nodes
 }
 
+/// Appends one unfolded token: a field node, or a character merged into a trailing literal.
+fn push_token(nodes: &mut Vec<Node>, token: TemplateToken) {
+    match token {
+        TemplateToken::Field => nodes.push(Node::Field),
+        TemplateToken::Ch(c) => match nodes.last_mut() {
+            Some(Node::Literal(s)) => s.push(c),
+            _ => nodes.push(Node::Literal(c.to_string())),
+        },
+    }
+}
+
 /// `true` when the token sequence contains a foldable tandem repeat whose start index is
-/// `>= min_start` — [`find_fold`] specialized to plain tokens (no folded arrays yet) and a
-/// restricted start range, for the generation step's incremental window scan.
+/// `>= min_start` — the fold predicate [`fold_at`] over a restricted start range, for the
+/// generation step's incremental window scan.
 ///
 /// The restriction is what makes window growth cheap: when a window known to be fold-free
 /// is extended by one line (`old_len` → `n` tokens), any fold spec valid in the extended
@@ -67,198 +73,101 @@ pub(crate) fn flat_nodes(tokens: &[TemplateToken]) -> Vec<Node> {
 /// `terminator - (MIN_REPS + 1) * unit_len + 1 >= old_len - (MIN_REPS + 1) * MAX_UNIT_TOKENS`.
 /// Scanning only from that bound therefore decides fold-freeness of the whole window.
 pub(crate) fn tokens_have_fold_from(tokens: &[TemplateToken], min_start: usize) -> bool {
-    let n = tokens.len();
-    for start in min_start..n {
-        let max_len = MAX_UNIT_TOKENS.min((n - start) / 2);
-        for unit_len in 1..=max_len {
-            // O(1) prefilter, as in [`find_fold`]: without at least two adjacent copies
-            // (first tokens equal) there is nothing to count.
-            if tokens[start] != tokens[start + unit_len] {
-                continue;
-            }
-            let TemplateToken::Ch(separator) = tokens[start + unit_len - 1] else {
-                continue;
-            };
-            let mut max_reps = 1;
-            while start + (max_reps + 1) * unit_len <= n
-                && tokens[start + max_reps * unit_len..start + (max_reps + 1) * unit_len]
-                    == tokens[start..start + unit_len]
-            {
-                max_reps += 1;
-            }
-            if max_reps < MIN_REPS {
-                continue;
-            }
-            let mut reps = max_reps;
-            while reps >= MIN_REPS {
-                let tail_start = start + reps * unit_len;
-                let body_len = unit_len - 1;
-                let tail_fits = tail_start + body_len < n
-                    && tokens[tail_start..tail_start + body_len] == tokens[start..start + body_len];
-                if tail_fits {
-                    if let TemplateToken::Ch(terminator) = tokens[tail_start + body_len] {
-                        if terminator != separator {
-                            return true;
-                        }
-                    }
-                }
-                reps -= 1;
-            }
-        }
-    }
-    false
+    (min_start..tokens.len()).any(|start| fold_at(tokens, start).is_some())
 }
 
-/// Work item used while folding: either a still-unprocessed template token or an already
-/// folded array node.
-#[derive(Clone, Debug)]
-enum Item {
-    Tok(TemplateToken),
-    Arr(Node),
-}
-
-impl Item {
-    fn as_char(&self) -> Option<char> {
-        match self {
-            Item::Tok(TemplateToken::Ch(c)) => Some(*c),
-            _ => None,
-        }
-    }
-    fn is_plain(&self) -> bool {
-        matches!(self, Item::Tok(_))
-    }
-    fn same_plain(&self, other: &Item) -> bool {
-        match (self, other) {
-            (Item::Tok(a), Item::Tok(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
-/// Reduces a token sequence to a node sequence, folding tandem repeats into arrays.
-/// Sequences longer than [`MAX_FOLD_TOKENS`] skip the folding pass (see the cap's doc).
+/// Reduces a token sequence to a node sequence in one left-to-right pass: where a tandem
+/// repeat starts ([`fold_at`]) the pass emits its array, body reduced recursively, and jumps
+/// past the folded region; every other token joins the open literal.  Sequences longer
+/// than [`MAX_FOLD_TOKENS`] stay flat (see the cap's doc).
+///
+/// One pass finds the same folds as searching the whole sequence for the leftmost fold and
+/// starting over after each one: a fold region is made of plain tokens only, so a fold
+/// starting before an earlier fold's start would lie wholly in tokens that fold did not
+/// change, and the earlier search would already have found it.
 fn reduce_tokens(tokens: &[TemplateToken]) -> Vec<Node> {
-    let mut items: Vec<Item> = tokens.iter().copied().map(Item::Tok).collect();
-
-    while items.len() <= MAX_FOLD_TOKENS {
-        let Some(fold) = find_fold(&items) else { break };
-        let FoldSpec {
-            start,
-            unit_len,
-            reps,
-            separator,
-            terminator,
-        } = fold;
-
-        let unit_toks: Vec<TemplateToken> = items[start..start + unit_len]
-            .iter()
-            .map(|it| match it {
-                Item::Tok(t) => *t,
-                Item::Arr(_) => unreachable!("folds only span plain tokens"),
-            })
-            .collect();
-        let body = reduce_tokens(&unit_toks[..unit_len - 1]);
-        let array = Node::Array {
-            body,
-            separator,
-            terminator,
-        };
-        // The folded region covers `reps` whole units, one trailing body copy, and the
-        // terminator token.
-        let end = start + reps * unit_len + (unit_len - 1) + 1;
-        items.splice(start..end, std::iter::once(Item::Arr(array)));
+    if tokens.len() > MAX_FOLD_TOKENS {
+        return flat_nodes(tokens);
     }
-
-    // Convert the remaining items into nodes, merging adjacent literal characters.
-    let mut nodes: Vec<Node> = Vec::new();
-    for item in items {
-        match item {
-            Item::Tok(TemplateToken::Field) => nodes.push(Node::Field),
-            Item::Tok(TemplateToken::Ch(c)) => match nodes.last_mut() {
-                Some(Node::Literal(s)) => s.push(c),
-                _ => nodes.push(Node::Literal(c.to_string())),
-            },
-            Item::Arr(node) => nodes.push(node),
+    let mut nodes = Vec::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        match fold_at(tokens, i) {
+            Some(fold) => {
+                nodes.push(Node::Array {
+                    body: reduce_tokens(&tokens[i..i + fold.unit_len - 1]),
+                    separator: fold.separator,
+                    terminator: fold.terminator,
+                });
+                i += fold.len();
+            }
+            None => {
+                push_token(&mut nodes, tokens[i]);
+                i += 1;
+            }
         }
     }
     nodes
 }
 
-struct FoldSpec {
-    start: usize,
+/// A tandem repeat `({body}separator)^reps {body}terminator`, where the unit is the body
+/// plus its separator.
+struct Fold {
     unit_len: usize,
     reps: usize,
     separator: char,
     terminator: char,
 }
 
-/// Finds the leftmost foldable tandem repeat with the smallest repetition period.
-///
-/// A fold at position `i` with unit length `len` requires:
+impl Fold {
+    /// Tokens covered: `reps` whole units, one trailing body copy, and the terminator.
+    fn len(&self) -> usize {
+        (self.reps + 1) * self.unit_len
+    }
+}
+
+/// The fold starting exactly at `start`: the smallest unit length that admits one, with as
+/// many repetitions as the unit has.  A fold with unit length `len` requires:
 /// * the unit's final token to be a formatting character `x` (the separator),
 /// * at least [`MIN_REPS`] adjacent copies of the unit,
 /// * the unit body (`unit` minus the separator) to appear once more right after the copies,
 /// * the next token to be a formatting character `y != x` (the terminator).
-fn find_fold(items: &[Item]) -> Option<FoldSpec> {
-    let n = items.len();
-    // `plain_run[i]`: length of the longest all-plain run starting at `i`, making the
-    // unit-plainness check O(1) per `(start, unit_len)` pair instead of O(unit_len).
-    let mut plain_run = vec![0usize; n + 1];
-    for i in (0..n).rev() {
-        plain_run[i] = if items[i].is_plain() {
-            plain_run[i + 1] + 1
-        } else {
-            0
+fn fold_at(tokens: &[TemplateToken], start: usize) -> Option<Fold> {
+    let n = tokens.len();
+    let max_len = MAX_UNIT_TOKENS.min((n - start) / 2);
+    for unit_len in 1..=max_len {
+        // A fold needs at least [`MIN_REPS`] adjacent copies, so the second copy's first
+        // token must equal the unit's first — rejects almost every length in O(1).
+        if tokens[start] != tokens[start + unit_len] {
+            continue;
+        }
+        let TemplateToken::Ch(separator) = tokens[start + unit_len - 1] else {
+            continue;
         };
-    }
-    for start in 0..n {
-        // All tokens of the unit must be plain tokens (fields or characters).
-        let max_len = MAX_UNIT_TOKENS.min((n - start) / 2).min(plain_run[start]);
-        for unit_len in 1..=max_len {
-            // A fold needs at least [`MIN_REPS`] adjacent copies, so the second copy's
-            // first token must equal the unit's first — rejects almost every pair in O(1)
-            // (identical outcome to letting the repetition count below stall at 1).
-            if !items[start].same_plain(&items[start + unit_len]) {
-                continue;
-            }
-            // The separator is the unit's final token and must be a plain character.
-            let Some(separator) = items[start + unit_len - 1].as_char() else {
-                continue;
-            };
-            // Count adjacent repetitions of the unit.
-            let mut max_reps = 1;
-            while start + (max_reps + 1) * unit_len <= n
-                && (0..unit_len)
-                    .all(|k| items[start + max_reps * unit_len + k].same_plain(&items[start + k]))
-            {
-                max_reps += 1;
-            }
-            if max_reps < MIN_REPS {
-                continue;
-            }
-            // Use as many repetitions as possible while still leaving room for the trailing
-            // body copy plus a distinct terminator; giving back repetitions can expose the
-            // trailing copy when the repeats run to the very end of a region.
-            let mut reps = max_reps;
-            while reps >= MIN_REPS {
-                let tail_start = start + reps * unit_len;
-                let body_len = unit_len - 1;
-                let tail_fits = tail_start + body_len < n
-                    && (0..body_len).all(|k| items[tail_start + k].same_plain(&items[start + k]));
-                if tail_fits {
-                    if let Some(terminator) = items[tail_start + body_len].as_char() {
-                        if terminator != separator {
-                            return Some(FoldSpec {
-                                start,
-                                unit_len,
-                                reps,
-                                separator,
-                                terminator,
-                            });
-                        }
-                    }
-                }
-                reps -= 1;
+        let unit = &tokens[start..start + unit_len];
+        let mut reps = 1;
+        while start + (reps + 1) * unit_len <= n
+            && tokens[start + reps * unit_len..start + (reps + 1) * unit_len] == *unit
+        {
+            reps += 1;
+        }
+        if reps < MIN_REPS {
+            continue;
+        }
+        // Only the maximal run can end the fold: with fewer repetitions the next tokens
+        // are another whole unit, whose final token is the separator.  Behind the maximal
+        // run, a body copy followed by the separator would be one more unit, so a character
+        // there is a terminator distinct from the separator.
+        let tail = start + reps * unit_len;
+        let body = &unit[..unit_len - 1];
+        if tail + body.len() < n && tokens[tail..tail + body.len()] == *body {
+            if let TemplateToken::Ch(terminator) = tokens[tail + body.len()] {
+                return Some(Fold {
+                    unit_len,
+                    reps,
+                    separator,
+                    terminator,
+                });
             }
         }
     }
@@ -269,9 +178,284 @@ fn find_fold(items: &[Item]) -> Option<FoldSpec> {
 mod tests {
     use super::*;
     use crate::chars::CharSet;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn template(text: &str, charset: &str) -> RecordTemplate {
         RecordTemplate::from_instantiated(text, &CharSet::from_chars(charset.chars()))
+    }
+
+    /// The splice-and-rescan reduction, the oracle of the single pass: fold the leftmost
+    /// smallest-period repeat, splice its array into the work list, and search again from
+    /// index 0 until no fold is left.
+    fn rescan_reduce(tokens: &[TemplateToken]) -> Vec<Node> {
+        let mut items: Vec<Item> = tokens.iter().copied().map(Item::Tok).collect();
+
+        while items.len() <= MAX_FOLD_TOKENS {
+            let Some(fold) = find_fold(&items) else { break };
+            let FoldSpec {
+                start,
+                unit_len,
+                reps,
+                separator,
+                terminator,
+            } = fold;
+
+            let unit_toks: Vec<TemplateToken> = items[start..start + unit_len]
+                .iter()
+                .map(|it| match it {
+                    Item::Tok(t) => *t,
+                    Item::Arr(_) => unreachable!("folds only span plain tokens"),
+                })
+                .collect();
+            let body = rescan_reduce(&unit_toks[..unit_len - 1]);
+            let array = Node::Array {
+                body,
+                separator,
+                terminator,
+            };
+            // The folded region covers `reps` whole units, one trailing body copy, and the
+            // terminator token.
+            let end = start + reps * unit_len + (unit_len - 1) + 1;
+            items.splice(start..end, std::iter::once(Item::Arr(array)));
+        }
+
+        // Convert the remaining items into nodes, merging adjacent literal characters.
+        let mut nodes: Vec<Node> = Vec::new();
+        for item in items {
+            match item {
+                Item::Tok(TemplateToken::Field) => nodes.push(Node::Field),
+                Item::Tok(TemplateToken::Ch(c)) => match nodes.last_mut() {
+                    Some(Node::Literal(s)) => s.push(c),
+                    _ => nodes.push(Node::Literal(c.to_string())),
+                },
+                Item::Arr(node) => nodes.push(node),
+            }
+        }
+        nodes
+    }
+
+    /// Work item of the oracle: a still-unprocessed template token or an already folded
+    /// array node.
+    #[derive(Clone, Debug)]
+    enum Item {
+        Tok(TemplateToken),
+        Arr(Node),
+    }
+
+    impl Item {
+        fn as_char(&self) -> Option<char> {
+            match self {
+                Item::Tok(TemplateToken::Ch(c)) => Some(*c),
+                _ => None,
+            }
+        }
+        fn is_plain(&self) -> bool {
+            matches!(self, Item::Tok(_))
+        }
+        fn same_plain(&self, other: &Item) -> bool {
+            match (self, other) {
+                (Item::Tok(a), Item::Tok(b)) => a == b,
+                _ => false,
+            }
+        }
+    }
+
+    struct FoldSpec {
+        start: usize,
+        unit_len: usize,
+        reps: usize,
+        separator: char,
+        terminator: char,
+    }
+
+    /// The oracle's fold search: the leftmost foldable tandem repeat with the smallest
+    /// repetition period, over plain tokens and already folded arrays.
+    fn find_fold(items: &[Item]) -> Option<FoldSpec> {
+        let n = items.len();
+        // `plain_run[i]`: length of the longest all-plain run starting at `i`.
+        let mut plain_run = vec![0usize; n + 1];
+        for i in (0..n).rev() {
+            plain_run[i] = if items[i].is_plain() {
+                plain_run[i + 1] + 1
+            } else {
+                0
+            };
+        }
+        for start in 0..n {
+            let max_len = MAX_UNIT_TOKENS.min((n - start) / 2).min(plain_run[start]);
+            for unit_len in 1..=max_len {
+                if !items[start].same_plain(&items[start + unit_len]) {
+                    continue;
+                }
+                let Some(separator) = items[start + unit_len - 1].as_char() else {
+                    continue;
+                };
+                let mut max_reps = 1;
+                while start + (max_reps + 1) * unit_len <= n
+                    && (0..unit_len).all(|k| {
+                        items[start + max_reps * unit_len + k].same_plain(&items[start + k])
+                    })
+                {
+                    max_reps += 1;
+                }
+                if max_reps < MIN_REPS {
+                    continue;
+                }
+                let mut reps = max_reps;
+                while reps >= MIN_REPS {
+                    let tail_start = start + reps * unit_len;
+                    let body_len = unit_len - 1;
+                    let tail_fits = tail_start + body_len < n
+                        && (0..body_len)
+                            .all(|k| items[tail_start + k].same_plain(&items[start + k]));
+                    if tail_fits {
+                        if let Some(terminator) = items[tail_start + body_len].as_char() {
+                            if terminator != separator {
+                                return Some(FoldSpec {
+                                    start,
+                                    unit_len,
+                                    reps,
+                                    separator,
+                                    terminator,
+                                });
+                            }
+                        }
+                    }
+                    reps -= 1;
+                }
+            }
+        }
+        None
+    }
+
+    /// Formatting characters the sequence generator draws its alphabets from.  `\n` is one
+    /// of them, so repetition units span lines whenever an alphabet draws it.
+    const CHAR_POOL: [char; 8] = [',', ';', ':', ' ', '\n', '|', '=', '.'];
+
+    /// Random token sequences shaped to exercise folding: a small alphabet (`F` plus 2–5
+    /// characters), interleaving single tokens with injected periodic runs.
+    struct SequenceGen {
+        rng: StdRng,
+        alphabet: Vec<TemplateToken>,
+    }
+
+    impl SequenceGen {
+        fn new(seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pool = CHAR_POOL.to_vec();
+            let mut alphabet = vec![TemplateToken::Field];
+            for _ in 0..rng.gen_range(2..6usize) {
+                let c = pool.swap_remove(rng.gen_range(0..pool.len()));
+                alphabet.push(TemplateToken::Ch(c));
+            }
+            SequenceGen { rng, alphabet }
+        }
+
+        fn token(&mut self) -> TemplateToken {
+            self.alphabet[self.rng.gen_range(0..self.alphabet.len())]
+        }
+
+        fn char_token(&mut self) -> TemplateToken {
+            self.alphabet[self.rng.gen_range(1..self.alphabet.len())]
+        }
+
+        /// A repetition unit of 1–8 tokens, usually ending in a character (a possible
+        /// separator).  A top-level unit sometimes opens with a periodic run of its own, so
+        /// repeats nest.
+        fn unit(&mut self, nested: bool) -> Vec<TemplateToken> {
+            let mut unit = Vec::new();
+            if !nested && self.rng.gen_bool(0.25) {
+                self.push_run(&mut unit, true);
+            }
+            for _ in 1..self.rng.gen_range(1..9usize) {
+                let token = self.token();
+                unit.push(token);
+            }
+            let last = if self.rng.gen_bool(0.8) {
+                self.char_token()
+            } else {
+                self.token()
+            };
+            unit.push(last);
+            unit
+        }
+
+        /// Appends 1–6 copies of a unit, usually followed by the unit's body (the unit
+        /// minus its final token) and one more token, a possible terminator.
+        fn push_run(&mut self, out: &mut Vec<TemplateToken>, nested: bool) {
+            let unit = self.unit(nested);
+            for _ in 0..self.rng.gen_range(1..7usize) {
+                out.extend_from_slice(&unit);
+            }
+            if self.rng.gen_bool(0.6) {
+                out.extend_from_slice(&unit[..unit.len() - 1]);
+                let token = self.token();
+                out.push(token);
+            }
+        }
+
+        /// A sequence of exactly `len` tokens.
+        fn sequence(&mut self, len: usize) -> Vec<TemplateToken> {
+            let mut out = Vec::with_capacity(len);
+            while out.len() < len {
+                if self.rng.gen_bool(0.5) {
+                    self.push_run(&mut out, false);
+                } else {
+                    let token = self.token();
+                    out.push(token);
+                }
+            }
+            out.truncate(len);
+            out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn single_pass_matches_the_rescan_oracle(seed in any::<u64>(), len in 0usize..200) {
+            let tokens = SequenceGen::new(seed).sequence(len);
+            prop_assert_eq!(
+                reduce_tokens(&tokens),
+                rescan_reduce(&tokens),
+                "tokens {:?}",
+                tokens
+            );
+        }
+
+        #[test]
+        fn fold_scan_agrees_with_reduce(seed in any::<u64>(), len in 0usize..200) {
+            // `tokens_have_fold_from(_, 0)` and a reduction that folds must agree within
+            // the cap — the generation fast path treats them as the same predicate.
+            let tokens = SequenceGen::new(seed).sequence(len);
+            let reduced = reduce(&RecordTemplate::from_tokens(tokens.clone()));
+            prop_assert_eq!(
+                tokens_have_fold_from(&tokens, 0),
+                reduced.has_array(),
+                "tokens {:?}",
+                tokens
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn single_pass_matches_the_rescan_oracle_at_the_fold_cap(seed in any::<u64>()) {
+            for len in [MAX_FOLD_TOKENS, MAX_FOLD_TOKENS + 1] {
+                let tokens = SequenceGen::new(seed).sequence(len);
+                prop_assert_eq!(
+                    reduce_tokens(&tokens),
+                    rescan_reduce(&tokens),
+                    "length {}",
+                    len
+                );
+            }
+        }
     }
 
     #[test]
@@ -363,11 +547,12 @@ mod tests {
 
     #[test]
     fn pathological_long_window_skips_folding_fast() {
-        // A multi-line window made of thousands of small repeated groups: every group folds
-        // separately, and each fold restarts the leftmost scan — the quadratic blow-up
-        // noted in the ROADMAP.  Uncapped, this window takes minutes; with the
-        // `MAX_FOLD_TOKENS` cap it reduces (to a flat Struct) in microseconds, which is
-        // what lets this regression test terminate at all.
+        // A multi-line window made of thousands of small repeated groups.  Every group
+        // folds on its own, but the line unit repeats to the window's end with no distinct
+        // terminator, so each line start counts copies up to the end: quadratic in the
+        // window length (uncapped, this 21k-token window takes ~0.5 s in a release build on
+        // a 2-vCPU VM).  With the `MAX_FOLD_TOKENS` cap it reduces (to a flat Struct) in
+        // microseconds.
         let mut text = String::new();
         for i in 0..3000 {
             text.push_str(&format!("a{i},b,c;\n"));
@@ -398,32 +583,6 @@ mod tests {
         let rt = template(&text, ",;\n");
         assert!(rt.len() <= super::MAX_FOLD_TOKENS);
         assert!(reduce(&rt).has_array());
-    }
-
-    #[test]
-    fn token_fold_scan_agrees_with_item_fold_search() {
-        // `tokens_have_fold_from(_, 0)` must agree with `find_fold` on plain-token input —
-        // the generation fast path treats them as the same predicate.
-        let cases = [
-            ("1,2,3,4,5\n", ",\n"),
-            ("a,b\n", ",\n"),
-            ("k: 1\nk: 2\nk: 3\nEND\n", ": \n"),
-            ("a|1\nb|2\nc|3\nd|4#\n", "|#\n"),
-            ("1|x\n2|y\n3|z\n#\n", "|#\n"),
-            ("a,b,c,", ","),
-            ("Apr 24 04:02:24 srv7 snort shutdown succeeded\n", ": \n"),
-            ("x=1;y=2;z=3|\n", "=;|\n"),
-            ("", ",\n"),
-        ];
-        for (text, charset) in cases {
-            let rt = template(text, charset);
-            let items: Vec<Item> = rt.tokens().iter().copied().map(Item::Tok).collect();
-            assert_eq!(
-                tokens_have_fold_from(rt.tokens(), 0),
-                find_fold(&items).is_some(),
-                "disagreement on {text:?} under {charset:?}"
-            );
-        }
     }
 
     #[test]

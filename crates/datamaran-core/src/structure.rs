@@ -14,6 +14,7 @@
 
 use crate::chars::{display_char, CharSet};
 use crate::record::{RecordTemplate, TemplateToken};
+use crate::reduce::flat_nodes;
 use std::fmt;
 
 /// A node of a structure template.
@@ -185,17 +186,9 @@ impl StructureTemplate {
 
     /// Builds a flat (array-free) structure template directly from a record template.
     pub fn from_record_template(rt: &RecordTemplate) -> Self {
-        let mut nodes: Vec<Node> = Vec::new();
-        for t in rt.tokens() {
-            match t {
-                TemplateToken::Field => nodes.push(Node::Field),
-                TemplateToken::Ch(c) => match nodes.last_mut() {
-                    Some(Node::Literal(s)) => s.push(*c),
-                    _ => nodes.push(Node::Literal(c.to_string())),
-                },
-            }
+        StructureTemplate {
+            nodes: flat_nodes(rt.tokens()),
         }
-        StructureTemplate { nodes }
     }
 
     /// The top-level node sequence.

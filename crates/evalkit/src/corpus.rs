@@ -230,14 +230,15 @@ pub struct DatasetReport {
 /// Defaults except `max_line_span`: at the paper's L=10, candidate generation on a
 /// template-diverse corpus is combinatorial — every k-line window over *distinct*
 /// adjacent templates mints a fresh record-template candidate.  The window memo plus the
-/// incremental fold-free window scan and the pruned fold search (`reduce.rs`) brought the
+/// incremental fold-free window scan and the fold search (`reduce.rs`) brought the
 /// 8 KiB HDFS-clone sample at L=10 from ~96 s to ~8 s of generation (single worker), so
 /// the matrix now runs at L=5 — deep multi-line window search on every dataset — instead
-/// of the previously pinned L=3.  Full L=10 on the 64 KiB generation sample still costs
-/// ~2.5 min per fold-heavy dataset (the remaining cost is re-folding fold-*containing*
-/// windows on every extension; an incremental fold constructor is subtle — appended
-/// tokens can resurrect a boundary-rejected periodic fold that absorbs already-committed
-/// ones — and is tracked in the ROADMAP), which is why the matrix stops at L=5.
+/// of the previously pinned L=3.  Full L=10 still costs about three times L=5 (hadoop
+/// clone, one worker, 2-vCPU VM: 11–13 s per `extract` call against ~3.6 s): every
+/// one-line extension of a fold-*containing* window folds the whole window again.  An
+/// incremental fold constructor is subtle — appended tokens can resurrect a
+/// boundary-rejected periodic fold that absorbs already-committed ones — and is tracked
+/// in the ROADMAP, which is why the matrix stops at L=5.
 pub fn corpus_config() -> DatamaranConfig {
     DatamaranConfig::default().with_max_line_span(5)
 }
