@@ -11,7 +11,10 @@
 //! *shapes* — who wins, by roughly what factor, where the crossovers are — are the object of
 //! the reproduction and are recorded in `EXPERIMENTS.md`.
 
-use datamaran_bench::{config_with, fmt_secs, interleaved_workload, scalable_weblog, time_run};
+use datamaran_bench::{
+    config_with, fmt_secs, interleaved_workload, scalable_weblog, time_run, EvaluationBench,
+    ExtractionBench, GenerationBench, MatchingBench,
+};
 use datamaran_core::{Datamaran, DatamaranConfig, JsonValue, MdlScorer, SearchStrategy};
 use evalkit::ablation::{run_ablation, AblationVariant};
 use evalkit::{accuracy, simulate, study_datasets, Extractor};
@@ -22,7 +25,9 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
-    let check = args.iter().any(|a| a == "--check");
+    // A `--fast` run is scaled down, so it is not comparable to the committed baselines:
+    // it never gates and never writes them.
+    let check = args.iter().any(|a| a == "--check") && !fast;
     let mut sections: Vec<&str> = args
         .iter()
         .map(|s| s.as_str())
@@ -85,86 +90,69 @@ fn main() {
     );
     if regressed {
         eprintln!(
-            "[reproduce] FAIL: benchmark gate (a speedup ratio dropped >20% vs the committed \
-             baseline, the streaming memory bound was exceeded, or outputs diverged)"
+            "[reproduce] FAIL: benchmark gate (a work counter differs from its committed \
+             value, a baseline is missing, the streaming memory bound was exceeded, a corpus \
+             floor or ratio regressed, or outputs diverged)"
         );
         std::process::exit(1);
     }
 }
 
-/// Fraction of the committed baseline value a fresh run must reach: the CI
-/// perf-regression gate fails on a >20% drop.
+/// Fraction of a dataset's committed MB/s-vs-reference ratio a fresh corpus run must
+/// reach: the corpus gate fails on a >20% drop.
 const REGRESSION_TOLERANCE: f64 = 0.80;
 
-/// Reads one numeric key from a committed baseline JSON document.
-fn baseline_value(path: &str, key: &str) -> Option<f64> {
-    use datamaran_core::JsonValue;
-    std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| JsonValue::parse(&text).ok())
-        .and_then(|v| v.get(key).and_then(|n| n.as_f64().ok()))
+/// Where a `--check` run writes its fresh documents, so the committed baselines it gates
+/// against stay untouched and every further run gates against them too.
+const FRESH_DIR: &str = "target/reproduce";
+
+/// Writes a run's documents: a `--check` run under [`FRESH_DIR`], a plain run over the
+/// committed files at the repository root, and a `--fast` run nowhere.
+fn record(fast: bool, check: bool, files: &[(&str, String)]) {
+    if fast {
+        println!("(--fast: not gated; committed baselines left untouched)");
+        return;
+    }
+    let dir = std::path::Path::new(if check { FRESH_DIR } else { "." });
+    if let Err(err) = std::fs::create_dir_all(dir) {
+        eprintln!("could not create {}: {err}", dir.display());
+    }
+    for (name, contents) in files {
+        let path = dir.join(name);
+        match std::fs::write(&path, contents) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(err) => eprintln!("could not write {}: {err}", path.display()),
+        }
+    }
 }
 
-/// The >20%-regression gate, applied to the *speedup* (span throughput divided by legacy
-/// throughput, both measured in the same run): hardware and runner-speed factors cancel
-/// out of the ratio, so the committed baseline transfers across machines — absolute
-/// records/sec would flag every slower CI runner as a regression.  The absolute
-/// throughput comparison is printed as context.  The baseline is read *before* the fresh
-/// result overwrites the file; a missing or unreadable baseline passes with a warning so
-/// first runs and fresh clones are not blocked.
-fn check_baseline(
-    path: &str,
-    throughput_key: &str,
-    fresh_throughput: f64,
-    fresh_speedup: f64,
+/// Gates and records one layer bench's document.  With `--check`, every key of `gated`
+/// must equal its value in the committed `BENCH_{name}.json`
+/// ([`datamaran_bench::counter_gate`]).  Returns `false` when one does not.
+fn gate_and_record(
+    name: &str,
+    document: &JsonValue,
+    gated: &[&str],
+    fast: bool,
+    check: bool,
 ) -> bool {
-    if let Some(base) = baseline_value(path, throughput_key) {
-        if base > 0.0 {
-            println!(
-                "regression gate (context): {throughput_key} = {fresh_throughput:.0} vs baseline {base:.0} ({:+.1}%, machine-relative, not gated)",
-                (fresh_throughput / base - 1.0) * 100.0,
-            );
-        }
+    let file = format!("BENCH_{name}.json");
+    let failures = if check {
+        datamaran_bench::counter_gate(&file, document, gated)
+    } else {
+        Vec::new()
+    };
+    for failure in &failures {
+        println!("counter gate: {failure} -> REGRESSED");
     }
-    match baseline_value(path, "speedup") {
-        Some(base) if base > 0.0 => {
-            let ratio = fresh_speedup / base;
-            let ok = ratio >= REGRESSION_TOLERANCE;
-            println!(
-                "regression gate: speedup {fresh_speedup:.2}x vs baseline {base:.2}x ({:+.1}%) -> {}",
-                (ratio - 1.0) * 100.0,
-                if ok { "OK" } else { "REGRESSED" }
-            );
-            ok
-        }
-        _ => {
-            println!("regression gate: no usable baseline at {path} (key speedup); skipping");
-            true
-        }
+    if check && failures.is_empty() {
+        println!(
+            "counter gate: {file}: {} as committed -> OK",
+            gated.join(", ")
+        );
     }
-}
-
-/// The >20%-regression gate applied to an additional named ratio of a baseline document
-/// (e.g. the evaluation engine's delta record-reuse rate).  Same transfer argument as
-/// [`check_baseline`]: the ratio is measured within one run (or is deterministic), so it is
-/// hardware-portable.  Missing baselines (first runs, fresh clones) pass with a warning.
-fn check_ratio(path: &str, key: &str, fresh: f64) -> bool {
-    match baseline_value(path, key) {
-        Some(base) if base > 0.0 => {
-            let ratio = fresh / base;
-            let ok = ratio >= REGRESSION_TOLERANCE;
-            println!(
-                "regression gate: {key} {fresh:.2}x vs baseline {base:.2}x ({:+.1}%) -> {}",
-                (ratio - 1.0) * 100.0,
-                if ok { "OK" } else { "REGRESSED" }
-            );
-            ok
-        }
-        _ => {
-            println!("regression gate: no usable baseline at {path} (key {key}); skipping");
-            true
-        }
-    }
+    record(fast, check, &[(&file, document.to_pretty() + "\n")]);
+    failures.is_empty()
 }
 
 fn heading(title: &str) {
@@ -625,21 +613,19 @@ fn fig18(fast: bool) {
 }
 
 // -------------------------------------------------------------------------------------------
-// Streaming export benchmark — bounded-memory streaming path vs. in-memory extract+export
+// Streaming export benchmark — bounded-memory streaming path, checked against in-memory export
 // -------------------------------------------------------------------------------------------
 
-/// Times the full extraction-to-CSV path on a 32 MiB synthetic dataset (4 MiB with
-/// `--fast`) through the bounded-memory streaming sinks and through the in-memory
-/// materialized exporter, and writes the result to `BENCH_streaming.json`.  With `check`,
-/// two gates apply: the streaming-vs-in-memory wall-clock *ratio* is gated against the
-/// committed baseline (same >20% rule as the other engines — the ratio is measured within
-/// one run, so runner-speed factors cancel), and the peak resident window bytes must stay
-/// under the committed [`datamaran_bench::STREAM_PEAK_WINDOW_BOUND`] — on an input 4×
-/// larger than the bound, that proves the streaming path is `O(window)`, not `O(file)`,
-/// in memory.  Returns `false` on regression.
+/// Runs the extraction-to-CSV streaming path on a 32 MiB synthetic dataset (4 MiB with
+/// `--fast`), checks its CSV bytes against the in-memory materialized exporter, and
+/// records `BENCH_streaming.json`.  With `check`, the records, CSV bytes and windows must
+/// equal their committed values, and the peak resident window bytes must stay under
+/// [`datamaran_bench::STREAM_PEAK_WINDOW_BOUND`]: on an input 4× larger than the bound,
+/// that proves the streaming path is `O(window)`, not `O(file)`, in memory.  Returns
+/// `false` on regression.
 fn streaming_bench(fast: bool, check: bool) -> bool {
-    use datamaran_bench::STREAM_PEAK_WINDOW_BOUND;
-    heading("Streaming export — bounded-memory sink path vs. in-memory materialization");
+    use datamaran_bench::{StreamingBench, STREAM_PEAK_WINDOW_BOUND};
+    heading("Streaming export — bounded-memory sink path");
     let bytes = if fast {
         4 * 1024 * 1024
     } else {
@@ -652,26 +638,16 @@ fn streaming_bench(fast: bool, check: bool) -> bool {
         bench.dataset_bytes, bench.dataset_lines, bench.records, bench.csv_bytes
     );
     println!(
-        "windows: {} (head {} + window {} bytes); both paths extract with the same \
-         head-discovered templates",
+        "windows: {} (head {} + window {} bytes)",
         bench.windows, bench.head_bytes, bench.window_bytes
     );
-    println!("{:<12}{:>14}{:>14}", "path", "wall time", "MB/sec");
     println!(
-        "{:<12}{:>14}{:>14.1}",
-        "in-memory",
-        fmt_secs(bench.inmemory_secs),
-        bench.inmemory_mb_per_sec()
-    );
-    println!(
-        "{:<12}{:>14}{:>14.1}",
-        "streaming",
+        "wall time (templates supplied, not gated): {} ({:.1} MB/sec)",
         fmt_secs(bench.streaming_secs),
         bench.streaming_mb_per_sec()
     );
     println!(
-        "ratio (in-memory / streaming): {:.2}x, outputs identical: {}",
-        bench.speedup(),
+        "CSV identical to the in-memory exporter: {}",
         bench.outputs_identical
     );
     let peak_ok = bench.peak_window_bytes <= STREAM_PEAK_WINDOW_BOUND;
@@ -682,19 +658,14 @@ fn streaming_bench(fast: bool, check: bool) -> bool {
         bench.dataset_bytes / (1024 * 1024),
         if peak_ok { "OK" } else { "EXCEEDED" }
     );
-    let path = "BENCH_streaming.json";
-    let ok = !check
-        || (check_baseline(
-            path,
-            "streaming_mb_per_sec",
-            bench.streaming_mb_per_sec(),
-            bench.speedup(),
-        ) && peak_ok);
-    match std::fs::write(path, bench.to_json() + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
-    ok && bench.outputs_identical
+    let counters_ok = gate_and_record(
+        "streaming",
+        &bench.document(),
+        StreamingBench::GATED,
+        fast,
+        check,
+    );
+    counters_ok && (peak_ok || !check) && bench.outputs_identical
 }
 
 // -------------------------------------------------------------------------------------------
@@ -732,51 +703,32 @@ fn corpus_run(fast: bool, check: bool) -> bool {
     println!("\n{}", report.accuracy_table());
     println!("{}", report.timing_table());
 
-    // Gate against the committed baseline *before* overwriting it.  The floors are
-    // calibrated at full scale; a --fast smoke run is not comparable, so it never gates.
+    // The floors are calibrated at full scale; `check` is never set on a `--fast` run.
     let json_path = "BENCH_corpus.json";
-    let ok = if check && fast {
-        println!("corpus gate: --fast run is not comparable to full-scale baselines; skipping");
-        true
-    } else if check {
-        match std::fs::read_to_string(json_path)
-            .ok()
-            .and_then(|text| JsonValue::parse(&text).ok())
-        {
-            Some(baseline) => {
-                let failures = report.check_against(&baseline, REGRESSION_TOLERANCE);
-                for failure in &failures {
-                    println!("corpus gate: {failure} -> REGRESSED");
-                }
-                if failures.is_empty() {
-                    println!(
-                        "corpus gate: every dataset within its committed accuracy floors and \
-                         throughput ratios -> OK"
-                    );
-                }
-                failures.is_empty()
-            }
-            None => {
-                println!("corpus gate: no usable baseline at {json_path}; skipping");
-                true
-            }
+    let ok = !check || {
+        let failures = match datamaran_bench::read_document(json_path) {
+            Ok(baseline) => report.check_against(&baseline, REGRESSION_TOLERANCE),
+            Err(err) => vec![err],
+        };
+        for failure in &failures {
+            println!("corpus gate: {json_path}: {failure} -> REGRESSED");
         }
-    } else {
-        true
+        if failures.is_empty() {
+            println!(
+                "corpus gate: every dataset within its committed accuracy floors and \
+                 throughput ratios -> OK"
+            );
+        }
+        failures.is_empty()
     };
-
-    if fast {
-        println!("(--fast: committed corpus baselines left untouched)");
-    } else {
-        match std::fs::write(json_path, report.to_json() + "\n") {
-            Ok(()) => println!("wrote {json_path}"),
-            Err(err) => eprintln!("could not write {json_path}: {err}"),
-        }
-        match std::fs::write("CORPUS_REPORT.md", report.to_markdown()) {
-            Ok(()) => println!("wrote CORPUS_REPORT.md"),
-            Err(err) => eprintln!("could not write CORPUS_REPORT.md: {err}"),
-        }
-    }
+    record(
+        fast,
+        check,
+        &[
+            (json_path, report.to_json() + "\n"),
+            ("CORPUS_REPORT.md", report.to_markdown()),
+        ],
+    );
 
     // Surface the per-dataset phase timings in the job summary so slow datasets are
     // visible in the CI UI without downloading artifacts.
@@ -863,61 +815,50 @@ fn ablation(fast: bool) {
 }
 
 // -------------------------------------------------------------------------------------------
-// Generation engine benchmark — span backend vs. legacy string-token backend
+// Layer benchmarks — work counters gated exactly, engine wall times recorded
+// -------------------------------------------------------------------------------------------
 
-/// Times the exhaustive generation step with both backends on a ~1 MB synthetic sample
-/// (128 KB with `--fast`) and writes the result to `BENCH_generation.json` so the perf
-/// trajectory of the hot path has a recorded baseline.  With `check`, the fresh span
-/// throughput is gated against the committed baseline; returns `false` on regression.
+/// Runs the generation engine's exhaustive search at one worker thread on a ~1 MB
+/// synthetic sample (128 KB with `--fast`), checks its candidates against the legacy
+/// reference, and records `BENCH_generation.json`.  Returns `false` when a gated counter
+/// moved or the outputs diverged.
 fn generation_bench(fast: bool, check: bool) -> bool {
-    heading("Generation engine — span projections vs. legacy re-tokenization");
+    heading("Generation engine — span projections, exhaustive search");
     let bytes = if fast { 128 * 1024 } else { 1024 * 1024 };
     let bench = datamaran_bench::generation_benchmark(bytes, 1);
     println!(
-        "sample: {} bytes / {} lines, {} charsets enumerated, {} candidate records",
-        bench.sample_bytes, bench.sample_lines, bench.charsets_enumerated, bench.records_examined
-    );
-    println!("{:<10}{:>14}{:>22}", "backend", "wall time", "records/sec");
-    println!(
-        "{:<10}{:>14}{:>22.0}",
-        "legacy",
-        fmt_secs(bench.legacy_secs),
-        bench.legacy_records_per_sec()
+        "sample: {} bytes / {} lines",
+        bench.sample_bytes, bench.sample_lines
     );
     println!(
-        "{:<10}{:>14}{:>22.0}",
-        "spans",
+        "work: {} charsets enumerated, {} candidate records examined, {} candidates, \
+         {} novel windows, {} reductions",
+        bench.charsets_enumerated,
+        bench.records_examined,
+        bench.candidates,
+        bench.novel_windows,
+        bench.reductions
+    );
+    println!(
+        "wall time (not gated): {} ({:.0} records/sec)",
         fmt_secs(bench.spans_secs),
         bench.spans_records_per_sec()
     );
     println!(
-        "speedup: {:.2}x, outputs identical: {}",
-        bench.speedup(),
+        "outputs identical to the legacy reference: {}",
         bench.outputs_identical
     );
-    let path = "BENCH_generation.json";
-    let ok = !check
-        || check_baseline(
-            path,
-            "spans_records_per_sec",
-            bench.spans_records_per_sec(),
-            bench.speedup(),
-        );
-    match std::fs::write(path, bench.to_json() + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
-    ok && bench.outputs_identical
+    let document = bench.document();
+    gate_and_record("generation", &document, GenerationBench::GATED, fast, check)
+        && bench.outputs_identical
 }
 
-// -------------------------------------------------------------------------------------------
-// Extraction engine benchmark — span instruction tables vs. legacy tree walker
-
-/// Times the final extraction pass with both backends on a ~1 MB dataset (128 KB with
-/// `--fast`) and writes the result to `BENCH_extraction.json`.  With `check`, the fresh
-/// span throughput is gated against the committed baseline; returns `false` on regression.
+/// Runs the final extraction pass at one worker thread on a ~1 MB dataset (128 KB with
+/// `--fast`), checks its parses against the tree-walker reference, and records
+/// `BENCH_extraction.json`.  Returns `false` when a gated counter moved or the outputs
+/// diverged.
 fn extraction_bench(fast: bool, check: bool) -> bool {
-    heading("Extraction engine — compiled instruction tables vs. tree-walking LL(1) parser");
+    heading("Extraction engine — compiled instruction tables");
     let bytes = if fast { 128 * 1024 } else { 1024 * 1024 };
     let runs = if fast { 3 } else { 5 };
     let bench = datamaran_bench::extraction_benchmark(bytes, runs);
@@ -927,191 +868,115 @@ fn extraction_bench(fast: bool, check: bool) -> bool {
     );
     println!(
         "{:<20}{:>14}{:>18}{:>14}",
-        "backend", "wall time", "records/sec", "MB/sec"
+        "output (not gated)", "wall time", "records/sec", "MB/sec"
     );
+    for (name, secs) in [
+        ("span arenas", bench.span_secs),
+        ("ParseResult", bench.span_materialized_secs),
+    ] {
+        println!(
+            "{:<20}{:>14}{:>18.0}{:>14.1}",
+            name,
+            fmt_secs(secs),
+            bench.records as f64 / secs,
+            bench.sample_bytes as f64 / secs / (1024.0 * 1024.0)
+        );
+    }
     println!(
-        "{:<20}{:>14}{:>18.0}{:>14.1}",
-        "legacy",
-        fmt_secs(bench.legacy_secs),
-        bench.legacy_records_per_sec(),
-        bench.legacy_mb_per_sec()
-    );
-    println!(
-        "{:<20}{:>14}{:>18.0}{:>14.1}",
-        "span",
-        fmt_secs(bench.span_secs),
-        bench.span_records_per_sec(),
-        bench.span_mb_per_sec()
-    );
-    println!(
-        "{:<20}{:>14}{:>18.0}{:>14.1}",
-        "span+materialize",
-        fmt_secs(bench.span_materialized_secs),
-        bench.records as f64 / bench.span_materialized_secs,
-        bench.sample_bytes as f64 / bench.span_materialized_secs / (1024.0 * 1024.0)
-    );
-    println!(
-        "speedup: {:.2}x ({:.2}x with ParseResult materialization), outputs identical: {}",
-        bench.speedup(),
-        bench.speedup_materialized(),
+        "outputs identical to the tree-walker reference: {}",
         bench.outputs_identical
     );
-    let path = "BENCH_extraction.json";
-    let ok = !check
-        || check_baseline(
-            path,
-            "span_records_per_sec",
-            bench.span_records_per_sec(),
-            bench.speedup(),
-        );
-    match std::fs::write(path, bench.to_json() + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
-    ok && bench.outputs_identical
+    let document = bench.document();
+    gate_and_record("extraction", &document, ExtractionBench::GATED, fast, check)
+        && bench.outputs_identical
 }
 
-// -------------------------------------------------------------------------------------------
-// Evaluation engine benchmark — span refinement evaluation vs. legacy tree re-parse
-
-/// Times the evaluation step (refinement of the post-pruning candidate pool) with the span
-/// engine (delta evaluation) and the tree re-parse reference (`legacy`) on the 1 MB
-/// dataset's evaluation sample (128 KB dataset with `--fast`) and writes the result to
-/// `BENCH_evaluation.json`.  With `check`, the span-vs-legacy speedup (measured within one
-/// run, so runner-speed factors cancel) and the delta engine's deterministic record-reuse
-/// rate are gated against the committed baseline.  Returns `false` on regression.
+/// Runs the evaluation step (refinement of the post-pruning candidate pool) at one worker
+/// thread on the evaluation sample of a ~1 MB dataset (128 KB with `--fast`), checks its
+/// refined outputs against the tree re-parse reference, and records
+/// `BENCH_evaluation.json`.  Returns `false` when a gated counter moved or the outputs
+/// diverged.
 fn evaluation_bench(fast: bool, check: bool) -> bool {
-    heading("Evaluation engine — delta refinement parses vs. tree re-parse");
+    heading("Evaluation engine — delta refinement parses");
     let bytes = if fast { 128 * 1024 } else { 1024 * 1024 };
     let runs = if fast { 2 } else { 3 };
     let bench = datamaran_bench::evaluation_benchmark(bytes, runs);
+    let m = &bench.metrics;
     println!(
         "dataset: {} bytes; evaluation sample: {} bytes / {} lines; {} candidates",
         bench.dataset_bytes, bench.sample_bytes, bench.sample_lines, bench.candidates
     );
     println!(
-        "span engine work: {} evaluations, {} memo hits; legacy: {} evaluations",
-        bench.span_evaluations, bench.span_memo_hits, bench.legacy_evaluations
+        "work: {} evaluations, {} memo hits ({} by lineage); tree reference: {} evaluations",
+        m.evaluations, m.memo_hits, m.lineage_hits, bench.legacy_evaluations
     );
     println!(
-        "delta engine: {} delta parses, record reuse {:.1}%, dirty columns {:.1}%",
-        bench.delta_parses,
-        bench.delta_record_reuse * 100.0,
-        bench.dirty_column_fraction * 100.0
+        "delta engine: {} delta and {} full parses, {} records reused ({:.1}%), \
+         dirty columns {:.1}%",
+        m.delta_parses,
+        m.delta_full_parses,
+        m.delta_records_reused,
+        m.delta_record_reuse_rate() * 100.0,
+        m.dirty_column_fraction() * 100.0
     );
     println!(
-        "phase split: span parse {} / score {}; legacy parse {} / score {}",
-        fmt_secs(bench.span_parse_secs),
-        fmt_secs(bench.span_score_secs),
-        fmt_secs(bench.legacy_parse_secs),
-        fmt_secs(bench.legacy_score_secs)
-    );
-    println!(
-        "{:<12}{:>14}{:>22}",
-        "backend", "wall time", "candidates/sec"
-    );
-    println!(
-        "{:<12}{:>14}{:>22.1}",
-        "legacy",
-        fmt_secs(bench.legacy_secs),
-        bench.legacy_candidates_per_sec()
-    );
-    println!(
-        "{:<12}{:>14}{:>22.1}",
-        "span",
+        "wall time (not gated): {} ({:.1} candidates/sec; parse {} / score {})",
         fmt_secs(bench.span_secs),
-        bench.span_candidates_per_sec()
+        bench.span_candidates_per_sec(),
+        fmt_secs(m.parse_seconds),
+        fmt_secs(m.score_seconds)
     );
     println!(
-        "speedup vs legacy: {:.2}x, outputs identical: {}",
-        bench.speedup(),
+        "outputs identical to the tree reference: {}",
         bench.outputs_identical
     );
-    let path = "BENCH_evaluation.json";
-    let ok = !check
-        || (check_baseline(
-            path,
-            "span_candidates_per_sec",
-            bench.span_candidates_per_sec(),
-            bench.speedup(),
-        ) && check_ratio(path, "delta_record_reuse", bench.delta_record_reuse));
-    match std::fs::write(path, bench.to_json() + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
-    ok && bench.outputs_identical
+    let document = bench.document();
+    gate_and_record("evaluation", &document, EvaluationBench::GATED, fast, check)
+        && bench.outputs_identical
 }
 
+/// Runs the production matcher at one worker thread on three fixtures (10 interleaved
+/// templates, one template, the Thunderbird-clone set), checks its span arenas against
+/// the trial reference, and records `BENCH_matching.json`.  Returns `false` when a gated
+/// counter moved or the outputs diverged.
 fn matching_bench(fast: bool, check: bool) -> bool {
-    heading("Multi-template matching — fused prefix-trie/DFA dispatch vs. trial-each-template");
+    heading("Multi-template matching — fused prefix-trie/DFA dispatch");
     let records = if fast { 20_000 } else { 60_000 };
     let divisor = if fast { 8 } else { 2 };
     let runs = if fast { 2 } else { 3 };
     let bench = datamaran_bench::matching_benchmark(records, divisor, runs);
     println!(
-        "interleaved fixture: {} templates, {} bytes / {} lines, {} records",
-        bench.multi_templates, bench.multi_bytes, bench.multi_lines, bench.multi_records
+        "{:<13}{:>10}{:>10}{:>12}{:>10}{:>12}{:>11}{:>9}",
+        "fixture", "templates", "records", "dispatched", "trialed", "DFA states", "wall", "MB/sec"
     );
-    println!("{:<12}{:>14}{:>14}", "backend", "wall time", "MB/sec");
+    for (name, f) in [
+        ("10-template", &bench.multi),
+        ("1-template", &bench.single),
+        ("thunderbird", &bench.thunderbird),
+    ] {
+        let states = format!(
+            "{}{}",
+            f.dfa_states,
+            if f.dfa_overflowed { "*" } else { "" }
+        );
+        println!(
+            "{:<13}{:>10}{:>10}{:>12}{:>10}{:>12}{:>11}{:>9.1}",
+            name,
+            f.templates,
+            f.records,
+            f.stats.lines_dispatched,
+            f.stats.templates_trialed,
+            states,
+            fmt_secs(f.secs),
+            f.mb_per_sec()
+        );
+    }
+    println!("(* state cap hit; wall times and MB/sec are not gated)");
     println!(
-        "{:<12}{:>14}{:>14.1}",
-        "trial",
-        fmt_secs(bench.multi_trial_secs),
-        bench.trial_mb_per_sec()
-    );
-    println!(
-        "{:<12}{:>14}{:>14.1}",
-        "fused",
-        fmt_secs(bench.multi_fused_secs),
-        bench.fused_mb_per_sec()
-    );
-    println!(
-        "single-template parity: trial {} vs fused {} ({:.2}x)",
-        fmt_secs(bench.single_trial_secs),
-        fmt_secs(bench.single_fused_secs),
-        bench.single_template_speedup()
-    );
-    println!(
-        "thunderbird clone: {} live templates ({} DFA states{}), {} bytes, trial {} vs fused {} ({:.2}x)",
-        bench.tbird_templates,
-        bench.tbird_dfa_states,
-        if bench.tbird_overflowed {
-            ", state cap hit"
-        } else {
-            ""
-        },
-        bench.tbird_bytes,
-        fmt_secs(bench.tbird_trial_secs),
-        fmt_secs(bench.tbird_fused_secs),
-        bench.thunderbird_speedup()
-    );
-    println!(
-        "speedup (10-template fused vs trial): {:.2}x, outputs identical: {}",
-        bench.speedup(),
+        "outputs identical to the trial reference: {}",
         bench.outputs_identical
     );
-    let floor_ok = bench.speedup() >= 3.0;
-    println!(
-        "acceptance floor: 10-template speedup {:.2}x >= 3.0x -> {}",
-        bench.speedup(),
-        if floor_ok { "OK" } else { "BELOW FLOOR" }
-    );
-    let path = "BENCH_matching.json";
-    let ok = !check
-        || (check_baseline(
-            path,
-            "fused_mb_per_sec",
-            bench.fused_mb_per_sec(),
-            bench.speedup(),
-        ) && check_ratio(
-            path,
-            "single_template_speedup",
-            bench.single_template_speedup(),
-        ) && check_ratio(path, "thunderbird_speedup", bench.thunderbird_speedup())
-            && floor_ok);
-    match std::fs::write(path, bench.to_json() + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
-    ok && bench.outputs_identical
+    let document = bench.document();
+    gate_and_record("matching", &document, MatchingBench::GATED, fast, check)
+        && bench.outputs_identical
 }

@@ -4,7 +4,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use datamaran_core::{Datamaran, DatamaranConfig, SearchStrategy};
+use datamaran_core::{Datamaran, DatamaranConfig, JsonValue, SearchStrategy};
 use logsynth::corpus;
 use logsynth::DatasetSpec;
 use std::time::Instant;
@@ -93,9 +93,8 @@ pub fn config_with(search: SearchStrategy) -> DatamaranConfig {
 
 /// A scalable single-record-type workload whose candidate-character palette (6 characters
 /// beyond `\n`) is small enough that the generation step's **exhaustive** search really
-/// enumerates all `2^c` charsets instead of falling back to the greedy procedure.  Used by
-/// the generation micro-benchmark, where exhaustive legacy-vs-spans is the comparison the
-/// acceptance numbers are recorded against.
+/// enumerates all `2^c` charsets instead of falling back to the greedy procedure.  The
+/// input of the generation, extraction, evaluation and streaming benchmarks.
 pub fn exhaustive_weblog(target_bytes: usize, seed: u64) -> String {
     fn mix(mut x: u64) -> u64 {
         x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -124,109 +123,134 @@ pub fn exhaustive_weblog(target_bytes: usize, seed: u64) -> String {
     out
 }
 
-/// Outcome of the generation micro-benchmark comparing the span engine against the legacy
-/// string-token reference (`generation::generate_legacy`) on the same sample (see
-/// `reproduce -- generation` and `benches/generation.rs`).
+/// The `--check` gate of the per-layer benches: each of `keys` must equal, exactly, its
+/// value in the committed document at `committed`.  The gated keys are deterministic work
+/// counters measured at one worker thread, so the gate needs no tolerance, carries across
+/// machines and never flakes; the wall times recorded beside them are not gated.  Returns
+/// one failure per differing or missing key, naming the file and the key with its
+/// committed and fresh values, or a single failure when the file cannot be read or parsed.
+/// Empty means the gate passes.
+pub fn counter_gate(committed: &str, fresh: &JsonValue, keys: &[&str]) -> Vec<String> {
+    let baseline = match read_document(committed) {
+        Ok(document) => document,
+        Err(err) => return vec![err],
+    };
+    let value = |document: &JsonValue, key: &str| document.get(key)?.as_f64().ok();
+    keys.iter()
+        .filter_map(|&key| match (value(&baseline, key), value(fresh, key)) {
+            (Some(base), Some(now)) if base == now => None,
+            (Some(base), Some(now)) => {
+                Some(format!("{committed}: `{key}` is {now}, committed {base}"))
+            }
+            (Some(base), None) => Some(format!(
+                "{committed}: `{key}` (committed {base}) was not measured"
+            )),
+            (None, _) => Some(format!("{committed}: no committed `{key}`")),
+        })
+        .collect()
+}
+
+/// Reads and parses a committed baseline document; the error names the file.
+pub fn read_document(path: &str) -> Result<JsonValue, String> {
+    std::fs::read_to_string(path)
+        .map_err(|err| err.to_string())
+        .and_then(|text| JsonValue::parse(&text).map_err(|err| err.to_string()))
+        .map_err(|err| format!("no committed baseline at {path} ({err})"))
+}
+
+/// One numeric entry of a bench document.
+fn number(key: impl Into<String>, value: f64) -> (String, JsonValue) {
+    (key.into(), JsonValue::Number(value))
+}
+
+/// Best (lowest) wall-clock seconds over `runs` calls of `run` (at least one call).
+fn best_secs(runs: usize, mut run: impl FnMut()) -> f64 {
+    (0..runs.max(1))
+        .map(|_| {
+            let started = Instant::now();
+            run();
+            started.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Outcome of the generation benchmark: the span engine's work counters and best wall time
+/// on one sample, its candidates cross-checked against one untimed run of the legacy
+/// string-token reference `generation::generate_legacy` (see `reproduce -- generation`).
 #[derive(Clone, Debug)]
 pub struct GenerationBench {
     /// Sample size in bytes.
     pub sample_bytes: usize,
     /// Sample line count.
     pub sample_lines: usize,
-    /// Charsets enumerated per run (identical across backends).
+    /// Charsets enumerated.
     pub charsets_enumerated: usize,
-    /// Candidate records examined per run (identical across backends).
+    /// Candidate records examined.
     pub records_examined: usize,
-    /// Candidates emitted (identical across backends).
+    /// Candidates emitted.
     pub candidates: usize,
-    /// Best wall-clock seconds of the legacy backend.
-    pub legacy_secs: f64,
-    /// Best wall-clock seconds of the span backend.
+    /// Window-memo misses: candidate windows whose template the engine had to build.
+    pub novel_windows: usize,
+    /// Novel windows that ran a full `reduce`.
+    pub reductions: usize,
+    /// Best wall-clock seconds of the span engine.
     pub spans_secs: f64,
-    /// `true` when both backends emitted identical candidates and statistics.
+    /// `true` when the engine and the reference emitted identical candidates and statistics.
     pub outputs_identical: bool,
 }
 
 impl GenerationBench {
-    /// Candidate records examined per second, legacy backend.
-    pub fn legacy_records_per_sec(&self) -> f64 {
-        self.records_examined as f64 / self.legacy_secs
-    }
+    /// Work counters `reproduce -- generation --check` holds equal to the committed
+    /// `BENCH_generation.json` (see [`counter_gate`]).
+    pub const GATED: &'static [&'static str] = &[
+        "charsets_enumerated",
+        "candidates",
+        "records_examined",
+        "novel_windows",
+        "reductions",
+    ];
 
-    /// Candidate records examined per second, span backend.
+    /// Candidate records examined per second.
     pub fn spans_records_per_sec(&self) -> f64 {
         self.records_examined as f64 / self.spans_secs
     }
 
-    /// Wall-clock speedup of the span backend over the legacy backend.
-    pub fn speedup(&self) -> f64 {
-        self.legacy_secs / self.spans_secs
-    }
-
-    /// Serializes the result as the `BENCH_generation.json` document.
-    pub fn to_json(&self) -> String {
-        use datamaran_core::JsonValue;
+    /// The `BENCH_generation.json` document.
+    pub fn document(&self) -> JsonValue {
         JsonValue::Object(vec![
             (
                 "benchmark".into(),
                 JsonValue::String("generation_exhaustive".into()),
             ),
-            (
-                "sample_bytes".into(),
-                JsonValue::Number(self.sample_bytes as f64),
-            ),
-            (
-                "sample_lines".into(),
-                JsonValue::Number(self.sample_lines as f64),
-            ),
-            (
-                "charsets_enumerated".into(),
-                JsonValue::Number(self.charsets_enumerated as f64),
-            ),
-            (
-                "records_examined".into(),
-                JsonValue::Number(self.records_examined as f64),
-            ),
-            (
-                "candidates".into(),
-                JsonValue::Number(self.candidates as f64),
-            ),
-            (
-                "legacy_wall_secs".into(),
-                JsonValue::Number(self.legacy_secs),
-            ),
-            ("spans_wall_secs".into(), JsonValue::Number(self.spans_secs)),
-            (
-                "legacy_records_per_sec".into(),
-                JsonValue::Number(self.legacy_records_per_sec()),
-            ),
-            (
-                "spans_records_per_sec".into(),
-                JsonValue::Number(self.spans_records_per_sec()),
-            ),
-            ("speedup".into(), JsonValue::Number(self.speedup())),
-            ("generation_threads".into(), JsonValue::Number(1.0)),
+            number("sample_bytes", self.sample_bytes as f64),
+            number("sample_lines", self.sample_lines as f64),
+            number("charsets_enumerated", self.charsets_enumerated as f64),
+            number("records_examined", self.records_examined as f64),
+            number("candidates", self.candidates as f64),
+            number("novel_windows", self.novel_windows as f64),
+            number("reductions", self.reductions as f64),
+            number("spans_wall_secs", self.spans_secs),
+            number("spans_records_per_sec", self.spans_records_per_sec()),
+            number("generation_threads", 1.0),
             (
                 "outputs_identical".into(),
                 JsonValue::Bool(self.outputs_identical),
             ),
         ])
-        .to_pretty()
     }
 }
 
-/// Runs the generation step on an `exhaustive_weblog` sample of `target_bytes` with the span
-/// engine and the legacy reference (`runs` timed repetitions each, best run kept) and
-/// cross-checks that they emit identical candidates.
+/// Runs the generation step on an `exhaustive_weblog` sample of `target_bytes`: the span
+/// engine `runs` times (best wall time kept) and the legacy reference once, untimed, to
+/// cross-check that both emit identical candidates.
 pub fn generation_benchmark(target_bytes: usize, runs: usize) -> GenerationBench {
     use datamaran_core::generation::generate_legacy;
-    use datamaran_core::{generate, Dataset, GenerationOutput};
+    use datamaran_core::{generate, Dataset};
 
     let text = exhaustive_weblog(target_bytes, 14);
     let data = Dataset::new(text);
-    // Pinned to one worker thread: the recorded speedup measures the span/interning
-    // algorithm, not host parallelism (the legacy reference has no parallel mode, so an
-    // unpinned comparison would conflate the two).
+    // Pinned to one worker thread: every worker keeps its own window memo, so the novel
+    // window and reduction counts are exact only at a fixed worker count.
     let config = DatamaranConfig::default().with_generation_threads(1);
 
     let legacy_out = generate_legacy(&data, &config);
@@ -245,145 +269,88 @@ pub fn generation_benchmark(target_bytes: usize, runs: usize) -> GenerationBench
                     && a.charset == b.charset
             });
 
-    let best_of = |run: fn(&Dataset, &DatamaranConfig) -> GenerationOutput| -> f64 {
-        (0..runs.max(1))
-            .map(|_| {
-                let started = Instant::now();
-                let out = run(&data, &config);
-                assert!(!out.candidates.is_empty());
-                started.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-
     GenerationBench {
         sample_bytes: data.len(),
         sample_lines: data.line_count(),
         charsets_enumerated: spans_out.charsets_enumerated,
         records_examined: spans_out.records_examined,
         candidates: spans_out.candidates.len(),
-        legacy_secs: best_of(generate_legacy),
-        spans_secs: best_of(generate),
+        novel_windows: spans_out.novel_windows,
+        reductions: spans_out.reductions,
+        spans_secs: best_secs(runs, || {
+            assert!(!generate(&data, &config).candidates.is_empty())
+        }),
         outputs_identical,
     }
 }
 
-/// Outcome of the extraction micro-benchmark comparing the span instruction-table engine
-/// against the legacy tree-walking parser on the same dataset and template (see
-/// `reproduce -- extraction` and `benches/extraction.rs`).
+/// Outcome of the extraction benchmark: the span instruction-table engine's record count
+/// and best wall times on one dataset and template, its parses and relational tables
+/// cross-checked against one untimed run of the tree-walking reference `parse_dataset`
+/// (see `reproduce -- extraction`).
 #[derive(Clone, Debug)]
 pub struct ExtractionBench {
     /// Dataset size in bytes.
     pub sample_bytes: usize,
     /// Dataset line count.
     pub sample_lines: usize,
-    /// Records extracted per run (identical across backends).
+    /// Records extracted.
     pub records: usize,
     /// Human-readable rendering of the benchmarked template.
     pub template: String,
-    /// Best wall-clock seconds of the legacy tree walker.
-    pub legacy_secs: f64,
     /// Best wall-clock seconds of the span engine (native flat-arena output).
     pub span_secs: f64,
     /// Best wall-clock seconds of the span engine including the copy of its arenas into an
     /// owned `ParseResult` (what the pipeline consumes).
     pub span_materialized_secs: f64,
-    /// `true` when both backends produced byte-identical parses and relational tables.
+    /// `true` when the engine and the reference produced identical parses and relational
+    /// tables.
     pub outputs_identical: bool,
 }
 
 impl ExtractionBench {
-    /// Megabytes extracted per second, legacy backend.
-    pub fn legacy_mb_per_sec(&self) -> f64 {
-        self.sample_bytes as f64 / self.legacy_secs / (1024.0 * 1024.0)
-    }
+    /// Work counters `reproduce -- extraction --check` holds equal to the committed
+    /// `BENCH_extraction.json` (see [`counter_gate`]).
+    pub const GATED: &'static [&'static str] = &["records"];
 
-    /// Megabytes extracted per second, span backend.
+    /// Megabytes extracted per second.
     pub fn span_mb_per_sec(&self) -> f64 {
         self.sample_bytes as f64 / self.span_secs / (1024.0 * 1024.0)
     }
 
-    /// Records extracted per second, legacy backend.
-    pub fn legacy_records_per_sec(&self) -> f64 {
-        self.records as f64 / self.legacy_secs
-    }
-
-    /// Records extracted per second, span backend.
+    /// Records extracted per second.
     pub fn span_records_per_sec(&self) -> f64 {
         self.records as f64 / self.span_secs
     }
 
-    /// Wall-clock speedup of the span engine over the tree walker.
-    pub fn speedup(&self) -> f64 {
-        self.legacy_secs / self.span_secs
-    }
-
-    /// Speedup including the copy into an owned `ParseResult`.
-    pub fn speedup_materialized(&self) -> f64 {
-        self.legacy_secs / self.span_materialized_secs
-    }
-
-    /// Serializes the result as the `BENCH_extraction.json` document.
-    pub fn to_json(&self) -> String {
-        use datamaran_core::JsonValue;
+    /// The `BENCH_extraction.json` document.
+    pub fn document(&self) -> JsonValue {
         JsonValue::Object(vec![
             (
                 "benchmark".into(),
                 JsonValue::String("extraction_ll1".into()),
             ),
-            (
-                "sample_bytes".into(),
-                JsonValue::Number(self.sample_bytes as f64),
-            ),
-            (
-                "sample_lines".into(),
-                JsonValue::Number(self.sample_lines as f64),
-            ),
-            ("records".into(), JsonValue::Number(self.records as f64)),
+            number("sample_bytes", self.sample_bytes as f64),
+            number("sample_lines", self.sample_lines as f64),
+            number("records", self.records as f64),
             ("template".into(), JsonValue::String(self.template.clone())),
-            (
-                "legacy_wall_secs".into(),
-                JsonValue::Number(self.legacy_secs),
-            ),
-            ("span_wall_secs".into(), JsonValue::Number(self.span_secs)),
-            (
-                "span_materialized_wall_secs".into(),
-                JsonValue::Number(self.span_materialized_secs),
-            ),
-            (
-                "legacy_records_per_sec".into(),
-                JsonValue::Number(self.legacy_records_per_sec()),
-            ),
-            (
-                "span_records_per_sec".into(),
-                JsonValue::Number(self.span_records_per_sec()),
-            ),
-            (
-                "legacy_mb_per_sec".into(),
-                JsonValue::Number(self.legacy_mb_per_sec()),
-            ),
-            (
-                "span_mb_per_sec".into(),
-                JsonValue::Number(self.span_mb_per_sec()),
-            ),
-            ("speedup".into(), JsonValue::Number(self.speedup())),
-            (
-                "speedup_materialized".into(),
-                JsonValue::Number(self.speedup_materialized()),
-            ),
-            ("extraction_threads".into(), JsonValue::Number(1.0)),
+            number("span_wall_secs", self.span_secs),
+            number("span_materialized_wall_secs", self.span_materialized_secs),
+            number("span_records_per_sec", self.span_records_per_sec()),
+            number("span_mb_per_sec", self.span_mb_per_sec()),
+            number("extraction_threads", 1.0),
             (
                 "outputs_identical".into(),
                 JsonValue::Bool(self.outputs_identical),
             ),
         ])
-        .to_pretty()
     }
 }
 
-/// Runs the final extraction pass on an `exhaustive_weblog` dataset of `target_bytes` with
-/// both backends (`runs` timed repetitions each, best run kept, both pinned to one worker
-/// thread) and cross-checks that they produce byte-identical parses and relational tables.
+/// Runs the final extraction pass on an `exhaustive_weblog` dataset of `target_bytes`: the
+/// span engine `runs` times per output form (best wall time kept, one worker thread) and
+/// the tree walker once, untimed, to cross-check that both produce identical parses and
+/// relational tables.
 pub fn extraction_benchmark(target_bytes: usize, runs: usize) -> ExtractionBench {
     use datamaran_core::{
         parse_dataset, to_denormalized, to_relational, Dataset, RecordMatch, SpanLineMatcher, Table,
@@ -404,42 +371,34 @@ pub fn extraction_benchmark(target_bytes: usize, runs: usize) -> ExtractionBench
     let legacy = parse_dataset(&data, &templates, max_span);
     let span_parse = || SpanLineMatcher::new(&templates, max_span).parse(&data, 1);
     let span = span_parse().to_parse_result();
-    let same_records = legacy == span;
-    let as_refs = |parse: &[RecordMatch]| -> Vec<Table> {
+    let as_tables = |parse: &[RecordMatch]| -> Vec<Table> {
         let refs: Vec<&RecordMatch> = parse.iter().collect();
         let source = data.shared_text();
         let mut tables = to_relational(&templates[0], &source, &refs, "bench").tables;
         tables.push(to_denormalized(&templates[0], &source, &refs, "bench"));
         tables
     };
-    let outputs_identical = same_records && as_refs(&legacy.records) == as_refs(&span.records);
-
-    let best_of = |f: &dyn Fn() -> usize| -> f64 {
-        (0..runs.max(1))
-            .map(|_| {
-                let started = Instant::now();
-                assert!(f() > 0);
-                started.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
+    let outputs_identical =
+        legacy == span && as_tables(&legacy.records) == as_tables(&span.records);
 
     ExtractionBench {
         sample_bytes: data.len(),
         sample_lines: data.line_count(),
-        records: legacy.records.len(),
+        records: span.records.len(),
         template: templates[0].to_string(),
-        legacy_secs: best_of(&|| parse_dataset(&data, &templates, max_span).records.len()),
-        span_secs: best_of(&|| span_parse().records.len()),
-        span_materialized_secs: best_of(&|| span_parse().to_parse_result().records.len()),
+        span_secs: best_secs(runs, || assert!(!span_parse().records.is_empty())),
+        span_materialized_secs: best_secs(runs, || {
+            assert!(!span_parse().to_parse_result().records.is_empty())
+        }),
         outputs_identical,
     }
 }
 
-/// Outcome of the evaluation micro-benchmark comparing the span evaluation engine (compiled
-/// refinement parses, delta evaluation, arena-native scoring, template-score memo) against
-/// the per-candidate tree re-parse of the reference `refine::refine_tree` on the same
-/// candidate pool (see `reproduce -- evaluation`).
+/// Outcome of the evaluation benchmark: the work counters and best wall time of the span
+/// evaluation engine (compiled refinement parses, delta evaluation, arena-native scoring,
+/// template-score memo) refining one candidate pool, its refined outputs cross-checked
+/// against one untimed run of the tree re-parse reference `refine::refine_tree` (see
+/// `reproduce -- evaluation`).
 #[derive(Clone, Debug)]
 pub struct EvaluationBench {
     /// Dataset size in bytes (the sample the evaluation runs on is config-bounded).
@@ -450,146 +409,72 @@ pub struct EvaluationBench {
     pub sample_lines: usize,
     /// Candidate templates refined (the post-pruning pool).
     pub candidates: usize,
-    /// Template evaluations the span engine performed (including memo hits).
-    pub span_evaluations: usize,
-    /// Evaluations answered by the span engine's template-score memo.
-    pub span_memo_hits: usize,
+    /// The engine's counters and parse/score seconds, from one cold-memo run at one worker
+    /// thread.
+    pub metrics: datamaran_core::EvaluationMetrics,
     /// Template evaluations the tree reference performed.
     pub legacy_evaluations: usize,
-    /// Span-engine seconds spent parsing candidates (from the correctness run).
-    pub span_parse_secs: f64,
-    /// Span-engine seconds spent scoring parses (from the correctness run).
-    pub span_score_secs: f64,
-    /// Tree-reference seconds spent parsing candidates (from the correctness run).
-    pub legacy_parse_secs: f64,
-    /// Tree-reference seconds spent scoring parses (from the correctness run).
-    pub legacy_score_secs: f64,
-    /// Best wall-clock seconds of the tree reference.
-    pub legacy_secs: f64,
-    /// Best wall-clock seconds of the span engine (single worker thread; delta evaluation
-    /// of refinement variants against their parents).
+    /// Best wall-clock seconds of the engine (memo cold at the start of every run).
     pub span_secs: f64,
-    /// Variant evaluations the delta engine parsed by delta (from the correctness run).
-    pub delta_parses: usize,
-    /// Fraction of parent records the delta engine copy-forwarded (delta-hit rate).
-    pub delta_record_reuse: f64,
-    /// Fraction of columns the delta engine re-aggregated (dirty-column fraction).
-    pub dirty_column_fraction: f64,
     /// `true` when the engine and the tree reference produced identical refined
     /// `(template, score, summary)` lists.
     pub outputs_identical: bool,
 }
 
 impl EvaluationBench {
-    /// Candidate templates refined per second, tree reference.
-    pub fn legacy_candidates_per_sec(&self) -> f64 {
-        self.candidates as f64 / self.legacy_secs
-    }
+    /// Work counters `reproduce -- evaluation --check` holds equal to the committed
+    /// `BENCH_evaluation.json` (see [`counter_gate`]).
+    pub const GATED: &'static [&'static str] = &[
+        "candidates",
+        "span_evaluations",
+        "span_memo_hits",
+        "delta_full_parses",
+        "delta_records_reused",
+    ];
 
-    /// Candidate templates refined per second, span engine.
+    /// Candidate templates refined per second.
     pub fn span_candidates_per_sec(&self) -> f64 {
         self.candidates as f64 / self.span_secs
     }
 
-    /// Wall-clock speedup of the span engine over the tree reference.
-    pub fn speedup(&self) -> f64 {
-        self.legacy_secs / self.span_secs
-    }
-
-    /// Serializes the result as the `BENCH_evaluation.json` document.
-    pub fn to_json(&self) -> String {
-        use datamaran_core::JsonValue;
+    /// The `BENCH_evaluation.json` document.
+    pub fn document(&self) -> JsonValue {
+        let m = &self.metrics;
         JsonValue::Object(vec![
             (
                 "benchmark".into(),
                 JsonValue::String("evaluation_refinement".into()),
             ),
-            (
-                "dataset_bytes".into(),
-                JsonValue::Number(self.dataset_bytes as f64),
-            ),
-            (
-                "sample_bytes".into(),
-                JsonValue::Number(self.sample_bytes as f64),
-            ),
-            (
-                "sample_lines".into(),
-                JsonValue::Number(self.sample_lines as f64),
-            ),
-            (
-                "candidates".into(),
-                JsonValue::Number(self.candidates as f64),
-            ),
-            (
-                "span_evaluations".into(),
-                JsonValue::Number(self.span_evaluations as f64),
-            ),
-            (
-                "span_memo_hits".into(),
-                JsonValue::Number(self.span_memo_hits as f64),
-            ),
-            (
-                "legacy_evaluations".into(),
-                JsonValue::Number(self.legacy_evaluations as f64),
-            ),
-            (
-                "span_parse_secs".into(),
-                JsonValue::Number(self.span_parse_secs),
-            ),
-            (
-                "span_score_secs".into(),
-                JsonValue::Number(self.span_score_secs),
-            ),
-            (
-                "legacy_parse_secs".into(),
-                JsonValue::Number(self.legacy_parse_secs),
-            ),
-            (
-                "legacy_score_secs".into(),
-                JsonValue::Number(self.legacy_score_secs),
-            ),
-            (
-                "legacy_wall_secs".into(),
-                JsonValue::Number(self.legacy_secs),
-            ),
-            ("span_wall_secs".into(), JsonValue::Number(self.span_secs)),
-            (
-                "legacy_candidates_per_sec".into(),
-                JsonValue::Number(self.legacy_candidates_per_sec()),
-            ),
-            (
-                "span_candidates_per_sec".into(),
-                JsonValue::Number(self.span_candidates_per_sec()),
-            ),
-            ("speedup".into(), JsonValue::Number(self.speedup())),
-            (
-                "delta_parses".into(),
-                JsonValue::Number(self.delta_parses as f64),
-            ),
-            (
-                "delta_record_reuse".into(),
-                JsonValue::Number(self.delta_record_reuse),
-            ),
-            (
-                "dirty_column_fraction".into(),
-                JsonValue::Number(self.dirty_column_fraction),
-            ),
-            ("evaluation_threads".into(), JsonValue::Number(1.0)),
+            number("dataset_bytes", self.dataset_bytes as f64),
+            number("sample_bytes", self.sample_bytes as f64),
+            number("sample_lines", self.sample_lines as f64),
+            number("candidates", self.candidates as f64),
+            number("span_evaluations", m.evaluations as f64),
+            number("span_memo_hits", m.memo_hits as f64),
+            number("legacy_evaluations", self.legacy_evaluations as f64),
+            number("span_parse_secs", m.parse_seconds),
+            number("span_score_secs", m.score_seconds),
+            number("span_wall_secs", self.span_secs),
+            number("span_candidates_per_sec", self.span_candidates_per_sec()),
+            number("delta_parses", m.delta_parses as f64),
+            number("delta_full_parses", m.delta_full_parses as f64),
+            number("delta_records_reused", m.delta_records_reused as f64),
+            number("delta_record_reuse", m.delta_record_reuse_rate()),
+            number("dirty_column_fraction", m.dirty_column_fraction()),
+            number("evaluation_threads", 1.0),
             (
                 "outputs_identical".into(),
                 JsonValue::Bool(self.outputs_identical),
             ),
         ])
-        .to_pretty()
     }
 }
 
 /// Runs the evaluation step (refinement of the post-pruning candidate pool, exactly as the
 /// pipeline's `discover_ranked` drives it) on an `exhaustive_weblog` dataset of
-/// `target_bytes` with the span engine and the tree reference (`runs` timed repetitions
-/// each, best run kept, the engine pinned to one worker thread and each timed run on a
-/// fresh refiner so the memo starts cold) and cross-checks that they produce identical
-/// refined outputs.
+/// `target_bytes`: the engine `runs` times (best wall time kept, one worker thread, each
+/// run on a fresh refiner so the memo starts cold) and the tree reference once, untimed, to
+/// cross-check that both produce identical refined outputs.
 pub fn evaluation_benchmark(target_bytes: usize, runs: usize) -> EvaluationBench {
     use datamaran_core::refine::refine_tree;
     use datamaran_core::{
@@ -609,30 +494,25 @@ pub fn evaluation_benchmark(target_bytes: usize, runs: usize) -> EvaluationBench
 
     let scorer = MdlScorer;
     let refiner = || Refiner::new(&sample, &scorer, config.max_line_span);
-    let run_tree = || {
-        let mut metrics = EvaluationMetrics::default();
-        let refined: Vec<Refined> = templates
-            .iter()
-            .map(|t| {
-                refine_tree(
-                    &sample,
-                    &scorer,
-                    config.max_line_span,
-                    t.clone(),
-                    true,
-                    &mut metrics,
-                )
-            })
-            .collect();
-        (refined, metrics)
-    };
 
     // Correctness first: identical refined templates, bit-identical scores, equal
     // summaries.
     let span = refiner();
     let span_out = span.refine_batch(templates.clone(), true, 1);
-    let span_metrics = span.metrics();
-    let (legacy_out, legacy_metrics) = run_tree();
+    let mut legacy_metrics = EvaluationMetrics::default();
+    let legacy_out: Vec<Refined> = templates
+        .iter()
+        .map(|t| {
+            refine_tree(
+                &sample,
+                &scorer,
+                config.max_line_span,
+                t.clone(),
+                true,
+                &mut legacy_metrics,
+            )
+        })
+        .collect();
     let outputs_identical = span_out.len() == legacy_out.len()
         && span_out.iter().zip(&legacy_out).all(|(a, b)| {
             a.template == b.template
@@ -640,44 +520,17 @@ pub fn evaluation_benchmark(target_bytes: usize, runs: usize) -> EvaluationBench
                 && a.summary == b.summary
         });
 
-    let best_of = |timed_run: &dyn Fn() -> f64| -> f64 {
-        (0..runs.max(1))
-            .map(|_| timed_run())
-            .fold(f64::INFINITY, f64::min)
-    };
-    let legacy_secs = best_of(&|| {
-        let started = Instant::now();
-        let (out, _) = run_tree();
-        let secs = started.elapsed().as_secs_f64();
-        assert_eq!(out.len(), templates.len());
-        secs
-    });
-    let span_secs = best_of(&|| {
-        let span = refiner();
-        let started = Instant::now();
-        let out = span.refine_batch(templates.clone(), true, 1);
-        let secs = started.elapsed().as_secs_f64();
-        assert_eq!(out.len(), templates.len());
-        secs
-    });
-
     EvaluationBench {
         dataset_bytes: full.len(),
         sample_bytes: sample.len(),
         sample_lines: sample.line_count(),
         candidates: templates.len(),
-        span_evaluations: span_metrics.evaluations,
-        span_memo_hits: span_metrics.memo_hits,
+        metrics: span.metrics(),
         legacy_evaluations: legacy_metrics.evaluations,
-        span_parse_secs: span_metrics.parse_seconds,
-        span_score_secs: span_metrics.score_seconds,
-        legacy_parse_secs: legacy_metrics.parse_seconds,
-        legacy_score_secs: legacy_metrics.score_seconds,
-        legacy_secs,
-        span_secs,
-        delta_parses: span_metrics.delta_parses,
-        delta_record_reuse: span_metrics.delta_record_reuse_rate(),
-        dirty_column_fraction: span_metrics.dirty_column_fraction(),
+        span_secs: best_secs(runs, || {
+            let out = refiner().refine_batch(templates.clone(), true, 1);
+            assert_eq!(out.len(), templates.len());
+        }),
         outputs_identical,
     }
 }
@@ -691,19 +544,20 @@ pub fn evaluation_benchmark(target_bytes: usize, runs: usize) -> EvaluationBench
 /// over-read, and amortized `String` growth.
 pub const STREAM_PEAK_WINDOW_BOUND: usize = 8 * 1024 * 1024;
 
-/// Outcome of the streaming-export micro-benchmark comparing the bounded-memory streaming
-/// path (chunked reader → span matcher → push-based CSV sink) against the in-memory path
-/// (full-file extraction → materialized relational tables → CSV serialization) on the same
-/// dataset and templates (see `reproduce -- streaming`).
+/// Outcome of the streaming-export benchmark: the work counters, peak window bytes and best
+/// wall time of the bounded-memory streaming path (chunked reader → span matcher →
+/// push-based CSV sink), its CSV bytes cross-checked against one untimed run of the
+/// in-memory path (full-file extraction → materialized relational tables → CSV
+/// serialization) on the same templates (see `reproduce -- streaming`).
 #[derive(Clone, Debug)]
 pub struct StreamingBench {
     /// Dataset size in bytes.
     pub dataset_bytes: usize,
     /// Dataset line count.
     pub dataset_lines: usize,
-    /// Records extracted (identical across paths).
+    /// Records extracted.
     pub records: usize,
-    /// Total CSV bytes emitted (identical across paths).
+    /// Total CSV bytes emitted.
     pub csv_bytes: usize,
     /// Streaming head size used (bytes).
     pub head_bytes: usize,
@@ -713,8 +567,6 @@ pub struct StreamingBench {
     pub windows: usize,
     /// Peak resident window bytes observed by the streaming run.
     pub peak_window_bytes: usize,
-    /// Best wall-clock seconds of the in-memory extract-and-export path.
-    pub inmemory_secs: f64,
     /// Best wall-clock seconds of the streaming path.
     pub streaming_secs: f64,
     /// `true` when the streaming CSV bytes are identical to the materialized exporter's.
@@ -722,80 +574,39 @@ pub struct StreamingBench {
 }
 
 impl StreamingBench {
-    /// Megabytes processed per second, in-memory path.
-    pub fn inmemory_mb_per_sec(&self) -> f64 {
-        self.dataset_bytes as f64 / self.inmemory_secs / (1024.0 * 1024.0)
-    }
+    /// Work counters `reproduce -- streaming --check` holds equal to the committed
+    /// `BENCH_streaming.json` (see [`counter_gate`]); the peak window bytes are gated
+    /// against [`STREAM_PEAK_WINDOW_BOUND`] instead.
+    pub const GATED: &'static [&'static str] = &["records", "csv_bytes", "windows"];
 
-    /// Megabytes processed per second, streaming path.
+    /// Megabytes processed per second.
     pub fn streaming_mb_per_sec(&self) -> f64 {
         self.dataset_bytes as f64 / self.streaming_secs / (1024.0 * 1024.0)
     }
 
-    /// Wall-clock ratio of the in-memory path over the streaming path (measured in one
-    /// run, so it transfers across machines; > 1 means streaming is faster).
-    pub fn speedup(&self) -> f64 {
-        self.inmemory_secs / self.streaming_secs
-    }
-
-    /// Serializes the result as the `BENCH_streaming.json` document.
-    pub fn to_json(&self) -> String {
-        use datamaran_core::JsonValue;
+    /// The `BENCH_streaming.json` document.
+    pub fn document(&self) -> JsonValue {
         JsonValue::Object(vec![
             (
                 "benchmark".into(),
                 JsonValue::String("streaming_export".into()),
             ),
-            (
-                "dataset_bytes".into(),
-                JsonValue::Number(self.dataset_bytes as f64),
-            ),
-            (
-                "dataset_lines".into(),
-                JsonValue::Number(self.dataset_lines as f64),
-            ),
-            ("records".into(), JsonValue::Number(self.records as f64)),
-            ("csv_bytes".into(), JsonValue::Number(self.csv_bytes as f64)),
-            (
-                "head_bytes".into(),
-                JsonValue::Number(self.head_bytes as f64),
-            ),
-            (
-                "window_bytes".into(),
-                JsonValue::Number(self.window_bytes as f64),
-            ),
-            ("windows".into(), JsonValue::Number(self.windows as f64)),
-            (
-                "peak_window_bytes".into(),
-                JsonValue::Number(self.peak_window_bytes as f64),
-            ),
-            (
-                "peak_window_bound".into(),
-                JsonValue::Number(STREAM_PEAK_WINDOW_BOUND as f64),
-            ),
-            (
-                "inmemory_wall_secs".into(),
-                JsonValue::Number(self.inmemory_secs),
-            ),
-            (
-                "streaming_wall_secs".into(),
-                JsonValue::Number(self.streaming_secs),
-            ),
-            (
-                "inmemory_mb_per_sec".into(),
-                JsonValue::Number(self.inmemory_mb_per_sec()),
-            ),
-            (
-                "streaming_mb_per_sec".into(),
-                JsonValue::Number(self.streaming_mb_per_sec()),
-            ),
-            ("speedup".into(), JsonValue::Number(self.speedup())),
+            number("dataset_bytes", self.dataset_bytes as f64),
+            number("dataset_lines", self.dataset_lines as f64),
+            number("records", self.records as f64),
+            number("csv_bytes", self.csv_bytes as f64),
+            number("head_bytes", self.head_bytes as f64),
+            number("window_bytes", self.window_bytes as f64),
+            number("windows", self.windows as f64),
+            number("peak_window_bytes", self.peak_window_bytes as f64),
+            number("peak_window_bound", STREAM_PEAK_WINDOW_BOUND as f64),
+            number("streaming_wall_secs", self.streaming_secs),
+            number("streaming_mb_per_sec", self.streaming_mb_per_sec()),
             (
                 "outputs_identical".into(),
                 JsonValue::Bool(self.outputs_identical),
             ),
         ])
-        .to_pretty()
     }
 }
 
@@ -813,11 +624,10 @@ impl std::io::Write for ByteCount {
     }
 }
 
-/// Runs the streaming export path and the in-memory export path on an `exhaustive_weblog`
-/// dataset of `target_bytes` (`runs` timed repetitions each, best run kept) and
-/// cross-checks that the streaming CSV sink emits byte-identical output to the
-/// materialized exporter.  Both paths use the same templates (discovered once on the
-/// stream head) and write the normalized relational tables as CSV.
+/// Runs the streaming export path on an `exhaustive_weblog` dataset of `target_bytes`:
+/// once with head discovery into in-memory writers, whose CSV bytes must equal the
+/// materialized exporter's on the same (head-discovered) templates, then `runs` times with
+/// those templates supplied and the bytes counted (best wall time kept).
 pub fn streaming_benchmark(target_bytes: usize, runs: usize) -> StreamingBench {
     use datamaran_core::{
         extract_records, table_to_csv, to_relational, CsvSink, Dataset, RecordMatch, StreamOptions,
@@ -830,8 +640,6 @@ pub fn streaming_benchmark(target_bytes: usize, runs: usize) -> StreamingBench {
     let config = DatamaranConfig::default();
     let options = StreamOptions::default();
 
-    // Correctness run: stream into in-memory writers and compare against the materialized
-    // exporter on the same (head-discovered) templates.
     let mut sink = CsvSink::new(|_name: &str| Ok(Vec::<u8>::new()));
     let summary = StreamSession::new(&engine)
         .options(options)
@@ -863,244 +671,144 @@ pub fn streaming_benchmark(target_bytes: usize, runs: usize) -> StreamingBench {
             .all(|((name, bytes), table)| {
                 *name == table.name && bytes.as_slice() == table_to_csv(table).as_bytes()
             });
-    let csv_bytes: usize = streamed_tables.iter().map(|(_, b)| b.len()).sum();
 
-    // Timed streaming runs: chunked reader -> span matcher -> CSV sink (bytes counted).
-    // Templates are supplied, so the comparison is symmetric with the in-memory pass
-    // (head discovery is a fixed per-stream cost gated by the other engine benchmarks).
-    let best_streaming = (0..runs.max(1))
-        .map(|_| {
-            let mut sink = CsvSink::new(|_name: &str| Ok(ByteCount::default()));
-            let started = Instant::now();
-            let s = StreamSession::new(&engine)
-                .options(options)
-                .templates(templates.clone())
-                .run(Cursor::new(text.as_bytes()), &mut sink)
-                .expect("streaming run succeeds");
-            assert_eq!(s.records, summary.records);
-            started.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
-
-    // Timed in-memory runs: full-file dataset + parse + materialized tables + CSV.
-    let best_inmemory = (0..runs.max(1))
-        .map(|_| {
-            let started = Instant::now();
-            let data = Dataset::new(text.clone());
-            let parse = extract_records(&data, &templates, &config);
-            let source = data.shared_text();
-            let mut counter = ByteCount::default();
-            for (idx, template) in templates.iter().enumerate() {
-                let records: Vec<&RecordMatch> = parse
-                    .records
-                    .iter()
-                    .filter(|r| r.template_index == idx)
-                    .collect();
-                for table in
-                    to_relational(template, &source, &records, &format!("type{idx}")).tables
-                {
-                    use std::io::Write as _;
-                    counter.write_all(table_to_csv(&table).as_bytes()).unwrap();
-                }
-            }
-            assert_eq!(counter.0, csv_bytes);
-            started.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
+    // Templates are supplied, so the clock sees the matcher, the window loop and the sink;
+    // head discovery is the generation and evaluation benches' work.
+    let streaming_secs = best_secs(runs, || {
+        let mut sink = CsvSink::new(|_name: &str| Ok(ByteCount::default()));
+        let s = StreamSession::new(&engine)
+            .options(options)
+            .templates(templates.clone())
+            .run(Cursor::new(text.as_bytes()), &mut sink)
+            .expect("streaming run succeeds");
+        assert_eq!(s.records, summary.records);
+    });
 
     StreamingBench {
         dataset_bytes: text.len(),
         dataset_lines: text.lines().count(),
         records: summary.records,
-        csv_bytes,
+        csv_bytes: streamed_tables.iter().map(|(_, b)| b.len()).sum(),
         head_bytes: options.head_bytes,
         window_bytes: options.window_bytes,
         windows: summary.windows,
         peak_window_bytes: summary.peak_window_bytes,
-        inmemory_secs: best_inmemory,
-        streaming_secs: best_streaming,
+        streaming_secs,
         outputs_identical,
     }
 }
 
 // -------------------------------------------------------------------------------------------
-// Fused multi-template matching benchmark (`reproduce -- matching`)
+// Multi-template matching benchmark (`reproduce -- matching`)
 // -------------------------------------------------------------------------------------------
 
-/// Outcome of the matching micro-benchmark comparing the fused multi-template matcher
-/// (merged prefix-trie/DFA dispatch, batched) against trialing every template per record
-/// start, on the same template sets (see `reproduce -- matching`).
+/// Work counters and best wall time of the production matcher on one matching fixture.
+#[derive(Clone, Debug)]
+pub struct MatchingFixture {
+    /// Fixture size in bytes.
+    pub bytes: usize,
+    /// Fixture line count.
+    pub lines: usize,
+    /// Live templates matched against the fixture.
+    pub templates: usize,
+    /// Records extracted.
+    pub records: usize,
+    /// Work counters of the first, cold-cache pass.
+    pub stats: datamaran_core::MatchStats,
+    /// States the fused DFA interned in that pass (0 when no DFA is built: the matcher
+    /// trials directly below two live templates).
+    pub dfa_states: usize,
+    /// `true` when the fused DFA hit its state cap and degrades to trial dispatch beyond
+    /// the explored prefix.
+    pub dfa_overflowed: bool,
+    /// Best wall-clock seconds of one pass.
+    pub secs: f64,
+}
+
+impl MatchingFixture {
+    /// Megabytes matched per second.
+    pub fn mb_per_sec(&self) -> f64 {
+        self.bytes as f64 / self.secs / (1024.0 * 1024.0)
+    }
+
+    /// This fixture's entries of the `BENCH_matching.json` document, keyed `{name}_…`.
+    fn entries(&self, name: &str) -> Vec<(String, JsonValue)> {
+        vec![
+            number(format!("{name}_bytes"), self.bytes as f64),
+            number(format!("{name}_lines"), self.lines as f64),
+            number(format!("{name}_templates"), self.templates as f64),
+            number(format!("{name}_records"), self.records as f64),
+            number(
+                format!("{name}_lines_dispatched"),
+                self.stats.lines_dispatched as f64,
+            ),
+            number(
+                format!("{name}_templates_trialed"),
+                self.stats.templates_trialed as f64,
+            ),
+            number(format!("{name}_dfa_states"), self.dfa_states as f64),
+            (
+                format!("{name}_overflowed"),
+                JsonValue::Bool(self.dfa_overflowed),
+            ),
+            number(format!("{name}_fused_wall_secs"), self.secs),
+            number(format!("{name}_mb_per_sec"), self.mb_per_sec()),
+        ]
+    }
+}
+
+/// Outcome of the matching benchmark: the production matcher (merged prefix-trie/DFA
+/// dispatch, batched, whenever two or more templates are live) on three fixtures, its span
+/// arenas cross-checked against one untimed run of the trial reference
+/// `SpanLineMatcher::trial_reference` on each (see `reproduce -- matching`).
 #[derive(Clone, Debug)]
 pub struct MatchingBench {
-    /// Interleaved fixture size in bytes.
-    pub multi_bytes: usize,
-    /// Interleaved fixture line count.
-    pub multi_lines: usize,
-    /// Number of live templates in the interleaved fixture.
-    pub multi_templates: usize,
-    /// Records extracted from the interleaved fixture (identical across backends).
-    pub multi_records: usize,
-    /// Best wall-clock seconds, trial reference, interleaved fixture.
-    pub multi_trial_secs: f64,
-    /// Best wall-clock seconds, production (fused) matcher, interleaved fixture.
-    pub multi_fused_secs: f64,
-    /// Single-template parity corpus size in bytes.
-    pub single_bytes: usize,
-    /// Records extracted from the single-template corpus.
-    pub single_records: usize,
-    /// Best wall-clock seconds, trial reference, single template.
-    pub single_trial_secs: f64,
-    /// Best wall-clock seconds, production matcher (which compiles no DFA for one
-    /// template and must therefore match the trial path), single template.
-    pub single_fused_secs: f64,
-    /// Live template count of the Thunderbird-clone set (after dedup; the LogHub-2.0
-    /// annotation counts 1,241 distinct templates).
-    pub tbird_templates: usize,
-    /// Thunderbird-clone corpus size in bytes.
-    pub tbird_bytes: usize,
-    /// Records extracted from the Thunderbird-clone corpus.
-    pub tbird_records: usize,
-    /// Best wall-clock seconds, trial reference, Thunderbird-clone set.
-    pub tbird_trial_secs: f64,
-    /// Best wall-clock seconds, production (fused) matcher, Thunderbird-clone set.
-    pub tbird_fused_secs: f64,
-    /// DFA states of the fused Thunderbird-clone compilation (0 when not built).
-    pub tbird_dfa_states: usize,
-    /// `true` when the fused Thunderbird-clone DFA hit the state cap and degrades to
-    /// trial dispatch beyond the explored prefix.
-    pub tbird_overflowed: bool,
+    /// The 10-template interleaved fixture.
+    pub multi: MatchingFixture,
+    /// The single-template corpus: no DFA is built, so every record start trials the one
+    /// template.
+    pub single: MatchingFixture,
+    /// The Thunderbird-clone template set on its own synthesized corpus.
+    pub thunderbird: MatchingFixture,
     /// `true` when the production matcher and the trial reference produced identical span
     /// arenas on every fixture.
     pub outputs_identical: bool,
 }
 
 impl MatchingBench {
-    /// Fused-over-trial wall-clock speedup on the interleaved multi-template fixture —
-    /// the primary gated ratio.
-    pub fn speedup(&self) -> f64 {
-        self.multi_trial_secs / self.multi_fused_secs
-    }
+    /// Work counters `reproduce -- matching --check` holds equal to the committed
+    /// `BENCH_matching.json` (see [`counter_gate`]).  Without the fused DFA the matcher
+    /// trials every template in turn, so `templates_trialed` is what catches a lost
+    /// prefilter.
+    pub const GATED: &'static [&'static str] = &[
+        "multi_records",
+        "multi_lines_dispatched",
+        "multi_dfa_states",
+        "multi_templates_trialed",
+        "single_records",
+        "single_lines_dispatched",
+        "single_dfa_states",
+        "single_templates_trialed",
+        "thunderbird_records",
+        "thunderbird_lines_dispatched",
+        "thunderbird_dfa_states",
+        "thunderbird_templates_trialed",
+    ];
 
-    /// Fused-over-trial speedup with a single live template (parity check: the fused
-    /// engine must not cost anything when there is nothing to fuse).
-    pub fn single_template_speedup(&self) -> f64 {
-        self.single_trial_secs / self.single_fused_secs
-    }
-
-    /// Fused-over-trial speedup on the 1,241-template Thunderbird clone.
-    pub fn thunderbird_speedup(&self) -> f64 {
-        self.tbird_trial_secs / self.tbird_fused_secs
-    }
-
-    /// Megabytes matched per second on the interleaved fixture, production (fused) matcher.
-    pub fn fused_mb_per_sec(&self) -> f64 {
-        self.multi_bytes as f64 / self.multi_fused_secs / (1024.0 * 1024.0)
-    }
-
-    /// Megabytes matched per second on the interleaved fixture, trial reference.
-    pub fn trial_mb_per_sec(&self) -> f64 {
-        self.multi_bytes as f64 / self.multi_trial_secs / (1024.0 * 1024.0)
-    }
-
-    /// Serializes the result as the `BENCH_matching.json` document.
-    pub fn to_json(&self) -> String {
-        use datamaran_core::JsonValue;
-        JsonValue::Object(vec![
-            (
-                "benchmark".into(),
-                JsonValue::String("fused_matching".into()),
-            ),
-            (
-                "multi_bytes".into(),
-                JsonValue::Number(self.multi_bytes as f64),
-            ),
-            (
-                "multi_lines".into(),
-                JsonValue::Number(self.multi_lines as f64),
-            ),
-            (
-                "multi_templates".into(),
-                JsonValue::Number(self.multi_templates as f64),
-            ),
-            (
-                "multi_records".into(),
-                JsonValue::Number(self.multi_records as f64),
-            ),
-            (
-                "multi_trial_wall_secs".into(),
-                JsonValue::Number(self.multi_trial_secs),
-            ),
-            (
-                "multi_fused_wall_secs".into(),
-                JsonValue::Number(self.multi_fused_secs),
-            ),
-            (
-                "trial_mb_per_sec".into(),
-                JsonValue::Number(self.trial_mb_per_sec()),
-            ),
-            (
-                "fused_mb_per_sec".into(),
-                JsonValue::Number(self.fused_mb_per_sec()),
-            ),
-            ("speedup".into(), JsonValue::Number(self.speedup())),
-            (
-                "single_bytes".into(),
-                JsonValue::Number(self.single_bytes as f64),
-            ),
-            (
-                "single_records".into(),
-                JsonValue::Number(self.single_records as f64),
-            ),
-            (
-                "single_trial_wall_secs".into(),
-                JsonValue::Number(self.single_trial_secs),
-            ),
-            (
-                "single_fused_wall_secs".into(),
-                JsonValue::Number(self.single_fused_secs),
-            ),
-            (
-                "single_template_speedup".into(),
-                JsonValue::Number(self.single_template_speedup()),
-            ),
-            (
-                "thunderbird_templates".into(),
-                JsonValue::Number(self.tbird_templates as f64),
-            ),
-            (
-                "thunderbird_bytes".into(),
-                JsonValue::Number(self.tbird_bytes as f64),
-            ),
-            (
-                "thunderbird_records".into(),
-                JsonValue::Number(self.tbird_records as f64),
-            ),
-            (
-                "thunderbird_trial_wall_secs".into(),
-                JsonValue::Number(self.tbird_trial_secs),
-            ),
-            (
-                "thunderbird_fused_wall_secs".into(),
-                JsonValue::Number(self.tbird_fused_secs),
-            ),
-            (
-                "thunderbird_speedup".into(),
-                JsonValue::Number(self.thunderbird_speedup()),
-            ),
-            (
-                "thunderbird_dfa_states".into(),
-                JsonValue::Number(self.tbird_dfa_states as f64),
-            ),
-            (
-                "thunderbird_overflowed".into(),
-                JsonValue::Bool(self.tbird_overflowed),
-            ),
-            (
-                "outputs_identical".into(),
-                JsonValue::Bool(self.outputs_identical),
-            ),
-        ])
-        .to_pretty()
+    /// The `BENCH_matching.json` document.
+    pub fn document(&self) -> JsonValue {
+        let mut entries = vec![(
+            "benchmark".into(),
+            JsonValue::String("fused_matching".into()),
+        )];
+        entries.extend(self.multi.entries("multi"));
+        entries.extend(self.single.entries("single"));
+        entries.extend(self.thunderbird.entries("thunderbird"));
+        entries.push((
+            "outputs_identical".into(),
+            JsonValue::Bool(self.outputs_identical),
+        ));
+        JsonValue::Object(entries)
     }
 }
 
@@ -1217,117 +925,80 @@ pub fn loghub_template_set(
     templates
 }
 
-/// Times one matcher on one fixture: the matcher (and for the production matcher, the
-/// merged DFA) is compiled once outside the loop — the object the pipeline reuses across
-/// windows — and the batched match pass is what the clock sees.  Best of `runs`.
-fn time_matching(
-    dataset: &datamaran_core::Dataset,
-    matcher: &datamaran_core::SpanLineMatcher,
-    runs: usize,
-) -> (f64, usize, usize, bool) {
-    use datamaran_core::{SpanParse, SpanScratch};
-    let mut out = SpanParse::default();
-    let mut scratch = SpanScratch::default();
-    let mut best = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let started = Instant::now();
-        matcher.parse_into_with(dataset, &mut out, &mut scratch);
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    (
-        best,
-        out.records.len(),
-        scratch.fused_dfa_states(),
-        scratch.fused_dfa_overflowed(),
-    )
-}
-
-/// Checks the production matcher and the trial reference produce identical span arenas on
-/// one fixture.
-fn matching_outputs_identical(
+/// Runs the production matcher on one fixture `runs` times and the trial reference once,
+/// untimed.  The matcher, and with it the merged DFA, is compiled once outside the clock
+/// (the object the pipeline reuses across windows), so the clock sees the batched match
+/// pass.  Returns the fixture's counters, taken from the first (cold-cache) pass, with the
+/// best wall time, and whether the two matchers produced identical span arenas.
+fn measure_fixture(
     dataset: &datamaran_core::Dataset,
     templates: &[datamaran_core::StructureTemplate],
-    max_line_span: usize,
-) -> bool {
-    use datamaran_core::SpanLineMatcher;
-    let a = SpanLineMatcher::trial_reference(templates, max_line_span).parse(dataset, 1);
-    let b = SpanLineMatcher::new(templates, max_line_span).parse(dataset, 1);
-    a.records == b.records
-        && a.cells == b.cells
-        && a.reps == b.reps
-        && a.noise_lines == b.noise_lines
-        && a.record_bytes == b.record_bytes
-        && a.noise_bytes == b.noise_bytes
+    runs: usize,
+) -> (MatchingFixture, bool) {
+    use datamaran_core::{SpanLineMatcher, SpanParse, SpanScratch};
+    let max_line_span = DatamaranConfig::default().max_line_span;
+    let matcher = SpanLineMatcher::new(templates, max_line_span);
+    let mut out = SpanParse::default();
+    let mut scratch = SpanScratch::default();
+    let mut first_pass = None;
+    let secs = best_secs(runs, || {
+        matcher.parse_into_with(dataset, &mut out, &mut scratch);
+        first_pass.get_or_insert((
+            scratch.stats,
+            scratch.fused_dfa_states(),
+            scratch.fused_dfa_overflowed(),
+        ));
+    });
+    let (stats, dfa_states, dfa_overflowed) = first_pass.expect("at least one pass runs");
+    let trial = SpanLineMatcher::trial_reference(templates, max_line_span).parse(dataset, 1);
+    let identical = trial.records == out.records
+        && trial.cells == out.cells
+        && trial.reps == out.reps
+        && trial.noise_lines == out.noise_lines
+        && trial.record_bytes == out.record_bytes
+        && trial.noise_bytes == out.noise_bytes;
+    let fixture = MatchingFixture {
+        bytes: dataset.len(),
+        lines: dataset.line_count(),
+        templates: templates.len(),
+        records: out.records.len(),
+        stats,
+        dfa_states,
+        dfa_overflowed,
+        secs,
+    };
+    (fixture, identical)
 }
 
-/// Runs the fused-vs-trial matching benchmark: a 10-template interleaved fixture of
-/// `multi_records` records (the gated ratio), a single-template parity corpus, and the
-/// Thunderbird-clone template set (1,241 catalogued templates) on its own synthesized
-/// corpus.  `runs` timed repetitions each, best kept; equivalence is asserted on every
-/// fixture before timing.
+/// Runs the matching benchmark: a 10-template interleaved fixture of `multi_records`
+/// records, a single-template corpus of as many records, and the Thunderbird-clone
+/// template set (1,241 catalogued templates) on its own corpus, generated at
+/// `1 / tbird_scale_divisor` of its catalogued volume.  `runs` timed passes each.
 pub fn matching_benchmark(
     multi_records: usize,
     tbird_scale_divisor: usize,
     runs: usize,
 ) -> MatchingBench {
-    use datamaran_core::{Dataset, SpanLineMatcher};
-    let max_line_span = DatamaranConfig::default().max_line_span;
+    use datamaran_core::Dataset;
 
     let (multi_text, multi_templates) = matching_workload(10, multi_records, 41);
-    let multi = Dataset::new(multi_text);
     let (single_text, single_templates) = matching_workload(1, multi_records, 43);
-    let single = Dataset::new(single_text);
-
     let tbird_entry = logsynth::loghub::catalog()
         .into_iter()
         .find(|e| e.name == "thunderbird")
         .expect("thunderbird is catalogued");
     let tbird_data = tbird_entry.spec(tbird_scale_divisor.max(1)).generate();
     let tbird_templates = loghub_template_set(&tbird_data);
-    let tbird = Dataset::new(tbird_data.text);
 
-    let outputs_identical = matching_outputs_identical(&multi, &multi_templates, max_line_span)
-        && matching_outputs_identical(&single, &single_templates, max_line_span)
-        && matching_outputs_identical(&tbird, &tbird_templates, max_line_span);
-
-    // The trial reference and the production (fused) matcher on each fixture.
-    let timed = |dataset: &Dataset, templates: &[datamaran_core::StructureTemplate]| {
-        let trial = SpanLineMatcher::trial_reference(templates, max_line_span);
-        let fused = SpanLineMatcher::new(templates, max_line_span);
-        (
-            time_matching(dataset, &trial, runs),
-            time_matching(dataset, &fused, runs),
-        )
-    };
-
-    let ((multi_trial_secs, multi_records_n, _, _), (multi_fused_secs, _, _, _)) =
-        timed(&multi, &multi_templates);
-    let ((single_trial_secs, single_records_n, _, _), (single_fused_secs, _, _, _)) =
-        timed(&single, &single_templates);
-    let (
-        (tbird_trial_secs, tbird_records_n, _, _),
-        (tbird_fused_secs, _, tbird_dfa_states, tbird_overflowed),
-    ) = timed(&tbird, &tbird_templates);
-
+    let (multi, multi_ok) = measure_fixture(&Dataset::new(multi_text), &multi_templates, runs);
+    let (single, single_ok) = measure_fixture(&Dataset::new(single_text), &single_templates, runs);
+    let (thunderbird, tbird_ok) =
+        measure_fixture(&Dataset::new(tbird_data.text), &tbird_templates, runs);
     MatchingBench {
-        multi_bytes: multi.len(),
-        multi_lines: multi.line_count(),
-        multi_templates: multi_templates.len(),
-        multi_records: multi_records_n,
-        multi_trial_secs,
-        multi_fused_secs,
-        single_bytes: single.len(),
-        single_records: single_records_n,
-        single_trial_secs,
-        single_fused_secs,
-        tbird_templates: tbird_templates.len(),
-        tbird_bytes: tbird.len(),
-        tbird_records: tbird_records_n,
-        tbird_trial_secs,
-        tbird_fused_secs,
-        tbird_dfa_states,
-        tbird_overflowed,
-        outputs_identical,
+        multi,
+        single,
+        thunderbird,
+        outputs_identical: multi_ok && single_ok && tbird_ok,
     }
 }
 
@@ -1371,6 +1042,53 @@ mod tests {
         assert!(timing.records > 100);
         assert!(timing.structures >= 1);
         assert!(timing.total + 1e-9 >= timing.extraction);
+    }
+
+    /// Gates the fresh counters `records` 26701 and `windows` 33 against a committed
+    /// document with `contents`, written to a file of this test process (`None`: no file).
+    fn gate(name: &str, contents: Option<&str>) -> (String, Vec<String>) {
+        let path = std::env::temp_dir().join(format!(
+            "datamaran_bench_{}_{name}.json",
+            std::process::id()
+        ));
+        let path = path.to_str().unwrap().to_string();
+        if let Some(contents) = contents {
+            std::fs::write(&path, contents).unwrap();
+        }
+        let fresh = JsonValue::parse(r#"{"records": 26701, "windows": 33}"#).unwrap();
+        let failures = counter_gate(&path, &fresh, &["records", "windows"]);
+        if contents.is_some() {
+            std::fs::remove_file(&path).unwrap();
+        }
+        (path, failures)
+    }
+
+    #[test]
+    fn counter_gate_passes_equal_counters() {
+        let (_, failures) = gate(
+            "equal",
+            Some(r#"{"records": 26701, "windows": 33, "s": 1.5}"#),
+        );
+        assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn counter_gate_fails_a_moved_counter() {
+        let (path, failures) = gate("moved", Some(r#"{"records": 26701, "windows": 17}"#));
+        assert_eq!(failures, [format!("{path}: `windows` is 33, committed 17")]);
+    }
+
+    #[test]
+    fn counter_gate_fails_a_missing_file() {
+        let (path, failures) = gate("absent", None);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with(&format!("no committed baseline at {path}")));
+    }
+
+    #[test]
+    fn counter_gate_fails_a_missing_key() {
+        let (path, failures) = gate("no_key", Some(r#"{"records": 26701}"#));
+        assert_eq!(failures, [format!("{path}: no committed `windows`")]);
     }
 
     #[test]

@@ -2713,33 +2713,35 @@ mod tests {
         let mut out = SpanParse::default();
         let mut scratch = SpanScratch::default();
         matcher.parse_into_with(&data, &mut out, &mut scratch);
-        let stats = scratch.stats;
-        assert!(stats.lines_dispatched > 0);
-        assert_eq!(stats.fused_dispatches, stats.lines_dispatched);
-        assert!(
-            stats.templates_pruned > 0,
-            "distinct first bytes must prune: {stats:?}"
+        // Every line goes through the prefilter, which leaves its own template first.
+        let fused = scratch.stats;
+        assert_eq!(
+            fused,
+            MatchStats {
+                lines_dispatched: 80,
+                fused_dispatches: 80,
+                templates_trialed: 80,
+                templates_pruned: 120,
+            }
         );
-        assert!(stats.templates_trialed < stats.lines_dispatched * 3);
-        assert!(stats.prune_rate() > 0.0 && stats.prune_rate() <= 1.0);
-        assert!((stats.fused_dispatch_rate() - 1.0).abs() < 1e-9);
 
-        // Trial reference: every line trials every template, nothing is pruned.
+        // Trial reference: no line goes through a prefilter, so nothing is pruned, and the
+        // loop trials templates in order until the first success.
         let trial = SpanLineMatcher::trial_reference(&templates, 10);
         let mut scratch = SpanScratch::default();
         trial.parse_into_with(&data, &mut out, &mut scratch);
-        assert_eq!(scratch.stats.fused_dispatches, 0);
-        assert_eq!(scratch.stats.templates_pruned, 0);
-        // The trial loop stops at the first success, so it trials between 1 and all 3
-        // templates per line — and always strictly more than the fused path in total.
-        assert!(scratch.stats.templates_trialed >= scratch.stats.lines_dispatched);
-        assert!(scratch.stats.templates_trialed > stats.templates_trialed);
+        assert_eq!(
+            scratch.stats,
+            MatchStats {
+                lines_dispatched: 80,
+                fused_dispatches: 0,
+                templates_trialed: 180,
+                templates_pruned: 0,
+            }
+        );
 
-        // Parallel match tables surface merged per-chunk stats.
-        let table = matcher.match_table(&data, 3);
-        let merged = table.stats();
-        assert_eq!(merged.lines_dispatched, data.line_count() as u64);
-        assert!(merged.fused_dispatches > 0);
+        // Parallel match tables merge their per-chunk stats into the same totals.
+        assert_eq!(matcher.match_table(&data, 3).stats(), fused);
     }
 
     #[test]

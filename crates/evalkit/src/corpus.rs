@@ -34,8 +34,7 @@ use std::io::Cursor;
 
 /// Dataset whose throughput normalizes the MB/s ratio gate: per-dataset MB/s divided by
 /// this dataset's MB/s is measured in one run, so runner-speed factors cancel and the
-/// committed ratios transfer across machines (same argument as the bench-regression
-/// speedup gates).
+/// committed ratios transfer across machines.
 pub const REFERENCE_DATASET: &str = "hdfs";
 
 /// Slack subtracted from a fresh accuracy value to form its committed floor; absorbs the
@@ -579,16 +578,17 @@ impl CorpusReport {
     /// Gates a fresh report against the committed `BENCH_corpus.json` baseline document.
     ///
     /// Accuracy is gated on **absolute floors** (template F1 and line coverage are
-    /// deterministic, hardware-independent quantities); throughput is gated on the same
-    /// "more than 20%" **ratio rule** as the bench-regression job, applied to each dataset's MB/s
-    /// relative to the reference dataset measured in the same run.  Returns the list of
-    /// failures (empty = gate passes).  Baseline datasets missing from the fresh run fail;
-    /// fresh datasets missing from the baseline pass with no check (first runs).
+    /// deterministic, hardware-independent quantities); throughput on a **ratio rule**:
+    /// each dataset's MB/s relative to the reference dataset measured in the same run must
+    /// reach `tolerance` times its committed ratio.  Returns the list of failures (empty =
+    /// gate passes).  A baseline without a `datasets` array fails, as does a baseline
+    /// dataset that did not run or whose entry lacks `f1_floor`, `coverage_floor` or
+    /// `mbps_vs_reference`; fresh datasets missing from the baseline are not gated.
     pub fn check_against(&self, baseline: &JsonValue, tolerance: f64) -> Vec<String> {
-        let mut failures = Vec::new();
         let Some(entries) = baseline.get("datasets").and_then(|d| d.as_array().ok()) else {
-            return failures;
+            return vec!["no committed `datasets` array".to_string()];
         };
+        let mut failures = Vec::new();
         for entry in entries {
             let name = entry
                 .get("name")
@@ -601,32 +601,43 @@ impl CorpusReport {
                 ));
                 continue;
             };
-            let num = |key: &str| entry.get(key).and_then(|v| v.as_f64().ok());
-            if let Some(floor) = num("f1_floor") {
-                if fresh.accuracy.f1 < floor {
-                    failures.push(format!(
-                        "{name}: template F1 {:.4} fell below the committed floor {floor:.4}",
-                        fresh.accuracy.f1
-                    ));
-                }
+            let committed = |key: &str| {
+                entry
+                    .get(key)
+                    .and_then(|v| v.as_f64().ok())
+                    .ok_or_else(|| format!("{name}: no committed `{key}`"))
+            };
+            match committed("f1_floor") {
+                Ok(floor) if fresh.accuracy.f1 < floor => failures.push(format!(
+                    "{name}: template F1 {:.4} fell below the committed floor {floor:.4}",
+                    fresh.accuracy.f1
+                )),
+                Ok(_) => {}
+                Err(missing) => failures.push(missing),
             }
-            if let Some(floor) = num("coverage_floor") {
-                if fresh.accuracy.line_coverage < floor {
-                    failures.push(format!(
-                        "{name}: line coverage {:.4} fell below the committed floor {floor:.4}",
-                        fresh.accuracy.line_coverage
-                    ));
-                }
+            match committed("coverage_floor") {
+                Ok(floor) if fresh.accuracy.line_coverage < floor => failures.push(format!(
+                    "{name}: line coverage {:.4} fell below the committed floor {floor:.4}",
+                    fresh.accuracy.line_coverage
+                )),
+                Ok(_) => {}
+                Err(missing) => failures.push(missing),
             }
-            if let Some(base_ratio) = num("mbps_vs_reference") {
-                let fresh_ratio = self.mbps_vs_reference(fresh);
-                if base_ratio > 0.0 && fresh_ratio > 0.0 && fresh_ratio / base_ratio < tolerance {
+            let fresh_ratio = self.mbps_vs_reference(fresh);
+            match committed("mbps_vs_reference") {
+                Ok(base_ratio)
+                    if base_ratio > 0.0
+                        && fresh_ratio > 0.0
+                        && fresh_ratio / base_ratio < tolerance =>
+                {
                     failures.push(format!(
                         "{name}: MB/s vs reference {fresh_ratio:.2}x regressed >{:.0}% from \
                          the committed {base_ratio:.2}x",
                         (1.0 - tolerance) * 100.0
-                    ));
+                    ))
                 }
+                Ok(_) => {}
+                Err(missing) => failures.push(missing),
             }
         }
         failures
@@ -822,6 +833,26 @@ mod tests {
         let failures = report.check_against(&baseline, 0.80);
         // hdfs: F1 and coverage floors; bgl: 0.5x vs 0.9x ratio; ghost: missing dataset.
         assert_eq!(failures.len(), 4, "{failures:?}");
+        // A baseline that lacks a gated key fails on it instead of passing unchecked.
+        for (baseline, missing) in [
+            (r#"{"benchmark":"corpus_matrix"}"#, "`datasets`"),
+            (
+                r#"{"datasets":[{"name":"hdfs","coverage_floor":0,"mbps_vs_reference":1}]}"#,
+                "hdfs: no committed `f1_floor`",
+            ),
+            (
+                r#"{"datasets":[{"name":"hdfs","f1_floor":0,"mbps_vs_reference":1}]}"#,
+                "hdfs: no committed `coverage_floor`",
+            ),
+            (
+                r#"{"datasets":[{"name":"bgl","f1_floor":0,"coverage_floor":0}]}"#,
+                "bgl: no committed `mbps_vs_reference`",
+            ),
+        ] {
+            let failures = report.check_against(&JsonValue::parse(baseline).unwrap(), 0.80);
+            assert_eq!(failures.len(), 1, "{baseline}: {failures:?}");
+            assert!(failures[0].contains(missing), "{failures:?}");
+        }
         // A baseline matching the fresh run passes.
         let own = JsonValue::parse(&report.to_json()).unwrap();
         assert!(report.check_against(&own, 0.80).is_empty());
