@@ -12,11 +12,12 @@
 //! the reproduction and are recorded in `EXPERIMENTS.md`.
 
 use datamaran_bench::{
-    config_with, fmt_secs, interleaved_workload, scalable_weblog, time_run, EvaluationBench,
-    ExtractionBench, GenerationBench, MatchingBench,
+    config_with, counter_gate, dataset_gate, fmt_secs, interleaved_workload, scalable_weblog,
+    time_run, EvaluationBench, ExtractionBench, GenerationBench, MatchingBench,
 };
 use datamaran_core::{Datamaran, DatamaranConfig, JsonValue, MdlScorer, SearchStrategy};
 use evalkit::ablation::{run_ablation, AblationVariant};
+use evalkit::corpus::{corpus_config, run_dataset, CorpusReport, DatasetReport};
 use evalkit::{accuracy, simulate, study_datasets, Extractor};
 use logsynth::{corpus, DatasetSpec};
 use std::collections::BTreeMap;
@@ -90,17 +91,13 @@ fn main() {
     );
     if regressed {
         eprintln!(
-            "[reproduce] FAIL: benchmark gate (a work counter differs from its committed \
-             value, a baseline is missing, the streaming memory bound was exceeded, a corpus \
-             floor or ratio regressed, or outputs diverged)"
+            "[reproduce] FAIL: benchmark gate (a work or accuracy counter differs from its \
+             committed value, a baseline is missing, the streaming memory bound was exceeded, \
+             or outputs diverged)"
         );
         std::process::exit(1);
     }
 }
-
-/// Fraction of a dataset's committed MB/s-vs-reference ratio a fresh corpus run must
-/// reach: the corpus gate fails on a >20% drop.
-const REGRESSION_TOLERANCE: f64 = 0.80;
 
 /// Where a `--check` run writes its fresh documents, so the committed baselines it gates
 /// against stay untouched and every further run gates against them too.
@@ -128,7 +125,7 @@ fn record(fast: bool, check: bool, files: &[(&str, String)]) {
 
 /// Gates and records one layer bench's document.  With `--check`, every key of `gated`
 /// must equal its value in the committed `BENCH_{name}.json`
-/// ([`datamaran_bench::counter_gate`]).  Returns `false` when one does not.
+/// ([`counter_gate`]).  Returns `false` when one does not.
 fn gate_and_record(
     name: &str,
     document: &JsonValue,
@@ -137,21 +134,22 @@ fn gate_and_record(
     check: bool,
 ) -> bool {
     let file = format!("BENCH_{name}.json");
-    let failures = if check {
-        datamaran_bench::counter_gate(&file, document, gated)
-    } else {
-        Vec::new()
-    };
+    let passed = !check || print_gate(&file, gated, counter_gate(&file, document, gated));
+    record(fast, check, &[(&file, document.to_pretty() + "\n")]);
+    passed
+}
+
+/// Prints a counter gate's failures, or the keys it held, and returns whether it passed.
+fn print_gate(file: &str, gated: &[&str], failures: Vec<String>) -> bool {
     for failure in &failures {
         println!("counter gate: {failure} -> REGRESSED");
     }
-    if check && failures.is_empty() {
+    if failures.is_empty() {
         println!(
             "counter gate: {file}: {} as committed -> OK",
             gated.join(", ")
         );
     }
-    record(fast, check, &[(&file, document.to_pretty() + "\n")]);
     failures.is_empty()
 }
 
@@ -669,63 +667,50 @@ fn streaming_bench(fast: bool, check: bool) -> bool {
 }
 
 // -------------------------------------------------------------------------------------------
-// Corpus matrix — LogHub-2.0-scale accuracy + throughput gates
+// Corpus matrix — LogHub-2.0-scale accuracy and work counters, gated per dataset
 // -------------------------------------------------------------------------------------------
 
-/// Runs the LogHub-2.0-scale corpus matrix: discovery + extraction + streaming replay on
-/// every catalog dataset, per-dataset template F1 / line coverage / MB/s, with the
-/// committed `BENCH_corpus.json` as the CI gate and `CORPUS_REPORT.md` as the
-/// human-readable artifact.  Accuracy gates are absolute floors (the numbers are
-/// deterministic); throughput gates use the same >20% ratio rule as the engine
-/// benchmarks, applied to each dataset's MB/s relative to the reference dataset measured
-/// in the same run.
+/// Runs the LogHub-2.0-scale corpus matrix: discovery + extraction + one streaming replay
+/// on every catalog dataset, recording `BENCH_corpus.json` and its human-readable twin
+/// `CORPUS_REPORT.md`.  With `check`, every key of [`DatasetReport::GATED`] — template
+/// counts, F1, line coverage, the pipeline's work counters, and the extracted and replayed
+/// records and noise lines — must equal its committed value for each committed dataset
+/// ([`dataset_gate`]).  Wall times and MB/s are recorded, not gated.
+/// Returns `false` when a gated key moved.
 fn corpus_run(fast: bool, check: bool) -> bool {
-    heading("Corpus matrix — LogHub-2.0-scale synthetic catalog (accuracy + throughput)");
+    heading("Corpus matrix — LogHub-2.0-scale synthetic catalog (accuracy + work counters)");
     let scale = if fast { 8 } else { 1 };
-    let config = evalkit::corpus::corpus_config();
-    let mut report = evalkit::corpus::CorpusReport::default();
+    let config = corpus_config();
+    let mut report = CorpusReport::default();
     for spec in logsynth::loghub::specs(scale) {
-        let data = spec.generate();
-        let ds = evalkit::corpus::run_dataset(&data, &config);
+        let ds = run_dataset(&spec.generate(), &config);
         println!(
-            "{:<12} {:>5} templates {:>9} bytes  F1 {:.3}  coverage {:.3}  {:>7.1} MB/s  \
-             (pipeline {})",
+            "{:<12} {:>5} templates {:>9} bytes  F1 {:.3}  coverage {:.3}  {:>3} rounds  \
+             {:>6} evaluations  {:>7.1} MB/s  (pipeline {})",
             ds.name,
             ds.spec_templates,
             ds.bytes,
             ds.accuracy.f1,
             ds.accuracy.line_coverage,
-            ds.stream_mb_per_sec,
-            fmt_secs(ds.phases.total()),
+            ds.stats.iterations,
+            ds.stats.evaluation_metrics.evaluations,
+            ds.stream_mb_per_sec(),
+            fmt_secs(ds.stats.timings.total().as_secs_f64()),
         );
         report.datasets.push(ds);
     }
     println!("\n{}", report.accuracy_table());
     println!("{}", report.timing_table());
 
-    // The floors are calibrated at full scale; `check` is never set on a `--fast` run.
-    let json_path = "BENCH_corpus.json";
-    let ok = !check || {
-        let failures = match datamaran_bench::read_document(json_path) {
-            Ok(baseline) => report.check_against(&baseline, REGRESSION_TOLERANCE),
-            Err(err) => vec![err],
-        };
-        for failure in &failures {
-            println!("corpus gate: {json_path}: {failure} -> REGRESSED");
-        }
-        if failures.is_empty() {
-            println!(
-                "corpus gate: every dataset within its committed accuracy floors and \
-                 throughput ratios -> OK"
-            );
-        }
-        failures.is_empty()
-    };
+    let file = "BENCH_corpus.json";
+    let document = report.document();
+    let gated = DatasetReport::GATED;
+    let passed = !check || print_gate(file, gated, dataset_gate(file, &document, gated));
     record(
         fast,
         check,
         &[
-            (json_path, report.to_json() + "\n"),
+            (file, document.to_pretty() + "\n"),
             ("CORPUS_REPORT.md", report.to_markdown()),
         ],
     );
@@ -737,7 +722,7 @@ fn corpus_run(fast: bool, check: bool) -> bool {
         report.timing_table(),
         report.accuracy_table()
     ));
-    ok
+    passed
 }
 
 /// Appends markdown to `$GITHUB_STEP_SUMMARY` when running under GitHub Actions; a no-op

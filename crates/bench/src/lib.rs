@@ -131,21 +131,64 @@ pub fn exhaustive_weblog(target_bytes: usize, seed: u64) -> String {
 /// committed and fresh values, or a single failure when the file cannot be read or parsed.
 /// Empty means the gate passes.
 pub fn counter_gate(committed: &str, fresh: &JsonValue, keys: &[&str]) -> Vec<String> {
+    match read_document(committed) {
+        Ok(baseline) => compare_keys(committed, &baseline, fresh, keys),
+        Err(err) => vec![err],
+    }
+}
+
+/// The `--check` gate of the corpus matrix: [`counter_gate`]'s exact-key rule applied to
+/// each entry of the committed document's `datasets` array and the fresh entry with the
+/// same `name`.  A committed dataset that did not run fails, as do an unreadable file and
+/// a document without a `datasets` array; a fresh dataset that is not committed yet is
+/// not gated.  Each failure names the file, the dataset and the key.
+pub fn dataset_gate(committed: &str, fresh: &JsonValue, keys: &[&str]) -> Vec<String> {
+    fn datasets(document: &JsonValue) -> Option<&[JsonValue]> {
+        document.get("datasets")?.as_array().ok()
+    }
+    fn name(entry: &JsonValue) -> &str {
+        entry
+            .get("name")
+            .and_then(|n| n.as_str().ok())
+            .unwrap_or("")
+    }
     let baseline = match read_document(committed) {
         Ok(document) => document,
         Err(err) => return vec![err],
     };
+    let Some(entries) = datasets(&baseline) else {
+        return vec![format!("{committed}: no committed `datasets`")];
+    };
+    let fresh_entries = datasets(fresh).unwrap_or_default();
+    entries
+        .iter()
+        .flat_map(|entry| {
+            let label = format!("{committed}: dataset `{}`", name(entry));
+            match fresh_entries.iter().find(|f| name(f) == name(entry)) {
+                Some(now) => compare_keys(&label, entry, now, keys),
+                None => vec![format!("{label} is committed but did not run")],
+            }
+        })
+        .collect()
+}
+
+/// The exact-key rule shared by the gates: one failure, prefixed with `label`, per key of
+/// `keys` that differs between `baseline` and `fresh` or is missing from either.
+fn compare_keys(
+    label: &str,
+    baseline: &JsonValue,
+    fresh: &JsonValue,
+    keys: &[&str],
+) -> Vec<String> {
     let value = |document: &JsonValue, key: &str| document.get(key)?.as_f64().ok();
     keys.iter()
-        .filter_map(|&key| match (value(&baseline, key), value(fresh, key)) {
+        .filter_map(|&key| match (value(baseline, key), value(fresh, key)) {
             (Some(base), Some(now)) if base == now => None,
-            (Some(base), Some(now)) => {
-                Some(format!("{committed}: `{key}` is {now}, committed {base}"))
-            }
+            (Some(base), Some(now)) => Some(format!("{label}: `{key}` is {now}, committed {base}")),
             (Some(base), None) => Some(format!(
-                "{committed}: `{key}` (committed {base}) was not measured"
+                "{label}: `{key}` (committed {base}) was not measured"
             )),
-            (None, _) => Some(format!("{committed}: no committed `{key}`")),
+            (None, _) => Some(format!("{label}: no committed `{key}`")),
         })
         .collect()
 }
@@ -1044,9 +1087,15 @@ mod tests {
         assert!(timing.total + 1e-9 >= timing.extraction);
     }
 
-    /// Gates the fresh counters `records` 26701 and `windows` 33 against a committed
-    /// document with `contents`, written to a file of this test process (`None`: no file).
-    fn gate(name: &str, contents: Option<&str>) -> (String, Vec<String>) {
+    /// Runs `gate` over the keys `records` and `windows` of the document `fresh` against a
+    /// committed document with `contents`, written to a file of this test process
+    /// (`None`: no file).
+    fn run_gate(
+        gate: fn(&str, &JsonValue, &[&str]) -> Vec<String>,
+        name: &str,
+        contents: Option<&str>,
+        fresh: &str,
+    ) -> (String, Vec<String>) {
         let path = std::env::temp_dir().join(format!(
             "datamaran_bench_{}_{name}.json",
             std::process::id()
@@ -1055,12 +1104,26 @@ mod tests {
         if let Some(contents) = contents {
             std::fs::write(&path, contents).unwrap();
         }
-        let fresh = JsonValue::parse(r#"{"records": 26701, "windows": 33}"#).unwrap();
-        let failures = counter_gate(&path, &fresh, &["records", "windows"]);
+        let fresh = JsonValue::parse(fresh).unwrap();
+        let failures = gate(&path, &fresh, &["records", "windows"]);
         if contents.is_some() {
             std::fs::remove_file(&path).unwrap();
         }
         (path, failures)
+    }
+
+    /// [`counter_gate`] with the fresh counters `records` 26701 and `windows` 33.
+    fn gate(name: &str, contents: Option<&str>) -> (String, Vec<String>) {
+        let fresh = r#"{"records": 26701, "windows": 33}"#;
+        run_gate(counter_gate, name, contents, fresh)
+    }
+
+    /// [`dataset_gate`] with a fresh `hdfs` entry (`records` 10833, `windows` 3) and a
+    /// fresh dataset `new` that no committed document has yet.
+    fn corpus(name: &str, contents: Option<&str>) -> (String, Vec<String>) {
+        let fresh = r#"{"datasets": [{"name": "hdfs", "records": 10833, "windows": 3},
+                                     {"name": "new", "records": 1, "windows": 1}]}"#;
+        run_gate(dataset_gate, name, contents, fresh)
     }
 
     #[test]
@@ -1089,6 +1152,49 @@ mod tests {
     fn counter_gate_fails_a_missing_key() {
         let (path, failures) = gate("no_key", Some(r#"{"records": 26701}"#));
         assert_eq!(failures, [format!("{path}: no committed `windows`")]);
+    }
+
+    #[test]
+    fn dataset_gate_passes_equal_counters_and_skips_uncommitted_datasets() {
+        let committed = r#"{"datasets": [{"name": "hdfs", "records": 10833, "windows": 3,
+                                          "stream_secs": 0.01}]}"#;
+        let (_, failures) = corpus("ds_equal", Some(committed));
+        assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn dataset_gate_fails_a_moved_or_missing_key_naming_the_dataset() {
+        let committed = r#"{"datasets": [{"name": "hdfs", "records": 10832}]}"#;
+        let (path, failures) = corpus("ds_moved", Some(committed));
+        assert_eq!(
+            failures,
+            [
+                format!("{path}: dataset `hdfs`: `records` is 10833, committed 10832"),
+                format!("{path}: dataset `hdfs`: no committed `windows`"),
+            ]
+        );
+    }
+
+    #[test]
+    fn dataset_gate_fails_a_committed_dataset_that_did_not_run() {
+        let committed = r#"{"datasets": [{"name": "hdfs", "records": 10833, "windows": 3},
+                                         {"name": "bgl", "records": 9, "windows": 1}]}"#;
+        let (path, failures) = corpus("ds_missing", Some(committed));
+        assert_eq!(
+            failures,
+            [format!(
+                "{path}: dataset `bgl` is committed but did not run"
+            )]
+        );
+    }
+
+    #[test]
+    fn dataset_gate_fails_a_missing_file_or_datasets_array() {
+        let (path, failures) = corpus("ds_absent", None);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with(&format!("no committed baseline at {path}")));
+        let (path, failures) = corpus("ds_no_array", Some(r#"{"benchmark": "corpus_matrix"}"#));
+        assert_eq!(failures, [format!("{path}: no committed `datasets`")]);
     }
 
     #[test]

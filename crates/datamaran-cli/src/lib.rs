@@ -657,8 +657,8 @@ fn run_corpus<W: Write>(cli: &Cli, out: &mut W) -> Result<(), CliError> {
             dataset.spec_templates,
             dataset.accuracy.f1,
             dataset.accuracy.line_coverage,
-            dataset.stream_mb_per_sec,
-            dataset.phases.total(),
+            dataset.stream_mb_per_sec(),
+            dataset.stats.timings.total().as_secs_f64(),
         )
         .map_err(|e| CliError::io(e.to_string()))?;
         report.datasets.push(dataset);

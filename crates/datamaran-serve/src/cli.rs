@@ -10,9 +10,7 @@
 //! in-flight connections, flushes the row writer, compacts the journal into the artifact,
 //! and exits `0`.
 
-use crate::{
-    serve_http_with, serve_stdin_with, serve_unix_with, Daemon, FlushPolicy, TransportOptions,
-};
+use crate::{serve_http, serve_stdin, serve_unix, Daemon, FlushPolicy, TransportOptions};
 use datamaran_core::artifact::TemplateArtifact;
 use datamaran_core::config::DatamaranConfig;
 use datamaran_core::error::Error;
@@ -270,16 +268,16 @@ fn run_parsed(args: Args, out: &mut dyn Write, shutdown: Arc<AtomicBool>) -> Res
             let stdin = std::io::stdin();
             // The session summary folds into the daemon totals, so the daemon document
             // is the same data plus the `journal` section when `--journal` is active.
-            serve_stdin_with(&daemon, stdin.lock(), &shutdown)?;
+            serve_stdin(&daemon, stdin.lock(), &shutdown)?;
             let _ = out.flush();
             eprintln!("{}", daemon.metrics_json());
         }
         Transport::Unix(path) => {
-            serve_unix_with(Arc::clone(&daemon), &path, shutdown, args.transport_options)?;
+            serve_unix(Arc::clone(&daemon), &path, shutdown, args.transport_options)?;
         }
         Transport::Http(addr) => {
             let listener = TcpListener::bind(&addr).map_err(|e| Error::io(&e))?;
-            serve_http_with(
+            serve_http(
                 Arc::clone(&daemon),
                 listener,
                 shutdown,

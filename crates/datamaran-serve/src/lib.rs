@@ -27,8 +27,8 @@ use datamaran_core::serve::{
 };
 use datamaran_core::streaming::StreamSummary;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -328,15 +328,13 @@ impl Daemon {
     /// writer through a guarded (retrying) JSON Lines sink.  Returns the connection's
     /// metrics after folding them into the daemon aggregate.  Invalid UTF-8 input is
     /// decoded lossily and counted.
-    pub fn handle_stream<R: BufRead>(&self, reader: R) -> Result<ServeMetrics> {
-        self.handle_stream_with_shutdown(reader, None)
-    }
-
-    /// [`handle_stream`](Self::handle_stream) with an optional shutdown flag checked
-    /// between lines: when it flips, the connection stops reading, decides what it has
-    /// buffered, and finishes cleanly — the drain path for the stdin transport (whose
-    /// blocking read only returns once a line arrives; see the signal notes in `main`).
-    pub fn handle_stream_with_shutdown<R: BufRead>(
+    ///
+    /// `shutdown`, when given, is checked between lines: once it flips, the connection
+    /// stops reading, decides what it has buffered, and finishes cleanly — the drain path
+    /// of the stdin transport, whose blocking read only returns once a line arrives (see
+    /// the signal notes in `main`).  Socket connections pass `None` and are drained to
+    /// completion instead.
+    pub fn handle_stream<R: BufRead>(
         &self,
         mut reader: R,
         shutdown: Option<&AtomicBool>,
@@ -442,45 +440,14 @@ impl Drop for ConnectionGuard {
 }
 
 /// Serves a single stream from `reader` (the stdin transport), returning its metrics.
-pub fn serve_stdin<R: BufRead>(daemon: &Daemon, reader: R) -> Result<ServeMetrics> {
-    daemon.handle_stream(reader)
-}
-
-/// [`serve_stdin`] with a shutdown flag: when it flips (SIGTERM/SIGINT), the stream stops
-/// reading at the next line boundary, decides what it has buffered, and finishes cleanly.
-pub fn serve_stdin_with<R: BufRead>(
+/// When `shutdown` flips (SIGTERM/SIGINT), the stream stops reading at the next line
+/// boundary, decides what it has buffered, and finishes cleanly.
+pub fn serve_stdin<R: BufRead>(
     daemon: &Daemon,
     reader: R,
     shutdown: &AtomicBool,
 ) -> Result<ServeMetrics> {
-    daemon.handle_stream_with_shutdown(reader, Some(shutdown))
-}
-
-/// Waits for in-flight connection threads to finish, up to the drain timeout; returns the
-/// number of stragglers abandoned (their threads keep running detached, but the process
-/// is about to exit and their rows were already line-forwarded as they were produced).
-fn drain_workers(
-    mut workers: Vec<std::thread::JoinHandle<()>>,
-    drain_timeout: Duration,
-    poll: Duration,
-) -> usize {
-    let deadline = Instant::now() + drain_timeout;
-    loop {
-        workers.retain(|w| !w.is_finished());
-        if workers.is_empty() {
-            return 0;
-        }
-        if Instant::now() >= deadline {
-            return workers.len();
-        }
-        std::thread::sleep(poll.min(Duration::from_millis(25)));
-    }
-}
-
-/// Serves connections on a unix socket at `path` until `shutdown` is set, with default
-/// [`TransportOptions`].  See [`serve_unix_with`].
-pub fn serve_unix(daemon: Arc<Daemon>, path: &Path, shutdown: Arc<AtomicBool>) -> Result<()> {
-    serve_unix_with(daemon, path, shutdown, TransportOptions::default())
+    daemon.handle_stream(reader, Some(shutdown))
 }
 
 /// Serves connections on a unix socket at `path` until `shutdown` is set.  Protocol: the
@@ -489,7 +456,7 @@ pub fn serve_unix(daemon: Arc<Daemon>, path: &Path, shutdown: Arc<AtomicBool>) -
 /// the transport's read timeout and connection cap; clients over the cap get an error
 /// reply.  When `shutdown` flips, the listener stops accepting and in-flight connections
 /// are drained up to [`TransportOptions::drain_timeout`].
-pub fn serve_unix_with(
+pub fn serve_unix(
     daemon: Arc<Daemon>,
     path: &Path,
     shutdown: Arc<AtomicBool>,
@@ -501,63 +468,23 @@ pub fn serve_unix_with(
     }
     let listener = UnixListener::bind(path).map_err(|e| Error::io_path(&e, path))?;
     listener.set_nonblocking(true).map_err(|e| Error::io(&e))?;
-    let mut workers = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                workers.retain(|w: &std::thread::JoinHandle<()>| !w.is_finished());
-                let Some(guard) = ConnectionGuard::try_acquire(&daemon, transport.max_connections)
-                else {
-                    let mut stream = stream;
-                    let _ = stream.set_nonblocking(false);
-                    let _ = writeln!(stream, "{{\"error\": \"connection limit reached\"}}");
-                    continue;
-                };
-                let daemon = Arc::clone(&daemon);
-                workers.push(std::thread::spawn(move || {
-                    let _guard = guard;
-                    if stream.set_nonblocking(false).is_err() {
-                        return;
-                    }
-                    let _ = stream.set_read_timeout(transport.read_timeout);
-                    let Ok(reader_half) = stream.try_clone() else {
-                        return;
-                    };
-                    let mut stream = stream;
-                    match daemon.handle_stream(BufReader::new(reader_half)) {
-                        Ok(metrics) => {
-                            let body = metrics.to_json();
-                            let _ = stream.write_all(body.as_bytes());
-                            let _ = stream.write_all(b"\n");
-                        }
-                        Err(err) => {
-                            let _ = writeln!(stream, "{{\"error\": \"{err}\"}}");
-                        }
-                    }
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(transport.accept_poll)
-            }
-            Err(e) => return Err(Error::io(&e)),
-        }
-    }
-    daemon.begin_drain();
-    let abandoned = drain_workers(workers, transport.drain_timeout, transport.accept_poll);
-    if abandoned > 0 {
-        eprintln!("datamaran-serve: drain timeout: abandoned {abandoned} in-flight connection(s)");
-    }
-    Ok(())
-}
-
-/// Serves the HTTP endpoint until `shutdown` is set, with default [`TransportOptions`].
-/// See [`serve_http_with`].
-pub fn serve_http(
-    daemon: Arc<Daemon>,
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-) -> Result<()> {
-    serve_http_with(daemon, listener, shutdown, TransportOptions::default())
+    accept_loop(
+        daemon,
+        &shutdown,
+        transport,
+        || listener.accept().map(|(stream, _)| stream),
+        b"{\"error\": \"connection limit reached\"}\n",
+        |daemon, mut stream| {
+            let Ok(reader_half) = stream.try_clone() else {
+                return;
+            };
+            let reply = match daemon.handle_stream(BufReader::new(reader_half), None) {
+                Ok(metrics) => metrics.to_json() + "\n",
+                Err(err) => format!("{{\"error\": \"{err}\"}}\n"),
+            };
+            let _ = stream.write_all(reply.as_bytes());
+        },
+    )
 }
 
 /// Serves a minimal HTTP endpoint on a pre-bound listener until `shutdown` is set:
@@ -567,7 +494,7 @@ pub fn serve_http(
 /// thread per connection, `Connection: close` semantics, per-connection read timeout and
 /// connection cap (clients over the cap get `503`).  When `shutdown` flips, the listener
 /// stops accepting and in-flight requests drain up to [`TransportOptions::drain_timeout`].
-pub fn serve_http_with(
+pub fn serve_http(
     daemon: Arc<Daemon>,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
@@ -575,54 +502,108 @@ pub fn serve_http_with(
 ) -> Result<()> {
     transport.validate()?;
     listener.set_nonblocking(true).map_err(|e| Error::io(&e))?;
-    let mut workers = Vec::new();
+    let refusal = http_response(
+        "503 Service Unavailable",
+        "{\"error\": \"connection limit reached\"}\n",
+    );
+    accept_loop(
+        daemon,
+        &shutdown,
+        transport,
+        || listener.accept().map(|(stream, _)| stream),
+        refusal.as_bytes(),
+        |daemon, mut stream| {
+            let response = handle_http(daemon, &mut stream).unwrap_or_else(|err| {
+                http_response(
+                    "500 Internal Server Error",
+                    &format!("{{\"error\": \"{err}\"}}\n"),
+                )
+            });
+            let _ = stream.write_all(response.as_bytes());
+        },
+    )
+}
+
+/// A connected stream of a socket transport.
+trait Connection: Write + Send + 'static {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+}
+
+impl Connection for UnixStream {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        UnixStream::set_nonblocking(self, nonblocking)
+    }
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        UnixStream::set_read_timeout(self, timeout)
+    }
+}
+
+impl Connection for TcpStream {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
+    }
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_read_timeout(self, timeout)
+    }
+}
+
+/// The socket transports' accept loop: polls the non-blocking `accept` until `shutdown`
+/// is set, refuses clients over the connection cap with `refusal`, and runs `handle` on
+/// each admitted connection in its own thread, under the read timeout.  When `shutdown`
+/// flips, it stops accepting and waits for in-flight connections up to the drain timeout;
+/// stragglers are abandoned (their threads keep running detached, but the process is
+/// about to exit and their rows were already line-forwarded as they were produced).
+fn accept_loop<C: Connection>(
+    daemon: Arc<Daemon>,
+    shutdown: &AtomicBool,
+    transport: TransportOptions,
+    mut accept: impl FnMut() -> io::Result<C>,
+    refusal: &[u8],
+    handle: fn(&Daemon, C),
+) -> Result<()> {
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                workers.retain(|w: &std::thread::JoinHandle<()>| !w.is_finished());
-                let Some(guard) = ConnectionGuard::try_acquire(&daemon, transport.max_connections)
-                else {
-                    let mut stream = stream;
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.write_all(
-                        http_response(
-                            "503 Service Unavailable",
-                            "{\"error\": \"connection limit reached\"}\n",
-                        )
-                        .as_bytes(),
-                    );
-                    continue;
-                };
-                let daemon = Arc::clone(&daemon);
-                workers.push(std::thread::spawn(move || {
-                    let _guard = guard;
-                    if stream.set_nonblocking(false).is_err() {
-                        return;
-                    }
-                    let _ = stream.set_read_timeout(transport.read_timeout);
-                    let mut stream = stream;
-                    let response = match handle_http(&daemon, &mut stream) {
-                        Ok(response) => response,
-                        Err(err) => http_response(
-                            "500 Internal Server Error",
-                            &format!("{{\"error\": \"{err}\"}}\n"),
-                        ),
-                    };
-                    let _ = stream.write_all(response.as_bytes());
-                }));
-            }
+        let mut stream = match accept() {
+            Ok(stream) => stream,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(transport.accept_poll)
+                std::thread::sleep(transport.accept_poll);
+                continue;
             }
             Err(e) => return Err(Error::io(&e)),
-        }
+        };
+        workers.retain(|w| !w.is_finished());
+        let Some(guard) = ConnectionGuard::try_acquire(&daemon, transport.max_connections) else {
+            let _ = stream.set_nonblocking(false);
+            let _ = stream.write_all(refusal);
+            continue;
+        };
+        let daemon = Arc::clone(&daemon);
+        workers.push(std::thread::spawn(move || {
+            let _guard = guard;
+            if stream.set_nonblocking(false).is_err() {
+                return;
+            }
+            let _ = stream.set_read_timeout(transport.read_timeout);
+            handle(&daemon, stream);
+        }));
     }
     daemon.begin_drain();
-    let abandoned = drain_workers(workers, transport.drain_timeout, transport.accept_poll);
-    if abandoned > 0 {
-        eprintln!("datamaran-serve: drain timeout: abandoned {abandoned} in-flight connection(s)");
+    let deadline = Instant::now() + transport.drain_timeout;
+    loop {
+        workers.retain(|w| !w.is_finished());
+        if workers.is_empty() {
+            return Ok(());
+        }
+        if Instant::now() >= deadline {
+            eprintln!(
+                "datamaran-serve: drain timeout: abandoned {} in-flight connection(s)",
+                workers.len()
+            );
+            return Ok(());
+        }
+        std::thread::sleep(transport.accept_poll.min(Duration::from_millis(25)));
     }
-    Ok(())
 }
 
 /// Builds one `Connection: close` HTTP/1.1 response.
@@ -641,7 +622,7 @@ fn handle_http<S: Read>(daemon: &Daemon, stream: &mut S) -> Result<String> {
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
     let path = parts.next().unwrap_or("").to_string();
-    let mut content_length = 0usize;
+    let mut content_length = 0u64;
     loop {
         let mut header = String::new();
         if reader.read_line(&mut header)? == 0 {
@@ -655,7 +636,7 @@ fn handle_http<S: Read>(daemon: &Daemon, stream: &mut S) -> Result<String> {
             .to_ascii_lowercase()
             .strip_prefix("content-length:")
             .map(str::trim)
-            .and_then(|v| v.parse::<usize>().ok())
+            .and_then(|v| v.parse::<u64>().ok())
         {
             content_length = value;
         }
@@ -686,9 +667,9 @@ fn handle_http<S: Read>(daemon: &Daemon, stream: &mut S) -> Result<String> {
             Ok(http_response(status, &(body + "\n")))
         }
         ("POST", "/ingest") => {
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body)?;
-            let metrics = daemon.handle_stream(io::Cursor::new(body))?;
+            // The body streams through the session's windows: the claimed length bounds
+            // the read, it is never allocated up front.
+            let metrics = daemon.handle_stream(reader.take(content_length), None)?;
             Ok(http_response("200 OK", &(metrics.to_json() + "\n")))
         }
         _ => Ok(http_response(
@@ -749,7 +730,7 @@ mod tests {
     fn stdin_transport_extracts_rows_and_reports_metrics() {
         let text = kv_text(200);
         let (daemon, captured) = daemon_for(&text);
-        let metrics = serve_stdin(&daemon, Cursor::new(text)).unwrap();
+        let metrics = serve_stdin(&daemon, Cursor::new(text), &AtomicBool::new(false)).unwrap();
         assert!(metrics.summary.records > 0);
         assert_eq!(metrics.swaps, 0);
         let rows = String::from_utf8(captured.lock().unwrap().clone()).unwrap();
@@ -772,7 +753,9 @@ mod tests {
             let daemon = Arc::clone(&daemon);
             let sock = sock.clone();
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || serve_unix(daemon, &sock, shutdown))
+            std::thread::spawn(move || {
+                serve_unix(daemon, &sock, shutdown, TransportOptions::default())
+            })
         };
         // Wait for the socket to appear.
         for _ in 0..200 {
@@ -811,7 +794,9 @@ mod tests {
         let server = {
             let daemon = Arc::clone(&daemon);
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || serve_http(daemon, listener, shutdown))
+            std::thread::spawn(move || {
+                serve_http(daemon, listener, shutdown, TransportOptions::default())
+            })
         };
         let post = format!(
             "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
@@ -857,12 +842,67 @@ mod tests {
     }
 
     #[test]
+    fn ingest_streams_a_body_shorter_than_its_claimed_length() {
+        let text = kv_text(150);
+        let (daemon, _captured) = daemon_for(&text);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let server = {
+            let daemon = Arc::clone(&daemon);
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || {
+                serve_http(daemon, listener, shutdown, TransportOptions::default())
+            })
+        };
+        // The header claims 1 TiB; the body is 150 lines, then the client half-closes.
+        let mut client = std::net::TcpStream::connect(addr).unwrap();
+        let head = format!(
+            "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            1u64 << 40
+        );
+        client.write_all(head.as_bytes()).unwrap();
+        client.write_all(text.as_bytes()).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+        let body = reply.split("\r\n\r\n").nth(1).unwrap();
+        let doc = datamaran_core::json::JsonValue::parse(body.trim()).unwrap();
+        let stream = doc.require("stream").unwrap();
+        assert_eq!(
+            stream
+                .require("lines_processed")
+                .unwrap()
+                .as_usize()
+                .unwrap(),
+            150
+        );
+        assert_eq!(
+            stream.require("records").unwrap().as_usize().unwrap(),
+            daemon.metrics().summary.records
+        );
+
+        // The daemon is still up.
+        let mut client = std::net::TcpStream::connect(addr).unwrap();
+        client
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+
+        shutdown.store(true, Ordering::Relaxed);
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn shutdown_flag_stops_a_stream_at_the_next_line_boundary() {
         let text = kv_text(100);
         let (daemon, _captured) = daemon_for(&text);
         // Flag already set: the stream reads nothing, finishes cleanly, reports zero.
         let shutdown = AtomicBool::new(true);
-        let metrics = serve_stdin_with(&daemon, Cursor::new(text), &shutdown).unwrap();
+        let metrics = serve_stdin(&daemon, Cursor::new(text), &shutdown).unwrap();
         assert_eq!(metrics.summary.lines_processed, 0);
     }
 
@@ -876,7 +916,9 @@ mod tests {
         let server = {
             let daemon = Arc::clone(&daemon);
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || serve_http(daemon, listener, shutdown))
+            std::thread::spawn(move || {
+                serve_http(daemon, listener, shutdown, TransportOptions::default())
+            })
         };
         let probe = |path: &str| -> String {
             let mut client = std::net::TcpStream::connect(addr).unwrap();
@@ -921,7 +963,7 @@ mod tests {
             let daemon = Arc::clone(&daemon);
             let sock = sock.clone();
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || serve_unix_with(daemon, &sock, shutdown, transport))
+            std::thread::spawn(move || serve_unix(daemon, &sock, shutdown, transport))
         };
         for _ in 0..200 {
             if sock.exists() {
@@ -971,7 +1013,7 @@ mod tests {
             let daemon = Arc::clone(&daemon);
             let sock = sock.clone();
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || serve_unix_with(daemon, &sock, shutdown, transport))
+            std::thread::spawn(move || serve_unix(daemon, &sock, shutdown, transport))
         };
         for _ in 0..200 {
             if sock.exists() {

@@ -10,7 +10,7 @@ use datamaran_core::json::JsonValue;
 use datamaran_core::pipeline::Datamaran;
 use datamaran_core::serve::{snapshot_from_artifact, ServeOptions};
 use datamaran_core::structure::StructureTemplate;
-use datamaran_serve::{serve_unix, Daemon, FlushPolicy};
+use datamaran_serve::{serve_unix, Daemon, FlushPolicy, TransportOptions};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,7 +86,7 @@ fn drifting_corpus_stream_recovers_after_hot_swap() {
         let daemon = Arc::clone(&daemon);
         let sock = sock.clone();
         let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || serve_unix(daemon, &sock, shutdown))
+        std::thread::spawn(move || serve_unix(daemon, &sock, shutdown, TransportOptions::default()))
     };
     for _ in 0..400 {
         if sock.exists() {

@@ -32,9 +32,7 @@ pub mod view;
 
 pub use ablation::{run_ablation, AblationOutcome, AblationVariant};
 pub use accuracy::{AccuracySummary, DatasetEvaluation, Extractor};
-pub use corpus::{
-    run_dataset, template_accuracy, CorpusReport, DatasetReport, PhaseSeconds, TemplateAccuracy,
-};
+pub use corpus::{run_dataset, template_accuracy, CorpusReport, DatasetReport, TemplateAccuracy};
 pub use criteria::{evaluate, EvalOutcome, FailureReason};
 pub use userstudy::{simulate, study_datasets, DatasetStudy, Source, StudyOutcome};
 pub use view::{datamaran_view, logclust_view, recordbreaker_view, ViewField, ViewRecord};
