@@ -6,11 +6,14 @@
 //! The step runs on span projections: the sample is tokenized **once** under the superset
 //! of all candidate characters ([`crate::span::LineIndex`]); each enumerated subset charset
 //! re-derives every line's template by an `O(#occurrences)` projection instead of a fresh
-//! scan, the record → minimal-template reduction is memoized into interned [`TemplateId`]s
-//! ([`crate::intern`]) so the hash tables key on `u32`s, and the `2^c` (exhaustive) /
-//! `O(c²)` (greedy) charset evaluations run on scoped worker threads.  The inner per-record
-//! loop performs no per-token heap allocation: the token buffer, projection arena, and
-//! accumulator table are all reused.
+//! scan, and the `2^c` (exhaustive) / `O(c²)` (greedy) charset evaluations run on scoped
+//! worker threads.  A candidate window's minimal template is computed once per worker, as
+//! the flat code run of [`mod@crate::reduce`], and interned into a [`TemplateId`] in one code
+//! arena ([`crate::intern`]); a trie over line-sequence ids memoizes each window's id, so
+//! the hash tables key on `u32`s.  The inner per-record loop builds no template tree and
+//! makes no per-window heap allocation: the token and code buffers, the projection and
+//! template arenas and the accumulator table are all reused.  A [`StructureTemplate`] is
+//! decoded only when a template becomes a candidate.
 //!
 //! The original implementation — one full re-tokenization pass per charset, hash tables
 //! keyed on owned token vectors and template trees — survives as the test reference
@@ -21,11 +24,12 @@ use crate::chars::CharSet;
 use crate::config::{DatamaranConfig, SearchStrategy};
 use crate::dataset::Dataset;
 use crate::fxhash::FxHashMap;
-use crate::intern::{TemplateId, TemplateInterner};
+use crate::intern::{CodeInterner, TemplateId};
 use crate::parallel::{effective_workers, resolve_threads, WorkQueue};
 use crate::record::{RecordTemplate, TemplateToken};
 use crate::reduce::{
-    flat_nodes, reduce, tokens_have_fold_from, MAX_FOLD_TOKENS, MAX_UNIT_TOKENS, MIN_REPS,
+    decode, flat_codes, reduce, reduce_codes, tokens_have_fold_from, MAX_FOLD_TOKENS,
+    MAX_UNIT_TOKENS, MIN_REPS,
 };
 use crate::span::LineIndex;
 use crate::structure::StructureTemplate;
@@ -81,12 +85,13 @@ pub struct GenerationOutput {
     pub charsets_enumerated: usize,
     /// Number of candidate records examined across all character sets.
     pub records_examined: usize,
-    /// Window-memo misses: candidate windows whose template the span engine had to build.
+    /// Window-memo misses: candidate windows whose template the span engine had to compute.
     /// Every worker keeps its own memo, so the count depends on the worker count; the test
     /// reference leaves it at 0.
     pub novel_windows: usize,
-    /// Novel windows that ran a full [`reduce`] (the rest were above the fold cap or proven
-    /// fold-free).  Depends on the worker count like `novel_windows`; 0 from the reference.
+    /// Novel windows that ran the full fold search of [`reduce`] (the rest were above the
+    /// fold cap or proven fold-free).  Depends on the worker count like `novel_windows`; 0
+    /// from the reference.
     pub reductions: usize,
 }
 
@@ -389,22 +394,53 @@ impl Bins {
     }
 }
 
-/// Per-worker mutable state: interner, sequence store, window memo, accumulator table, and
-/// the reusable projection buffers.  Each worker thread owns one, so the hot loop is
+/// Memo of candidate windows: a trie over line-sequence ids.  The window of lines
+/// `start..end` is the path `line_seq[start], …, line_seq[end - 1]` from [`WindowTrie::ROOT`],
+/// so growing a window by one line is one probe keyed on `(parent window, line sequence id)`
+/// (two `u32`s), whatever the window's length.  It replaces the legacy search's hash of the
+/// record's full token vector.
+#[derive(Debug, Default)]
+struct WindowTrie {
+    /// `(parent window, sequence id of the appended line)` → window.
+    children: FxHashMap<(u32, u32), u32>,
+    /// Per window: its interned minimal template, and whether it is verified fold-free (the
+    /// bit seeds the incremental scan when the window is grown by another line).
+    entries: Vec<(TemplateId, bool)>,
+}
+
+impl WindowTrie {
+    /// The parent of every one-line window: the empty window.
+    const ROOT: u32 = u32::MAX;
+
+    /// The window `parent` grown by a line with sequence id `seq`, if already known.
+    fn child(&self, parent: u32, seq: u32) -> Option<u32> {
+        self.children.get(&(parent, seq)).copied()
+    }
+
+    /// Adds the window `parent` grown by `seq`, holding `entry`, and returns it.
+    fn insert(&mut self, parent: u32, seq: u32, entry: (TemplateId, bool)) -> u32 {
+        let window = self.entries.len() as u32;
+        self.entries.push(entry);
+        self.children.insert((parent, seq), window);
+        window
+    }
+}
+
+/// Per-worker mutable state: template arena, sequence store, window trie, accumulator
+/// table, and the reusable buffers.  Each worker thread owns one, so the hot loop is
 /// lock-free; per-thread results are merged deterministically at the end.
 #[derive(Default)]
 struct WorkerState {
-    interner: TemplateInterner,
+    /// Minimal templates of the novel windows, as interned code runs.
+    templates: CodeInterner,
     seqs: SeqStore,
-    /// Memo of line-sequence-id windows → (interned minimal template, window is verified
-    /// fold-free).  The window (at most `L` `u32`s) is the whole hash key for a candidate
-    /// record, replacing the legacy search's hash of the record's full token vector; the
-    /// fold-free bit seeds the incremental scan when the window is grown by another line.
-    window_memo: FxHashMap<Box<[u32]>, (TemplateId, bool)>,
+    windows: WindowTrie,
     bins: Bins,
     proj: ProjectedLines,
-    /// Reusable token buffer for materializing a window's record template on memo miss.
+    /// Reusable token buffer: the current window's record template.
     buffer: Vec<TemplateToken>,
+    /// Reusable code buffer: a novel window's minimal template.
+    codes: Vec<u32>,
     counts: WorkCounts,
 }
 
@@ -433,9 +469,11 @@ struct PartialCandidate {
 }
 
 impl PartialCandidate {
-    fn materialize(self, template: StructureTemplate) -> Candidate {
+    /// The candidate, its template decoded from its code run: the one place the span
+    /// engine builds a [`StructureTemplate`].
+    fn materialize(self, codes: &[u32]) -> Candidate {
         Candidate {
-            template,
+            template: decode(codes),
             coverage: self.coverage,
             field_coverage: self.field_coverage,
             hits: self.hits,
@@ -493,17 +531,19 @@ impl<'a> SpanEngine<'a> {
         let max_span = self.config.max_line_span.max(1);
         let line_seq = std::mem::take(&mut state.proj.line_seq);
         let mut buffer = std::mem::take(&mut state.buffer);
+        let mut codes = std::mem::take(&mut state.codes);
         for start in 0..n {
             let mut span_bytes = 0usize;
             let mut span_field_bytes = 0usize;
             let start_byte = self.sample.line_start(start);
             // The window's token concatenation grows incrementally with the span, and
             // `fold_free` tracks whether the *previous* (shorter) window was proven free of
-            // foldable tandem repeats — the invariant that lets a memo miss decide the
-            // grown window with a scan restricted to the region near the freshly appended
-            // line instead of a full `reduce`.
+            // foldable tandem repeats — the invariant that lets a novel window be decided
+            // with a scan restricted to the region near the freshly appended line instead
+            // of a full reduction.
             buffer.clear();
             let mut fold_free = true;
+            let mut window = WindowTrie::ROOT;
             for span in 1..=max_span {
                 let end = start + span;
                 if end > n {
@@ -512,41 +552,52 @@ impl<'a> SpanEngine<'a> {
                 span_bytes += self.index.line_len(end - 1);
                 span_field_bytes += state.proj.field_len[end - 1] as usize;
                 let old_len = buffer.len();
-                buffer.extend_from_slice(state.seqs.tokens(line_seq[end - 1]));
+                let seq = line_seq[end - 1];
+                buffer.extend_from_slice(state.seqs.tokens(seq));
                 *records_examined += 1;
 
-                if buffer.is_empty() {
-                    continue;
-                }
-                let window = &line_seq[start..end];
-                let (id, window_fold_free) = match state.window_memo.get(window) {
-                    Some(&hit) => hit,
+                let (id, window_fold_free) = match state.windows.child(window, seq) {
+                    Some(child) => {
+                        window = child;
+                        state.windows.entries[child as usize]
+                    }
                     None => {
-                        state.counts.novel_windows += 1;
-                        // First sighting of this window.  Three cases, cheapest first:
-                        // above the fold cap `reduce` stays flat by definition; a window
-                        // whose prefix was fold-free and whose restricted scan finds no
-                        // new fold is flat too (same node sequence, no fold search); only
+                        // First sighting of this window.  An empty one (its lines project
+                        // to no tokens) is no candidate record, but longer windows grow
+                        // from its node.  Otherwise three cases, cheapest first: above the
+                        // fold cap the reduction stays flat by definition; a window whose
+                        // prefix was fold-free and whose restricted scan finds no new fold
+                        // is flat too (each token its own code, no fold search); only
                         // windows actually containing a fold pay the full reduction.
-                        let (template, ff) = if buffer.len() > MAX_FOLD_TOKENS {
-                            (StructureTemplate::new(flat_nodes(&buffer)), false)
-                        } else if fold_free
-                            && !tokens_have_fold_from(
-                                &buffer,
-                                old_len.saturating_sub((MIN_REPS + 1) * MAX_UNIT_TOKENS),
-                            )
-                        {
-                            (StructureTemplate::new(flat_nodes(&buffer)), true)
+                        codes.clear();
+                        let ff = if buffer.is_empty() {
+                            true
                         } else {
-                            state.counts.reductions += 1;
-                            (reduce(&RecordTemplate::from_tokens(buffer.clone())), false)
+                            state.counts.novel_windows += 1;
+                            let flat = buffer.len() > MAX_FOLD_TOKENS;
+                            let ff = !flat
+                                && fold_free
+                                && !tokens_have_fold_from(
+                                    &buffer,
+                                    old_len.saturating_sub((MIN_REPS + 1) * MAX_UNIT_TOKENS),
+                                );
+                            if flat || ff {
+                                flat_codes(&buffer, &mut codes);
+                            } else {
+                                state.counts.reductions += 1;
+                                reduce_codes(&buffer, &mut codes);
+                            }
+                            ff
                         };
-                        let id = state.interner.intern(template);
-                        state.window_memo.insert(window.into(), (id, ff));
-                        (id, ff)
+                        let entry = (state.templates.intern(&codes), ff);
+                        window = state.windows.insert(window, seq, entry);
+                        entry
                     }
                 };
                 fold_free = window_fold_free;
+                if buffer.is_empty() {
+                    continue;
+                }
                 state.bins.accum(id, start).record_candidate(
                     start,
                     start_byte,
@@ -556,6 +607,7 @@ impl<'a> SpanEngine<'a> {
             }
         }
         state.buffer = buffer;
+        state.codes = codes;
         state.proj.line_seq = line_seq;
 
         let threshold = ((self.config.alpha * self.sample.len() as f64).ceil() as usize).max(1);
@@ -596,7 +648,7 @@ impl<'a> SpanEngine<'a> {
         self.generate_for_charset(state, charset, records_examined, &mut found);
         found
             .into_iter()
-            .map(|(id, partial)| partial.materialize(state.interner.get(id).clone()))
+            .map(|(id, partial)| partial.materialize(state.templates.codes(id)))
             .collect()
     }
 
@@ -648,7 +700,7 @@ impl<'a> SpanEngine<'a> {
                         }
                         let candidates = found
                             .into_iter()
-                            .map(|(id, p)| p.materialize(state.interner.get(id).clone()))
+                            .map(|(id, p)| p.materialize(state.templates.codes(id)))
                             .collect();
                         (candidates, records, state.counts)
                     })
@@ -683,7 +735,7 @@ impl<'a> SpanEngine<'a> {
         };
         let mut merged: HashMap<StructureTemplate, Candidate> = HashMap::new();
 
-        // One persistent state per worker slot: the sequence store and window memo carry
+        // One persistent state per worker slot: the sequence store and window trie carry
         // across rounds, so a window is reduced at most once per worker for the whole
         // search rather than once per round (the memo is pure, so reuse cannot change
         // results).

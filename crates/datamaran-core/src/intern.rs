@@ -1,13 +1,16 @@
-//! Hash-consing of structure templates (the generation step's `TemplateInterner`).
+//! Hash-consing of structure templates into dense [`TemplateId`]s, in two stores.
 //!
-//! The generation hash table historically keyed its bins on whole [`StructureTemplate`]
-//! trees, re-hashing a tree for every candidate record.  The interner collapses each
-//! distinct template to a dense [`TemplateId`], so the hot loops key their accumulators on
-//! a `u32`.  The memo from candidate-record keys to ids lives next to the generation hot
-//! loop (`generation.rs`), keyed on windows of interned per-line sequence ids.
+//! * [`TemplateInterner`] interns [`StructureTemplate`] trees.  The pipeline's ranked dedup
+//!   and the refinement step's score memo key on its ids.
+//! * `CodeInterner` (crate-private) interns minimal templates as the flat code runs of
+//!   [`mod@crate::reduce`], back to back in one arena, for the generation step.  Each worker
+//!   interns every novel candidate window's template there, tens of thousands per call, of
+//!   which only the few that reach the coverage threshold are ever decoded into a tree
+//!   (`generation.rs`), so a probe must not allocate and dropping the store must be cheap.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::structure::StructureTemplate;
+use std::hash::{Hash, Hasher};
 
 /// Dense identifier of an interned [`StructureTemplate`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -66,6 +69,56 @@ impl TemplateInterner {
     }
 }
 
+/// Hash-consing table assigning dense [`TemplateId`]s to code runs, stored back to back in
+/// one arena.  The index maps a run's hash to the newest id with that hash, and `older`
+/// chains each id to the previous one sharing its hash, so a probe hashes the run once and
+/// compares slices: interning allocates nothing per run beyond the arena's own growth.
+#[derive(Debug, Default)]
+pub(crate) struct CodeInterner {
+    /// Every interned run, in id order.
+    arena: Vec<u32>,
+    /// `arena` end of each run; run `i` starts where run `i - 1` ends.
+    ends: Vec<usize>,
+    /// Run hash → newest id with that hash.
+    by_hash: FxHashMap<u64, TemplateId>,
+    /// Per id: the next older id whose run has the same hash.
+    older: Vec<Option<TemplateId>>,
+}
+
+impl CodeInterner {
+    /// Interns a run, returning its id (the existing id if the run is already known).
+    pub(crate) fn intern(&mut self, codes: &[u32]) -> TemplateId {
+        let mut hasher = FxHasher::default();
+        codes.hash(&mut hasher);
+        self.intern_hashed(codes, hasher.finish())
+    }
+
+    /// [`intern`](Self::intern) with the run's hash given.
+    fn intern_hashed(&mut self, codes: &[u32], hash: u64) -> TemplateId {
+        let newest = self.by_hash.get(&hash).copied();
+        let mut probe = newest;
+        while let Some(id) = probe {
+            if self.codes(id) == codes {
+                return id;
+            }
+            probe = self.older[id.index()];
+        }
+        let id = TemplateId(self.ends.len() as u32);
+        self.arena.extend_from_slice(codes);
+        self.ends.push(self.arena.len());
+        self.older.push(newest);
+        self.by_hash.insert(hash, id);
+        id
+    }
+
+    /// The run behind an id.
+    pub(crate) fn codes(&self, id: TemplateId) -> &[u32] {
+        let i = id.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.arena[start..self.ends[i]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,5 +159,42 @@ mod tests {
         assert_eq!(small, large);
         assert_eq!(interner.len(), 1);
         assert_eq!(interner.get(small).to_string(), "(F,)*F\\n");
+    }
+
+    #[test]
+    fn code_runs_intern_densely_and_read_back() {
+        let mut interner = CodeInterner::default();
+        let runs: [&[u32]; 4] = [&[1, 2, 3], &[], &[1, 2], &[3, 2, 1]];
+        let ids: Vec<TemplateId> = runs.iter().map(|run| interner.intern(run)).collect();
+        // Distinct runs, the empty one included, get dense ids in first-seen order.
+        assert_eq!(
+            ids.iter().map(|id| id.index()).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        for (&run, &id) in runs.iter().zip(&ids) {
+            assert_eq!(interner.intern(run), id, "re-interning {run:?}");
+            assert_eq!(interner.codes(id), run);
+        }
+        // Re-interning took no id: the next distinct run gets the next one.
+        assert_eq!(interner.intern(&[9]).index(), runs.len());
+    }
+
+    #[test]
+    fn code_runs_sharing_a_hash_are_told_apart_by_content() {
+        // Every run filed under one hash: the collision chain alone must keep them apart.
+        let mut interner = CodeInterner::default();
+        let runs: [&[u32]; 4] = [&[7], &[], &[7, 7], &[8]];
+        let ids: Vec<TemplateId> = runs
+            .iter()
+            .map(|run| interner.intern_hashed(run, 42))
+            .collect();
+        for (&run, &id) in runs.iter().zip(&ids) {
+            assert_eq!(interner.intern_hashed(run, 42), id, "re-interning {run:?}");
+            assert_eq!(interner.codes(id), run);
+        }
+        assert_eq!(
+            ids.iter().map(|id| id.index()).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
     }
 }

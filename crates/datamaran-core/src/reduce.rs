@@ -10,6 +10,14 @@
 //! what makes the hash-table grouping of the generation step meaningful.  As the paper notes
 //! (Appendix 9.1), determinism does not guarantee that *every* instantiation reduces to the
 //! same template, so the coverage computed during generation is an underestimate.
+//!
+//! The folding pass (`reduce_codes`) writes the minimal template as a run of flat `u32`
+//! codes, not as a tree: a formatting character is its own code (`c as u32`), a field is
+//! `FIELD`, and an array is `ARRAY_OPEN`, its body's codes, `ARRAY_CLOSE`, then its
+//! separator and terminator.  The three markers lie above `char::MAX`, so the run decodes
+//! unambiguously (`decode`) and two runs are equal exactly when their templates are: the
+//! generation step keys its hash table on the runs and builds a [`StructureTemplate`] only
+//! for the few that become candidates.
 
 use crate::record::{RecordTemplate, TemplateToken};
 use crate::structure::{Node, StructureTemplate};
@@ -32,16 +40,42 @@ pub(crate) const MIN_REPS: usize = 2;
 /// differential equivalence.
 pub(crate) const MAX_FOLD_TOKENS: usize = 4096;
 
-/// Reduces a record template to its minimal structure template.
+/// Code of a field placeholder: the first value above `char::MAX`.
+pub(crate) const FIELD: u32 = char::MAX as u32 + 1;
+
+/// Code opening an array; the array's body codes follow.
+pub(crate) const ARRAY_OPEN: u32 = FIELD + 1;
+
+/// Code closing an array's body; the separator and terminator codes follow.
+pub(crate) const ARRAY_CLOSE: u32 = FIELD + 2;
+
+/// Reduces a record template to its minimal structure template: the decode of the codes
+/// the folding pass emits for its tokens (see the module docs).
 pub fn reduce(rt: &RecordTemplate) -> StructureTemplate {
-    StructureTemplate::new(reduce_tokens(rt.tokens()))
+    let mut codes = Vec::new();
+    reduce_codes(rt.tokens(), &mut codes);
+    decode(&codes)
+}
+
+/// The code of one unfolded token.
+fn token_code(token: TemplateToken) -> u32 {
+    match token {
+        TemplateToken::Field => FIELD,
+        TemplateToken::Ch(c) => c as u32,
+    }
+}
+
+/// Appends the codes of a token sequence without folding: each token's own code.  Equals
+/// [`reduce_codes`]'s output whenever [`tokens_have_fold_from`]`(tokens, 0)` is false *or*
+/// the sequence exceeds [`MAX_FOLD_TOKENS`] — the equality the generation step's window
+/// fast path relies on.
+pub(crate) fn flat_codes(tokens: &[TemplateToken], out: &mut Vec<u32>) {
+    out.extend(tokens.iter().map(|&token| token_code(token)));
 }
 
 /// Converts a token sequence to nodes without folding, merging adjacent characters into
-/// one literal.  Equals [`reduce`]'s output whenever [`tokens_have_fold_from`]`(tokens, 0)`
-/// is false *or* the sequence exceeds [`MAX_FOLD_TOKENS`] (above the cap, [`reduce_tokens`]
-/// skips folding too) — the generation step's window fast path relies on exactly that
-/// equality.
+/// one literal: what [`decode`] makes of the [`flat_codes`] run, so it equals [`reduce`]'s
+/// output under the same conditions.
 pub(crate) fn flat_nodes(tokens: &[TemplateToken]) -> Vec<Node> {
     let mut nodes = Vec::new();
     for &token in tokens {
@@ -76,38 +110,71 @@ pub(crate) fn tokens_have_fold_from(tokens: &[TemplateToken], min_start: usize) 
     (min_start..tokens.len()).any(|start| fold_at(tokens, start).is_some())
 }
 
-/// Reduces a token sequence to a node sequence in one left-to-right pass: where a tandem
-/// repeat starts ([`fold_at`]) the pass emits its array, body reduced recursively, and jumps
-/// past the folded region; every other token joins the open literal.  Sequences longer
-/// than [`MAX_FOLD_TOKENS`] stay flat (see the cap's doc).
+/// Appends the minimal structure template of a token sequence to `out` as flat codes (see
+/// the module docs), in one left-to-right pass: where a tandem repeat starts ([`fold_at`])
+/// the pass emits its array, body reduced recursively, and jumps past the folded region;
+/// every other token emits its own code.  Sequences longer than [`MAX_FOLD_TOKENS`] stay
+/// flat (see the cap's doc).
 ///
 /// One pass finds the same folds as searching the whole sequence for the leftmost fold and
 /// starting over after each one: a fold region is made of plain tokens only, so a fold
 /// starting before an earlier fold's start would lie wholly in tokens that fold did not
 /// change, and the earlier search would already have found it.
-fn reduce_tokens(tokens: &[TemplateToken]) -> Vec<Node> {
+pub(crate) fn reduce_codes(tokens: &[TemplateToken], out: &mut Vec<u32>) {
     if tokens.len() > MAX_FOLD_TOKENS {
-        return flat_nodes(tokens);
+        flat_codes(tokens, out);
+        return;
     }
-    let mut nodes = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
         match fold_at(tokens, i) {
             Some(fold) => {
-                nodes.push(Node::Array {
-                    body: reduce_tokens(&tokens[i..i + fold.unit_len - 1]),
-                    separator: fold.separator,
-                    terminator: fold.terminator,
-                });
+                out.push(ARRAY_OPEN);
+                reduce_codes(&tokens[i..i + fold.unit_len - 1], out);
+                out.extend([ARRAY_CLOSE, fold.separator as u32, fold.terminator as u32]);
                 i += fold.len();
             }
             None => {
-                push_token(&mut nodes, tokens[i]);
+                out.push(token_code(tokens[i]));
                 i += 1;
             }
         }
     }
+}
+
+/// Decodes a code run written by [`reduce_codes`] into its structure template: characters
+/// merge into literals, and each array's body is decoded up to its [`ARRAY_CLOSE`].
+pub(crate) fn decode(codes: &[u32]) -> StructureTemplate {
+    StructureTemplate::new(decode_nodes(&mut codes.iter()))
+}
+
+/// Decodes nodes until the run ends or an [`ARRAY_CLOSE`] ends the body being decoded.
+fn decode_nodes(codes: &mut std::slice::Iter<'_, u32>) -> Vec<Node> {
+    let mut nodes = Vec::new();
+    while let Some(&code) = codes.next() {
+        match code {
+            FIELD => nodes.push(Node::Field),
+            ARRAY_OPEN => {
+                let body = decode_nodes(codes);
+                let separator = decode_char(codes.next());
+                let terminator = decode_char(codes.next());
+                nodes.push(Node::Array {
+                    body,
+                    separator,
+                    terminator,
+                });
+            }
+            ARRAY_CLOSE => break,
+            _ => push_token(&mut nodes, TemplateToken::Ch(decode_char(Some(&code)))),
+        }
+    }
     nodes
+}
+
+/// The character behind a code of [`reduce_codes`]'s output (any code below [`FIELD`]).
+fn decode_char(code: Option<&u32>) -> char {
+    code.and_then(|&c| char::from_u32(c))
+        .expect("a template code run holds a character here")
 }
 
 /// A tandem repeat `({body}separator)^reps {body}terminator`, where the unit is the body
@@ -184,6 +251,33 @@ mod tests {
 
     fn template(text: &str, charset: &str) -> RecordTemplate {
         RecordTemplate::from_instantiated(text, &CharSet::from_chars(charset.chars()))
+    }
+
+    /// The code run of the single pass over `tokens`.
+    fn codes_of(tokens: &[TemplateToken]) -> Vec<u32> {
+        let mut codes = Vec::new();
+        reduce_codes(tokens, &mut codes);
+        codes
+    }
+
+    /// Encodes a node sequence the way [`reduce_codes`] would have emitted it — the inverse
+    /// of [`decode`].
+    fn encode(nodes: &[Node], out: &mut Vec<u32>) {
+        for node in nodes {
+            match node {
+                Node::Field => out.push(FIELD),
+                Node::Literal(s) => out.extend(s.chars().map(|c| c as u32)),
+                Node::Array {
+                    body,
+                    separator,
+                    terminator,
+                } => {
+                    out.push(ARRAY_OPEN);
+                    encode(body, out);
+                    out.extend([ARRAY_CLOSE, *separator as u32, *terminator as u32]);
+                }
+            }
+        }
     }
 
     /// The splice-and-rescan reduction, the oracle of the single pass: fold the leftmost
@@ -331,8 +425,12 @@ mod tests {
     }
 
     /// Formatting characters the sequence generator draws its alphabets from.  `\n` is one
-    /// of them, so repetition units span lines whenever an alphabet draws it.
-    const CHAR_POOL: [char; 8] = [',', ';', ':', ' ', '\n', '|', '=', '.'];
+    /// of them, so repetition units span lines whenever an alphabet draws it.  `\u{1}`–`\u{3}`
+    /// are the field and array markers of [`StructureTemplate::canonical_string`], and the
+    /// Latin-1 letters are multi-byte in UTF-8: neither may confuse the code encoding.
+    const CHAR_POOL: [char; 13] = [
+        ',', ';', ':', ' ', '\n', '|', '=', '.', '\u{1}', '\u{2}', '\u{3}', 'é', 'ÿ',
+    ];
 
     /// Random token sequences shaped to exercise folding: a small alphabet (`F` plus 2–5
     /// characters), interleaving single tokens with injected periodic runs.
@@ -419,10 +517,40 @@ mod tests {
         fn single_pass_matches_the_rescan_oracle(seed in any::<u64>(), len in 0usize..200) {
             let tokens = SequenceGen::new(seed).sequence(len);
             prop_assert_eq!(
-                reduce_tokens(&tokens),
-                rescan_reduce(&tokens),
+                decode(&codes_of(&tokens)),
+                StructureTemplate::new(rescan_reduce(&tokens)),
                 "tokens {:?}",
                 tokens
+            );
+        }
+
+        #[test]
+        fn code_runs_encode_the_reduced_tree_one_to_one(
+            seed in any::<u64>(),
+            len_a in 0usize..40,
+            len_b in 0usize..40,
+        ) {
+            // Two sequences over one alphabet, short enough that their reductions often
+            // coincide (a repeat folded at different counts reduces to one tree).
+            let mut gen = SequenceGen::new(seed);
+            let a = gen.sequence(len_a);
+            let b = gen.sequence(len_b);
+            let (codes_a, codes_b) = (codes_of(&a), codes_of(&b));
+            let (tree_a, tree_b) = (rescan_reduce(&a), rescan_reduce(&b));
+            // Decoding the pass's codes gives the oracle's tree, node for node ...
+            let decoded = decode(&codes_a);
+            prop_assert_eq!(decoded.nodes(), tree_a.as_slice(), "tokens {:?}", a);
+            // ... re-encoding that tree gives the same codes ...
+            let mut reencoded = Vec::new();
+            encode(&tree_a, &mut reencoded);
+            prop_assert_eq!(&reencoded, &codes_a, "tokens {:?}", a);
+            // ... and codes are equal exactly when the trees are.
+            prop_assert_eq!(
+                codes_a == codes_b,
+                tree_a == tree_b,
+                "tokens {:?} and {:?}",
+                a,
+                b
             );
         }
 
@@ -449,8 +577,8 @@ mod tests {
             for len in [MAX_FOLD_TOKENS, MAX_FOLD_TOKENS + 1] {
                 let tokens = SequenceGen::new(seed).sequence(len);
                 prop_assert_eq!(
-                    reduce_tokens(&tokens),
-                    rescan_reduce(&tokens),
+                    decode(&codes_of(&tokens)),
+                    StructureTemplate::new(rescan_reduce(&tokens)),
                     "length {}",
                     len
                 );
@@ -504,6 +632,19 @@ mod tests {
         // minimal template as the smaller one.
         let small = reduce(&template("1,2,3\n", ",\n"));
         let large = reduce(&template("1,2,3,4,5,6,7,8\n", ",\n"));
+        assert_eq!(small, large);
+    }
+
+    #[test]
+    fn csv_line_codes_spell_out_the_array() {
+        // `(F,)*F\n`: open, the body's field, close, separator, terminator — then nothing,
+        // since the array's terminator is the line's newline.
+        let small = codes_of(template("1,2,3\n", ",\n").tokens());
+        let large = codes_of(template("1,2,3,4,5,6,7,8\n", ",\n").tokens());
+        assert_eq!(
+            small,
+            [ARRAY_OPEN, FIELD, ARRAY_CLOSE, ',' as u32, '\n' as u32]
+        );
         assert_eq!(small, large);
     }
 
@@ -598,6 +739,13 @@ mod tests {
                 StructureTemplate::new(flat_nodes(rt.tokens())),
                 reduce(&rt),
                 "flat shortcut diverged on {text:?}"
+            );
+            let mut own_codes = Vec::new();
+            flat_codes(rt.tokens(), &mut own_codes);
+            assert_eq!(
+                codes_of(rt.tokens()),
+                own_codes,
+                "codes diverged on {text:?}"
             );
         }
     }

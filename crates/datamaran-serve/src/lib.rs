@@ -329,6 +329,11 @@ impl Daemon {
     /// metrics after folding them into the daemon aggregate.  Invalid UTF-8 input is
     /// decoded lossily and counted.
     ///
+    /// A line longer than [`ServeOptions::residual_bytes`] (its `\n` included) is never
+    /// buffered whole: the session could not keep it as residual text anyway, so only its
+    /// first `residual_bytes + 1` bytes are read, the rest is discarded as it streams past,
+    /// and the line is counted in `oversized_lines`.
+    ///
     /// `shutdown`, when given, is checked between lines: once it flips, the connection
     /// stops reading, decides what it has buffered, and finishes cleanly — the drain path
     /// of the stdin transport, whose blocking read only returns once a line arrives (see
@@ -344,14 +349,22 @@ impl Daemon {
         let mut session = ServeSession::new(&self.engine, &self.store, self.options)?;
         let mut raw = Vec::new();
         let mut invalid_utf8 = 0usize;
+        let mut oversized = 0usize;
+        let cap = self.options.residual_bytes;
         loop {
             if shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
                 break;
             }
-            raw.clear();
-            let n = reader.read_until(b'\n', &mut raw)?;
+            let n = read_line_capped(&mut reader, cap, &mut raw)?;
             if n == 0 {
                 break;
+            }
+            if n > cap {
+                if raw.last() != Some(&b'\n') {
+                    skip_line(&mut reader)?;
+                }
+                oversized += 1;
+                continue;
             }
             match std::str::from_utf8(&raw) {
                 Ok(line) => session.push_line(line, &mut sink)?,
@@ -365,6 +378,7 @@ impl Daemon {
         // `finish` flushes the sink chain down through the shared writer.
         let mut metrics = session.finish(&mut sink)?;
         metrics.summary.invalid_utf8_lines += invalid_utf8;
+        metrics.summary.oversized_lines += oversized;
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         merge_summaries(&mut state.summary, &metrics.summary);
         state.swaps += metrics.swaps;
@@ -606,6 +620,47 @@ fn accept_loop<C: Connection>(
     }
 }
 
+/// Reads one line, its `\n` included, into `line` through `take(cap + 1)`.  Returns the
+/// bytes read: 0 at end of input, and more than `cap` exactly when the line is longer than
+/// `cap` (then only its first `cap + 1` bytes were read).
+fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    cap: usize,
+    line: &mut Vec<u8>,
+) -> io::Result<usize> {
+    line.clear();
+    reader.by_ref().take(cap as u64 + 1).read_until(b'\n', line)
+}
+
+/// Discards input up to and including the next `\n` (or to the end of input) without
+/// buffering it.
+fn skip_line<R: BufRead>(reader: &mut R) -> io::Result<()> {
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(());
+        }
+        match available.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let used = available.len();
+                reader.consume(used);
+            }
+        }
+    }
+}
+
+/// Longest HTTP request line or header line the daemon reads, its `\r\n` included; a
+/// longer one gets `431 Request Header Fields Too Large`.
+const MAX_HTTP_LINE_BYTES: usize = 8 * 1024;
+
 /// Builds one `Connection: close` HTTP/1.1 response.
 fn http_response(status: &str, body: &str) -> String {
     format!(
@@ -614,20 +669,36 @@ fn http_response(status: &str, body: &str) -> String {
     )
 }
 
-/// Parses one HTTP request off `stream` and routes it.
+/// Parses one HTTP request off `stream` and routes it.  The request line and each header
+/// line are read up to [`MAX_HTTP_LINE_BYTES`].
 fn handle_http<S: Read>(daemon: &Daemon, stream: &mut S) -> Result<String> {
+    let too_large = || {
+        http_response(
+            "431 Request Header Fields Too Large",
+            &format!(
+                "{{\"error\": \"request or header line over {MAX_HTTP_LINE_BYTES} bytes\"}}\n"
+            ),
+        )
+    };
     let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut line = Vec::new();
+    if read_line_capped(&mut reader, MAX_HTTP_LINE_BYTES, &mut line)? > MAX_HTTP_LINE_BYTES {
+        return Ok(too_large());
+    }
+    let request_line = String::from_utf8_lossy(&line).into_owned();
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
     let path = parts.next().unwrap_or("").to_string();
     let mut content_length = 0u64;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let n = read_line_capped(&mut reader, MAX_HTTP_LINE_BYTES, &mut line)?;
+        if n == 0 {
             break;
         }
+        if n > MAX_HTTP_LINE_BYTES {
+            return Ok(too_large());
+        }
+        let header = String::from_utf8_lossy(&line);
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -890,6 +961,63 @@ mod tests {
             .unwrap();
         let mut reply = String::new();
         client.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+
+        shutdown.store(true, Ordering::Relaxed);
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_line_longer_than_the_residual_cap_is_skipped_and_counted() {
+        let (daemon, _captured) = daemon_for(&kv_text(200));
+        // 100 valid lines, one 4 MiB line (4× the default 1 MiB cap), 100 more.
+        let mut input = kv_text(100).into_bytes();
+        input.resize(input.len() + (4 << 20), b'a');
+        input.push(b'\n');
+        input.extend_from_slice(kv_text(100).as_bytes());
+        let metrics = daemon.handle_stream(Cursor::new(input), None).unwrap();
+        let summary = &metrics.summary;
+        assert_eq!(summary.oversized_lines, 1);
+        assert_eq!(
+            summary.records + summary.noise_lines + summary.oversized_lines,
+            201,
+            "every line fed is a record, noise or oversized"
+        );
+        assert_eq!(daemon.metrics().summary.oversized_lines, 1);
+    }
+
+    #[test]
+    fn an_oversized_request_or_header_line_gets_431() {
+        let text = kv_text(120);
+        let (daemon, _captured) = daemon_for(&text);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let server = {
+            let daemon = Arc::clone(&daemon);
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || {
+                serve_http(daemon, listener, shutdown, TransportOptions::default())
+            })
+        };
+        let send = |request: &[u8]| -> String {
+            let mut client = std::net::TcpStream::connect(addr).unwrap();
+            // The daemon answers once it has read past the cap and closes with the rest
+            // of the request unread, so the write or a read after the reply may be reset.
+            let _ = client.write_all(request);
+            let mut reply = String::new();
+            let _ = client.read_to_string(&mut reply);
+            reply
+        };
+        let big = "b".repeat(64 * 1024);
+        let header = format!("GET /healthz HTTP/1.1\r\nX-Big: {big}\r\n\r\n");
+        let reply = send(header.as_bytes());
+        assert!(reply.starts_with("HTTP/1.1 431"), "{reply}");
+        let request_line = format!("GET /{big} HTTP/1.1\r\nHost: x\r\n\r\n");
+        let reply = send(request_line.as_bytes());
+        assert!(reply.starts_with("HTTP/1.1 431"), "{reply}");
+        // The daemon keeps serving.
+        let reply = send(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
 
         shutdown.store(true, Ordering::Relaxed);

@@ -1,9 +1,12 @@
-//! End-to-end serve smoke test (run by the `serve-smoke` CI job via `-- --ignored`):
-//! start the daemon in-process on a unix socket, replay a LogHub-clone corpus stream with
-//! injected drift (the dataset switches mid-stream), and assert the unmatched rate
-//! recovers after the automatic rediscovery + hot swap.  The resulting metrics document
-//! is written to `SERVE_SMOKE_OUT` (default `target/SERVE_SMOKE.json`) and uploaded as a
-//! CI artifact.
+//! End-to-end serve smoke tests (run by the `serve-smoke` CI job via `-- --ignored`):
+//!
+//! * start the daemon in-process on a unix socket, replay a LogHub-clone corpus stream
+//!   with injected drift (the dataset switches mid-stream), and assert the unmatched rate
+//!   recovers after the automatic rediscovery + hot swap.  The resulting metrics document
+//!   is written to `SERVE_SMOKE_OUT` (default `target/SERVE_SMOKE.json`) and uploaded as
+//!   a CI artifact;
+//! * start the release daemon binary on a unix socket, send one 64 MiB line, and assert
+//!   the daemon skips and counts it while its peak memory stays bounded.
 
 use datamaran_core::artifact::TemplateArtifact;
 use datamaran_core::json::JsonValue;
@@ -13,6 +16,7 @@ use datamaran_core::structure::StructureTemplate;
 use datamaran_serve::{serve_unix, Daemon, FlushPolicy, TransportOptions};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -151,5 +155,107 @@ fn drifting_corpus_stream_recovers_after_hot_swap() {
     let rows = String::from_utf8(rows.lock().unwrap().clone()).unwrap();
     assert!(rows.lines().count() > 0);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A spawned daemon, killed when the test ends however it ends (a failed assertion must
+/// not leave it running).
+struct DaemonProcess(Child);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The daemon process's peak resident set (`VmHWM`) in KiB, when `/proc` exposes it.
+fn peak_rss_kib(pid: u32) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+#[ignore = "serve smoke: 64 MiB line against the release daemon, run by the serve-smoke CI job"]
+fn one_huge_line_is_skipped_without_growing_the_daemon() {
+    // Hash-mixed values: a periodic corpus is legitimately explained by a multi-line
+    // template, and this test counts one record per valid line.
+    let valid = |n: usize| -> String {
+        (0..n as u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                format!("host=h{};cpu={}\n", h % 13, h % 1000)
+            })
+            .collect()
+    };
+    let engine = Datamaran::with_defaults();
+    let result = engine
+        .extract(&valid(300))
+        .expect("discover the valid format");
+    let templates: Vec<StructureTemplate> = result.templates().into_iter().cloned().collect();
+    let config = engine.config();
+    let artifact = TemplateArtifact::new(templates, config.max_line_span, config.matching_backend)
+        .expect("artifact from discovered templates");
+    let dir = std::env::temp_dir().join(format!("dmserve-huge-line-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifact_path = dir.join("templates.json");
+    artifact.save(&artifact_path).unwrap();
+
+    let sock = dir.join("ingest.sock");
+    let mut daemon = DaemonProcess(
+        Command::new(env!("CARGO_BIN_EXE_datamaran-serve"))
+            .arg("--templates")
+            .arg(&artifact_path)
+            .arg("--unix")
+            .arg(&sock)
+            .args(["--accept-poll-ms", "5"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn datamaran-serve"),
+    );
+    for _ in 0..400 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // One 64 MiB line (64× the default 1 MiB cap), then 200 valid lines.
+    let mut client = UnixStream::connect(&sock).expect("connect to the daemon socket");
+    let chunk = vec![b'a'; 1 << 20];
+    for _ in 0..64 {
+        client.write_all(&chunk).unwrap();
+    }
+    client.write_all(b"\n").unwrap();
+    client.write_all(valid(200).as_bytes()).unwrap();
+    client.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    client.read_to_string(&mut reply).unwrap();
+    let peak = peak_rss_kib(daemon.0.id());
+
+    let doc = JsonValue::parse(reply.trim()).expect("metrics reply is JSON");
+    let stream = doc.require("stream").unwrap();
+    let count = |key: &str| stream.require(key).unwrap().as_usize().unwrap();
+    assert_eq!(count("oversized_lines"), 1, "reply: {reply}");
+    assert_eq!(count("records"), 200, "reply: {reply}");
+    assert_eq!(count("noise_lines"), 0, "reply: {reply}");
+    // The daemon idles at a few MB; buffering the line whole took it past 250 MB.
+    match peak {
+        Some(kib) => {
+            eprintln!("daemon peak RSS (VmHWM): {kib} KiB");
+            assert!(kib < 32 * 1024, "daemon peak RSS {kib} KiB");
+        }
+        None => eprintln!("no /proc/<pid>/status: peak memory not checked"),
+    }
+
+    let _ = Command::new("kill")
+        .arg("-TERM")
+        .arg(daemon.0.id().to_string())
+        .status();
+    let status = daemon.0.wait().expect("daemon exit");
+    assert!(status.success(), "SIGTERM must exit 0, got {status}");
     std::fs::remove_dir_all(&dir).ok();
 }
