@@ -11,6 +11,13 @@
 //! Scorers therefore read the span engine's arenas ([`SpanParse`]) directly;
 //! [`RegularityScorer::score_set`] charges the same terms over an owned [`ParseResult`],
 //! which makes it the independent formula the arena passes are checked against.
+//!
+//! The trait's one optional method, [`RegularityScorer::score_parts`], returns the score
+//! together with its per-column aggregates ([`ScoreParts`]).  Given a refinement parent's
+//! parts and a column map, it clones the aggregates of the columns an edit left unchanged
+//! and scans only the rest: the incremental scoring of [`crate::refine`]'s delta
+//! evaluation.  Without a parent it is the full pass; both return the value
+//! [`RegularityScorer::score`] would, bit for bit.
 
 use crate::dataset::Dataset;
 use crate::extract::SpanParse;
@@ -39,34 +46,23 @@ pub trait RegularityScorer: Sync {
     /// engine produced with it (records of template index 0, noise lines).  Lower is better.
     fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &SpanParse) -> f64;
 
-    /// [`RegularityScorer::score`] that additionally returns the scorer's per-column
-    /// aggregates ([`ScoreParts`]) for reuse by later delta evaluations.  `None` (the
-    /// default) means the scorer keeps no reusable parts; the evaluation engine then scores
-    /// every variant from scratch with [`RegularityScorer::score`].
-    fn score_span_stats(
-        &self,
-        _dataset: &Dataset,
-        _template: &StructureTemplate,
-        _parse: &SpanParse,
-    ) -> Option<(f64, ScoreParts)> {
-        None
-    }
-
-    /// Incremental scoring of a refinement variant against its parent's retained
-    /// [`ScoreParts`]: `reuse[c] == Some(p)` asserts variant column `c` has *exactly* the
-    /// parent column `p`'s cell multiset (the delta parser proves this before calling), so
-    /// its aggregate may be copied; `None` columns must be recomputed from `parse`.
+    /// [`RegularityScorer::score`] that also returns the scorer's per-column aggregates
+    /// ([`ScoreParts`]) for reuse by later delta evaluations.  `parent` is a refinement
+    /// parent's retained parts and a column map: `reuse[c] == Some(p)` asserts variant
+    /// column `c` has *exactly* the parent column `p`'s cell multiset (the delta parser
+    /// proves this before calling), so its aggregate may be copied; `None` columns must be
+    /// recomputed from `parse`.  An absent parent is the full pass.
     ///
     /// Implementations must return exactly the value [`RegularityScorer::score`] would
-    /// return on `parse` (the bit-identity contract of delta scoring); returning `None`
-    /// (the default) makes the engine fall back to a full scoring pass.
-    fn score_span_delta(
+    /// return on `parse` (the bit-identity contract of delta scoring).  `None` (the default)
+    /// means the scorer keeps no reusable parts: the evaluation engine then falls back to
+    /// the full pass, and to [`RegularityScorer::score`] when that is `None` too.
+    fn score_parts(
         &self,
         _dataset: &Dataset,
         _template: &StructureTemplate,
         _parse: &SpanParse,
-        _parent: &ScoreParts,
-        _reuse: &[Option<u32>],
+        _parent: Option<(&ScoreParts, &[Option<u32>])>,
     ) -> Option<(f64, ScoreParts)> {
         None
     }
@@ -100,7 +96,7 @@ pub trait RegularityScorer: Sync {
 /// Description length of all records of `template_index`: the per-column model parameters,
 /// each cell's `bits_per_value` under its column's inferred type, and
 /// [`ARRAY_COUNT_BITS`] per repetition count.  The owned-parse formula behind
-/// [`RegularityScorer::score_set`], and the independent check of [`fields_bits_span_stats`].
+/// [`RegularityScorer::score_set`], and the independent check of [`fields_bits_span`].
 fn fields_bits(
     dataset: &Dataset,
     template: &StructureTemplate,
@@ -132,7 +128,7 @@ fn fields_bits(
 /// Per-column MDL inference state, driven straight over the cell arena (no per-column
 /// value vectors) — the unit of reuse of the delta scorer: a column whose cell multiset is
 /// unchanged between a refinement variant and its parent has an *identical* `ColumnStats`,
-/// so [`MdlScorer::score_span_delta`] clones it instead of re-scanning the column.
+/// so a delta pass of [`MdlScorer::score_parts`] clones it instead of re-scanning the column.
 ///
 /// The fused accumulation passes are the exact-arithmetic equivalent of
 /// `infer(vals)` + `FieldType::model_bits(vals)` + `Σ bits_per_value(v)` per column, minus
@@ -182,13 +178,6 @@ pub struct ScoreParts {
     cols: Vec<ColumnStats>,
 }
 
-impl ScoreParts {
-    /// Number of columns the parts were computed over.
-    pub fn column_count(&self) -> usize {
-        self.cols.len()
-    }
-}
-
 /// Runs the fused inference passes over the cell arena, updating only the columns marked
 /// `active` (inactive columns hold final aggregates reused from a parent evaluation and
 /// must not be touched).  Restricting the passes to a column subset cannot change any
@@ -196,7 +185,6 @@ impl ScoreParts {
 fn accumulate_column_stats(
     text: &str,
     parse: &SpanParse,
-    template_index: usize,
     n_columns: usize,
     active: &[bool],
     cols: &mut [ColumnStats],
@@ -205,7 +193,7 @@ fn accumulate_column_stats(
         parse
             .records
             .iter()
-            .filter(move |r| r.template_index as usize == template_index)
+            .filter(|r| r.template_index == 0)
             .flat_map(|r| parse.record_cells(r))
             .filter(|cell| cell.column < n_columns && active[cell.column])
     };
@@ -310,87 +298,54 @@ fn fold_column_bits(cols: &[ColumnStats], array_instances: usize) -> f64 {
     model + ARRAY_COUNT_BITS * array_instances as f64 + describe
 }
 
-/// Total repetition-count slots of records of `template_index` (one [`ARRAY_COUNT_BITS`]
-/// charge each).
-fn array_instances(parse: &SpanParse, template_index: usize) -> usize {
+/// Total repetition-count slots of records of template 0 (one [`ARRAY_COUNT_BITS`] charge
+/// each).
+fn array_instances(parse: &SpanParse) -> usize {
     parse
         .records
         .iter()
-        .filter(|r| r.template_index as usize == template_index)
+        .filter(|r| r.template_index == 0)
         .map(|r| (r.rep_range.1 - r.rep_range.0) as usize)
         .sum()
 }
 
-/// Description length of all field values of records of `template_index`, computed directly
-/// from the span arenas — the arena-native mirror of [`fields_bits`].
+/// Description length of all field values of records of template 0, computed directly from
+/// the span arenas — the arena-native mirror of [`fields_bits`] — together with the
+/// per-column aggregates for later reuse.
 ///
 /// Every MDL term is an integer-valued `f64` (ceil'd logarithms, multiples of 8, the array
 /// count constant), and every partial sum stays far below 2^53, so f64 addition is exact and
 /// order-independent.  That lets the per-cell charges of [`fields_bits`] collapse into
 /// per-column aggregates ([`ColumnStats`]), with the type inference, model and per-value
 /// charges fused into single-parse passes over the cell arena — while returning the
-/// *bit-identical* value (enforced by the evaluation differential suite).  Also returns
-/// the per-column aggregates for later reuse.
-fn fields_bits_span_stats(
+/// *bit-identical* value (enforced by the evaluation differential suite).
+///
+/// With `parent`, each variant column that `reuse` maps to an unchanged parent column
+/// clones that column's aggregate, and only the remaining (dirty) columns are scanned:
+/// still bit-identical, because an unchanged column's aggregate is value-identical and the
+/// fold is shared.  `None` when the map does not fit the template or the parent's parts.
+fn fields_bits_span(
     dataset: &Dataset,
     template: &StructureTemplate,
     parse: &SpanParse,
-    template_index: usize,
-) -> (f64, ScoreParts) {
-    let n_columns = template.field_count();
-    let mut cols = vec![ColumnStats::default(); n_columns];
-    let active = vec![true; n_columns];
-    accumulate_column_stats(
-        dataset.text(),
-        parse,
-        template_index,
-        n_columns,
-        &active,
-        &mut cols,
-    );
-    let bits = fold_column_bits(&cols, array_instances(parse, template_index));
-    (bits, ScoreParts { cols })
-}
-
-/// The incremental counterpart of [`fields_bits_span_stats`]: variant columns mapped to an
-/// unchanged parent column by `reuse` clone the parent's aggregate; only the remaining
-/// (dirty) columns are scanned.  Bit-identical to the full pass because an unchanged
-/// column's aggregate is value-identical and the fold is shared.
-fn fields_bits_span_delta(
-    dataset: &Dataset,
-    template: &StructureTemplate,
-    parse: &SpanParse,
-    template_index: usize,
-    parent: &ScoreParts,
-    reuse: &[Option<u32>],
+    parent: Option<(&ScoreParts, &[Option<u32>])>,
 ) -> Option<(f64, ScoreParts)> {
     let n_columns = template.field_count();
-    if reuse.len() != n_columns {
-        return None;
-    }
-    let mut cols = Vec::with_capacity(n_columns);
-    let mut active = Vec::with_capacity(n_columns);
-    for slot in reuse {
-        match slot {
-            Some(p) => {
-                cols.push(parent.cols.get(*p as usize)?.clone());
-                active.push(false);
-            }
-            None => {
-                cols.push(ColumnStats::default());
-                active.push(true);
+    let mut cols = vec![ColumnStats::default(); n_columns];
+    let mut active = vec![true; n_columns];
+    if let Some((parent, reuse)) = parent {
+        if reuse.len() != n_columns {
+            return None;
+        }
+        for (column, slot) in reuse.iter().enumerate() {
+            if let Some(p) = slot {
+                cols[column] = parent.cols.get(*p as usize)?.clone();
+                active[column] = false;
             }
         }
     }
-    accumulate_column_stats(
-        dataset.text(),
-        parse,
-        template_index,
-        n_columns,
-        &active,
-        &mut cols,
-    );
-    let bits = fold_column_bits(&cols, array_instances(parse, template_index));
+    accumulate_column_stats(dataset.text(), parse, n_columns, &active, &mut cols);
+    let bits = fold_column_bits(&cols, array_instances(parse));
     Some((bits, ScoreParts { cols }))
 }
 
@@ -449,6 +404,18 @@ impl MdlScorer {
 
 impl RegularityScorer for MdlScorer {
     fn score(&self, dataset: &Dataset, template: &StructureTemplate, parse: &SpanParse) -> f64 {
+        self.score_parts(dataset, template, parse, None)
+            .expect("the full pass always scores")
+            .0
+    }
+
+    fn score_parts(
+        &self,
+        dataset: &Dataset,
+        template: &StructureTemplate,
+        parse: &SpanParse,
+        parent: Option<(&ScoreParts, &[Option<u32>])>,
+    ) -> Option<(f64, ScoreParts)> {
         // Template description plus per-block record/noise indicator.
         let mut bits = template.description_chars() as f64 * 8.0 + HEADER_BITS;
         bits += parse.block_count() as f64;
@@ -457,37 +424,9 @@ impl RegularityScorer for MdlScorer {
         bits += parse.noise_bytes as f64 * 8.0;
 
         // Records are described through the template, with per-column data types and model
-        // parameters (enum dictionaries, numeric ranges).
-        bits + fields_bits_span_stats(dataset, template, parse, 0).0
-    }
-
-    fn score_span_stats(
-        &self,
-        dataset: &Dataset,
-        template: &StructureTemplate,
-        parse: &SpanParse,
-    ) -> Option<(f64, ScoreParts)> {
-        let mut bits = template.description_chars() as f64 * 8.0 + HEADER_BITS;
-        bits += parse.block_count() as f64;
-        bits += parse.noise_bytes as f64 * 8.0;
-        let (fields, parts) = fields_bits_span_stats(dataset, template, parse, 0);
-        Some((bits + fields, parts))
-    }
-
-    fn score_span_delta(
-        &self,
-        dataset: &Dataset,
-        template: &StructureTemplate,
-        parse: &SpanParse,
-        parent: &ScoreParts,
-        reuse: &[Option<u32>],
-    ) -> Option<(f64, ScoreParts)> {
-        // The template / block-count / noise terms are cheap and read from the actual delta
-        // parse; only the per-column field aggregation is incremental.
-        let mut bits = template.description_chars() as f64 * 8.0 + HEADER_BITS;
-        bits += parse.block_count() as f64;
-        bits += parse.noise_bytes as f64 * 8.0;
-        let (fields, parts) = fields_bits_span_delta(dataset, template, parse, 0, parent, reuse)?;
+        // parameters (enum dictionaries, numeric ranges); only this term reuses a parent's
+        // parts.
+        let (fields, parts) = fields_bits_span(dataset, template, parse, parent)?;
         Some((bits + fields, parts))
     }
 

@@ -10,16 +10,22 @@
 //!
 //! Refinement is the evaluate-heavy part of the pipeline: every candidate spawns up to
 //! `MAX_UNFOLD_ROUNDS × arrays × (1 + MAX_PARTIAL_PREFIX)` unfold variants plus one line-shift
-//! variant per line, and each variant needs a sample parse and score.  The [`Refiner`]
-//! therefore runs on the compiled span engine **with delta evaluation**: each variant
-//! compiles once to its flat op table ([`crate::extract`]) and is then parsed *by delta*
-//! against its refinement parent ([`delta_parse`]) — shared op ranges replay
-//! from the parent's recycled arenas with zero byte scanning, only the dirty region
-//! re-matches, and the MDL scorer re-aggregates only the columns the edit touched
-//! ([`RegularityScorer::score_span_delta`], reusing the parent's retained [`ScoreParts`]).
-//! A template-score memo keyed on [`TemplateInterner`] dense ids makes re-converging
-//! variants free, with a parent-lineage fast path (`(parent id, edit)` → entry) that skips
-//! even the template hash.
+//! variant per line, and each variant needs a sample parse and score.  The [`Refiner`] runs
+//! every evaluation — a candidate's root, its unfold variants and its shift rotations —
+//! through one step, on the compiled span engine **with delta evaluation**:
+//!
+//! 1. probe the template-score memo, keyed on [`TemplateInterner`] dense ids, through the
+//!    parent-lineage fast path first (`(parent id, edit)` → entry, which skips even the
+//!    template hash) and then by the template itself;
+//! 2. compile the template once to its flat op table ([`crate::extract`]) and parse the
+//!    sample *by delta* against its refinement parent ([`delta_parse`]: shared op ranges
+//!    replay from the parent's recycled arenas with zero byte scanning, only the dirty
+//!    region re-matches), or from scratch when there is no parent or no usable diff;
+//! 3. score it with [`RegularityScorer::score_parts`], which re-aggregates only the columns
+//!    the edit touched and reuses the parent's retained [`ScoreParts`] for the rest — unless
+//!    the caller's summary test says no score is needed (a shift rotation that does not
+//!    displace the incumbent);
+//! 4. memoize it, linking the parent edit to the entry.
 //!
 //! The original behaviour — one tree-walking parse per variant scored by the owned-parse
 //! formula [`RegularityScorer::score_set`], no memo — survives as the test reference
@@ -29,7 +35,8 @@
 //! [`Refiner::refine_batch`] shards the per-candidate loop across scoped worker threads with
 //! a deterministic merge (results in candidate order), mirroring the generation and
 //! extraction engines; each worker owns the parent contexts of its own candidates, so the
-//! delta engine adds no cross-thread state beyond the existing memo.
+//! delta engine adds no cross-thread state beyond the existing memo.  Each candidate counts
+//! its work into one [`EvaluationMetrics`] and merges it into the refiner's total once.
 
 use crate::config::DatamaranConfig;
 use crate::dataset::Dataset;
@@ -43,7 +50,6 @@ use crate::parallel::{chunk_bounds, effective_workers};
 use crate::parser::{parse_dataset, ParseResult};
 use crate::structure::{Node, StructureTemplate};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -120,8 +126,8 @@ pub struct EvaluationMetrics {
 }
 
 impl EvaluationMetrics {
-    /// Adds another refiner's counters into this one (the pipeline accumulates one metrics
-    /// value across its discovery iterations).
+    /// Adds other counters into these: each candidate's into its refiner's total, and each
+    /// refiner's into the pipeline's total across its discovery iterations.
     pub fn accumulate(&mut self, other: &EvaluationMetrics) {
         self.evaluations += other.evaluations;
         self.memo_hits += other.memo_hits;
@@ -199,19 +205,64 @@ struct ScoreMemo {
 
 impl ScoreMemo {
     /// Links `(parent id, edit)` to an entry id.
-    fn link(&mut self, parent_id: u32, key: VariantKey, child: u32) {
+    fn link(&mut self, (parent_id, key): (u32, VariantKey), child: u32) {
         self.lineage
             .entry(parent_id)
             .or_default()
             .insert(key, child);
     }
+
+    /// Looks up an evaluated template: through `link`, the `(parent id, edit)` that produced
+    /// it, without hashing or comparing its tree, and else by the template itself — taking
+    /// `link` on that hit to back-fill it, so the next probe of the edit skips the hash.
+    /// Returns the entry and whether the lineage link answered.
+    fn probe(
+        &mut self,
+        template: &StructureTemplate,
+        link: &mut Option<(u32, VariantKey)>,
+    ) -> Option<((f64, ParseSummary), bool)> {
+        if let Some((parent_id, key)) = link.as_ref() {
+            if let Some(&child) = self.lineage.get(parent_id).and_then(|edits| edits.get(key)) {
+                return Some((self.entries[child as usize], true));
+            }
+        }
+        let id = self.interner.lookup(template)?.index() as u32;
+        if let Some(link) = link.take() {
+            self.link(link, id);
+        }
+        Some((self.entries[id as usize], false))
+    }
+
+    /// Records one evaluation, returning the entry's dense id, and links `link` to it.  A
+    /// concurrent insert of the same template wins harmlessly (evaluation is a pure
+    /// function).
+    fn insert(
+        &mut self,
+        template: &StructureTemplate,
+        entry: (f64, ParseSummary),
+        link: Option<(u32, VariantKey)>,
+    ) -> u32 {
+        let id = match self.interner.lookup(template) {
+            Some(id) => id.index() as u32,
+            None => {
+                let id = self.interner.intern(template.clone());
+                self.entries.push(entry);
+                id.index() as u32
+            }
+        };
+        if let Some(link) = link {
+            self.link(link, id);
+        }
+        id
+    }
 }
 
-/// Everything the delta engine needs from the current refinement parent: its compiled op
-/// table (diff baseline and replay source), its sample parse (the recycled arenas variants
-/// copy unchanged spans from), its retained per-column score aggregates, and its memo id
-/// (the lineage key).  Shared read-only within one candidate's refinement; each sharded
-/// [`Refiner::refine_batch`] worker owns the contexts of its own candidates.
+/// The by-products of one parsed evaluation — compiled op table, sample parse, retained
+/// per-column score aggregates and memo id — which are everything the delta engine needs
+/// once the template becomes the refinement parent: the diff baseline and replay source,
+/// the recycled arenas variants copy unchanged spans from, the parts incremental scoring
+/// reuses, and the lineage key.  Shared read-only within one candidate's refinement; each
+/// sharded [`Refiner::refine_batch`] worker owns the contexts of its own candidates.
 struct ParentCtx {
     id: Option<u32>,
     compiled: CompiledTemplate,
@@ -219,25 +270,11 @@ struct ParentCtx {
     parts: Option<ScoreParts>,
 }
 
-/// One parsed-but-not-yet-scored variant on the delta engine.
-struct VariantParse {
-    compiled: CompiledTemplate,
-    parse: SpanParse,
-    /// Column-reuse map for incremental scoring (`None` = reuse is unsound for this parse).
-    reuse: Option<Vec<Option<u32>>>,
-    /// Whether the parse went through the delta path (vs a from-scratch parse).
-    delta: bool,
-}
-
-/// One delta-engine evaluation outcome; `detail` is `None` when the memo answered.
-struct DeltaScored {
+/// One evaluation's outcome; `ctx` is `None` when the memo answered.
+struct Evaluated {
     score: f64,
     summary: ParseSummary,
-    /// Memo id of the evaluated template (when the span memo is active).
-    id: Option<u32>,
-    /// The variant's compiled table, parse, and score parts — the makings of the next
-    /// [`ParentCtx`] if this variant displaces the incumbent.
-    detail: Option<(CompiledTemplate, SpanParse, Option<ScoreParts>)>,
+    ctx: Option<ParentCtx>,
 }
 
 /// [`ParseSummary`] of a span parse.
@@ -266,18 +303,8 @@ pub struct Refiner<'a, S: RegularityScorer> {
     /// (the capacity of one sample parse carries over).  Owned by the refiner, so the
     /// memory is released when the refiner is dropped.
     parse_pool: Mutex<Vec<SpanParse>>,
-    evaluations: AtomicUsize,
-    memo_hits: AtomicUsize,
-    lineage_hits: AtomicUsize,
-    parse_nanos: AtomicU64,
-    score_nanos: AtomicU64,
-    delta_parses: AtomicUsize,
-    delta_full_parses: AtomicUsize,
-    delta_records_reused: AtomicUsize,
-    delta_records_total: AtomicUsize,
-    delta_score_reuses: AtomicUsize,
-    delta_columns_dirty: AtomicUsize,
-    delta_columns_total: AtomicUsize,
+    /// Work counters of the finished candidates; each merges its own once.
+    metrics: Mutex<EvaluationMetrics>,
 }
 
 impl<'a, S: RegularityScorer> Refiner<'a, S> {
@@ -287,20 +314,9 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
             dataset,
             scorer,
             max_line_span,
-            memo: Mutex::new(ScoreMemo::default()),
-            parse_pool: Mutex::new(Vec::new()),
-            evaluations: AtomicUsize::new(0),
-            memo_hits: AtomicUsize::new(0),
-            lineage_hits: AtomicUsize::new(0),
-            parse_nanos: AtomicU64::new(0),
-            score_nanos: AtomicU64::new(0),
-            delta_parses: AtomicUsize::new(0),
-            delta_full_parses: AtomicUsize::new(0),
-            delta_records_reused: AtomicUsize::new(0),
-            delta_records_total: AtomicUsize::new(0),
-            delta_score_reuses: AtomicUsize::new(0),
-            delta_columns_dirty: AtomicUsize::new(0),
-            delta_columns_total: AtomicUsize::new(0),
+            memo: Mutex::default(),
+            parse_pool: Mutex::default(),
+            metrics: Mutex::default(),
         }
     }
 
@@ -311,20 +327,7 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
 
     /// Snapshot of the work counters accumulated so far (across all threads).
     pub fn metrics(&self) -> EvaluationMetrics {
-        EvaluationMetrics {
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            lineage_hits: self.lineage_hits.load(Ordering::Relaxed),
-            parse_seconds: self.parse_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            score_seconds: self.score_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            delta_parses: self.delta_parses.load(Ordering::Relaxed),
-            delta_full_parses: self.delta_full_parses.load(Ordering::Relaxed),
-            delta_records_reused: self.delta_records_reused.load(Ordering::Relaxed),
-            delta_records_total: self.delta_records_total.load(Ordering::Relaxed),
-            delta_score_reuses: self.delta_score_reuses.load(Ordering::Relaxed),
-            delta_columns_dirty: self.delta_columns_dirty.load(Ordering::Relaxed),
-            delta_columns_total: self.delta_columns_total.load(Ordering::Relaxed),
-        }
+        *self.metrics.lock().expect("metrics lock")
     }
 
     /// Pops a recycled arena (or a fresh one) from the refiner's pool.
@@ -336,96 +339,67 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
             .unwrap_or_default()
     }
 
-    /// Returns a span arena to the pool (bounded so pathological fan-out cannot hoard).
-    fn recycle_span(&self, parse: SpanParse) {
-        let mut pool = self.parse_pool.lock().expect("parse pool lock");
-        if pool.len() < 8 {
-            pool.push(parse);
-        }
-    }
-
-    /// Memo probe: the dense id (the lineage key of future variants of this template) and
-    /// `(score, summary)` of an already-evaluated template, counted as a hit.
-    fn memo_probe_id(&self, template: &StructureTemplate) -> Option<(u32, f64, ParseSummary)> {
-        let memo = self.memo.lock().expect("memo lock");
-        let entry = memo.interner.lookup(template).map(|id| {
-            let (score, summary) = memo.entries[id.index()];
-            (id.index() as u32, score, summary)
-        });
-        drop(memo);
-        if entry.is_some() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        entry
-    }
-
-    /// Lineage-keyed memo probe: resolves `(parent id, edit)` to an entry without hashing
-    /// or comparing the variant's template tree.  Counted as both a memo hit and a lineage
-    /// hit.
-    fn lineage_probe(&self, parent_id: u32, key: &VariantKey) -> Option<(f64, ParseSummary)> {
-        let memo = self.memo.lock().expect("memo lock");
-        let entry = memo
-            .lineage
-            .get(&parent_id)
-            .and_then(|edits| edits.get(key))
-            .map(|&child| memo.entries[child as usize]);
-        drop(memo);
-        if entry.is_some() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            self.lineage_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        entry
-    }
-
-    /// Records one evaluation in the memo, returning the entry's dense id.  Interning and
-    /// the entry push happen under one lock so dense ids stay aligned with entries; a
-    /// concurrent insert of the same template wins harmlessly (evaluation is a pure
-    /// function).  When the evaluation was reached through a known
-    /// parent edit, `lineage` links `(parent id, edit)` to the entry.
-    fn memo_insert(&self, template: &StructureTemplate, score: f64, summary: ParseSummary) -> u32 {
-        self.memo_insert_lineage(template, score, summary, None)
-    }
-
-    /// [`Refiner::memo_insert`] with an optional parent-lineage link.
-    fn memo_insert_lineage(
-        &self,
-        template: &StructureTemplate,
-        score: f64,
-        summary: ParseSummary,
-        lineage: Option<(u32, VariantKey)>,
-    ) -> u32 {
-        let mut memo = self.memo.lock().expect("memo lock");
-        let id = match memo.interner.lookup(template) {
-            Some(id) => id.index() as u32,
-            None => {
-                let id = memo.interner.intern(template.clone());
-                memo.entries.push((score, summary));
-                id.index() as u32
+    /// Returns a context's arena to the pool (bounded so pathological fan-out cannot
+    /// hoard).
+    fn recycle(&self, ctx: Option<ParentCtx>) {
+        if let Some(ctx) = ctx {
+            let mut pool = self.parse_pool.lock().expect("parse pool lock");
+            if pool.len() < 8 {
+                pool.push(ctx.parse);
             }
-        };
-        if let Some((parent_id, key)) = lineage {
-            memo.link(parent_id, key, id);
         }
-        id
     }
 
-    /// Parses one refinement variant, by delta against `parent` whenever
-    /// [`diff_compiled`] yields a usable diff, and from scratch otherwise.  Returns the
-    /// compiled table (compiled exactly once per variant), the parse, and — when the delta
-    /// stats prove the respective column sets unchanged — the column-reuse map for
-    /// incremental scoring.
-    fn parse_variant(
+    /// The one evaluation step: memo probe → parse → score → memoize, counted into `m`.
+    ///
+    /// `parent` is the refinement parent and the edit that produced `template` from it.
+    /// With it, the memo is probed through the lineage link first; the template parses by
+    /// delta against the parent's arenas whenever [`diff_compiled`] yields a usable diff,
+    /// and — when the delta stats prove the mapped columns unchanged — scores by reusing
+    /// the parent's column aggregates (the same value either way: the bit-identity contract
+    /// of [`RegularityScorer::score_parts`]).  Without it, or without a usable diff, the
+    /// template is parsed and scored from scratch.  `wanted` sees the parse summary before
+    /// the score is computed: a summary it rejects comes back as `None`, unscored and
+    /// unmemoized (memo hits are tested the same way).
+    fn evaluate_step(
         &self,
         template: &StructureTemplate,
-        parent: Option<&ParentCtx>,
-    ) -> VariantParse {
+        parent: Option<(&ParentCtx, VariantKey)>,
+        wanted: impl Fn(&ParseSummary) -> bool,
+        m: &mut EvaluationMetrics,
+    ) -> Option<Evaluated> {
+        m.evaluations += 1;
+        let (parent, mut link) = match parent {
+            Some((ctx, key)) => (Some(ctx), ctx.id.map(|id| (id, key))),
+            None => (None, None),
+        };
+        let hit = self
+            .memo
+            .lock()
+            .expect("memo lock")
+            .probe(template, &mut link);
+        if let Some(((score, summary), lineage)) = hit {
+            m.memo_hits += 1;
+            m.lineage_hits += usize::from(lineage);
+            return wanted(&summary).then_some(Evaluated {
+                score,
+                summary,
+                ctx: None,
+            });
+        }
+
         let started = Instant::now();
         let compiled = compile(template);
         let mut parse = self.acquire_span_parse();
-        let mut reuse: Option<Vec<Option<u32>>> = None;
-        let mut delta = false;
-        match parent.and_then(|p| diff_compiled(&p.compiled, &compiled).map(|d| (p, d))) {
-            Some((p, diff)) if diff.has_common() => {
+        let diff = parent
+            .and_then(|p| Some((p, diff_compiled(&p.compiled, &compiled)?)))
+            .filter(|(_, diff)| diff.has_common());
+        let delta = diff.is_some();
+        // The parent's parts and the column-reuse map of incremental scoring, when the
+        // delta stats prove the mapped columns unchanged.
+        let mut reuse: Option<(&ScoreParts, Vec<Option<u32>>)> = None;
+        match diff {
+            Some((p, diff)) => {
                 let stats = delta_parse(
                     self.dataset,
                     &p.compiled,
@@ -435,146 +409,95 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
                     self.max_line_span,
                     &mut parse,
                 );
-                delta = true;
-                self.delta_parses.fetch_add(1, Ordering::Relaxed);
-                self.delta_records_reused
-                    .fetch_add(stats.reused_records, Ordering::Relaxed);
-                self.delta_records_total
-                    .fetch_add(stats.parent_records, Ordering::Relaxed);
-                if p.parts.is_some() && stats.prefix_aligned() {
+                m.delta_parses += 1;
+                m.delta_records_reused += stats.reused_records;
+                m.delta_records_total += stats.parent_records;
+                if let (Some(parts), true) = (&p.parts, stats.prefix_aligned()) {
                     let mut map =
                         diff.column_reuse(p.compiled.field_count(), compiled.field_count());
                     if !stats.suffix_aligned() && diff.suffix_columns > 0 {
                         let from = compiled.field_count() - diff.suffix_columns;
-                        for slot in map[from..].iter_mut() {
-                            *slot = None;
-                        }
+                        map[from..].fill(None);
                     }
-                    reuse = Some(map);
+                    reuse = Some((parts, map));
                 }
             }
-            _ => {
+            None => {
                 parse_compiled_into(self.dataset, &compiled, self.max_line_span, &mut parse);
-                self.delta_full_parses.fetch_add(1, Ordering::Relaxed);
+                m.delta_full_parses += 1;
             }
         }
-        self.parse_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        VariantParse {
+        m.parse_seconds += started.elapsed().as_secs_f64();
+        let summary = span_summary(&parse);
+        let mut ctx = ParentCtx {
+            id: None,
             compiled,
             parse,
-            reuse,
-            delta,
-        }
-    }
-
-    /// Scores a parsed variant: incrementally against the parent's retained per-column
-    /// aggregates when [`Refiner::parse_variant`] proved reuse sound and the scorer
-    /// supports it, with the full arena-native pass otherwise (identical value either
-    /// way — the bit-identity contract of [`RegularityScorer::score_span_delta`]).
-    fn score_variant(
-        &self,
-        template: &StructureTemplate,
-        vp: &VariantParse,
-        parent: Option<&ParentCtx>,
-    ) -> (f64, Option<ScoreParts>) {
-        let started = Instant::now();
-        let n_cols = vp.compiled.field_count();
-        let mut result: Option<(f64, ScoreParts)> = None;
-        if let (Some(map), Some(parts)) = (&vp.reuse, parent.and_then(|p| p.parts.as_ref())) {
-            result = self
-                .scorer
-                .score_span_delta(self.dataset, template, &vp.parse, parts, map);
-            if result.is_some() {
-                self.delta_score_reuses.fetch_add(1, Ordering::Relaxed);
-                let dirty = map.iter().filter(|slot| slot.is_none()).count();
-                self.delta_columns_dirty.fetch_add(dirty, Ordering::Relaxed);
-                self.delta_columns_total
-                    .fetch_add(n_cols, Ordering::Relaxed);
-            }
-        }
-        let scored = match result {
-            Some((score, parts)) => (score, Some(parts)),
-            None => {
-                if vp.delta {
-                    self.delta_columns_dirty
-                        .fetch_add(n_cols, Ordering::Relaxed);
-                    self.delta_columns_total
-                        .fetch_add(n_cols, Ordering::Relaxed);
-                }
-                match self
-                    .scorer
-                    .score_span_stats(self.dataset, template, &vp.parse)
-                {
-                    Some((score, parts)) => (score, Some(parts)),
-                    None => (self.scorer.score(self.dataset, template, &vp.parse), None),
-                }
-            }
+            parts: None,
         };
-        self.score_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        scored
-    }
+        if !wanted(&summary) {
+            self.recycle(Some(ctx));
+            return None;
+        }
 
-    /// Evaluates one refinement variant on the delta engine: lineage memo → template memo
-    /// → delta parse + (incremental) score + memoize.
-    fn scored_variant(
-        &self,
-        template: &StructureTemplate,
-        key: VariantKey,
-        parent: &ParentCtx,
-    ) -> DeltaScored {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        if let Some(pid) = parent.id {
-            if let Some((score, summary)) = self.lineage_probe(pid, &key) {
-                return DeltaScored {
-                    score,
-                    summary,
-                    id: None,
-                    detail: None,
-                };
-            }
+        let started = Instant::now();
+        let columns = ctx.compiled.field_count();
+        let (dataset, parse) = (self.dataset, &ctx.parse);
+        let incremental = reuse.and_then(|(parts, map)| {
+            let scored = self
+                .scorer
+                .score_parts(dataset, template, parse, Some((parts, &map)))?;
+            Some((scored, map.iter().filter(|slot| slot.is_none()).count()))
+        });
+        if delta {
+            m.delta_columns_dirty += incremental.as_ref().map_or(columns, |(_, dirty)| *dirty);
+            m.delta_columns_total += columns;
         }
-        if let Some((id, score, summary)) = self.memo_probe_id(template) {
-            // Backfill the lineage link so the next probe of this edit skips the tree hash.
-            if let Some(pid) = parent.id {
-                let mut memo = self.memo.lock().expect("memo lock");
-                memo.link(pid, key, id);
+        m.delta_score_reuses += usize::from(incremental.is_some());
+        let score = match incremental
+            .map(|(scored, _)| scored)
+            .or_else(|| self.scorer.score_parts(dataset, template, parse, None))
+        {
+            Some((score, parts)) => {
+                ctx.parts = Some(parts);
+                score
             }
-            return DeltaScored {
-                score,
-                summary,
-                id: Some(id),
-                detail: None,
-            };
-        }
-        let vp = self.parse_variant(template, Some(parent));
-        let (score, parts) = self.score_variant(template, &vp, Some(parent));
-        let summary = span_summary(&vp.parse);
-        let id =
-            self.memo_insert_lineage(template, score, summary, parent.id.map(|pid| (pid, key)));
-        DeltaScored {
+            None => self.scorer.score(dataset, template, parse),
+        };
+        m.score_seconds += started.elapsed().as_secs_f64();
+        ctx.id = Some(self.memo.lock().expect("memo lock").insert(
+            template,
+            (score, summary),
+            link,
+        ));
+        Some(Evaluated {
             score,
             summary,
-            id: Some(id),
-            detail: Some((vp.compiled, vp.parse, parts)),
-        }
+            ctx: Some(ctx),
+        })
     }
 
     /// Builds a parent context for a template whose evaluation was answered by the memo
     /// (no parse retained): one full parse, no score parts — children then parse by delta
-    /// but score with the full pass, which is exact either way.
-    fn build_parent_ctx(&self, template: &StructureTemplate) -> ParentCtx {
+    /// but score with the full pass, which is exact either way.  The parse is not an
+    /// evaluation: only its time is counted.
+    fn build_parent_ctx(
+        &self,
+        template: &StructureTemplate,
+        m: &mut EvaluationMetrics,
+    ) -> ParentCtx {
         let started = Instant::now();
         let compiled = compile(template);
         let mut parse = self.acquire_span_parse();
         parse_compiled_into(self.dataset, &compiled, self.max_line_span, &mut parse);
-        self.parse_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let id = {
-            let memo = self.memo.lock().expect("memo lock");
-            memo.interner.lookup(template).map(|id| id.index() as u32)
-        };
+        m.parse_seconds += started.elapsed().as_secs_f64();
+        let id = self
+            .memo
+            .lock()
+            .expect("memo lock")
+            .interner
+            .lookup(template)
+            .map(|id| id.index() as u32);
         ParentCtx {
             id,
             compiled,
@@ -585,210 +508,125 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
 
     /// Applies array unfolding followed by structure shifting (Algorithm 2, `RefineST`).
     pub fn refine(&self, template: &StructureTemplate) -> Refined {
-        self.refine_owned(template.clone())
+        self.candidate(template.clone(), true)
     }
 
-    /// [`Refiner::refine`] taking the template by value (no clone on the unchanged path):
-    /// every unfold variant is parsed and scored by delta against the round's parent, with
-    /// the same control flow and identical results as the tree reference `refine_tree`.
-    pub fn refine_owned(&self, template: StructureTemplate) -> Refined {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let mut parent: Option<ParentCtx> = None;
-        let mut best = match self.memo_probe_id(&template) {
-            Some((_, score, summary)) => Refined {
-                template,
-                score,
-                summary,
-            },
-            None => {
-                let vp = self.parse_variant(&template, None);
-                let (score, parts) = self.score_variant(&template, &vp, None);
-                let summary = span_summary(&vp.parse);
-                let id = self.memo_insert(&template, score, summary);
-                parent = Some(ParentCtx {
-                    id: Some(id),
-                    compiled: vp.compiled,
-                    parse: vp.parse,
-                    parts,
-                });
-                Refined {
-                    template,
-                    score,
-                    summary,
-                }
-            }
+    /// Scores a template without refining it.
+    pub fn evaluate(&self, template: &StructureTemplate) -> Refined {
+        self.candidate(template.clone(), false)
+    }
+
+    /// Refines (or only evaluates) one candidate, then merges its work counters into the
+    /// refiner's total.
+    fn candidate(&self, template: StructureTemplate, apply_refinement: bool) -> Refined {
+        let mut m = EvaluationMetrics::default();
+        let refined = self.refine_candidate(template, apply_refinement, &mut m);
+        self.metrics.lock().expect("metrics lock").accumulate(&m);
+        refined
+    }
+
+    /// Evaluates one candidate taken by value (the unchanged template moves into the
+    /// result) and, with `apply_refinement`, refines it: every unfold variant is evaluated
+    /// against the round's parent, with the same control flow and identical results as the
+    /// tree reference `refine_tree`.
+    fn refine_candidate(
+        &self,
+        template: StructureTemplate,
+        apply_refinement: bool,
+        m: &mut EvaluationMetrics,
+    ) -> Refined {
+        let root = self
+            .evaluate_step(&template, None, |_| true, m)
+            .expect("every summary is wanted");
+        let mut best = Refined {
+            template,
+            score: root.score,
+            summary: root.summary,
         };
+        let mut parent = root.ctx;
+        if !apply_refinement {
+            self.recycle(parent);
+            return best;
+        }
         for _ in 0..MAX_UNFOLD_ROUNDS {
             if collect_array_paths(best.template.nodes()).is_empty() {
                 break;
             }
             let parent_ctx = match parent.take() {
                 Some(ctx) => ctx,
-                None => self.build_parent_ctx(&best.template),
+                None => self.build_parent_ctx(&best.template, m),
             };
             let counts = repetition_counts_span(&parent_ctx.parse, &best.template);
-            let candidates = unfold_candidates_keyed(&best.template, &counts);
             let mut improved = false;
             let mut winner: Option<ParentCtx> = None;
-            for (key, candidate) in candidates {
-                let scored = self.scored_variant(&candidate, key, &parent_ctx);
+            for (key, candidate) in unfold_candidates_keyed(&best.template, &counts) {
+                let scored = self
+                    .evaluate_step(&candidate, Some((&parent_ctx, key)), |_| true, m)
+                    .expect("every summary is wanted");
                 if scored.score < best.score {
-                    if let Some(old) = winner.take() {
-                        self.recycle_span(old.parse);
-                    }
-                    winner = scored.detail.map(|(compiled, parse, parts)| ParentCtx {
-                        id: scored.id,
-                        compiled,
-                        parse,
-                        parts,
-                    });
+                    self.recycle(winner.take());
+                    winner = scored.ctx;
                     best = Refined {
                         template: candidate,
                         score: scored.score,
                         summary: scored.summary,
                     };
                     improved = true;
-                } else if let Some((_, parse, _)) = scored.detail {
-                    self.recycle_span(parse);
+                } else {
+                    self.recycle(scored.ctx);
                 }
             }
             if !improved {
                 parent = Some(parent_ctx);
                 break;
             }
-            self.recycle_span(parent_ctx.parse);
+            self.recycle(Some(parent_ctx));
             parent = winner;
         }
-        self.shift_delta(best, parent)
+        self.shift(best, parent, m)
     }
 
     /// Structure shifting (§4.3.2): among all cyclic line-shifts of the template, pick the
     /// one whose first record occurrence is earliest (ties keep the current template),
     /// provided it still explains a comparable number of records.  Every rotation is
-    /// parsed by delta against the incumbent and scored lazily: the selection reads only
-    /// the parse summary, so only a variant that displaces the incumbent pays the scoring
-    /// pass (scores of *selected* templates are identical either way).
-    fn shift_delta(&self, current: Refined, parent: Option<ParentCtx>) -> Refined {
+    /// evaluated against the incumbent, and only one that displaces it is scored: the
+    /// selection reads the parse summary alone (scores of *selected* templates are identical
+    /// either way).
+    fn shift(
+        &self,
+        current: Refined,
+        parent: Option<ParentCtx>,
+        m: &mut EvaluationMetrics,
+    ) -> Refined {
         let variants = shift_variants(&current.template);
         if variants.is_empty() {
-            if let Some(ctx) = parent {
-                self.recycle_span(ctx.parse);
-            }
+            self.recycle(parent);
             return current;
         }
-        let parent_ctx = match parent {
+        let parent = match parent {
             Some(ctx) => ctx,
-            None => self.build_parent_ctx(&current.template),
+            None => self.build_parent_ctx(&current.template, m),
         };
-        let current_first = current.summary.first_record_line;
-        let current_records = current.summary.record_count;
+        let records = current.summary.record_count.max(1);
         let mut best = current;
-        let mut best_first = current_first;
-        // The §4.3.2 selection rule: a variant displaces the incumbent when it still
-        // explains a comparable number of records and its first occurrence is earlier.
-        let displaces = |summary: &ParseSummary, best_first: usize| {
-            summary.record_count * 2 >= current_records.max(1)
-                && summary.first_record_line < best_first
-        };
-        for (cut, v) in variants.into_iter().enumerate() {
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
-            let key = VariantKey::Shift { cut };
-            if let Some(pid) = parent_ctx.id {
-                if let Some((score, summary)) = self.lineage_probe(pid, &key) {
-                    if displaces(&summary, best_first) {
-                        best_first = summary.first_record_line;
-                        best = Refined {
-                            template: v,
-                            score,
-                            summary,
-                        };
-                    }
-                    continue;
-                }
-            }
-            match self.memo_probe_id(&v) {
-                Some((id, score, summary)) => {
-                    if let Some(pid) = parent_ctx.id {
-                        let mut memo = self.memo.lock().expect("memo lock");
-                        memo.link(pid, key, id);
-                    }
-                    if displaces(&summary, best_first) {
-                        best_first = summary.first_record_line;
-                        best = Refined {
-                            template: v,
-                            score,
-                            summary,
-                        };
-                    }
-                }
-                None => {
-                    let vp = self.parse_variant(&v, Some(&parent_ctx));
-                    let summary = span_summary(&vp.parse);
-                    // Lazy scoring: only a variant that actually displaces the incumbent
-                    // needs its score; rejected variants are neither scored nor memoized.
-                    if displaces(&summary, best_first) {
-                        let (score, _) = self.score_variant(&v, &vp, Some(&parent_ctx));
-                        self.memo_insert_lineage(
-                            &v,
-                            score,
-                            summary,
-                            parent_ctx.id.map(|pid| (pid, key)),
-                        );
-                        best_first = summary.first_record_line;
-                        best = Refined {
-                            template: v,
-                            score,
-                            summary,
-                        };
-                    }
-                    self.recycle_span(vp.parse);
-                }
-            }
-        }
-        self.recycle_span(parent_ctx.parse);
-        best
-    }
-
-    /// Scores a template without refining it.
-    pub fn evaluate(&self, template: &StructureTemplate) -> Refined {
-        self.evaluate_owned(template.clone())
-    }
-
-    /// [`Refiner::evaluate`] taking the template by value: the unchanged template moves
-    /// into the result, so callers that already own it (the refinement loop, the batch
-    /// driver) never pay a clone.  Memo probe, else one full span parse scored from the
-    /// arenas and memoized.
-    pub fn evaluate_owned(&self, template: StructureTemplate) -> Refined {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        if let Some((_, score, summary)) = self.memo_probe_id(&template) {
-            return Refined {
-                template,
-                score,
-                summary,
+        for (cut, variant) in variants.into_iter().enumerate() {
+            let first = best.summary.first_record_line;
+            let displaces = |summary: &ParseSummary| {
+                summary.record_count * 2 >= records && summary.first_record_line < first
             };
+            let key = VariantKey::Shift { cut };
+            if let Some(shifted) = self.evaluate_step(&variant, Some((&parent, key)), displaces, m)
+            {
+                self.recycle(shifted.ctx);
+                best = Refined {
+                    template: variant,
+                    score: shifted.score,
+                    summary: shifted.summary,
+                };
+            }
         }
-        let started = Instant::now();
-        let mut parse = self.acquire_span_parse();
-        parse_compiled_into(
-            self.dataset,
-            &compile(&template),
-            self.max_line_span,
-            &mut parse,
-        );
-        self.parse_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let started = Instant::now();
-        let score = self.scorer.score(self.dataset, &template, &parse);
-        self.score_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let summary = span_summary(&parse);
-        self.recycle_span(parse);
-        self.memo_insert(&template, score, summary);
-        Refined {
-            template,
-            score,
-            summary,
-        }
+        self.recycle(Some(parent));
+        best
     }
 
     /// Refines (or, with `apply_refinement == false`, merely evaluates) a batch of candidate
@@ -806,13 +644,7 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
         if workers <= 1 {
             return templates
                 .into_iter()
-                .map(|t| {
-                    if apply_refinement {
-                        self.refine_owned(t)
-                    } else {
-                        self.evaluate_owned(t)
-                    }
-                })
+                .map(|t| self.candidate(t, apply_refinement))
                 .collect();
         }
         // Split the owned vector at the chunk bounds so workers consume their templates by
@@ -830,13 +662,7 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
                 .map(|part| {
                     scope.spawn(move || {
                         part.into_iter()
-                            .map(|t| {
-                                if apply_refinement {
-                                    self.refine_owned(t)
-                                } else {
-                                    self.evaluate_owned(t)
-                                }
-                            })
+                            .map(|t| self.candidate(t, apply_refinement))
                             .collect()
                     })
                 })
@@ -855,8 +681,8 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
 /// [`RegularityScorer::score_set`], no memo, and the same unfold and shift order.  For
 /// [`MdlScorer`](crate::mdl::MdlScorer) that is the independent formula the arena scoring
 /// passes must match bit for bit.  Returns the `(template, score, summary)` of
-/// [`Refiner::refine_owned`], or of [`Refiner::evaluate_owned`] when `apply_refinement` is
-/// `false`; `metrics` accumulates the evaluation count and the parse/score time split.
+/// [`Refiner::refine`], or of [`Refiner::evaluate`] when `apply_refinement` is `false`;
+/// `metrics` accumulates the evaluation count and the parse/score time split.
 /// Kept only so the differential suites and the `reproduce -- evaluation` gate can compare
 /// against it, never reached from the pipeline.
 #[doc(hidden)]
@@ -1412,35 +1238,40 @@ mod tests {
         }
         let data = Dataset::new(s);
         let scorer = MdlScorer;
-        let refiner = Refiner::new(&data, &scorer, 10);
         let t = folded("h1 10.0.0.2 GET\n", ". \n");
         assert!(t.has_array());
-        let refined = refiner.refine(&t);
-        assert!(refined.score.is_finite());
-        let m = refiner.metrics();
-        // The root parses from scratch and its four unfold variants by delta against it.
-        // The counts are exact, so a change in how much work delta evaluation reuses shows
-        // here, apart from its timing.
-        assert_eq!(
-            (m.evaluations, m.memo_hits, m.lineage_hits),
-            (5, 0, 0),
-            "{m:?}"
-        );
-        assert_eq!((m.delta_parses, m.delta_full_parses), (4, 1), "{m:?}");
-        assert_eq!(
-            (m.delta_records_reused, m.delta_records_total),
-            (80, 320),
-            "{m:?}"
-        );
-        assert_eq!(
-            (
-                m.delta_score_reuses,
-                m.delta_columns_dirty,
-                m.delta_columns_total
-            ),
-            (4, 16, 21),
-            "{m:?}"
-        );
+        // Refining, the root parses from scratch and its four unfold variants by delta
+        // against it.  Evaluating only (the `refine = false` ablation), the root is the one
+        // evaluation, parsed from scratch.  The counts are exact, so a change in how much
+        // work delta evaluation reuses shows here, apart from its timing.
+        let refining = EvaluationMetrics {
+            evaluations: 5,
+            delta_parses: 4,
+            delta_full_parses: 1,
+            delta_records_reused: 80,
+            delta_records_total: 320,
+            delta_score_reuses: 4,
+            delta_columns_dirty: 16,
+            delta_columns_total: 21,
+            ..EvaluationMetrics::default()
+        };
+        let evaluating = EvaluationMetrics {
+            evaluations: 1,
+            delta_full_parses: 1,
+            ..EvaluationMetrics::default()
+        };
+        for (apply_refinement, expected) in [(true, refining), (false, evaluating)] {
+            let refiner = Refiner::new(&data, &scorer, 10);
+            let refined = refiner.refine_batch(vec![t.clone()], apply_refinement, 1);
+            assert!(refined[0].score.is_finite());
+            let m = refiner.metrics();
+            let counters = EvaluationMetrics {
+                parse_seconds: 0.0,
+                score_seconds: 0.0,
+                ..m
+            };
+            assert_eq!(counters, expected, "refine = {apply_refinement}: {m:?}");
+        }
     }
 
     #[test]

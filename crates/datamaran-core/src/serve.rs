@@ -56,6 +56,8 @@ pub struct ServeOptions {
     /// lines produces junk templates.
     pub min_residual_lines: usize,
     /// Byte cap of the residual buffer; when full, the oldest residual lines are dropped.
+    /// It also bounds a window: one is decided once the bytes pushed since the last
+    /// decision reach it, however few lines that is.
     pub residual_bytes: usize,
     /// Whether drift triggers rediscovery at all (`false` = monitor-only: the rate is
     /// still tracked, the snapshot never changes).
@@ -456,6 +458,8 @@ pub struct ServeSession<'a> {
     /// Undecided window text (every line newline-terminated).
     buffer: String,
     pending_lines: usize,
+    /// Bytes at the front of `buffer` carried over undecided from the last window.
+    carried_bytes: usize,
     residual: Residual,
     summary: StreamSummary,
     swaps: u64,
@@ -464,15 +468,24 @@ pub struct ServeSession<'a> {
 }
 
 /// Unmatched lines accumulated for rediscovery: newline-terminated text capped at `cap`
-/// bytes, oldest lines evicted first.
+/// bytes, oldest lines evicted first.  The kept lines are `text[head..]`: an eviction only
+/// advances `head`, and the evicted prefix is compacted away once it outgrows the kept
+/// text, so a line costs amortized time in its own length, not in the buffer's.
+#[derive(Default)]
 struct Residual {
     text: String,
+    head: usize,
     lines: usize,
     dropped: usize,
     cap: usize,
 }
 
 impl Residual {
+    /// The kept lines, oldest first.
+    fn text(&self) -> &str {
+        &self.text[self.head..]
+    }
+
     /// Appends one unmatched line, dropping the oldest lines when the byte cap would be
     /// exceeded (a line larger than the whole cap is dropped outright).
     fn push(&mut self, line_text: &str) {
@@ -480,17 +493,28 @@ impl Residual {
             self.dropped += 1;
             return;
         }
-        while self.text.len() + line_text.len() > self.cap && !self.text.is_empty() {
-            let first_end = self.text.find('\n').map_or(self.text.len(), |i| i + 1);
-            self.text.drain(..first_end);
+        while self.text().len() + line_text.len() > self.cap && !self.text().is_empty() {
+            let kept = self.text();
+            self.head += kept.find('\n').map_or(kept.len(), |i| i + 1);
             self.lines = self.lines.saturating_sub(1);
             self.dropped += 1;
+        }
+        if self.head > self.text().len() {
+            self.text.drain(..self.head);
+            self.head = 0;
         }
         self.text.push_str(line_text);
         if !line_text.ends_with('\n') {
             self.text.push('\n');
         }
         self.lines += 1;
+    }
+
+    /// Empties the buffer (after a successful swap); the drop count stays.
+    fn clear(&mut self) {
+        self.text.clear();
+        self.head = 0;
+        self.lines = 0;
     }
 }
 
@@ -513,11 +537,10 @@ impl<'a> ServeSession<'a> {
             window_loop: WindowLoop::default(),
             buffer: String::new(),
             pending_lines: 0,
+            carried_bytes: 0,
             residual: Residual {
-                text: String::new(),
-                lines: 0,
-                dropped: 0,
                 cap: options.residual_bytes,
+                ..Residual::default()
             },
             summary,
             swaps: 0,
@@ -527,14 +550,17 @@ impl<'a> ServeSession<'a> {
     }
 
     /// Pushes one line (with or without its terminator) into the session, processing a
-    /// window when enough lines are buffered.
+    /// window when `window_lines` lines are buffered or the bytes pushed since the last
+    /// window reach `residual_bytes` (so long lines cannot pile up `window_lines` deep).
     pub fn push_line<S: RecordSink + ?Sized>(&mut self, line: &str, sink: &mut S) -> Result<()> {
         self.buffer.push_str(line);
         if !line.ends_with('\n') {
             self.buffer.push('\n');
         }
         self.pending_lines += 1;
-        if self.pending_lines >= self.options.window_lines {
+        if self.pending_lines >= self.options.window_lines
+            || self.buffer.len() - self.carried_bytes >= self.options.residual_bytes
+        {
             self.process_window(sink, false)?;
         }
         Ok(())
@@ -566,7 +592,7 @@ impl<'a> ServeSession<'a> {
             swaps: self.swaps,
             rediscover_failures: self.rediscover_failures,
             residual_lines: self.residual.lines,
-            residual_bytes: self.residual.text.len(),
+            residual_bytes: self.residual.text().len(),
             residual_dropped: self.residual.dropped,
         }
     }
@@ -629,6 +655,7 @@ impl<'a> ServeSession<'a> {
             },
         )?;
         self.pending_lines = carried;
+        self.carried_bytes = self.buffer.len();
 
         // The drift trigger: this window's unmatched rate reached the threshold and the
         // residual is large enough for discovery to be meaningful.
@@ -650,7 +677,7 @@ impl<'a> ServeSession<'a> {
     /// match.  A failed attempt (no structure in the residual, or nothing genuinely new)
     /// leaves the snapshot and residual untouched and is counted.
     fn try_rediscover<S: RecordSink + ?Sized>(&mut self, sink: &mut S) -> Result<()> {
-        let discovered = match self.engine.extract(&self.residual.text) {
+        let discovered = match self.engine.extract(self.residual.text()) {
             Ok(result) => result
                 .templates()
                 .into_iter()
@@ -685,8 +712,7 @@ impl<'a> ServeSession<'a> {
         )?;
         self.store.swap(Arc::new(next));
         self.swaps += 1;
-        self.residual.text.clear();
-        self.residual.lines = 0;
+        self.residual.clear();
         // Adopt the published snapshot immediately: the very next window should already
         // match the drifted lines.
         self.refresh_snapshot(sink)?;
@@ -697,7 +723,7 @@ impl<'a> ServeSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::CountingSink;
+    use crate::export::{CountingSink, JsonLinesSink};
     use crate::extract::MatchStats;
     use crate::streaming::WindowUnmatched;
     use crate::structure::Node;
@@ -857,14 +883,102 @@ mod tests {
         };
         let mut session = ServeSession::new(&engine, &store, options).unwrap();
         let mut sink = CountingSink::default();
-        for i in 0..500 {
-            session
-                .push_line(&format!("!! unparseable payload {i} !!\n"), &mut sink)
-                .unwrap();
+        // Unmatched lines of varying length, thousands of them evicted from a full buffer.
+        let lines: Vec<String> = (0..5000)
+            .map(|i| format!("!! unparseable payload {i} {} !!\n", "x".repeat(i % 37)))
+            .collect();
+        for line in &lines {
+            session.push_line(line, &mut sink).unwrap();
         }
+        session.flush(&mut sink).unwrap();
+        // What is kept is the longest suffix of the unmatched lines that fits the cap.
+        let mut kept = 0;
+        let mut kept_bytes = 0;
+        for line in lines.iter().rev() {
+            if kept_bytes + line.len() > 512 {
+                break;
+            }
+            kept += 1;
+            kept_bytes += line.len();
+        }
+        let expected = lines[lines.len() - kept..].concat();
+        assert_eq!(session.residual.text(), expected);
         let metrics = session.finish(&mut sink).unwrap();
+        assert_eq!(metrics.summary.noise_lines, lines.len());
+        assert_eq!(metrics.residual_lines, kept);
+        assert_eq!(metrics.residual_bytes, expected.len());
+        assert_eq!(metrics.residual_dropped, lines.len() - kept);
         assert!(metrics.residual_bytes <= 512);
-        assert!(metrics.residual_dropped > 0);
+    }
+
+    /// Lines of half the residual cap: a window is decided once the bytes pushed since the
+    /// last one reach `residual_bytes`, so its size follows from that cap and the span
+    /// limit `L`, not from `window_lines`, and the records and noise are those of windows
+    /// bounded by lines alone.
+    #[test]
+    fn long_lines_bound_a_window_in_bytes() {
+        // Hash-mixed values, so one line is one record (a periodic stream is legitimately
+        // explained by a multi-line template).
+        let valid = |i: u64| {
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            format!("host=h{};cpu={}", h % 13, h % 1000)
+        };
+        let engine = engine();
+        let head: String = (0..300).map(|i| valid(i) + "\n").collect();
+        let snapshot = snapshot_for(&engine, &head);
+        let span = snapshot.max_line_span();
+        let store = SnapshotStore::new(snapshot);
+        let cap = 4096;
+        let lines: Vec<String> = (0..600)
+            .map(|i| {
+                let line = if i % 5 == 4 {
+                    format!("!! noise {i} ")
+                } else {
+                    valid(i)
+                };
+                format!("{line:x<width$}\n", width = cap / 2 - 1)
+            })
+            .collect();
+        let run = |residual_bytes: usize| {
+            let options = ServeOptions {
+                residual_bytes,
+                rediscover: false,
+                ..ServeOptions::default()
+            };
+            let mut session = ServeSession::new(&engine, &store, options).unwrap();
+            let mut sink = JsonLinesSink::new(Vec::new());
+            for line in &lines {
+                session.push_line(line, &mut sink).unwrap();
+            }
+            session.flush(&mut sink).unwrap();
+            let residual = session.residual.text().to_string();
+            let metrics = session.finish(&mut sink).unwrap();
+            (metrics, residual, sink.into_writer())
+        };
+        let (bounded, bounded_residual, bounded_rows) = run(cap);
+        // A residual cap larger than the stream: only `window_lines` decides a window.
+        let (by_lines, by_lines_residual, by_lines_rows) = run(lines.len() * cap);
+
+        assert_eq!(bounded.summary.records, 480);
+        assert_eq!(bounded_rows, by_lines_rows, "records differ");
+        assert_eq!(bounded.summary.noise_lines, 120);
+        assert_eq!(by_lines.summary.noise_lines, 120);
+        assert!(!bounded_residual.is_empty());
+        assert!(by_lines_residual.ends_with(&bounded_residual));
+        // A window holds fewer than 2L carried lines plus the lines pushed since the last
+        // window, under `cap` bytes before its last one; its allocation is at most twice
+        // its length, and the peak counts both it and the window's dataset copy.
+        let bound = 3 * (2 * span + 1) * cap;
+        assert!(
+            bounded.summary.peak_window_bytes <= bound,
+            "peak {} over {bound}",
+            bounded.summary.peak_window_bytes
+        );
+        assert!(
+            by_lines.summary.peak_window_bytes > bound,
+            "line-bounded peak {} must exceed {bound} for the bound to tell",
+            by_lines.summary.peak_window_bytes
+        );
     }
 
     #[test]

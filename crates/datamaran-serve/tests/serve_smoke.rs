@@ -6,7 +6,10 @@
 //!   is written to `SERVE_SMOKE_OUT` (default `target/SERVE_SMOKE.json`) and uploaded as
 //!   a CI artifact;
 //! * start the release daemon binary on a unix socket, send one 64 MiB line, and assert
-//!   the daemon skips and counts it while its peak memory stays bounded.
+//!   the daemon skips and counts it while its peak memory stays bounded;
+//! * send the release daemon 256 lines of exactly the residual cap, and assert none is
+//!   oversized while its peak memory stays bounded by a window of a few lines, not of
+//!   `window_lines` lines.
 
 use datamaran_core::artifact::TemplateArtifact;
 use datamaran_core::json::JsonValue;
@@ -176,28 +179,31 @@ fn peak_rss_kib(pid: u32) -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-#[test]
-#[ignore = "serve smoke: 64 MiB line against the release daemon, run by the serve-smoke CI job"]
-fn one_huge_line_is_skipped_without_growing_the_daemon() {
-    // Hash-mixed values: a periodic corpus is legitimately explained by a multi-line
-    // template, and this test counts one record per valid line.
-    let valid = |n: usize| -> String {
-        (0..n as u64)
-            .map(|i| {
-                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-                format!("host=h{};cpu={}\n", h % 13, h % 1000)
-            })
-            .collect()
-    };
+/// Hash-mixed `host=..;cpu=..` lines: a periodic corpus is legitimately explained by a
+/// multi-line template, and the release-daemon scenarios count one record per valid line.
+fn valid_lines(n: usize) -> String {
+    (0..n as u64)
+        .map(|i| {
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            format!("host=h{};cpu={}\n", h % 13, h % 1000)
+        })
+        .collect()
+}
+
+/// Starts the release daemon on a unix socket with templates discovered from
+/// [`valid_lines`], lets `send` write one connection's input, and returns the `stream`
+/// section of the connection's metrics reply and the daemon's peak resident set in KiB
+/// (`None` when `/proc` does not expose it).  The daemon must exit 0 on SIGTERM.
+fn release_daemon_run(name: &str, send: impl FnOnce(&mut UnixStream)) -> (JsonValue, Option<u64>) {
     let engine = Datamaran::with_defaults();
     let result = engine
-        .extract(&valid(300))
+        .extract(&valid_lines(300))
         .expect("discover the valid format");
     let templates: Vec<StructureTemplate> = result.templates().into_iter().cloned().collect();
     let config = engine.config();
     let artifact = TemplateArtifact::new(templates, config.max_line_span, config.matching_backend)
         .expect("artifact from discovered templates");
-    let dir = std::env::temp_dir().join(format!("dmserve-huge-line-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("dmserve-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let artifact_path = dir.join("templates.json");
     artifact.save(&artifact_path).unwrap();
@@ -223,33 +229,14 @@ fn one_huge_line_is_skipped_without_growing_the_daemon() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // One 64 MiB line (64× the default 1 MiB cap), then 200 valid lines.
     let mut client = UnixStream::connect(&sock).expect("connect to the daemon socket");
-    let chunk = vec![b'a'; 1 << 20];
-    for _ in 0..64 {
-        client.write_all(&chunk).unwrap();
-    }
-    client.write_all(b"\n").unwrap();
-    client.write_all(valid(200).as_bytes()).unwrap();
+    send(&mut client);
     client.shutdown(std::net::Shutdown::Write).unwrap();
     let mut reply = String::new();
     client.read_to_string(&mut reply).unwrap();
     let peak = peak_rss_kib(daemon.0.id());
-
     let doc = JsonValue::parse(reply.trim()).expect("metrics reply is JSON");
-    let stream = doc.require("stream").unwrap();
-    let count = |key: &str| stream.require(key).unwrap().as_usize().unwrap();
-    assert_eq!(count("oversized_lines"), 1, "reply: {reply}");
-    assert_eq!(count("records"), 200, "reply: {reply}");
-    assert_eq!(count("noise_lines"), 0, "reply: {reply}");
-    // The daemon idles at a few MB; buffering the line whole took it past 250 MB.
-    match peak {
-        Some(kib) => {
-            eprintln!("daemon peak RSS (VmHWM): {kib} KiB");
-            assert!(kib < 32 * 1024, "daemon peak RSS {kib} KiB");
-        }
-        None => eprintln!("no /proc/<pid>/status: peak memory not checked"),
-    }
+    let stream = doc.require("stream").unwrap().clone();
 
     let _ = Command::new("kill")
         .arg("-TERM")
@@ -258,4 +245,61 @@ fn one_huge_line_is_skipped_without_growing_the_daemon() {
     let status = daemon.0.wait().expect("daemon exit");
     assert!(status.success(), "SIGTERM must exit 0, got {status}");
     std::fs::remove_dir_all(&dir).ok();
+    (stream, peak)
+}
+
+/// Asserts the daemon's peak resident set, when known, is under `bound_mib`.
+fn assert_peak_under(peak: Option<u64>, bound_mib: u64) {
+    match peak {
+        Some(kib) => {
+            eprintln!("daemon peak RSS (VmHWM): {kib} KiB");
+            assert!(kib < bound_mib * 1024, "daemon peak RSS {kib} KiB");
+        }
+        None => eprintln!("no /proc/<pid>/status: peak memory not checked"),
+    }
+}
+
+#[test]
+#[ignore = "serve smoke: 64 MiB line against the release daemon, run by the serve-smoke CI job"]
+fn one_huge_line_is_skipped_without_growing_the_daemon() {
+    // One 64 MiB line (64× the default 1 MiB cap), then 200 valid lines.
+    let (stream, peak) = release_daemon_run("huge-line", |client| {
+        let chunk = vec![b'a'; 1 << 20];
+        for _ in 0..64 {
+            client.write_all(&chunk).unwrap();
+        }
+        client.write_all(b"\n").unwrap();
+        client.write_all(valid_lines(200).as_bytes()).unwrap();
+    });
+    let count = |key: &str| stream.require(key).unwrap().as_usize().unwrap();
+    assert_eq!(count("oversized_lines"), 1, "stream: {stream:?}");
+    assert_eq!(count("records"), 200, "stream: {stream:?}");
+    assert_eq!(count("noise_lines"), 0, "stream: {stream:?}");
+    // The daemon idles at a few MB; buffering the line whole took it past 250 MB.
+    assert_peak_under(peak, 32);
+}
+
+#[test]
+#[ignore = "serve smoke: 256 lines of the residual cap against the release daemon, run by the serve-smoke CI job"]
+fn lines_at_the_residual_cap_keep_the_window_small() {
+    // 256 lines of exactly the default 1 MiB cap, `\n` included: none is oversized, and
+    // 256 is the default `window_lines`.  Then 200 valid lines.
+    let cap = ServeOptions::default().residual_bytes;
+    let (stream, peak) = release_daemon_run("cap-lines", |client| {
+        let mut line = vec![b'a'; cap];
+        line[cap - 1] = b'\n';
+        for _ in 0..256 {
+            client.write_all(&line).unwrap();
+        }
+        client.write_all(valid_lines(200).as_bytes()).unwrap();
+    });
+    let count = |key: &str| stream.require(key).unwrap().as_usize().unwrap();
+    assert_eq!(count("oversized_lines"), 0, "stream: {stream:?}");
+    assert_eq!(count("records"), 200, "stream: {stream:?}");
+    assert_eq!(count("noise_lines"), 256, "stream: {stream:?}");
+    // A window is decided once 1 MiB was pushed since the last one, so it holds the
+    // carried tail (under 2L = 20 lines, here the L = 10 noise lines held back) plus one
+    // line: the daemon peaked at ~58 MB on a 2-vCPU VM.  Deciding only after 256 lines
+    // took it to ~790 MB.
+    assert_peak_under(peak, 128);
 }

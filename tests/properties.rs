@@ -468,7 +468,7 @@ fn check_delta_step(
     let scorer = MdlScorer;
     if stats.prefix_aligned() {
         let (_, parent_parts) = scorer
-            .score_span_stats(data, parent, parent_parse)
+            .score_parts(data, parent, parent_parse, None)
             .expect("mdl keeps parts");
         let mut reuse = diff.column_reuse(parent.field_count(), variant.field_count());
         if !stats.suffix_aligned() && diff.suffix_columns > 0 {
@@ -478,7 +478,7 @@ fn check_delta_step(
             }
         }
         let (incremental, _) = scorer
-            .score_span_delta(data, variant, &delta, &parent_parts, &reuse)
+            .score_parts(data, variant, &delta, Some((&parent_parts, &reuse)))
             .expect("mdl scores incrementally");
         let fresh = scorer.score(data, variant, &full);
         assert_eq!(
