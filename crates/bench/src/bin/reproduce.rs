@@ -892,8 +892,8 @@ fn evaluation_bench(fast: bool, check: bool) -> bool {
         bench.dataset_bytes, bench.sample_bytes, bench.sample_lines, bench.candidates
     );
     println!(
-        "work: {} evaluations, {} memo hits ({} by lineage); tree reference: {} evaluations",
-        m.evaluations, m.memo_hits, m.lineage_hits, bench.legacy_evaluations
+        "work: {} evaluations, {} memo hits; tree reference: {} evaluations",
+        m.evaluations, m.memo_hits, bench.legacy_evaluations
     );
     println!(
         "delta engine: {} delta and {} full parses, {} records reused ({:.1}%), \

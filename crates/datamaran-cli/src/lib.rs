@@ -922,11 +922,10 @@ fn render_summary(text: &str, result: &datamaran_core::ExtractionResult) -> Stri
     if m.delta_parses + m.delta_full_parses > 0 {
         let _ = writeln!(
             s,
-            "evaluation: {} evaluations ({} memo hits, {} via lineage), {} delta / {} full parses, \
+            "evaluation: {} evaluations ({} memo hits), {} delta / {} full parses, \
              record reuse {:.1}%, dirty columns {:.1}%",
             m.evaluations,
             m.memo_hits,
-            m.lineage_hits,
             m.delta_parses,
             m.delta_full_parses,
             m.delta_record_reuse_rate() * 100.0,

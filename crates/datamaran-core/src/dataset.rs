@@ -26,7 +26,12 @@ pub struct Dataset {
 impl Dataset {
     /// Builds a dataset from raw text, indexing line boundaries.
     pub fn new(text: impl Into<String>) -> Self {
-        let text: Arc<str> = text.into().into();
+        Self::from_shared(text.into().into())
+    }
+
+    /// Builds a dataset over already-shared text, indexing line boundaries (a borrowed
+    /// `&str` converts into the `Arc` in one copy, where [`new`](Self::new) takes two).
+    pub(crate) fn from_shared(text: Arc<str>) -> Self {
         let mut line_starts = Vec::with_capacity(text.len() / 32 + 2);
         if !text.is_empty() {
             line_starts.push(0);

@@ -153,7 +153,6 @@ fn stats_json(stats: &PipelineStats) -> JsonValue {
         ("evaluation_threads", num(stats.evaluation_threads)),
         ("evaluation_count", num(eval.evaluations)),
         ("evaluation_memo_hits", num(eval.memo_hits)),
-        ("evaluation_lineage_hits", num(eval.lineage_hits)),
         (
             "evaluation_parse_seconds",
             JsonValue::Number(eval.parse_seconds),
@@ -1092,7 +1091,6 @@ mod tests {
     "evaluation_threads": 3,
     "evaluation_count": 3555,
     "evaluation_memo_hits": 60,
-    "evaluation_lineage_hits": 0,
     "evaluation_parse_seconds": 0.375,
     "evaluation_score_seconds": 0.1,
     "evaluation_delta_parses": 3445,

@@ -1,7 +1,8 @@
 //! Hash-consing of structure templates into dense [`TemplateId`]s, in two stores.
 //!
 //! * [`TemplateInterner`] interns [`StructureTemplate`] trees.  The pipeline's ranked dedup
-//!   and the refinement step's score memo key on its ids.
+//!   keys on its ids; the refinement step's score memo keys on the templates themselves
+//!   (`refine.rs`).
 //! * `CodeInterner` (crate-private) interns minimal templates as the flat code runs of
 //!   [`mod@crate::reduce`], back to back in one arena, for the generation step.  Each worker
 //!   interns every novel candidate window's template there, tens of thousands per call, of

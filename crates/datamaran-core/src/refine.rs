@@ -14,9 +14,7 @@
 //! every evaluation — a candidate's root, its unfold variants and its shift rotations —
 //! through one step, on the compiled span engine **with delta evaluation**:
 //!
-//! 1. probe the template-score memo, keyed on [`TemplateInterner`] dense ids, through the
-//!    parent-lineage fast path first (`(parent id, edit)` → entry, which skips even the
-//!    template hash) and then by the template itself;
+//! 1. probe the template-score memo, one map from template to `(score, summary)`;
 //! 2. compile the template once to its flat op table ([`crate::extract`]) and parse the
 //!    sample *by delta* against its refinement parent ([`delta_parse`]: shared op ranges
 //!    replay from the parent's recycled arenas with zero byte scanning, only the dirty
@@ -25,7 +23,7 @@
 //!    the edit touched and reuses the parent's retained [`ScoreParts`] for the rest — unless
 //!    the caller's summary test says no score is needed (a shift rotation that does not
 //!    displace the incumbent);
-//! 4. memoize it, linking the parent edit to the entry.
+//! 4. memoize it.
 //!
 //! The original behaviour — one tree-walking parse per variant scored by the owned-parse
 //! formula [`RegularityScorer::score_set`], no memo — survives as the test reference
@@ -44,7 +42,6 @@ use crate::extract::{
     compile, delta_parse, diff_compiled, parse_compiled_into, CompiledTemplate, SpanParse,
 };
 use crate::fxhash::FxHashMap;
-use crate::intern::TemplateInterner;
 use crate::mdl::{RegularityScorer, ScoreParts};
 use crate::parallel::{chunk_bounds, effective_workers};
 use crate::parser::{parse_dataset, ParseResult};
@@ -101,9 +98,6 @@ pub struct EvaluationMetrics {
     pub evaluations: usize,
     /// Evaluations answered from the template-score memo.
     pub memo_hits: usize,
-    /// Memo hits answered through the parent-lineage fast path — the variant descriptor
-    /// `(parent id, edit)` resolved the entry without hashing the variant's template tree.
-    pub lineage_hits: usize,
     /// Wall-clock seconds spent parsing the sample with candidate templates.
     pub parse_seconds: f64,
     /// Wall-clock seconds spent computing regularity scores.
@@ -131,7 +125,6 @@ impl EvaluationMetrics {
     pub fn accumulate(&mut self, other: &EvaluationMetrics) {
         self.evaluations += other.evaluations;
         self.memo_hits += other.memo_hits;
-        self.lineage_hits += other.lineage_hits;
         self.parse_seconds += other.parse_seconds;
         self.score_seconds += other.score_seconds;
         self.delta_parses += other.delta_parses;
@@ -175,96 +168,13 @@ pub struct Refined {
     pub summary: ParseSummary,
 }
 
-/// The localized edit that produced a refinement variant from its parent — the
-/// parent-lineage memo key.  Re-deriving the same edit from the same parent (common across
-/// unfold rounds, shift scans, and re-converging candidates) resolves the memo entry
-/// without hashing or comparing the variant's template tree.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum VariantKey {
-    /// `unfold_at(parent, path, reps, partial)`.
-    Unfold {
-        path: Vec<usize>,
-        reps: usize,
-        partial: bool,
-    },
-    /// The `cut`-th cyclic line rotation of the parent ([`shift_variants`] order).
-    Shift { cut: usize },
-}
-
-/// Template-score memo: hash-conses evaluated templates to dense ids and stores one
-/// `(score, summary)` entry per id.  Entries are aligned with the interner's dense indices
-/// (interning and pushing happen under the same lock).  `lineage` adds the parent-lineage
-/// fast path: `(parent id, edit) -> child id`, filled both on evaluation and on plain
-/// template-memo hits.
-#[derive(Default)]
-struct ScoreMemo {
-    interner: TemplateInterner,
-    entries: Vec<(f64, ParseSummary)>,
-    lineage: FxHashMap<u32, FxHashMap<VariantKey, u32>>,
-}
-
-impl ScoreMemo {
-    /// Links `(parent id, edit)` to an entry id.
-    fn link(&mut self, (parent_id, key): (u32, VariantKey), child: u32) {
-        self.lineage
-            .entry(parent_id)
-            .or_default()
-            .insert(key, child);
-    }
-
-    /// Looks up an evaluated template: through `link`, the `(parent id, edit)` that produced
-    /// it, without hashing or comparing its tree, and else by the template itself — taking
-    /// `link` on that hit to back-fill it, so the next probe of the edit skips the hash.
-    /// Returns the entry and whether the lineage link answered.
-    fn probe(
-        &mut self,
-        template: &StructureTemplate,
-        link: &mut Option<(u32, VariantKey)>,
-    ) -> Option<((f64, ParseSummary), bool)> {
-        if let Some((parent_id, key)) = link.as_ref() {
-            if let Some(&child) = self.lineage.get(parent_id).and_then(|edits| edits.get(key)) {
-                return Some((self.entries[child as usize], true));
-            }
-        }
-        let id = self.interner.lookup(template)?.index() as u32;
-        if let Some(link) = link.take() {
-            self.link(link, id);
-        }
-        Some((self.entries[id as usize], false))
-    }
-
-    /// Records one evaluation, returning the entry's dense id, and links `link` to it.  A
-    /// concurrent insert of the same template wins harmlessly (evaluation is a pure
-    /// function).
-    fn insert(
-        &mut self,
-        template: &StructureTemplate,
-        entry: (f64, ParseSummary),
-        link: Option<(u32, VariantKey)>,
-    ) -> u32 {
-        let id = match self.interner.lookup(template) {
-            Some(id) => id.index() as u32,
-            None => {
-                let id = self.interner.intern(template.clone());
-                self.entries.push(entry);
-                id.index() as u32
-            }
-        };
-        if let Some(link) = link {
-            self.link(link, id);
-        }
-        id
-    }
-}
-
-/// The by-products of one parsed evaluation — compiled op table, sample parse, retained
-/// per-column score aggregates and memo id — which are everything the delta engine needs
-/// once the template becomes the refinement parent: the diff baseline and replay source,
-/// the recycled arenas variants copy unchanged spans from, the parts incremental scoring
-/// reuses, and the lineage key.  Shared read-only within one candidate's refinement; each
-/// sharded [`Refiner::refine_batch`] worker owns the contexts of its own candidates.
+/// The by-products of one parsed evaluation — compiled op table, sample parse and retained
+/// per-column score aggregates — which are everything the delta engine needs once the
+/// template becomes the refinement parent: the diff baseline and replay source, the
+/// recycled arenas variants copy unchanged spans from, and the parts incremental scoring
+/// reuses.  Shared read-only within one candidate's refinement; each sharded
+/// [`Refiner::refine_batch`] worker owns the contexts of its own candidates.
 struct ParentCtx {
-    id: Option<u32>,
     compiled: CompiledTemplate,
     parse: SpanParse,
     parts: Option<ScoreParts>,
@@ -297,7 +207,8 @@ pub struct Refiner<'a, S: RegularityScorer> {
     dataset: &'a Dataset,
     scorer: &'a S,
     max_line_span: usize,
-    memo: Mutex<ScoreMemo>,
+    /// Template-score memo: the `(score, summary)` of every template scored so far.
+    memo: Mutex<FxHashMap<StructureTemplate, (f64, ParseSummary)>>,
     /// Free list of span-parse arenas: candidate evaluation parses the same sample
     /// thousands of times, and recycling keeps the hot loop free of large allocations
     /// (the capacity of one sample parse carries over).  Owned by the refiner, so the
@@ -352,35 +263,25 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
 
     /// The one evaluation step: memo probe → parse → score → memoize, counted into `m`.
     ///
-    /// `parent` is the refinement parent and the edit that produced `template` from it.
-    /// With it, the memo is probed through the lineage link first; the template parses by
-    /// delta against the parent's arenas whenever [`diff_compiled`] yields a usable diff,
-    /// and — when the delta stats prove the mapped columns unchanged — scores by reusing
-    /// the parent's column aggregates (the same value either way: the bit-identity contract
-    /// of [`RegularityScorer::score_parts`]).  Without it, or without a usable diff, the
-    /// template is parsed and scored from scratch.  `wanted` sees the parse summary before
-    /// the score is computed: a summary it rejects comes back as `None`, unscored and
-    /// unmemoized (memo hits are tested the same way).
+    /// `parent` is the refinement parent `template` was derived from.  With it, the
+    /// template parses by delta against the parent's arenas whenever [`diff_compiled`]
+    /// yields a usable diff, and — when the delta stats prove the mapped columns unchanged
+    /// — scores by reusing the parent's column aggregates (the same value either way: the
+    /// bit-identity contract of [`RegularityScorer::score_parts`]).  Without it, or without
+    /// a usable diff, the template is parsed and scored from scratch.  `wanted` sees the
+    /// parse summary before the score is computed: a summary it rejects comes back as
+    /// `None`, unscored and unmemoized (memo hits are tested the same way).
     fn evaluate_step(
         &self,
         template: &StructureTemplate,
-        parent: Option<(&ParentCtx, VariantKey)>,
+        parent: Option<&ParentCtx>,
         wanted: impl Fn(&ParseSummary) -> bool,
         m: &mut EvaluationMetrics,
     ) -> Option<Evaluated> {
         m.evaluations += 1;
-        let (parent, mut link) = match parent {
-            Some((ctx, key)) => (Some(ctx), ctx.id.map(|id| (id, key))),
-            None => (None, None),
-        };
-        let hit = self
-            .memo
-            .lock()
-            .expect("memo lock")
-            .probe(template, &mut link);
-        if let Some(((score, summary), lineage)) = hit {
+        let hit = self.memo.lock().expect("memo lock").get(template).copied();
+        if let Some((score, summary)) = hit {
             m.memo_hits += 1;
-            m.lineage_hits += usize::from(lineage);
             return wanted(&summary).then_some(Evaluated {
                 score,
                 summary,
@@ -430,7 +331,6 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
         m.parse_seconds += started.elapsed().as_secs_f64();
         let summary = span_summary(&parse);
         let mut ctx = ParentCtx {
-            id: None,
             compiled,
             parse,
             parts: None,
@@ -465,11 +365,12 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
             None => self.scorer.score(dataset, template, parse),
         };
         m.score_seconds += started.elapsed().as_secs_f64();
-        ctx.id = Some(self.memo.lock().expect("memo lock").insert(
-            template,
-            (score, summary),
-            link,
-        ));
+        // A concurrent insert of the same template wins harmlessly: evaluation is a pure
+        // function of the template.
+        self.memo
+            .lock()
+            .expect("memo lock")
+            .insert(template.clone(), (score, summary));
         Some(Evaluated {
             score,
             summary,
@@ -491,15 +392,7 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
         let mut parse = self.acquire_span_parse();
         parse_compiled_into(self.dataset, &compiled, self.max_line_span, &mut parse);
         m.parse_seconds += started.elapsed().as_secs_f64();
-        let id = self
-            .memo
-            .lock()
-            .expect("memo lock")
-            .interner
-            .lookup(template)
-            .map(|id| id.index() as u32);
         ParentCtx {
-            id,
             compiled,
             parse,
             parts: None,
@@ -559,9 +452,9 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
             let counts = repetition_counts_span(&parent_ctx.parse, &best.template);
             let mut improved = false;
             let mut winner: Option<ParentCtx> = None;
-            for (key, candidate) in unfold_candidates_keyed(&best.template, &counts) {
+            for candidate in unfold_candidates(&best.template, &counts) {
                 let scored = self
-                    .evaluate_step(&candidate, Some((&parent_ctx, key)), |_| true, m)
+                    .evaluate_step(&candidate, Some(&parent_ctx), |_| true, m)
                     .expect("every summary is wanted");
                 if scored.score < best.score {
                     self.recycle(winner.take());
@@ -609,14 +502,12 @@ impl<'a, S: RegularityScorer> Refiner<'a, S> {
         };
         let records = current.summary.record_count.max(1);
         let mut best = current;
-        for (cut, variant) in variants.into_iter().enumerate() {
+        for variant in variants {
             let first = best.summary.first_record_line;
             let displaces = |summary: &ParseSummary| {
                 summary.record_count * 2 >= records && summary.first_record_line < first
             };
-            let key = VariantKey::Shift { cut };
-            if let Some(shifted) = self.evaluate_step(&variant, Some((&parent, key)), displaces, m)
-            {
+            if let Some(shifted) = self.evaluate_step(&variant, Some(&parent), displaces, m) {
                 self.recycle(shifted.ctx);
                 best = Refined {
                     template: variant,
@@ -726,7 +617,7 @@ pub fn refine_tree<S: RegularityScorer>(
         }
         let counts = repetition_counts(&parse, &best.template);
         let mut improved = false;
-        for (_, candidate) in unfold_candidates_keyed(&best.template, &counts) {
+        for candidate in unfold_candidates(&best.template, &counts) {
             let (score, summary, candidate_parse) = eval(&candidate);
             if score < best.score {
                 best = Refined {
@@ -758,14 +649,13 @@ pub fn refine_tree<S: RegularityScorer>(
     best
 }
 
-/// Generates the unfold candidates (full and partial) of every array in `template`, each
-/// tagged with the [`VariantKey`] of the edit that produced it — shared by the delta
-/// engine's lineage-keyed loop and `refine_tree` (same candidates in the same order, the
+/// Generates the unfold candidates (full and partial) of every array in `template` —
+/// shared by the [`Refiner`] and `refine_tree` (same candidates in the same order, the
 /// equivalence the differential suite relies on).
-fn unfold_candidates_keyed(
+fn unfold_candidates(
     template: &StructureTemplate,
     counts: &HashMap<usize, Vec<usize>>,
-) -> Vec<(VariantKey, StructureTemplate)> {
+) -> Vec<StructureTemplate> {
     let paths = collect_array_paths(template.nodes());
     if paths.is_empty() {
         return Vec::new();
@@ -787,30 +677,12 @@ fn unfold_candidates_keyed(
             .expect("non-empty");
         // Full unfolding to the modal repetition count.
         if (1..=MAX_UNFOLD_REPS).contains(&mode) {
-            if let Some(t) = unfold_at(template, path, mode, false) {
-                out.push((
-                    VariantKey::Unfold {
-                        path: path.clone(),
-                        reps: mode,
-                        partial: false,
-                    },
-                    t,
-                ));
-            }
+            out.extend(unfold_at(template, path, mode, false));
         }
         // Partial unfolding: expand a short prefix, keep the array suffix.
         let max_prefix = MAX_PARTIAL_PREFIX.min(mode.saturating_sub(1));
         for prefix in 1..=max_prefix {
-            if let Some(t) = unfold_at(template, path, prefix, true) {
-                out.push((
-                    VariantKey::Unfold {
-                        path: path.clone(),
-                        reps: prefix,
-                        partial: true,
-                    },
-                    t,
-                ));
-            }
+            out.extend(unfold_at(template, path, prefix, true));
         }
     }
     out
@@ -1275,21 +1147,30 @@ mod tests {
     }
 
     #[test]
-    fn lineage_fast_path_answers_repeated_edits() {
+    fn memo_answers_repeated_refinement() {
         let data = csv_dataset(40, 4);
         let scorer = MdlScorer;
         let refiner = Refiner::new(&data, &scorer, 10);
         let t = folded("1,2,3,4\n", ",\n");
         let first = refiner.refine(&t);
-        let hits_before = refiner.metrics().lineage_hits;
+        let counters = |m: EvaluationMetrics| EvaluationMetrics {
+            parse_seconds: 0.0,
+            score_seconds: 0.0,
+            ..m
+        };
+        let mut expected = counters(refiner.metrics());
         let second = refiner.refine(&t);
         assert_eq!(first.template, second.template);
         assert_eq!(first.score.to_bits(), second.score.to_bits());
-        assert!(
-            refiner.metrics().lineage_hits > hits_before,
-            "re-refining the same template must hit the lineage memo: {:?}",
-            refiner.metrics()
-        );
+        assert_eq!(first.summary, second.summary);
+        // Re-refining re-derives the root and its four unfold variants, and the memo
+        // answers all five: no delta or full parse, no score.
+        expected.accumulate(&EvaluationMetrics {
+            evaluations: 5,
+            memo_hits: 5,
+            ..EvaluationMetrics::default()
+        });
+        assert_eq!(counters(refiner.metrics()), expected);
     }
 
     #[test]

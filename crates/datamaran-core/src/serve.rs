@@ -57,7 +57,8 @@ pub struct ServeOptions {
     pub min_residual_lines: usize,
     /// Byte cap of the residual buffer; when full, the oldest residual lines are dropped.
     /// It also bounds a window: one is decided once the bytes pushed since the last
-    /// decision reach it, however few lines that is.
+    /// decision reach both it and the bytes carried over undecided, however few lines that
+    /// is.
     pub residual_bytes: usize,
     /// Whether drift triggers rediscovery at all (`false` = monitor-only: the rate is
     /// still tracked, the snapshot never changes).
@@ -551,15 +552,17 @@ impl<'a> ServeSession<'a> {
 
     /// Pushes one line (with or without its terminator) into the session, processing a
     /// window when `window_lines` lines are buffered or the bytes pushed since the last
-    /// window reach `residual_bytes` (so long lines cannot pile up `window_lines` deep).
+    /// window reach both `residual_bytes` and the carried bytes (so long lines can neither
+    /// pile up `window_lines` deep nor make every line rescan the carried tail).
     pub fn push_line<S: RecordSink + ?Sized>(&mut self, line: &str, sink: &mut S) -> Result<()> {
         self.buffer.push_str(line);
         if !line.ends_with('\n') {
             self.buffer.push('\n');
         }
         self.pending_lines += 1;
+        let pushed = self.buffer.len() - self.carried_bytes;
         if self.pending_lines >= self.options.window_lines
-            || self.buffer.len() - self.carried_bytes >= self.options.residual_bytes
+            || pushed >= self.options.residual_bytes.max(self.carried_bytes)
         {
             self.process_window(sink, false)?;
         }
@@ -912,9 +915,10 @@ mod tests {
     }
 
     /// Lines of half the residual cap: a window is decided once the bytes pushed since the
-    /// last one reach `residual_bytes`, so its size follows from that cap and the span
-    /// limit `L`, not from `window_lines`, and the records and noise are those of windows
-    /// bounded by lines alone.
+    /// last one reach both `residual_bytes` and the carried bytes, so its size follows from
+    /// that cap and the span limit `L`, not from `window_lines`; it decides about `L` lines
+    /// rather than two, and the records and noise are those of windows bounded by lines
+    /// alone.
     #[test]
     fn long_lines_bound_a_window_in_bytes() {
         // Hash-mixed values, so one line is one record (a periodic stream is legitimately
@@ -978,6 +982,12 @@ mod tests {
             by_lines.summary.peak_window_bytes > bound,
             "line-bounded peak {} must exceed {bound} for the bound to tell",
             by_lines.summary.peak_window_bytes
+        );
+        assert!(
+            bounded.summary.windows * span <= 2 * lines.len(),
+            "{} windows for {} lines",
+            bounded.summary.windows,
+            lines.len()
         );
     }
 

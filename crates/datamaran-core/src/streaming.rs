@@ -83,44 +83,53 @@ use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::time::Instant;
 
-/// Per-record sink time is sampled (1 in 32) so the instrumentation itself stays off the
-/// hot path; the estimate scales the sampled time by the call count.
-const SINK_TIMING_SAMPLE: usize = 32;
+/// Per-call time of the window loop's callbacks is sampled (1 in 32) so the
+/// instrumentation itself stays off the hot path; the estimate scales the sampled time by
+/// the call count.
+const TIMING_SAMPLE: usize = 32;
 
-/// Running sink-callback timing state of the window loop.
+/// Running timing state of one per-call callback of the window loop (record matching, or
+/// the sink's per-record calls).
 #[derive(Default)]
-struct SinkTiming {
+struct CallTiming {
+    /// Calls the sample is drawn from.
     calls: usize,
     sampled_calls: usize,
     sampled_secs: f64,
+    /// Seconds of the calls timed in full, outside the sample.
+    exact_secs: f64,
 }
 
-impl SinkTiming {
-    /// Pushes one record into the sink, timing a 1-in-[`SINK_TIMING_SAMPLE`] sample.
-    fn record<S: RecordSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-        record: &StreamRecord<'_>,
-    ) -> Result<()> {
-        if self.calls.is_multiple_of(SINK_TIMING_SAMPLE) {
+impl CallTiming {
+    /// Runs `call`, timing it in full when `exact`, and else when it falls in the
+    /// 1-in-[`TIMING_SAMPLE`] sample.
+    fn time<T>(&mut self, exact: bool, call: impl FnOnce() -> T) -> T {
+        if exact {
             let timed = Instant::now();
-            sink.record(record)?;
-            self.sampled_secs += timed.elapsed().as_secs_f64();
-            self.sampled_calls += 1;
-        } else {
-            sink.record(record)?;
+            let out = call();
+            self.exact_secs += timed.elapsed().as_secs_f64();
+            return out;
         }
+        let sampled = self.calls.is_multiple_of(TIMING_SAMPLE);
         self.calls += 1;
-        Ok(())
+        if !sampled {
+            return call();
+        }
+        let timed = Instant::now();
+        let out = call();
+        self.sampled_secs += timed.elapsed().as_secs_f64();
+        self.sampled_calls += 1;
+        out
     }
 
-    /// The estimated total seconds spent in per-record sink calls.
+    /// The estimated total seconds spent in the calls.
     fn estimate(&self) -> f64 {
-        if self.sampled_calls == 0 {
+        let sampled = if self.sampled_calls == 0 {
             0.0
         } else {
             self.sampled_secs * self.calls as f64 / self.sampled_calls as f64
-        }
+        };
+        self.exact_secs + sampled
     }
 }
 
@@ -159,7 +168,8 @@ pub(crate) struct WindowLoop {
     /// Stream line index of the first buffered line.
     global_line: usize,
     bufs: MatchBuffers,
-    timing: SinkTiming,
+    match_timing: CallTiming,
+    sink_timing: CallTiming,
 }
 
 impl WindowLoop {
@@ -168,7 +178,8 @@ impl WindowLoop {
     /// unmatched line is counted as noise and handed to `unmatched` (window-relative line
     /// index and text), and the undecided tail stays in `buffer` for the next window.
     /// With `eof` the whole buffer is decided.  Returns the window's counters (also pushed
-    /// onto `summary`, whose `sink_seconds` becomes the running per-record sink estimate)
+    /// onto `summary`, whose `match_seconds` and `sink_seconds` become the running
+    /// estimates of the time spent in `match_line` and in the sink's per-record calls)
     /// and the number of lines carried over.
     ///
     /// Callers differ only in how a line is matched (`match_line` fills the
@@ -190,7 +201,7 @@ impl WindowLoop {
         M: FnMut(&Dataset, usize, &mut MatchBuffers) -> Option<WindowRecord>,
         U: FnMut(usize, &str, &mut StreamSummary) -> Result<()>,
     {
-        let dataset = Dataset::new(buffer.as_str());
+        let dataset = Dataset::from_shared(buffer.as_str().into());
         summary.windows += 1;
         summary.peak_window_bytes = summary
             .peak_window_bytes
@@ -200,14 +211,18 @@ impl WindowLoop {
         // not been read yet; they are only decided once the stream is exhausted.
         let safe_limit = if eof { n } else { n.saturating_sub(max_span) };
 
-        let match_timer = Instant::now();
         let stats_before = self.bufs.scratch.stats;
         let mut line = 0usize;
         let mut window_noise = 0usize;
         while line < n {
             self.bufs.cells.clear();
             self.bufs.reps.clear();
-            match match_line(&dataset, line, &mut self.bufs) {
+            // A window's first match may build a window-wide match table (the parallel
+            // path), so it is timed in full rather than left to the sample.
+            let matched = self
+                .match_timing
+                .time(line == 0, || match_line(&dataset, line, &mut self.bufs));
+            match matched {
                 Some(rec) => {
                     if !eof && rec.line_span.1 > safe_limit {
                         break;
@@ -222,7 +237,7 @@ impl WindowLoop {
                         cells: &self.bufs.cells,
                         reps: &self.bufs.reps,
                     };
-                    self.timing.record(sink, &record)?;
+                    self.sink_timing.time(false, || sink.record(&record))?;
                     summary.records += 1;
                     line = rec.line_span.1;
                 }
@@ -238,8 +253,8 @@ impl WindowLoop {
                 }
             }
         }
-        summary.match_seconds += match_timer.elapsed().as_secs_f64();
-        summary.sink_seconds = self.timing.estimate();
+        summary.match_seconds = self.match_timing.estimate();
+        summary.sink_seconds = self.sink_timing.estimate();
 
         // Everything before `line` is decided; account for it and carry the tail over.
         let consumed_lines = line.min(n);
@@ -256,7 +271,7 @@ impl WindowLoop {
         summary.lines_processed += consumed_lines;
         summary.push_window(window, self.bufs.scratch.stats.since(&stats_before));
         self.global_line += consumed_lines;
-        *buffer = buffer.split_off(consumed_bytes);
+        buffer.drain(..consumed_bytes);
         Ok((window, n - consumed_lines))
     }
 }
@@ -466,8 +481,9 @@ impl<W: Write> QuarantineSink for WriteQuarantineSink<W> {
 pub struct StreamOptions {
     /// Number of bytes buffered from the head of the stream for structure discovery.
     pub head_bytes: usize,
-    /// Target number of bytes read per processing window (the actual window also contains
-    /// the undecided tail carried over from the previous window).
+    /// Target number of bytes read per processing window, raised to the bytes of the
+    /// undecided tail carried over from the previous window when that is larger (the
+    /// actual window also contains that tail).
     pub window_bytes: usize,
     /// What to do with undecodable, oversized, and (under `Quarantine`) unmatched lines.
     pub on_error: ErrorPolicy,
@@ -603,7 +619,10 @@ pub struct StreamSummary {
     /// put two clock reads on the hot path of the very throughput the CI gate measures).
     pub sink_seconds: f64,
     /// Wall-clock seconds spent matching templates against windows (the quantity
-    /// [`StreamBudgets::max_match_seconds`] caps).
+    /// [`StreamBudgets::max_match_seconds`] caps): the match calls alone, not the sink or
+    /// quarantine callbacks between them.  Each window's first call (which may build the
+    /// window's parallel match table) is timed in full, the rest are estimated from a
+    /// 1-in-32 sample like [`sink_seconds`](Self::sink_seconds).
     pub match_seconds: f64,
     /// Lines diverted to the quarantine sink (all reasons).
     pub quarantined_lines: usize,
@@ -929,13 +948,10 @@ fn stream_windows<R: BufRead, S: RecordSink + ?Sized>(
         if eof {
             break;
         }
-        eof = window_reader.fill(
-            &mut buffer,
-            options.window_bytes.max(1),
-            &options,
-            &mut quarantine,
-            &mut summary,
-        )?;
+        // The next window reads at least as many new bytes as it carries, so long lines,
+        // whose carried tail can outgrow `window_bytes`, are not rescanned per line.
+        let target = options.window_bytes.max(buffer.len()).max(1);
+        eof = window_reader.fill(&mut buffer, target, &options, &mut quarantine, &mut summary)?;
     }
 
     let timed = Instant::now();
@@ -1462,7 +1478,8 @@ mod tests {
     }
 
     /// The `O(window)` bound: a stream much larger than one window must not push the peak
-    /// resident window bytes anywhere near the stream length.
+    /// resident window bytes anywhere near the stream length — also when every line is
+    /// longer than a window, where the carried tail of `L` lines outgrows `window_bytes`.
     #[test]
     fn peak_window_bytes_stays_bounded() {
         let engine = Datamaran::with_defaults();
@@ -1484,6 +1501,54 @@ mod tests {
             text.len()
         );
         assert!(summary.windows > 10);
+
+        // Lines of twice the window size (~6.5 MB).  A window reads at least as many new
+        // bytes as it carries, so it decides about `L` lines rather than one, and the
+        // records are those of a single window over the whole stream.
+        let lines = 400;
+        let long: String = (0..lines)
+            .map(|i| {
+                if i % 23 == 5 {
+                    "--- rotating log file ---\n".to_string()
+                } else {
+                    format!(
+                        "host=h{};cpu={};mem={}\n",
+                        i % 12,
+                        i % 100,
+                        "7".repeat(16 * 1024)
+                    )
+                }
+            })
+            .collect();
+        let run = |window_bytes: usize| {
+            let mut records = Vec::new();
+            let summary = StreamSession::new(&engine)
+                .options(StreamOptions {
+                    window_bytes,
+                    ..options
+                })
+                .templates(summary.templates.clone())
+                .run_with(Cursor::new(long.as_bytes()), |r| records.push(r))
+                .unwrap();
+            (summary, records)
+        };
+        let (windowed, windowed_records) = run(8 * 1024);
+        let (whole, whole_records) = run(long.len() + 1);
+        assert_eq!(whole.windows, 1);
+        assert_eq!(windowed_records, whole_records);
+        assert_eq!(windowed.noise_lines, whole.noise_lines);
+        let span = engine.config().max_line_span;
+        assert!(
+            windowed.windows * span <= 2 * lines,
+            "{} windows for {lines} lines",
+            windowed.windows
+        );
+        assert!(
+            windowed.peak_window_bytes < long.len() / 4,
+            "peak {} vs stream {}",
+            windowed.peak_window_bytes,
+            long.len()
+        );
     }
 
     // ---------------------------------------------------------------------------------
@@ -1691,6 +1756,43 @@ mod tests {
         // was not consumed to the end.
         assert_eq!(summary.windows, 1);
         assert!(summary.bytes_processed < text.len());
+    }
+
+    /// `match_seconds` counts matching only: a slow sink shows in `sink_seconds`, so the
+    /// match budget cannot stop a stream whose sink is merely slow.
+    #[test]
+    fn match_seconds_leave_out_a_slow_sink() {
+        struct SlowSink;
+        impl RecordSink for SlowSink {
+            fn begin(&mut self, _templates: &[StructureTemplate]) -> Result<()> {
+                Ok(())
+            }
+            fn record(&mut self, _record: &StreamRecord<'_>) -> Result<()> {
+                std::thread::sleep(std::time::Duration::from_micros(500));
+                Ok(())
+            }
+            fn finish(&mut self) -> Result<()> {
+                Ok(())
+            }
+        }
+        let engine = Datamaran::with_defaults();
+        let options = StreamOptions {
+            head_bytes: 1024,
+            window_bytes: 2048,
+            ..StreamOptions::default()
+        };
+        let summary = StreamSession::new(&engine)
+            .options(options)
+            .run(Cursor::new(kv_log(500)), &mut SlowSink)
+            .unwrap();
+        assert_eq!(summary.records, 500);
+        assert!(summary.sink_seconds >= 0.2, "sink {}", summary.sink_seconds);
+        assert!(
+            summary.match_seconds * 10.0 < summary.sink_seconds,
+            "match {} vs sink {}",
+            summary.match_seconds,
+            summary.sink_seconds
+        );
     }
 
     #[test]

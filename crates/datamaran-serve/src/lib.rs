@@ -100,7 +100,9 @@ impl TransportOptions {
     }
 }
 
-/// When the shared output writer pushes its buffered rows downstream.
+/// When the shared output writer pushes its buffered rows downstream.  Both thresholds
+/// are checked as a row is written: once either is reached, the rows buffered before it
+/// are flushed first and the row itself is buffered after them.
 #[derive(Clone, Copy, Debug)]
 pub struct FlushPolicy {
     /// Flush once this many bytes are buffered.
@@ -119,7 +121,10 @@ impl Default for FlushPolicy {
     }
 }
 
-/// A writer that buffers and flushes by [`FlushPolicy`] thresholds.
+/// A writer that buffers and flushes by [`FlushPolicy`] thresholds.  A `write` takes all
+/// of its bytes or, when it fails, none of them: a due flush runs before the bytes are
+/// appended, so a caller that replays a failed write (the retrying sink) never writes its
+/// bytes twice.
 struct FlushingWriter<W: Write> {
     inner: W,
     policy: FlushPolicy,
@@ -136,24 +141,40 @@ impl<W: Write> FlushingWriter<W> {
             last_flush: Instant::now(),
         }
     }
+
+    /// Writes the buffered bytes downstream.  The bytes a failed attempt did write leave
+    /// the buffer, so the next attempt resumes with the unwritten tail.
+    fn write_buffered(&mut self) -> io::Result<()> {
+        let mut written = 0;
+        let result = loop {
+            if written == self.buf.len() {
+                break Ok(());
+            }
+            match self.inner.write(&self.buf[written..]) {
+                Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => written += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.buf.drain(..written);
+        result
+    }
 }
 
 impl<W: Write> Write for FlushingWriter<W> {
     fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(bytes);
-        if self.buf.len() >= self.policy.max_buffered_bytes
+        if self.buf.len() + bytes.len() >= self.policy.max_buffered_bytes
             || self.last_flush.elapsed() >= self.policy.max_interval
         {
             self.flush()?;
         }
+        self.buf.extend_from_slice(bytes);
         Ok(bytes.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        if !self.buf.is_empty() {
-            self.inner.write_all(&self.buf)?;
-            self.buf.clear();
-        }
+        self.write_buffered()?;
         self.inner.flush()?;
         self.last_flush = Instant::now();
         Ok(())
@@ -161,7 +182,9 @@ impl<W: Write> Write for FlushingWriter<W> {
 }
 
 /// The daemon's single output stream, shared by every connection: a mutex-guarded,
-/// flush-bounded writer.  Clones are handles to the same stream.
+/// flush-bounded writer.  Clones are handles to the same stream.  Each `write` is taken
+/// whole under the lock, so writers that hand over whole lines in one `write_all` — the
+/// JSON Lines sink writes one per row — interleave by whole lines only.
 #[derive(Clone)]
 pub struct SharedWriter {
     inner: Arc<Mutex<FlushingWriter<Box<dyn Write + Send>>>>,
@@ -186,42 +209,6 @@ impl Write for SharedWriter {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).flush()
-    }
-}
-
-/// Per-connection adapter in front of the [`SharedWriter`]: buffers row bytes locally and
-/// forwards only whole lines, each in a single locked write, so rows from concurrent
-/// connections never interleave mid-line.
-struct LineForwarder {
-    shared: SharedWriter,
-    buf: Vec<u8>,
-}
-
-impl LineForwarder {
-    fn new(shared: SharedWriter) -> Self {
-        LineForwarder {
-            shared,
-            buf: Vec::new(),
-        }
-    }
-}
-
-impl Write for LineForwarder {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(bytes);
-        if let Some(pos) = self.buf.iter().rposition(|b| *b == b'\n') {
-            self.shared.write_all(&self.buf[..=pos])?;
-            self.buf.drain(..=pos);
-        }
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if !self.buf.is_empty() {
-            self.shared.write_all(&self.buf)?;
-            self.buf.clear();
-        }
-        self.shared.flush()
     }
 }
 
@@ -344,8 +331,7 @@ impl Daemon {
         mut reader: R,
         shutdown: Option<&AtomicBool>,
     ) -> Result<ServeMetrics> {
-        let forwarder = LineForwarder::new(self.writer.clone());
-        let mut sink = RetryingSink::new(JsonLinesSink::new(forwarder), self.retry);
+        let mut sink = RetryingSink::new(JsonLinesSink::new(self.writer.clone()), self.retry);
         let mut session = ServeSession::new(&self.engine, &self.store, self.options)?;
         let mut raw = Vec::new();
         let mut invalid_utf8 = 0usize;
@@ -765,24 +751,26 @@ mod tests {
     }
 
     fn daemon_for(text: &str) -> (Arc<Daemon>, Arc<Mutex<Vec<u8>>>) {
+        let captured = Arc::new(Mutex::new(Vec::new()));
+        let out = CapturedWriter(Arc::clone(&captured));
+        let flush = FlushPolicy {
+            max_buffered_bytes: 1,
+            max_interval: Duration::from_millis(1),
+        };
+        (
+            Arc::new(daemon_writing(text, Box::new(out), flush)),
+            captured,
+        )
+    }
+
+    /// A daemon serving the templates discovered on `text`, writing rows to `out`.
+    fn daemon_writing(text: &str, out: Box<dyn Write + Send>, flush: FlushPolicy) -> Daemon {
         let engine = Datamaran::with_defaults();
         let result = engine.extract(text).unwrap();
         let templates: Vec<StructureTemplate> = result.templates().into_iter().cloned().collect();
         let snapshot = TemplateSnapshot::compile(1, templates, &engine).unwrap();
-        let captured = Arc::new(Mutex::new(Vec::new()));
-        let out = CapturedWriter(Arc::clone(&captured));
-        let daemon = Daemon::new(
-            engine,
-            snapshot,
-            ServeOptions::default().with_window_lines(64),
-            Box::new(out),
-            FlushPolicy {
-                max_buffered_bytes: 1,
-                max_interval: Duration::from_millis(1),
-            },
-        )
-        .unwrap();
-        (Arc::new(daemon), captured)
+        let options = ServeOptions::default().with_window_lines(64);
+        Daemon::new(engine, snapshot, options, out, flush).unwrap()
     }
 
     struct CapturedWriter(Arc<Mutex<Vec<u8>>>);
@@ -1191,28 +1179,108 @@ mod tests {
         assert!(t.read_timeout.is_none());
     }
 
+    /// An output that takes at most `chunk` bytes per call and, given `fail`, fails that
+    /// call (1-based) once with that kind, taking none of its bytes.
+    struct FlakyWriter {
+        out: Arc<Mutex<Vec<u8>>>,
+        calls: usize,
+        chunk: usize,
+        fail: Option<(usize, io::ErrorKind)>,
+    }
+
+    impl FlakyWriter {
+        fn new(
+            out: &Arc<Mutex<Vec<u8>>>,
+            chunk: usize,
+            fail: Option<(usize, io::ErrorKind)>,
+        ) -> Self {
+            FlakyWriter {
+                out: Arc::clone(out),
+                calls: 0,
+                chunk,
+                fail,
+            }
+        }
+    }
+
+    impl Write for FlakyWriter {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if let Some((call, kind)) = self.fail {
+                if self.calls == call {
+                    return Err(kind.into());
+                }
+            }
+            let n = bytes.len().min(self.chunk);
+            self.out.lock().unwrap().extend_from_slice(&bytes[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn shared_writer_interleaves_whole_lines_only() {
         let captured = Arc::new(Mutex::new(Vec::new()));
         let shared = SharedWriter::new(
-            Box::new(CapturedWriter(Arc::clone(&captured))),
+            Box::new(FlakyWriter::new(&captured, 3, None)),
             FlushPolicy {
                 max_buffered_bytes: 1,
                 max_interval: Duration::from_millis(1),
             },
         );
-        let mut a = LineForwarder::new(shared.clone());
-        let mut b = LineForwarder::new(shared);
-        // Interleaved partial writes: complete lines must come out unbroken.
-        a.write_all(b"{\"a\":").unwrap();
-        b.write_all(b"{\"b\":").unwrap();
-        a.write_all(b"1}\n").unwrap();
-        b.write_all(b"2}\n").unwrap();
-        a.flush().unwrap();
-        b.flush().unwrap();
+        // Concurrent writers, each handing over whole lines, onto an output that takes
+        // them a few bytes at a time: complete lines must come out unbroken.
+        let names = ["a", "b", "c"];
+        let start = std::sync::Barrier::new(names.len());
+        std::thread::scope(|scope| {
+            for name in names {
+                let (mut shared, start) = (shared.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..200 {
+                        let line = format!("{{\"{name}\":{i}}}\n");
+                        shared.write_all(line.as_bytes()).unwrap();
+                    }
+                });
+            }
+        });
+        shared.clone().flush().unwrap();
         let out = String::from_utf8(captured.lock().unwrap().clone()).unwrap();
         let mut lines: Vec<&str> = out.lines().collect();
         lines.sort_unstable();
-        assert_eq!(lines, vec!["{\"a\":1}", "{\"b\":2}"]);
+        let mut expected: Vec<String> = names
+            .iter()
+            .flat_map(|name| (0..200).map(move |i| format!("{{\"{name}\":{i}}}")))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(lines, expected);
+    }
+
+    /// A transient output error fails the row's write without taking it, so the retrying
+    /// sink's replay writes it once; a flush the error cut short resumes where it stopped.
+    #[test]
+    fn a_transient_output_error_writes_no_row_twice() {
+        let head = kv_text(200);
+        let text = kv_text(6000);
+        for kind in [io::ErrorKind::TimedOut, io::ErrorKind::WouldBlock] {
+            // Whole writes: the 2nd call is the 2nd flush of 64 KiB of rows.  Three bytes
+            // at a time: the 2nd call cuts the first flush short.
+            for (writes, chunk) in [("whole", usize::MAX), ("3-byte", 3)] {
+                let captured = Arc::new(Mutex::new(Vec::new()));
+                let out = FlakyWriter::new(&captured, chunk, Some((2, kind)));
+                let daemon = daemon_writing(&head, Box::new(out), FlushPolicy::default());
+                let metrics = daemon.handle_stream(Cursor::new(&text), None).unwrap();
+                let rows = String::from_utf8(captured.lock().unwrap().clone()).unwrap();
+                let rows: Vec<&str> = rows.lines().collect();
+                let case = format!("{kind:?}, {writes} writes");
+                assert!(metrics.summary.records > 1000, "{case}: {metrics:?}");
+                assert_eq!(rows.len(), metrics.summary.records, "{case}");
+                assert!(rows.iter().all(|r| r.starts_with("{\"type\":")), "{case}");
+                let distinct: std::collections::HashSet<&str> = rows.iter().copied().collect();
+                assert_eq!(distinct.len(), rows.len(), "{case}: duplicated rows");
+            }
+        }
     }
 }

@@ -201,8 +201,8 @@ pub struct DatasetReport {
 impl DatasetReport {
     /// The keys of a `BENCH_corpus.json` dataset entry that `reproduce -- corpus --check`
     /// holds equal to their committed values.  Each is deterministic and the same at any
-    /// worker-thread count; the memo, lineage and delta counters of the evaluation step
-    /// are not, and are not recorded.
+    /// worker-thread count; the memo and delta counters of the evaluation step are not,
+    /// and are not recorded.
     pub const GATED: &'static [&'static str] = &[
         "bytes",
         "lines",
