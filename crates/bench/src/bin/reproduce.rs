@@ -616,11 +616,11 @@ fn fig18(fast: bool) {
 
 /// Runs the extraction-to-CSV streaming path on a 32 MiB synthetic dataset (4 MiB with
 /// `--fast`), checks its CSV bytes against the in-memory materialized exporter, and
-/// records `BENCH_streaming.json`.  With `check`, the records, CSV bytes and windows must
-/// equal their committed values, and the peak resident window bytes must stay under
-/// [`datamaran_bench::STREAM_PEAK_WINDOW_BOUND`]: on an input 4× larger than the bound,
-/// that proves the streaming path is `O(window)`, not `O(file)`, in memory.  Returns
-/// `false` on regression.
+/// records `BENCH_streaming.json`.  With `check`, the records, CSV bytes, the sink's
+/// write calls and the windows must equal their committed values, and the peak resident
+/// window bytes must stay under [`datamaran_bench::STREAM_PEAK_WINDOW_BOUND`]: on an input
+/// 4× larger than the bound, that proves the streaming path is `O(window)`, not `O(file)`,
+/// in memory.  Returns `false` on regression.
 fn streaming_bench(fast: bool, check: bool) -> bool {
     use datamaran_bench::{StreamingBench, STREAM_PEAK_WINDOW_BOUND};
     heading("Streaming export — bounded-memory sink path");
@@ -632,8 +632,12 @@ fn streaming_bench(fast: bool, check: bool) -> bool {
     let runs = if fast { 2 } else { 3 };
     let bench = datamaran_bench::streaming_benchmark(bytes, runs);
     println!(
-        "dataset: {} bytes / {} lines; {} records, {} CSV bytes emitted",
-        bench.dataset_bytes, bench.dataset_lines, bench.records, bench.csv_bytes
+        "dataset: {} bytes / {} lines; {} records, {} CSV bytes emitted in {} write calls",
+        bench.dataset_bytes,
+        bench.dataset_lines,
+        bench.records,
+        bench.csv_bytes,
+        bench.csv_write_calls
     );
     println!(
         "windows: {} (head {} + window {} bytes)",

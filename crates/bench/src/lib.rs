@@ -602,6 +602,8 @@ pub struct StreamingBench {
     pub records: usize,
     /// Total CSV bytes emitted.
     pub csv_bytes: usize,
+    /// Write calls the CSV sink made on its table writers in one timed run.
+    pub csv_write_calls: usize,
     /// Streaming head size used (bytes).
     pub head_bytes: usize,
     /// Streaming window target used (bytes).
@@ -620,7 +622,8 @@ impl StreamingBench {
     /// Work counters `reproduce -- streaming --check` holds equal to the committed
     /// `BENCH_streaming.json` (see [`counter_gate`]); the peak window bytes are gated
     /// against [`STREAM_PEAK_WINDOW_BOUND`] instead.
-    pub const GATED: &'static [&'static str] = &["records", "csv_bytes", "windows"];
+    pub const GATED: &'static [&'static str] =
+        &["records", "csv_bytes", "csv_write_calls", "windows"];
 
     /// Megabytes processed per second.
     pub fn streaming_mb_per_sec(&self) -> f64 {
@@ -638,6 +641,7 @@ impl StreamingBench {
             number("dataset_lines", self.dataset_lines as f64),
             number("records", self.records as f64),
             number("csv_bytes", self.csv_bytes as f64),
+            number("csv_write_calls", self.csv_write_calls as f64),
             number("head_bytes", self.head_bytes as f64),
             number("window_bytes", self.window_bytes as f64),
             number("windows", self.windows as f64),
@@ -653,13 +657,15 @@ impl StreamingBench {
     }
 }
 
-/// An `io::Write` sink that counts bytes and drops them (throughput runs).
+/// An `io::Write` sink that counts write calls and drops their bytes (throughput runs).
 #[derive(Default)]
-struct ByteCount(usize);
+struct WriteCalls {
+    calls: usize,
+}
 
-impl std::io::Write for ByteCount {
+impl std::io::Write for WriteCalls {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0 += buf.len();
+        self.calls += 1;
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -717,14 +723,16 @@ pub fn streaming_benchmark(target_bytes: usize, runs: usize) -> StreamingBench {
 
     // Templates are supplied, so the clock sees the matcher, the window loop and the sink;
     // head discovery is the generation and evaluation benches' work.
+    let mut csv_write_calls = 0;
     let streaming_secs = best_secs(runs, || {
-        let mut sink = CsvSink::new(|_name: &str| Ok(ByteCount::default()));
+        let mut sink = CsvSink::new(|_name: &str| Ok(WriteCalls::default()));
         let s = StreamSession::new(&engine)
             .options(options)
             .templates(templates.clone())
             .run(Cursor::new(text.as_bytes()), &mut sink)
             .expect("streaming run succeeds");
         assert_eq!(s.records, summary.records);
+        csv_write_calls = sink.into_writers().iter().map(|(_, w)| w.calls).sum();
     });
 
     StreamingBench {
@@ -732,6 +740,7 @@ pub fn streaming_benchmark(target_bytes: usize, runs: usize) -> StreamingBench {
         dataset_lines: text.lines().count(),
         records: summary.records,
         csv_bytes: streamed_tables.iter().map(|(_, b)| b.len()).sum(),
+        csv_write_calls,
         head_bytes: options.head_bytes,
         window_bytes: options.window_bytes,
         windows: summary.windows,

@@ -39,6 +39,7 @@ use crate::relational::{build_schema, layout_record, RowIdSynth, RowWriter, Tabl
 use crate::semtype::{annotate_table, TableAnnotation};
 use crate::streaming::{StreamRecord, StreamSummary};
 use crate::structure::StructureTemplate;
+use std::convert::Infallible;
 use std::io::{self, Write};
 use std::time::Duration;
 
@@ -192,21 +193,42 @@ pub fn csv_quote(cell: &str) -> String {
 }
 
 /// Appends one RFC-4180-quoted cell to `out` without intermediate allocation — this is the
-/// point where span-backed table cells finally become owned bytes.
+/// point where span-backed table cells finally become owned bytes.  One byte pass decides
+/// whether the cell needs quotes; only a quoted cell is read again, to double its quotes.
 fn push_csv_cell(out: &mut String, cell: &str) {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') || cell.contains('\r') {
-        out.reserve(cell.len() + 2);
-        out.push('"');
-        for c in cell.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
-        }
-        out.push('"');
-    } else {
+    if !cell
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
+    {
         out.push_str(cell);
+        return;
     }
+    out.reserve(cell.len() + 2);
+    out.push('"');
+    for (i, part) in cell.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
+}
+
+/// Appends the decimal digits of `n` — exactly what `n.to_string()` gives — without going
+/// through `core::fmt`: the CSV sink writes one to three such keys per row.
+fn push_decimal(out: &mut String, mut n: usize) {
+    // usize::MAX has 20 decimal digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// Serializes one relational table as CSV text (header row first).  Cell values resolve
@@ -419,9 +441,11 @@ impl RetryPolicy {
 /// inner sink) that count is the number of durably written records — the number a caller
 /// resuming after a failure can rely on.
 ///
-/// The decorator replays the *call*, not partial bytes: it is intended for sinks whose
-/// `record` is atomic with respect to failure (buffered writers that fail before touching
-/// the stream, network sinks with transactional appends).
+/// The decorator replays the *call*, not partial bytes, so the inner sink must make a
+/// replay safe: either its `record` takes none of its bytes when it fails (buffered
+/// writers that fail before touching the stream, network sinks with transactional
+/// appends), or it keeps what it did not write and writes only that on the replay, as
+/// [`CsvSink`] does.
 pub struct RetryingSink<S, P: Sleeper = ThreadSleeper> {
     inner: S,
     policy: RetryPolicy,
@@ -533,63 +557,90 @@ impl<S: RecordSink, P: Sleeper> RecordSink for RetryingSink<S, P> {
     }
 }
 
-/// Per-table incremental CSV row writer: rows of one table always arrive sequentially
-/// (the layout walk closes a table's row before opening its next), so cells stream out
-/// left to right and the close pads any data columns the row did not fill.
+/// One normalized table of the CSV sink: its writer, its row shape, and the bytes staged
+/// for it.  Rows of one table always arrive sequentially (the layout walk closes a table's
+/// row before opening its next), so cells are appended left to right and the close pads
+/// any data columns the row did not fill.
 struct CsvTableState<W> {
     name: String,
     out: W,
     n_data: usize,
-    /// Data cells already emitted in the currently open row.
+    /// Data cells already staged in the currently open row.
     filled: usize,
+    /// Bytes not yet handed to `out` whole: the header until the table's first write, then
+    /// the rows of the record being written.  Reused, so rows cost no allocation.
+    staged: String,
+    /// How many leading bytes of `staged` a write that then failed already handed to `out`.
+    sent: usize,
 }
 
-/// One record's view of the sink for the layout walk: the tables of the record's type,
-/// the window its cells point into, and the sink's recycled staging buffer (no per-row
-/// allocation).
+impl<W: Write> CsvTableState<W> {
+    /// Hands the staged bytes to the writer with a `write` loop: a write that fails part
+    /// way leaves `sent` at what the writer took, so the next call sends only the rest.
+    fn write_staged(&mut self) -> io::Result<()> {
+        while self.sent < self.staged.len() {
+            match self.out.write(&self.staged.as_bytes()[self.sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.staged.clear();
+        self.sent = 0;
+        Ok(())
+    }
+
+    fn sink_error(&self, e: &io::Error) -> Error {
+        Error::io(e).in_sink(format!("csv:{}", self.name))
+    }
+}
+
+/// One record's view of the sink for the layout walk: the tables of the record's type and
+/// the window its cells point into.  Rows are staged, not written; [`CsvSink::record`]
+/// hands each table its bytes once the walk is done.
 struct CsvRows<'a, W> {
     tables: &'a mut [CsvTableState<W>],
     window: &'a str,
-    buf: &'a mut String,
 }
 
-impl<W: Write> RowWriter for CsvRows<'_, W> {
-    type Error = io::Error;
+impl<W> RowWriter for CsvRows<'_, W> {
+    type Error = Infallible;
 
-    /// Writes the synthesized key cells, exactly like the materialized tables.
+    /// Stages the synthesized key cells, exactly like the materialized tables.
     fn open_row(
         &mut self,
         table: usize,
         id: usize,
         parent: Option<(usize, usize)>,
-    ) -> io::Result<()> {
-        use std::fmt::Write as _;
+    ) -> Result<(), Infallible> {
         let t = &mut self.tables[table];
         t.filled = 0;
-        self.buf.clear();
-        let _ = write!(self.buf, "{id}");
+        push_decimal(&mut t.staged, id);
         if let Some((parent_id, position)) = parent {
-            let _ = write!(self.buf, ",{parent_id},{position}");
+            t.staged.push(',');
+            push_decimal(&mut t.staged, parent_id);
+            t.staged.push(',');
+            push_decimal(&mut t.staged, position);
         }
-        t.out.write_all(self.buf.as_bytes())
+        Ok(())
     }
 
-    fn cell(&mut self, table: usize, cell: &FieldCell) -> io::Result<()> {
+    fn cell(&mut self, table: usize, cell: &FieldCell) -> Result<(), Infallible> {
         let t = &mut self.tables[table];
-        self.buf.clear();
-        self.buf.push(',');
-        push_csv_cell(self.buf, &self.window[cell.start..cell.end]);
+        t.staged.push(',');
+        push_csv_cell(&mut t.staged, &self.window[cell.start..cell.end]);
         t.filled += 1;
-        t.out.write_all(self.buf.as_bytes())
+        Ok(())
     }
 
-    fn close_row(&mut self, table: usize) -> io::Result<()> {
+    fn close_row(&mut self, table: usize) -> Result<(), Infallible> {
         let t = &mut self.tables[table];
-        while t.filled < t.n_data {
-            t.out.write_all(b",")?;
-            t.filled += 1;
+        for _ in t.filled..t.n_data {
+            t.staged.push(',');
         }
-        t.out.write_all(b"\n")
+        t.staged.push('\n');
+        Ok(())
     }
 }
 
@@ -603,6 +654,14 @@ impl<W: Write> RowWriter for CsvRows<'_, W> {
 /// `type0`, `type0_array0`, in the same order the materialized tables appear in).  Row ids
 /// and foreign keys come from one [`RowIdSynth`] per record type that lives for the whole
 /// stream, so the numbering stays correct across chunk-window boundaries.
+///
+/// Each record's rows are staged per table while the walk runs, and every table the record
+/// touched then gets its bytes in one write; a table's header goes out with its first
+/// write, or at [`finish`](RecordSink::finish) for a table no record reached.  A `record`
+/// call that fails keeps the bytes the writers did not take and the row ids it drew: when
+/// the same record is pushed again (the replay of [`RetryingSink`]), only those bytes are
+/// written and nothing is laid out twice.  Call `finish` before
+/// [`into_writers`](Self::into_writers), so that every staged byte is written.
 pub struct CsvSink<W: Write, F: FnMut(&str) -> io::Result<W>> {
     factory: F,
     templates: Vec<StructureTemplate>,
@@ -611,7 +670,9 @@ pub struct CsvSink<W: Write, F: FnMut(&str) -> io::Result<W>> {
     /// Per template: its row-id counters.
     synths: Vec<RowIdSynth>,
     tables: Vec<CsvTableState<W>>,
-    buf: String,
+    /// The record — template index and line span — whose rows a failed `record` call
+    /// staged but did not write whole.
+    unwritten: Option<(usize, (usize, usize))>,
 }
 
 impl<W: Write, F: FnMut(&str) -> io::Result<W>> CsvSink<W, F> {
@@ -623,7 +684,7 @@ impl<W: Write, F: FnMut(&str) -> io::Result<W>> CsvSink<W, F> {
             ranges: Vec::new(),
             synths: Vec::new(),
             tables: Vec::new(),
-            buf: String::new(),
+            unwritten: None,
         }
     }
 
@@ -643,52 +704,66 @@ impl<W: Write, F: FnMut(&str) -> io::Result<W>> RecordSink for CsvSink<W, F> {
                 "CsvSink cannot be reused across streams; create a new sink per stream".into(),
             ));
         }
-        self.templates = templates.to_vec();
+        // Nothing is kept until every writer exists, so a failed `begin` can be replayed.
+        let mut tables = Vec::new();
+        let mut ranges = Vec::with_capacity(templates.len());
+        let mut synths = Vec::with_capacity(templates.len());
         for (idx, template) in templates.iter().enumerate() {
             let schema = build_schema(template, &format!("type{idx}"));
-            let first = self.tables.len();
+            let first = tables.len();
             for st in &schema.tables {
-                let mut out = (self.factory)(&st.name)
+                let out = (self.factory)(&st.name)
                     .map_err(|e| Error::io(&e).in_sink(format!("csv:{}", st.name)))?;
-                self.buf.clear();
-                push_csv_row(&mut self.buf, st.header().iter().map(String::as_str));
-                out.write_all(self.buf.as_bytes())
-                    .map_err(|e| Error::io(&e).in_sink(format!("csv:{}", st.name)))?;
-                self.tables.push(CsvTableState {
+                let mut staged = String::new();
+                push_csv_row(&mut staged, st.header().iter().map(String::as_str));
+                tables.push(CsvTableState {
                     name: st.name.clone(),
                     out,
                     n_data: st.column_ids.len(),
                     filled: 0,
+                    staged,
+                    sent: 0,
                 });
             }
-            self.ranges.push(first..self.tables.len());
-            self.synths.push(RowIdSynth::new(schema.tables.len()));
+            ranges.push(first..tables.len());
+            synths.push(RowIdSynth::new(schema.tables.len()));
         }
+        self.templates = templates.to_vec();
+        self.ranges = ranges;
+        self.synths = synths;
+        self.tables = tables;
         Ok(())
     }
 
     fn record(&mut self, record: &StreamRecord<'_>) -> CoreResult<()> {
         let t = record.template_index;
-        let mut rows = CsvRows {
-            tables: &mut self.tables[self.ranges[t].clone()],
-            window: record.window,
-            buf: &mut self.buf,
-        };
-        layout_record(
-            self.templates[t].nodes(),
-            record.cells,
-            record.reps,
-            &mut self.synths[t],
-            &mut rows,
-        )
-        .map_err(|e| Error::io(&e).in_sink("csv"))
+        let key = (t, record.line_span);
+        let range = self.ranges[t].clone();
+        if self.unwritten != Some(key) {
+            let mut rows = CsvRows {
+                tables: &mut self.tables[range.clone()],
+                window: record.window,
+            };
+            let Ok(()) = layout_record(
+                self.templates[t].nodes(),
+                record.cells,
+                record.reps,
+                &mut self.synths[t],
+                &mut rows,
+            );
+        }
+        self.unwritten = Some(key);
+        for table in &mut self.tables[range] {
+            table.write_staged().map_err(|e| table.sink_error(&e))?;
+        }
+        self.unwritten = None;
+        Ok(())
     }
 
     fn finish(&mut self) -> CoreResult<()> {
         for t in &mut self.tables {
-            t.out
-                .flush()
-                .map_err(|e| Error::io(&e).in_sink(format!("csv:{}", t.name)))?;
+            t.write_staged().map_err(|e| t.sink_error(&e))?;
+            t.out.flush().map_err(|e| t.sink_error(&e))?;
         }
         Ok(())
     }
@@ -1114,6 +1189,133 @@ mod tests {
         assert_eq!(csv_quote("say \"hi\""), "\"say \"\"hi\"\"\"");
         assert_eq!(csv_quote("two\nlines"), "\"two\nlines\"");
         assert_eq!(csv_quote(""), "");
+    }
+
+    #[test]
+    fn decimal_keys_match_to_string() {
+        for n in [0, 9, 10, 99, 100, usize::MAX] {
+            let mut out = String::from("k");
+            push_decimal(&mut out, n);
+            assert_eq!(out, format!("k{n}"));
+        }
+    }
+
+    /// A transient failure to create the second table's writer leaves `begin` replayable:
+    /// the retry creates every writer again and the stream goes on.
+    #[test]
+    fn a_failed_begin_can_be_replayed() {
+        use crate::structure::Node;
+        let template = StructureTemplate::new(vec![Node::Array {
+            body: vec![Node::Field],
+            separator: ',',
+            terminator: '\n',
+        }]);
+        let mut created = 0;
+        let sink = CsvSink::new(|_: &str| {
+            created += 1;
+            if created == 2 {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            Ok(Vec::<u8>::new())
+        });
+        let mut retrying =
+            RetryingSink::with_sleeper(sink, RetryPolicy::default(), RecordingSleeper::default());
+        retrying.begin(std::slice::from_ref(&template)).unwrap();
+        assert_eq!(retrying.retries(), 1);
+        let cells = [FieldCell {
+            column: 0,
+            start: 0,
+            end: 1,
+        }];
+        retrying
+            .record(&StreamRecord {
+                template_index: 0,
+                line_span: (0, 1),
+                window: "a\n",
+                cells: &cells,
+                reps: &[1],
+            })
+            .unwrap();
+        retrying.finish().unwrap();
+        let tables: Vec<(String, String)> = retrying
+            .into_inner()
+            .into_writers()
+            .into_iter()
+            .map(|(name, bytes)| (name, String::from_utf8(bytes).unwrap()))
+            .collect();
+        assert_eq!(
+            tables,
+            [
+                ("type0".to_string(), "id\n0\n".to_string()),
+                (
+                    "type0_array0".to_string(),
+                    "id,parent_id,position,field_0\n0,0,0,a\n".to_string()
+                ),
+            ]
+        );
+    }
+
+    /// A caller that moves on after a failed `record` instead of replaying it still gets
+    /// whole tables: the failed record's unwritten rows go out first, then the new record
+    /// is laid out and written after them.
+    #[test]
+    fn a_record_after_a_failed_one_is_laid_out_after_its_rows() {
+        use crate::structure::Node;
+        struct FailSecondCall(Vec<u8>, usize);
+        impl Write for FailSecondCall {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.1 += 1;
+                if self.1 == 2 {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let template = StructureTemplate::new(vec![
+            Node::Field,
+            Node::Literal("=".into()),
+            Node::Field,
+            Node::Literal("\n".into()),
+        ]);
+        let window = "a=1\nb=2\nc=3\n";
+        let cells = |line: usize| {
+            let start = 4 * line;
+            [
+                FieldCell {
+                    column: 0,
+                    start,
+                    end: start + 1,
+                },
+                FieldCell {
+                    column: 1,
+                    start: start + 2,
+                    end: start + 3,
+                },
+            ]
+        };
+        let mut sink = CsvSink::new(|_: &str| Ok(FailSecondCall(Vec::new(), 0)));
+        sink.begin(std::slice::from_ref(&template)).unwrap();
+        for line in 0..3 {
+            let cells = cells(line);
+            let result = sink.record(&StreamRecord {
+                template_index: 0,
+                line_span: (line, line + 1),
+                window,
+                cells: &cells,
+                reps: &[],
+            });
+            assert_eq!(result.is_err(), line == 1, "record {line}");
+        }
+        sink.finish().unwrap();
+        let tables = sink.into_writers();
+        assert_eq!(
+            String::from_utf8(tables[0].1 .0.clone()).unwrap(),
+            "id,field_0,field_1\n0,a,1\n1,b,2\n2,c,3\n"
+        );
     }
 
     #[test]

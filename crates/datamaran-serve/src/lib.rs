@@ -31,7 +31,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 mod cli;
@@ -102,13 +102,16 @@ impl TransportOptions {
 
 /// When the shared output writer pushes its buffered rows downstream.  Both thresholds
 /// are checked as a row is written: once either is reached, the rows buffered before it
-/// are flushed first and the row itself is buffered after them.
+/// are flushed first and the row itself is buffered after them.  The interval is also kept
+/// by a timer, so rows reach downstream readers while no further row is written.
 #[derive(Clone, Copy, Debug)]
 pub struct FlushPolicy {
     /// Flush once this many bytes are buffered.
     pub max_buffered_bytes: usize,
-    /// Flush when this much time has passed since the last flush, even if the byte
-    /// threshold has not been reached (bounds how stale downstream readers can be).
+    /// The longest a row waits in the buffer, even if the byte threshold is not reached:
+    /// a timer thread of the [`SharedWriter`] flushes whatever is buffered every
+    /// `max_interval`, and a row written once the interval has passed since the last
+    /// flush flushes the rows before it.  Zero flushes on every write and starts no timer.
     pub max_interval: Duration,
 }
 
@@ -191,10 +194,31 @@ pub struct SharedWriter {
 }
 
 impl SharedWriter {
-    /// Wraps `out` with the given flush policy.
+    /// Wraps `out` with the given flush policy.  A nonzero
+    /// [`max_interval`](FlushPolicy::max_interval) starts the writer's timer thread, which
+    /// holds only a weak handle and ends once every clone of the writer is dropped.
     pub fn new(out: Box<dyn Write + Send>, policy: FlushPolicy) -> Self {
-        SharedWriter {
-            inner: Arc::new(Mutex::new(FlushingWriter::new(out, policy))),
+        let inner = Arc::new(Mutex::new(FlushingWriter::new(out, policy)));
+        if !policy.max_interval.is_zero() {
+            let writer = Arc::downgrade(&inner);
+            std::thread::spawn(move || flush_on_timer(&writer, policy.max_interval));
+        }
+        SharedWriter { inner }
+    }
+}
+
+/// The timer of a [`SharedWriter`]: every `interval`, flushes the rows buffered since the
+/// last flush.  A failed flush keeps the unwritten rows buffered, and the next write or
+/// flush of the writer retries them and reports the error.
+fn flush_on_timer(writer: &Weak<Mutex<FlushingWriter<Box<dyn Write + Send>>>>, interval: Duration) {
+    loop {
+        std::thread::sleep(interval);
+        let Some(writer) = writer.upgrade() else {
+            return;
+        };
+        let mut writer = writer.lock().unwrap_or_else(|e| e.into_inner());
+        if !writer.buf.is_empty() {
+            let _ = writer.flush();
         }
     }
 }
@@ -1256,6 +1280,135 @@ mod tests {
             .collect();
         expected.sort_unstable();
         assert_eq!(lines, expected);
+    }
+
+    /// Serves its bytes, then records when it was first asked for more and blocks until
+    /// the test drops the gate's sender: an input that stays open after its last line.
+    struct OpenReader {
+        data: Cursor<Vec<u8>>,
+        drained: Arc<Mutex<Option<Instant>>>,
+        gate: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl Read for OpenReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.data.read(buf)?;
+            if n == 0 {
+                self.drained
+                    .lock()
+                    .unwrap()
+                    .get_or_insert_with(Instant::now);
+                let _ = self.gate.recv();
+            }
+            Ok(n)
+        }
+    }
+
+    /// `--flush-ms` bounds how long a decided window's rows wait, even when no further row
+    /// is written: with the input still open after 400 lines, every row the session has
+    /// emitted must reach the output within a small multiple of the interval.
+    #[test]
+    fn flush_ms_bounds_the_wait_of_rows_while_the_input_is_open() {
+        let interval = Duration::from_millis(10);
+        let text = kv_text(400);
+        let captured = Arc::new(Mutex::new(Vec::new()));
+        let flush = FlushPolicy {
+            max_interval: interval,
+            ..FlushPolicy::default()
+        };
+        let daemon = daemon_writing(
+            &text,
+            Box::new(CapturedWriter(Arc::clone(&captured))),
+            flush,
+        );
+        // The rows the session emits before end of input: those of its decided windows.
+        let mut session =
+            ServeSession::new(&daemon.engine, daemon.store(), daemon.options).unwrap();
+        let mut emitted = datamaran_core::export::CountingSink::default();
+        for line in text.split_inclusive('\n') {
+            session.push_line(line, &mut emitted).unwrap();
+        }
+        assert!(emitted.records > 0, "{emitted:?}");
+
+        let drained = Arc::new(Mutex::new(None));
+        let (release, gate) = std::sync::mpsc::channel();
+        let reader = OpenReader {
+            data: Cursor::new(text.into_bytes()),
+            drained: Arc::clone(&drained),
+            gate,
+        };
+        let rows = || {
+            captured
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count()
+        };
+        std::thread::scope(|scope| {
+            let served = scope.spawn(|| daemon.handle_stream(BufReader::new(reader), None));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let all_read = loop {
+                if let Some(at) = *drained.lock().unwrap() {
+                    break at;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "the daemon never read all 400 lines"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            while rows() < emitted.records && all_read.elapsed() < 50 * interval {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let waited = all_read.elapsed();
+            assert_eq!(
+                rows(),
+                emitted.records,
+                "rows on the output {waited:?} after the last line was read, input still open"
+            );
+            drop(release);
+            let metrics = served.join().unwrap().unwrap();
+            assert!(metrics.summary.records > emitted.records, "{metrics:?}");
+            assert_eq!(rows(), metrics.summary.records);
+        });
+    }
+
+    /// The flush timer holds the writer only weakly: once every handle is dropped, the
+    /// output is dropped too.
+    #[test]
+    fn the_flush_timer_ends_with_the_writer() {
+        struct DropFlag(Arc<AtomicBool>);
+        impl Write for DropFlag {
+            fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        impl Drop for DropFlag {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let interval = Duration::from_millis(5);
+        let dropped = Arc::new(AtomicBool::new(false));
+        let mut shared = SharedWriter::new(
+            Box::new(DropFlag(Arc::clone(&dropped))),
+            FlushPolicy {
+                max_interval: interval,
+                ..FlushPolicy::default()
+            },
+        );
+        shared.write_all(b"{}\n").unwrap();
+        std::thread::sleep(3 * interval);
+        drop(shared);
+        let deadline = Instant::now() + 200 * interval;
+        while !dropped.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "the output outlived its writer");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// A transient output error fails the row's write without taking it, so the retrying

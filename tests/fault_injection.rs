@@ -496,3 +496,75 @@ fn clean_input_is_byte_identical_through_the_fault_stack() {
         "JSON Lines bytes identical"
     );
 }
+
+/// An output that takes at most `chunk` bytes per call and fails its `fail_at`-th call
+/// (1-based) once with a transient error, taking none of that call's bytes.
+struct FlakyOutput {
+    bytes: Vec<u8>,
+    calls: usize,
+    chunk: usize,
+    fail_at: usize,
+}
+
+impl std::io::Write for FlakyOutput {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls == self.fail_at {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        let n = buf.len().min(self.chunk);
+        self.bytes.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A transient write error under the retry decorator must not corrupt a CSV table: the
+/// failed record keeps its unwritten bytes and its row ids, and its replay writes only
+/// the rest — whether the writer takes whole writes or 3 bytes per call.
+#[test]
+fn a_transient_write_error_leaves_csv_tables_byte_identical() {
+    let text: String = (0..400)
+        .map(|i| format!("host=h{};cpu={};mem={}\n", i % 12, i % 100, (i * 7) % 512))
+        .collect();
+    let engine = Datamaran::with_defaults();
+    let options = small_windows();
+    let mut clean = CsvSink::new(|_name: &str| Ok(Vec::<u8>::new()));
+    let summary = run_plain(&engine, Cursor::new(text.clone()), options, &mut clean)
+        .expect("clean streaming succeeds");
+    assert_eq!(summary.records, 400);
+    let as_text = |(name, bytes): (String, Vec<u8>)| (name, String::from_utf8(bytes).unwrap());
+    let clean: Vec<(String, String)> = clean.into_writers().into_iter().map(as_text).collect();
+
+    for chunk in [usize::MAX, 3] {
+        for fail_at in [1, 2, 40, 41, 399] {
+            let case = format!("{chunk} bytes per call, call {fail_at} fails");
+            let flaky = CsvSink::new(|_name: &str| {
+                Ok(FlakyOutput {
+                    bytes: Vec::new(),
+                    calls: 0,
+                    chunk,
+                    fail_at,
+                })
+            });
+            let mut retrying = RetryingSink::with_sleeper(
+                flaky,
+                RetryPolicy::default(),
+                RecordingSleeper::default(),
+            );
+            run_plain(&engine, Cursor::new(text.clone()), options, &mut retrying)
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(retrying.retries(), 1, "{case}: the fault fired once");
+            let tables: Vec<(String, String)> = retrying
+                .into_inner()
+                .into_writers()
+                .into_iter()
+                .map(|(name, out)| as_text((name, out.bytes)))
+                .collect();
+            assert_eq!(tables, clean, "{case}");
+        }
+    }
+}

@@ -232,7 +232,8 @@ fn every_catalog_record_rebuilds_its_bytes() {
 }
 
 /// Strategy producing CSV cell content that stresses the quoting rules: embedded quotes,
-/// commas, carriage returns, bare newlines, and plain text, in any mix.
+/// commas, carriage returns, bare newlines, and plain text — tabs, control characters and
+/// multi-byte characters included, which need no quotes — in any mix.
 fn csv_cell() -> impl Strategy<Value = String> {
     prop::collection::vec(
         prop_oneof![
@@ -244,6 +245,10 @@ fn csv_cell() -> impl Strategy<Value = String> {
             Just(','),
             Just('\r'),
             Just('\n'),
+            Just('\t'),
+            Just('\u{1}'),
+            Just('é'),
+            Just('日'),
         ],
         0..12,
     )
@@ -295,12 +300,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// CSV quoting round-trips arbitrary cell content — embedded quotes, commas, `\r`, and
-    /// `\n` included — and span-backed cells serialize byte-identically to owned cells
-    /// holding the same text (the export boundary must not care which variant it gets).
+    /// `\n` included — quotes a cell exactly when it holds one of those four characters,
+    /// and span-backed cells serialize byte-identically to owned cells holding the same
+    /// text (the export boundary must not care which variant it gets).
     #[test]
     fn csv_quoting_round_trips_and_cell_variants_agree(cells in prop::collection::vec(csv_cell(), 1..6)) {
         use datamaran::core::{csv_quote, table_to_csv, Cell, Table};
         use std::sync::Arc;
+
+        // Quotes only where RFC 4180 needs them.
+        for c in &cells {
+            let plain = !c.contains([',', '"', '\n', '\r']);
+            prop_assert_eq!(csv_quote(c) == *c, plain, "{:?}", c);
+        }
 
         // Round trip through the quoted representation.
         let line: String = cells
