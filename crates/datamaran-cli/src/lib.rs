@@ -43,8 +43,8 @@
 use datamaran_core::{
     all_tables_csv, extraction_report, stream_report, table_to_csv, CountingSink, CsvSink,
     Datamaran, DatamaranConfig, Error, ErrorPolicy, Grammar, JsonLinesSink, QuarantineSink,
-    RecordSink, RetryPolicy, RetryingSink, SearchStrategy, StreamBudgets, StreamOptions,
-    StreamSession, StreamSummary, StructureTemplate, TemplateArtifact, WriteQuarantineSink,
+    RecordSink, RetryingWriter, SearchStrategy, StreamBudgets, StreamOptions, StreamSession,
+    StreamSummary, StructureTemplate, TemplateArtifact, WriteQuarantineSink,
 };
 use logclust::{ClusterConfig, LogCluster};
 use std::fmt::Write as _;
@@ -117,7 +117,8 @@ pub struct Cli {
     pub max_match_seconds: Option<f64>,
     /// Budget: maximum quarantined fraction of the stream (`--max-quarantine-fraction`).
     pub max_quarantine_fraction: Option<f64>,
-    /// Bounded retries for transient sink failures (`--sink-retries`, 0 = no retry).
+    /// Retries of a record-output write or flush that fails with a transient error
+    /// (`--sink-retries`, 0 = no retry).
     pub sink_retries: usize,
     /// Scaled-down corpus matrix for smoke runs (`corpus --fast`).
     pub fast: bool,
@@ -455,8 +456,10 @@ FLAGS:
     --max-quarantine-fraction <FLOAT>
                                   budget: stop gracefully once more than this fraction
                                   of input lines was quarantined (0 < FLOAT <= 1)
-    --sink-retries <INT>          retry transient sink failures up to INT times with
-                                  exponential backoff (default: 0 = fail fast)
+    --sink-retries <INT>          retry a write or flush of the record output that fails
+                                  with a transient error (interrupted, timed out, would
+                                  block) up to INT times, waiting 10 ms x 2^k (at most
+                                  1 s) before retry k (default: 0 = fail fast)
                                   (all of the above require `--stream`)
     --fast                        `corpus` only: scale every dataset down 8x for a
                                   smoke run (numbers are not comparable to full runs)
@@ -672,37 +675,26 @@ fn run_corpus<W: Write>(cli: &Cli, out: &mut W) -> Result<(), CliError> {
     .map_err(|e| CliError::io(e.to_string()))
 }
 
-/// Streams the guarded pipeline into `sink`, wrapping it in a [`RetryingSink`] when
-/// `--sink-retries` asked for one.  Returns the summary plus the retries performed.
+/// Streams the guarded pipeline into `sink`.
 fn run_guarded<R: BufRead, S: RecordSink>(
-    cli: &Cli,
     engine: &Datamaran,
     reader: R,
     options: StreamOptions,
     sink: &mut S,
     quarantine: Option<&mut dyn QuarantineSink>,
-) -> Result<(StreamSummary, usize), CliError> {
+) -> Result<StreamSummary, CliError> {
     let mut session = StreamSession::new(engine).options(options);
     if let Some(q) = quarantine {
         session = session.quarantine(q);
     }
-    let (summary, retries) = if cli.sink_retries > 0 {
-        let policy = RetryPolicy {
-            max_retries: cli.sink_retries,
-            ..RetryPolicy::default()
-        };
-        let mut retrying = RetryingSink::new(&mut *sink, policy);
-        let summary = session.run(reader, &mut retrying);
-        (summary, retrying.retries())
-    } else {
-        (session.run(reader, sink), 0)
-    };
-    Ok((summary.map_err(|e| CliError::from_core(&e))?, retries))
+    session
+        .run(reader, sink)
+        .map_err(|e| CliError::from_core(&e))
 }
 
 /// Appends the fault-handling part of the streaming summary (quarantine counters, early
-/// stop, sink retries) — only the lines that carry information.
-fn render_fault_stats(s: &mut String, summary: &StreamSummary, retries: usize) {
+/// stop) — only the lines that carry information.
+fn render_fault_stats(s: &mut String, summary: &StreamSummary) {
     if summary.quarantined_lines > 0
         || summary.invalid_utf8_lines > 0
         || summary.oversized_lines > 0
@@ -716,17 +708,15 @@ fn render_fault_stats(s: &mut String, summary: &StreamSummary, retries: usize) {
             summary.oversized_lines
         );
     }
-    if retries > 0 {
-        let _ = writeln!(s, "sink retries: {retries}");
-    }
     if let Some(reason) = summary.stopped_reason {
         let _ = writeln!(s, "stopped early: {} budget reached", reason.name());
     }
 }
 
 /// Runs `extract --stream`: bounded-memory extraction straight into the push-based sinks,
-/// with the fault-tolerance knobs (`--on-error`, `--quarantine`, budgets, retries) wired
-/// through to the guarded pipeline.
+/// with the fault-tolerance knobs (`--on-error`, `--quarantine`, budgets) wired through to
+/// the guarded pipeline and `--sink-retries` to a [`RetryingWriter`] under each record
+/// output's raw writer.
 fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliError> {
     let file = fs::File::open(path)
         .map_err(|e| CliError::io(format!("cannot open {}: {e}", path.display())))?;
@@ -763,8 +753,7 @@ fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliEr
     let outcome = match cli.format {
         OutputFormat::Summary => {
             let mut sink = CountingSink::default();
-            let (summary, retries) =
-                run_guarded(cli, &engine, reader, options, &mut sink, quarantine)?;
+            let summary = run_guarded(&engine, reader, options, &mut sink, quarantine)?;
             let mut s = String::new();
             let _ = writeln!(
                 s,
@@ -792,7 +781,7 @@ fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliEr
                     100.0 * stats.fused_dispatch_rate()
                 );
             }
-            render_fault_stats(&mut s, &summary, retries);
+            render_fault_stats(&mut s, &summary);
             for (i, (t, n)) in summary.templates.iter().zip(&sink.per_template).enumerate() {
                 let _ = writeln!(s, "type{i}: {t}   ({n} records)");
             }
@@ -803,14 +792,14 @@ fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliEr
                 let sink_file = fs::File::create(output).map_err(|e| {
                     CliError::io(format!("cannot create {}: {e}", output.display()))
                 })?;
-                let mut sink = JsonLinesSink::new(BufWriter::new(sink_file));
-                let (summary, _retries) =
-                    run_guarded(cli, &engine, reader, options, &mut sink, quarantine)?;
+                let retrying = RetryingWriter::new(sink_file, cli.sink_retries);
+                let mut sink = JsonLinesSink::new(BufWriter::new(retrying));
+                let summary = run_guarded(&engine, reader, options, &mut sink, quarantine)?;
                 writeln!(out, "{}", stream_report(&summary).to_pretty())
                     .map_err(|e| CliError::io(e.to_string()))
             } else {
-                let mut sink = JsonLinesSink::new(&mut *out);
-                run_guarded(cli, &engine, reader, options, &mut sink, quarantine)?;
+                let mut sink = JsonLinesSink::new(RetryingWriter::new(&mut *out, cli.sink_retries));
+                run_guarded(&engine, reader, options, &mut sink, quarantine)?;
                 Ok(())
             }
         }
@@ -829,12 +818,12 @@ fn run_stream<W: Write>(cli: &Cli, path: &Path, out: &mut W) -> Result<(), CliEr
                 let tmp = dir.join(format!("{name}.csv.tmp"));
                 let file = fs::File::create(&tmp)?;
                 staged.push((tmp, dir.join(format!("{name}.csv"))));
-                Ok(BufWriter::new(file))
+                Ok(BufWriter::new(RetryingWriter::new(file, cli.sink_retries)))
             });
-            let streamed = run_guarded(cli, &engine, reader, options, &mut sink, quarantine);
+            let streamed = run_guarded(&engine, reader, options, &mut sink, quarantine);
             drop(sink); // flushes and closes the staged writers
             match streamed {
-                Ok((summary, _retries)) => {
+                Ok(summary) => {
                     for (tmp, final_path) in &staged {
                         fs::rename(tmp, final_path).map_err(|e| {
                             CliError::io(format!("cannot finalize {}: {e}", final_path.display()))

@@ -6,8 +6,8 @@
 //! preserve the underlying cause, decode failures carry the input line, and budget
 //! violations report which [`BudgetKind`] was exceeded with the limit and the observed
 //! value.  [`Error::exit_code`] maps each variant onto the stable process exit code both
-//! binaries return; the streaming retry layer uses [`Error::is_transient`] to decide what
-//! is worth retrying.
+//! binaries return; [`Error::is_transient`] tells a failure worth retrying from one that is
+//! not, by the same list of I/O error kinds the byte-level retry layer uses.
 
 use std::fmt;
 use std::io;
@@ -164,14 +164,21 @@ impl Error {
     /// missing files) is permanent.
     pub fn is_transient(&self) -> bool {
         match self {
-            Error::Io { kind, .. } => matches!(
-                kind,
-                io::ErrorKind::Interrupted | io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-            ),
+            Error::Io { kind, .. } => is_transient_kind(*kind),
             Error::Sink { source, .. } => source.is_transient(),
             _ => false,
         }
     }
+}
+
+/// The one list of I/O error kinds a bounded retry may clear: interrupted, timed-out and
+/// would-block.  [`Error::is_transient`] and [`RetryingWriter`](crate::export::RetryingWriter)
+/// both read it.
+pub(crate) fn is_transient_kind(kind: io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        io::ErrorKind::Interrupted | io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+    )
 }
 
 impl fmt::Display for Error {

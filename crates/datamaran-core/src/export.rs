@@ -19,17 +19,22 @@
 //!   straight from the chunk window's text without ever materializing a [`Table`], and the
 //!   emitted bytes are **identical** to the materialized serializers above (enforced by
 //!   `tests/streaming_export_equivalence.rs`);
-//! * a **retry decorator** ([`RetryingSink`]) wrapping any [`RecordSink`] with bounded
-//!   retries and deterministic exponential backoff for transient write failures.
+//! * a **retrying writer** ([`RetryingWriter`]) under any sink's output, repeating a
+//!   `write` or `flush` that failed with a transient error after a deterministic
+//!   exponential backoff.
+//!
+//! Retrying happens at the byte writer, not at the record: by the [`Write`] contract a
+//! `write` that returns an error wrote none of its bytes, so repeating exactly that call is
+//! exact, and every sink above the writer — [`CsvSink`], [`JsonLinesSink`], any [`Tee`] —
+//! retries byte for byte with no retry code of its own.
 //!
 //! Sink failures surface as [`Error::Sink`], naming the sink
-//! (`csv:<table>`, `jsonl`) and preserving the underlying I/O error's kind — which is what
-//! lets [`RetryingSink`] (and callers) distinguish a timed-out write worth retrying from a
-//! full disk that is not.
+//! (`csv:<table>`, `jsonl`) and preserving the underlying I/O error's kind, so callers can
+//! tell a timed-out write that outlived its retries from a full disk.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::error::{Error, Result as CoreResult};
+use crate::error::{is_transient_kind, Error, Result as CoreResult};
 use crate::extract::MatchStats;
 use crate::fieldtype::FieldType;
 use crate::json::{self, JsonValue};
@@ -297,9 +302,8 @@ pub trait RecordSink {
     fn finish(&mut self) -> CoreResult<()>;
 }
 
-/// A mutable reference to a sink is itself a sink, so decorators that take ownership
-/// ([`RetryingSink`], [`crate::fault::FailingSink`]) can wrap a borrowed sink and hand it
-/// back to the caller afterwards.
+/// A mutable reference to a sink is itself a sink, so a caller can drive a borrowed sink
+/// (a [`Tee`] of two borrowed sinks, say) and still own it afterwards.
 impl<S: RecordSink + ?Sized> RecordSink for &mut S {
     fn begin(&mut self, templates: &[StructureTemplate]) -> CoreResult<()> {
         (**self).begin(templates)
@@ -364,7 +368,7 @@ impl<A: RecordSink, B: RecordSink> RecordSink for Tee<A, B> {
     }
 }
 
-/// How the retry decorator waits between attempts.  Injectable so tests can assert the
+/// How [`RetryingWriter`] waits between attempts.  Injectable so tests can assert the
 /// exact backoff sequence without sleeping.
 pub trait Sleeper {
     /// Waits for `duration` (or records that it would have).
@@ -394,166 +398,73 @@ impl Sleeper for RecordingSleeper {
     }
 }
 
-/// Bounded-retry policy with deterministic exponential backoff: attempt `k` (0-based)
-/// waits `base_delay * factor^k`, capped at `max_delay`.  No jitter — the schedule is a
+/// Repeats a `write` or `flush` of the inner writer that failed with a transient error
+/// (interrupted, timed-out or would-block I/O) up to `retries` times, waiting
+/// 10 ms × 2^k before retry `k` (0-based), capped at 1 s.  No jitter: the schedule is a
 /// pure function of the attempt number, which is what makes retry behaviour testable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries per failing call (so a call is attempted at most `max_retries + 1` times).
-    pub max_retries: usize,
-    /// Delay before the first retry.
-    pub base_delay: Duration,
-    /// Multiplier applied per subsequent retry.
-    pub factor: u32,
-    /// Ceiling on any single delay.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_delay: Duration::from_millis(10),
-            factor: 2,
-            max_delay: Duration::from_secs(1),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry number `attempt` (0-based): `base_delay * factor^attempt`,
-    /// saturating, capped at [`max_delay`](Self::max_delay).
-    pub fn delay(&self, attempt: usize) -> Duration {
-        let factor = u32::try_from(attempt)
-            .ok()
-            .and_then(|a| self.factor.checked_pow(a))
-            .unwrap_or(u32::MAX);
-        self.base_delay.saturating_mul(factor).min(self.max_delay)
-    }
-}
-
-/// Wraps any [`RecordSink`] with bounded retries + exponential backoff for **transient**
-/// failures ([`Error::is_transient`]: interrupted / timed-out / would-block I/O, directly
-/// or behind a sink wrapper).  Permanent errors and exhausted retries propagate unchanged.
+/// Permanent errors and exhausted retries return unchanged.
 ///
-/// [`accepted_records`](Self::accepted_records) counts records the inner sink accepted;
-/// after a successful [`finish`](RecordSink::finish) (which retries too, and flushes the
-/// inner sink) that count is the number of durably written records — the number a caller
-/// resuming after a failure can rely on.
-///
-/// The decorator replays the *call*, not partial bytes, so the inner sink must make a
-/// replay safe: either its `record` takes none of its bytes when it fails (buffered
-/// writers that fail before touching the stream, network sinks with transactional
-/// appends), or it keeps what it did not write and writes only that on the replay, as
-/// [`CsvSink`] does.
-pub struct RetryingSink<S, P: Sleeper = ThreadSleeper> {
-    inner: S,
-    policy: RetryPolicy,
-    sleeper: P,
-    accepted: usize,
+/// The retry is exact because of the [`Write`] contract: a `write` that returns an error
+/// wrote none of its bytes, so the repeated call hands over exactly what the writer did not
+/// take.  Wrap the raw output (a file, stdout, a socket handle) and put any buffering above
+/// this writer, so a failed flush of the buffer is repeated from where it stopped.
+pub struct RetryingWriter<W, P: Sleeper = ThreadSleeper> {
+    inner: W,
     retries: usize,
-    finished: bool,
+    sleeper: P,
 }
 
-impl<S: RecordSink> RetryingSink<S> {
-    /// Wraps `inner` with the given policy, sleeping on the real clock.
-    pub fn new(inner: S, policy: RetryPolicy) -> Self {
-        RetryingSink::with_sleeper(inner, policy, ThreadSleeper)
+impl<W: Write> RetryingWriter<W> {
+    /// Wraps `inner`, retrying each failing call up to `retries` times on the real clock.
+    pub fn new(inner: W, retries: usize) -> Self {
+        RetryingWriter::with_sleeper(inner, retries, ThreadSleeper)
     }
 }
 
-impl<S: RecordSink, P: Sleeper> RetryingSink<S, P> {
+impl<W: Write, P: Sleeper> RetryingWriter<W, P> {
     /// Wraps `inner` with an injected sleeper (tests use [`RecordingSleeper`]).
-    pub fn with_sleeper(inner: S, policy: RetryPolicy, sleeper: P) -> Self {
-        RetryingSink {
+    pub fn with_sleeper(inner: W, retries: usize, sleeper: P) -> Self {
+        RetryingWriter {
             inner,
-            policy,
+            retries,
             sleeper,
-            accepted: 0,
-            retries: 0,
-            finished: false,
         }
     }
 
-    /// Records the inner sink accepted; durable once [`finish`](RecordSink::finish) has
-    /// succeeded (see [`finished`](Self::finished)).
-    pub fn accepted_records(&self) -> usize {
-        self.accepted
-    }
-
-    /// Total retries performed across all calls.
-    pub fn retries(&self) -> usize {
-        self.retries
-    }
-
-    /// Whether `finish` completed successfully (everything accepted is flushed/durable).
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Consumes the decorator, returning the inner sink.
-    pub fn into_inner(self) -> S {
+    /// Consumes the wrapper, returning the inner writer.
+    pub fn into_inner(self) -> W {
         self.inner
     }
 
-    /// Direct access to the inner sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Direct access to the sleeper (tests read the recorded backoff schedule out of a
-    /// [`RecordingSleeper`]).
+    /// Direct access to the sleeper (tests read the recorded backoff schedule, one delay
+    /// per retry, out of a [`RecordingSleeper`]).
     pub fn sleeper(&self) -> &P {
         &self.sleeper
     }
-}
 
-/// Runs `call` with the retry policy; disjoint borrows so callers can close over fields of
-/// the same struct the sleeper lives in.
-fn run_with_retries<T>(
-    policy: &RetryPolicy,
-    sleeper: &mut dyn Sleeper,
-    retries: &mut usize,
-    mut call: impl FnMut() -> CoreResult<T>,
-) -> CoreResult<T> {
-    let mut attempt = 0usize;
-    loop {
-        match call() {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                sleeper.sleep(policy.delay(attempt));
-                attempt += 1;
-                *retries += 1;
+    fn retry<T>(&mut self, mut call: impl FnMut(&mut W) -> io::Result<T>) -> io::Result<T> {
+        let mut attempt = 0;
+        loop {
+            match call(&mut self.inner) {
+                Err(e) if is_transient_kind(e.kind()) && attempt < self.retries => {
+                    // 10 ms << 7 is past the 1 s cap, so the shift never overflows.
+                    let delay = Duration::from_millis(10 << attempt.min(7));
+                    self.sleeper.sleep(delay.min(Duration::from_secs(1)));
+                    attempt += 1;
+                }
+                result => return result,
             }
-            Err(e) => return Err(e),
         }
     }
 }
 
-impl<S: RecordSink, P: Sleeper> RecordSink for RetryingSink<S, P> {
-    fn begin(&mut self, templates: &[StructureTemplate]) -> CoreResult<()> {
-        let inner = &mut self.inner;
-        run_with_retries(&self.policy, &mut self.sleeper, &mut self.retries, || {
-            inner.begin(templates)
-        })
+impl<W: Write, P: Sleeper> Write for RetryingWriter<W, P> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.retry(|inner| inner.write(buf))
     }
 
-    fn record(&mut self, record: &StreamRecord<'_>) -> CoreResult<()> {
-        let inner = &mut self.inner;
-        run_with_retries(&self.policy, &mut self.sleeper, &mut self.retries, || {
-            inner.record(record)
-        })?;
-        self.accepted += 1;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> CoreResult<()> {
-        let inner = &mut self.inner;
-        run_with_retries(&self.policy, &mut self.sleeper, &mut self.retries, || {
-            inner.finish()
-        })?;
-        self.finished = true;
-        Ok(())
+    fn flush(&mut self) -> io::Result<()> {
+        self.retry(Write::flush)
     }
 }
 
@@ -658,10 +569,9 @@ impl<W> RowWriter for CsvRows<'_, W> {
 /// Each record's rows are staged per table while the walk runs, and every table the record
 /// touched then gets its bytes in one write; a table's header goes out with its first
 /// write, or at [`finish`](RecordSink::finish) for a table no record reached.  A `record`
-/// call that fails keeps the bytes the writers did not take and the row ids it drew: when
-/// the same record is pushed again (the replay of [`RetryingSink`]), only those bytes are
-/// written and nothing is laid out twice.  Call `finish` before
-/// [`into_writers`](Self::into_writers), so that every staged byte is written.
+/// call that fails keeps the bytes its writers did not take, and the next call writes
+/// them before its own rows, so a table never loses or repeats a byte.  Call `finish`
+/// before [`into_writers`](Self::into_writers), so that every staged byte is written.
 pub struct CsvSink<W: Write, F: FnMut(&str) -> io::Result<W>> {
     factory: F,
     templates: Vec<StructureTemplate>,
@@ -670,9 +580,6 @@ pub struct CsvSink<W: Write, F: FnMut(&str) -> io::Result<W>> {
     /// Per template: its row-id counters.
     synths: Vec<RowIdSynth>,
     tables: Vec<CsvTableState<W>>,
-    /// The record — template index and line span — whose rows a failed `record` call
-    /// staged but did not write whole.
-    unwritten: Option<(usize, (usize, usize))>,
 }
 
 impl<W: Write, F: FnMut(&str) -> io::Result<W>> CsvSink<W, F> {
@@ -684,7 +591,6 @@ impl<W: Write, F: FnMut(&str) -> io::Result<W>> CsvSink<W, F> {
             ranges: Vec::new(),
             synths: Vec::new(),
             tables: Vec::new(),
-            unwritten: None,
         }
     }
 
@@ -737,26 +643,21 @@ impl<W: Write, F: FnMut(&str) -> io::Result<W>> RecordSink for CsvSink<W, F> {
 
     fn record(&mut self, record: &StreamRecord<'_>) -> CoreResult<()> {
         let t = record.template_index;
-        let key = (t, record.line_span);
         let range = self.ranges[t].clone();
-        if self.unwritten != Some(key) {
-            let mut rows = CsvRows {
-                tables: &mut self.tables[range.clone()],
-                window: record.window,
-            };
-            let Ok(()) = layout_record(
-                self.templates[t].nodes(),
-                record.cells,
-                record.reps,
-                &mut self.synths[t],
-                &mut rows,
-            );
-        }
-        self.unwritten = Some(key);
+        let mut rows = CsvRows {
+            tables: &mut self.tables[range.clone()],
+            window: record.window,
+        };
+        let Ok(()) = layout_record(
+            self.templates[t].nodes(),
+            record.cells,
+            record.reps,
+            &mut self.synths[t],
+            &mut rows,
+        );
         for table in &mut self.tables[range] {
             table.write_staged().map_err(|e| table.sink_error(&e))?;
         }
-        self.unwritten = None;
         Ok(())
     }
 
@@ -1200,8 +1101,8 @@ mod tests {
         }
     }
 
-    /// A transient failure to create the second table's writer leaves `begin` replayable:
-    /// the retry creates every writer again and the stream goes on.
+    /// A failure to create the second table's writer leaves `begin` replayable: calling it
+    /// again creates every writer anew and the stream goes on.
     #[test]
     fn a_failed_begin_can_be_replayed() {
         use crate::structure::Node;
@@ -1211,34 +1112,31 @@ mod tests {
             terminator: '\n',
         }]);
         let mut created = 0;
-        let sink = CsvSink::new(|_: &str| {
+        let mut sink = CsvSink::new(|_: &str| {
             created += 1;
             if created == 2 {
                 return Err(io::ErrorKind::TimedOut.into());
             }
             Ok(Vec::<u8>::new())
         });
-        let mut retrying =
-            RetryingSink::with_sleeper(sink, RetryPolicy::default(), RecordingSleeper::default());
-        retrying.begin(std::slice::from_ref(&template)).unwrap();
-        assert_eq!(retrying.retries(), 1);
+        let err = sink.begin(std::slice::from_ref(&template)).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        sink.begin(std::slice::from_ref(&template)).unwrap();
         let cells = [FieldCell {
             column: 0,
             start: 0,
             end: 1,
         }];
-        retrying
-            .record(&StreamRecord {
-                template_index: 0,
-                line_span: (0, 1),
-                window: "a\n",
-                cells: &cells,
-                reps: &[1],
-            })
-            .unwrap();
-        retrying.finish().unwrap();
-        let tables: Vec<(String, String)> = retrying
-            .into_inner()
+        sink.record(&StreamRecord {
+            template_index: 0,
+            line_span: (0, 1),
+            window: "a\n",
+            cells: &cells,
+            reps: &[1],
+        })
+        .unwrap();
+        sink.finish().unwrap();
+        let tables: Vec<(String, String)> = sink
             .into_writers()
             .into_iter()
             .map(|(name, bytes)| (name, String::from_utf8(bytes).unwrap()))
@@ -1253,6 +1151,34 @@ mod tests {
                 ),
             ]
         );
+    }
+
+    /// Retry `k` waits 10 ms × 2^k, capped at 1 s; the call after the last failure goes
+    /// through, and a burst longer than the retries returns its transient error.
+    #[test]
+    fn retry_delays_double_from_10_ms_up_to_1_s() {
+        use crate::fault::{FailingWriter, FaultSchedule};
+        let burst = FaultSchedule::Transient { at: 0, failures: 9 };
+        let mut w = RetryingWriter::with_sleeper(
+            FailingWriter::new(Vec::new(), burst),
+            9,
+            RecordingSleeper::default(),
+        );
+        w.write_all(b"row\n").unwrap();
+        let ms: Vec<u128> = w.sleeper().slept.iter().map(Duration::as_millis).collect();
+        assert_eq!(ms, [10, 20, 40, 80, 160, 320, 640, 1000, 1000]);
+        assert_eq!(w.into_inner().into_inner(), b"row\n");
+
+        let mut w = RetryingWriter::with_sleeper(
+            FailingWriter::new(Vec::new(), burst),
+            8,
+            RecordingSleeper::default(),
+        );
+        assert_eq!(
+            w.write(b"row\n").unwrap_err().kind(),
+            io::ErrorKind::TimedOut
+        );
+        assert_eq!(w.sleeper().slept.len(), 8);
     }
 
     /// A caller that moves on after a failed `record` instead of replaying it still gets

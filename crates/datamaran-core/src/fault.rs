@@ -1,14 +1,16 @@
 //! Fault-injection primitives for testing the pipeline's failure semantics.
 //!
 //! The robustness claims of the streaming layer (no panic on hostile input, graceful
-//! degradation, retry on transient sink failures, truthful durable-write reporting) are
-//! only as good as the faults they are tested against.  This module provides the two
-//! injection points the integration suite drives:
+//! degradation, byte-exact retry of transient write failures) are only as good as the
+//! faults they are tested against.  This module provides the injection points the
+//! integration suite drives:
 //!
 //! * [`FailingReader`] — wraps any [`BufRead`] and injects I/O errors into the *input*
 //!   side according to a [`FaultSchedule`];
-//! * [`FailingSink`] — wraps any [`RecordSink`] and injects errors into the *output* side,
-//!   failing **before** delegating so the inner sink's durable state stays truthful;
+//! * [`FailingWriter`] — wraps any [`Write`] and injects errors into the *output* side
+//!   (write faults on a [`FaultSchedule`], transient flush faults) and can cap the bytes
+//!   each `write` takes; a failed call takes none of its bytes, as the [`Write`] contract
+//!   requires;
 //! * [`FailingJournalDir`] — hands out [`crate::journal::JournalMedia`]
 //!   instances with a byte budget, so journal appends run out of disk (and leave a real
 //!   **torn prefix** behind) at an exact byte `k` — the crash/chaos harness's storage
@@ -20,12 +22,8 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::error::{Error, Result};
-use crate::export::RecordSink;
 use crate::journal::{JournalMedia, MemJournalMedia};
-use crate::streaming::StreamRecord;
-use crate::structure::StructureTemplate;
-use std::io::{self, BufRead, Read};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -119,98 +117,86 @@ impl<R: BufRead> BufRead for FailingReader<R> {
     }
 }
 
-/// A [`RecordSink`] wrapper that injects failures into `record` (per a [`FaultSchedule`];
-/// operations are `record` calls, delivered bytes are the records' summed cell bytes) and
-/// optionally into the first `finish_failures` calls of `finish` (transient).  Faults fire
-/// **before** delegating, so the inner sink never sees the failed call — whatever durable
-/// counts it reports stay truthful.
-pub struct FailingSink<S> {
-    inner: S,
+/// A [`Write`] wrapper that injects faults into the output: `write` calls fail per a
+/// [`FaultSchedule`] (operations are `write` calls, delivered bytes are the bytes the inner
+/// writer took), the first `flush_failures` calls of `flush` fail transiently, and each
+/// `write` hands the inner writer at most `max_write` bytes.  Faults fire **before**
+/// delegating, so a failed call takes none of its bytes.
+pub struct FailingWriter<W> {
+    inner: W,
     schedule: Option<FaultSchedule>,
-    finish_failures: usize,
-    record_ops: usize,
-    finish_ops: usize,
+    flush_failures: usize,
+    max_write: usize,
+    writes: usize,
+    flushes: usize,
     bytes: usize,
-    /// Records successfully delegated to the inner sink.
-    pub delivered: usize,
 }
 
-impl<S: RecordSink> FailingSink<S> {
-    /// Wraps `inner`, injecting `schedule` into `record` calls.
-    pub fn new(inner: S, schedule: FaultSchedule) -> Self {
-        FailingSink {
-            inner,
+impl<W: Write> FailingWriter<W> {
+    /// Wraps `inner`, injecting `schedule` into `write` calls.
+    pub fn new(inner: W, schedule: FaultSchedule) -> Self {
+        FailingWriter {
             schedule: Some(schedule),
-            finish_failures: 0,
-            record_ops: 0,
-            finish_ops: 0,
-            bytes: 0,
-            delivered: 0,
+            ..FailingWriter::passthrough(inner)
         }
     }
 
-    /// Wraps `inner` with no record faults (combine with
-    /// [`with_finish_failures`](Self::with_finish_failures)).
-    pub fn passthrough(inner: S) -> Self {
-        FailingSink {
+    /// Wraps `inner` with no write faults (combine with
+    /// [`with_flush_failures`](Self::with_flush_failures) or
+    /// [`with_max_write`](Self::with_max_write)).
+    pub fn passthrough(inner: W) -> Self {
+        FailingWriter {
             inner,
             schedule: None,
-            finish_failures: 0,
-            record_ops: 0,
-            finish_ops: 0,
+            flush_failures: 0,
+            max_write: usize::MAX,
+            writes: 0,
+            flushes: 0,
             bytes: 0,
-            delivered: 0,
         }
     }
 
-    /// Makes the first `n` calls of `finish` fail transiently before delegating.
-    pub fn with_finish_failures(mut self, n: usize) -> Self {
-        self.finish_failures = n;
+    /// Makes the first `n` calls of `flush` fail transiently before delegating.
+    pub fn with_flush_failures(mut self, n: usize) -> Self {
+        self.flush_failures = n;
         self
     }
 
-    /// Consumes the wrapper, returning the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
+    /// Caps the bytes one `write` hands the inner writer (a pipe or socket that takes a
+    /// few bytes at a time).
+    pub fn with_max_write(mut self, bytes: usize) -> Self {
+        self.max_write = bytes;
+        self
     }
 
-    /// Direct access to the inner sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
+    /// Consumes the wrapper, returning the inner writer.
+    pub fn into_inner(self) -> W {
+        self.inner
     }
 }
 
-impl<S: RecordSink> RecordSink for FailingSink<S> {
-    fn begin(&mut self, templates: &[StructureTemplate]) -> Result<()> {
-        self.inner.begin(templates)
+impl<W: Write> Write for FailingWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let op = self.writes;
+        self.writes += 1;
+        if let Some(e) = self.schedule.and_then(|s| s.fault(op, self.bytes)) {
+            return Err(e);
+        }
+        let n = self.inner.write(&buf[..buf.len().min(self.max_write)])?;
+        self.bytes += n;
+        Ok(n)
     }
 
-    fn record(&mut self, record: &StreamRecord<'_>) -> Result<()> {
-        let op = self.record_ops;
-        self.record_ops += 1;
-        if let Some(schedule) = &self.schedule {
-            if let Some(e) = schedule.fault(op, self.bytes) {
-                return Err(Error::io(&e).in_sink("failing"));
-            }
+    fn flush(&mut self) -> io::Result<()> {
+        let op = self.flushes;
+        self.flushes += 1;
+        if op < self.flush_failures {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "injected transient flush fault",
+            ));
         }
-        self.bytes += record
-            .cells
-            .iter()
-            .map(|c| c.end.saturating_sub(c.start))
-            .sum::<usize>();
-        self.inner.record(record)?;
-        self.delivered += 1;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        let op = self.finish_ops;
-        self.finish_ops += 1;
-        if op < self.finish_failures {
-            let e = io::Error::new(io::ErrorKind::TimedOut, "injected transient finish fault");
-            return Err(Error::io(&e).in_sink("failing"));
-        }
-        self.inner.finish()
+        self.inner.flush()
     }
 }
 
@@ -324,7 +310,6 @@ impl JournalMedia for BudgetedJournalMedia {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::CountingSink;
     use std::io::Cursor;
 
     #[test]
@@ -370,28 +355,24 @@ mod tests {
     }
 
     #[test]
-    fn failing_sink_faults_before_delegating() {
-        let mut sink = FailingSink::new(CountingSink::default(), FaultSchedule::FailNth(0));
-        sink.begin(&[]).unwrap();
-        let rec = StreamRecord {
-            template_index: 0,
-            line_span: (0, 1),
-            window: "x\n",
-            cells: &[],
-            reps: &[],
-        };
-        let err = sink.record(&rec).unwrap_err();
-        assert!(matches!(err, Error::Sink { .. }), "{err:?}");
-        assert_eq!(sink.delivered, 0);
-        assert_eq!(sink.inner().records, 0, "inner sink never saw the record");
+    fn failing_writer_faults_before_delegating() {
+        let mut w = FailingWriter::new(Vec::new(), FaultSchedule::FailNth(1)).with_max_write(2);
+        assert_eq!(w.write(b"abc").unwrap(), 2, "capped at 2 bytes");
+        let err = w.write(b"c").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        assert_eq!(
+            w.into_inner(),
+            b"ab",
+            "the failed call took none of its bytes"
+        );
     }
 
     #[test]
-    fn finish_failures_are_transient() {
-        let mut sink = FailingSink::passthrough(CountingSink::default()).with_finish_failures(2);
-        assert!(sink.finish().unwrap_err().is_transient());
-        assert!(sink.finish().unwrap_err().is_transient());
-        sink.finish().unwrap();
+    fn flush_failures_are_transient() {
+        let mut w = FailingWriter::passthrough(Vec::new()).with_flush_failures(2);
+        assert_eq!(w.flush().unwrap_err().kind(), io::ErrorKind::TimedOut);
+        assert_eq!(w.flush().unwrap_err().kind(), io::ErrorKind::TimedOut);
+        w.flush().unwrap();
     }
 
     #[test]

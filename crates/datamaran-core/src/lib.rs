@@ -86,14 +86,14 @@ pub use error::{BudgetKind, Error, Result};
 pub use export::{
     all_records_jsonl, all_tables_csv, csv_quote, extraction_report, stream_report, table_to_csv,
     write_table_csv, CountingSink, CsvSink, JsonLinesSink, RecordSink, RecordingSleeper,
-    RetryPolicy, RetryingSink, Sleeper, Tee, ThreadSleeper,
+    RetryingWriter, Sleeper, Tee, ThreadSleeper,
 };
 pub use extract::{
     compile, decompile, delta_parse, diff_compiled, extract_records, CompiledTemplate,
     CompiledTemplateSet, DeltaParseStats, FusedDfaCache, MatchStats, Op, SpanLineMatcher,
     SpanParse, SpanRecord, SpanScratch, TemplateDiff,
 };
-pub use fault::{FailingJournalDir, FailingReader, FailingSink, FaultSchedule};
+pub use fault::{FailingJournalDir, FailingReader, FailingWriter, FaultSchedule};
 pub use fieldtype::FieldType;
 pub use generation::{generate, Candidate, GenerationOutput};
 pub use grammar::Grammar;

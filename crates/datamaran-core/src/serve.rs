@@ -13,9 +13,11 @@
 //!   mutable state, so one snapshot serves any number of threads.
 //! * [`SnapshotStore`] — the atomically swappable current snapshot.  Readers clone the
 //!   `Arc` out of a read lock (held for nanoseconds — never across a match), writers
-//!   install a new snapshot with [`swap`](SnapshotStore::swap).  Sessions already holding
-//!   the old `Arc` finish their window on it and pick up the new one at the next window
-//!   boundary: no torn reads, no blocking of the hot path.
+//!   install a new snapshot with [`swap`](SnapshotStore::swap), and a session's
+//!   rediscovery merges its templates onto the current set, one publication at a time and
+//!   in version order.  Sessions already holding the old `Arc` finish their window on it and
+//!   pick up the new one at the next window boundary: no torn reads, no blocking of the
+//!   hot path.
 //! * [`ServeSession`] — the per-connection processor: buffers pushed lines, decides them
 //!   window by window with the streaming engine's window loop (the safe-limit carry-over
 //!   rule, record emission and per-window counters live there once), tracks the
@@ -235,8 +237,12 @@ pub fn snapshot_from_artifact(artifact: &TemplateArtifact) -> TemplateSnapshot {
 /// Readers take the read lock only long enough to clone the `Arc`; the write lock is held
 /// only for the pointer swap.  Neither is ever held across matching or discovery, so
 /// readers never block meaningfully and a swap is a single atomic publication point.
+/// Publications take a separate lock from reading the current set to installing its
+/// successor, so they apply one at a time, each on top of the one before, with
+/// increasing versions.
 pub struct SnapshotStore {
     inner: RwLock<Arc<TemplateSnapshot>>,
+    publish: Mutex<()>,
     next_version: AtomicU64,
     persistence: Option<Arc<dyn SwapPersistence>>,
     persist_failures: AtomicU64,
@@ -250,6 +256,7 @@ impl SnapshotStore {
         let next = initial.version + 1;
         SnapshotStore {
             inner: RwLock::new(Arc::new(initial)),
+            publish: Mutex::new(()),
             next_version: AtomicU64::new(next),
             persistence: None,
             persist_failures: AtomicU64::new(0),
@@ -285,15 +292,61 @@ impl SnapshotStore {
 
     /// Atomically installs `next` as the current snapshot, returning the one it replaced.
     /// Sessions already holding the old `Arc` finish their window on it; they pick up
-    /// `next` at their next window boundary.
+    /// `next` at their next window boundary.  A `next` whose version is not above the
+    /// current one is refused with [`Error::InvalidConfig`], so versions only increase.
     ///
     /// With a persistence layer attached, the swap's template delta is journaled (and
     /// `fsync`'d) **first**; only then does the snapshot publish.  A persistence failure
     /// is recorded and degrades readiness but never blocks the swap — serving correctness
     /// beats durability of a delta that replay would reconstruct from the residual anyway.
-    pub fn swap(&self, next: Arc<TemplateSnapshot>) -> Arc<TemplateSnapshot> {
+    pub fn swap(&self, next: Arc<TemplateSnapshot>) -> Result<Arc<TemplateSnapshot>> {
+        let _publishing = self.publish.lock().unwrap_or_else(|e| e.into_inner());
+        self.publish_locked(next)
+    }
+
+    /// Merges `found` onto the **current** template set and publishes the result as the
+    /// next version, compiled under the current snapshot's `max_line_span`; templates
+    /// already in the set (by canonical string) are left out.  The publish lock is held
+    /// from reading the current set to publishing, so a concurrent rediscovery is never
+    /// overwritten and the journal's additions replay to the set being served.  Returns
+    /// whether it published: `false` when nothing in `found` is new.
+    pub(crate) fn publish_merged(&self, found: Vec<StructureTemplate>) -> Result<bool> {
+        let _publishing = self.publish.lock().unwrap_or_else(|e| e.into_inner());
+        let current = self.current();
+        let known: HashSet<String> = current
+            .templates()
+            .iter()
+            .map(StructureTemplate::canonical_string)
+            .collect();
+        let fresh: Vec<StructureTemplate> = found
+            .into_iter()
+            .filter(|t| !known.contains(&t.canonical_string()))
+            .collect();
+        if fresh.is_empty() {
+            return Ok(false);
+        }
+        let mut merged = current.templates().to_vec();
+        merged.extend(fresh);
+        let next = TemplateSnapshot::from_templates(
+            self.claim_version(),
+            merged,
+            current.max_line_span(),
+        )?;
+        self.publish_locked(Arc::new(next))?;
+        Ok(true)
+    }
+
+    /// The body of [`swap`](Self::swap); the caller holds the publish lock.
+    fn publish_locked(&self, next: Arc<TemplateSnapshot>) -> Result<Arc<TemplateSnapshot>> {
+        let old = self.current();
+        if next.version() <= old.version() {
+            return Err(Error::InvalidConfig(format!(
+                "snapshot version {} is not above the current version {}",
+                next.version(),
+                old.version()
+            )));
+        }
         if let Some(persistence) = &self.persistence {
-            let old = self.current();
             if let Err(e) = persistence.persist_swap(&old, &next) {
                 self.persist_failures.fetch_add(1, Ordering::Relaxed);
                 *self
@@ -303,7 +356,7 @@ impl SnapshotStore {
             }
         }
         let mut slot = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        std::mem::replace(&mut *slot, next)
+        Ok(std::mem::replace(&mut *slot, next))
     }
 
     /// Folds all journaled swaps into the primary artifact (clean-shutdown compaction).
@@ -672,48 +725,27 @@ impl<'a> ServeSession<'a> {
         Ok(())
     }
 
-    /// Runs discovery on the residual buffer; on success, publishes a new snapshot whose
-    /// template set is the current set **plus** the newly discovered templates (the old
-    /// format may still be interleaved with the new one), and clears the residual.  The
-    /// successor is compiled under the current snapshot's `max_line_span` and matching
-    /// backend, so a swap never changes how records are matched — only which templates
-    /// match.  A failed attempt (no structure in the residual, or nothing genuinely new)
-    /// leaves the snapshot and residual untouched and is counted.
+    /// Runs discovery on the residual buffer; on success, publishes through
+    /// [`SnapshotStore::publish_merged`] a new snapshot whose template set is the store's
+    /// current set **plus** the newly discovered templates (the old format may still be
+    /// interleaved with the new one), and clears the residual.  The successor keeps the
+    /// current snapshot's `max_line_span`, so a swap never changes how records are matched
+    /// — only which templates match.  A failed attempt (no structure in the residual, or
+    /// nothing the current set lacks) leaves the snapshot and residual untouched and is
+    /// counted.
     fn try_rediscover<S: RecordSink + ?Sized>(&mut self, sink: &mut S) -> Result<()> {
-        let discovered = match self.engine.extract(self.residual.text()) {
-            Ok(result) => result
-                .templates()
-                .into_iter()
-                .cloned()
-                .collect::<Vec<StructureTemplate>>(),
+        let found = match self.engine.extract(self.residual.text()) {
+            Ok(result) => result.templates().into_iter().cloned().collect(),
             Err(Error::NoStructureFound) | Err(Error::EmptyDataset) => {
                 self.rediscover_failures += 1;
                 return Ok(());
             }
             Err(other) => return Err(other),
         };
-        let known: HashSet<String> = self
-            .snapshot
-            .templates()
-            .iter()
-            .map(StructureTemplate::canonical_string)
-            .collect();
-        let fresh: Vec<StructureTemplate> = discovered
-            .into_iter()
-            .filter(|t| !known.contains(&t.canonical_string()))
-            .collect();
-        if fresh.is_empty() {
+        if !self.store.publish_merged(found)? {
             self.rediscover_failures += 1;
             return Ok(());
         }
-        let mut merged = self.snapshot.templates().to_vec();
-        merged.extend(fresh);
-        let next = TemplateSnapshot::from_templates(
-            self.store.claim_version(),
-            merged,
-            self.snapshot.max_line_span(),
-        )?;
-        self.store.swap(Arc::new(next));
         self.swaps += 1;
         self.residual.clear();
         // Adopt the published snapshot immediately: the very next window should already
@@ -844,6 +876,104 @@ mod tests {
         let current = store.current();
         assert_eq!(current.version(), metrics.snapshot_version);
         assert_eq!(current.max_line_span(), 3);
+    }
+
+    /// A sink that, at its first record, pushes `lines` into another session of the same
+    /// store: that session's rediscovery publishes while this one decides its window.
+    struct PushIntoOther<'s, 'a> {
+        other: Option<(&'s mut ServeSession<'a>, Vec<String>)>,
+    }
+
+    impl RecordSink for PushIntoOther<'_, '_> {
+        fn begin(&mut self, _: &[StructureTemplate]) -> Result<()> {
+            Ok(())
+        }
+
+        fn record(&mut self, _: &crate::streaming::StreamRecord<'_>) -> Result<()> {
+            if let Some((session, lines)) = self.other.take() {
+                for line in &lines {
+                    session.push_line(line, &mut CountingSink::default())?;
+                }
+            }
+            Ok(())
+        }
+
+        fn finish(&mut self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Sessions A and B share a store serving `F=F;F=F\n` (v1).  A's rediscovery
+    /// publishes v2 between B's snapshot refresh and B's own rediscovery in the same
+    /// window; B's v3 must be built on v2, so every format's lines still match afterwards.
+    #[test]
+    fn concurrent_rediscoveries_keep_each_others_templates() {
+        // Hash-mixed values, so one line is one record.
+        let mix = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        let lines = |n: usize, line: &dyn Fn(usize, u64) -> String| -> Vec<String> {
+            (0..n).map(|i| line(i, mix(i)) + "\n").collect()
+        };
+        let kv = lines(300, &|_, h| format!("host=h{};cpu={}", h % 13, h % 1000));
+        let format_a = lines(200, &|i, h| {
+            format!("{} | svc{} | {} | OK", 1_700_000_000 + i, h % 5, h % 997)
+        });
+        let format_b = lines(300, &|_, h| {
+            let level = ["info", "warn", "debug"][(h % 3) as usize];
+            format!(
+                "[{level}] u{} login ok from 10.0.{}.{}",
+                h % 13,
+                h % 8,
+                h % 250
+            )
+        });
+        let engine = engine();
+        let store = SnapshotStore::new(snapshot_for(&engine, &kv.concat()));
+        let options = ServeOptions::default()
+            .with_window_lines(64)
+            .with_min_residual_lines(64);
+        let mut a = ServeSession::new(&engine, &store, options).unwrap();
+        // B decides one 256-line window: one line in eight matches v1, so its sink runs
+        // (and drives A) before B's rediscovery of the rest.
+        let mut b = ServeSession::new(&engine, &store, options.with_window_lines(256)).unwrap();
+        let mut sink = PushIntoOther {
+            other: Some((&mut a, format_a.clone())),
+        };
+        for (i, line) in format_b.iter().enumerate() {
+            if i % 8 == 0 {
+                b.push_line(&kv[i], &mut sink).unwrap();
+            }
+            b.push_line(line, &mut sink).unwrap();
+        }
+        let b = b.finish(&mut sink).unwrap();
+        assert!(sink.other.is_none(), "B's sink never ran");
+        assert_eq!(a.snapshot_version(), 2, "A published v2");
+        assert_eq!((b.swaps, b.snapshot_version), (1, 3), "B published v3");
+        assert_eq!(store.version(), 3);
+
+        for (name, lines) in [("v1", &kv), ("A", &format_a), ("B", &format_b)] {
+            let monitor = options.with_rediscover(false);
+            let mut session = ServeSession::new(&engine, &store, monitor).unwrap();
+            let mut sink = CountingSink::default();
+            for line in lines {
+                session.push_line(line, &mut sink).unwrap();
+            }
+            let metrics = session.finish(&mut sink).unwrap();
+            assert_eq!(metrics.summary.noise_lines, 0, "{name}'s lines are noise");
+        }
+    }
+
+    #[test]
+    fn swap_refuses_a_version_not_above_the_current_one() {
+        let engine = engine();
+        let store = SnapshotStore::new(snapshot_for(&engine, &kv_lines("host", 100).concat()));
+        let templates = store.current().templates().to_vec();
+        let (v2, v3) = (store.claim_version(), store.claim_version());
+        let compile =
+            |v| Arc::new(TemplateSnapshot::compile(v, templates.clone(), &engine).unwrap());
+        store.swap(compile(v3)).unwrap();
+        let refused = store.swap(compile(v2));
+        assert!(matches!(refused, Err(Error::InvalidConfig(_))));
+        assert_eq!(store.version(), v3);
     }
 
     #[test]
@@ -1085,7 +1215,7 @@ mod tests {
         )
         .unwrap();
         let next_version = next.version();
-        store.swap(Arc::new(next));
+        store.swap(Arc::new(next)).unwrap();
         // At persist time the store still served version 1 — the delta was durable
         // before the publication.
         assert_eq!(probe.store_version_at_persist.load(Ordering::Relaxed), 1);
@@ -1102,7 +1232,7 @@ mod tests {
         )
         .unwrap();
         let failed_version = next.version();
-        store.swap(Arc::new(next));
+        store.swap(Arc::new(next)).unwrap();
         assert_eq!(store.version(), failed_version, "swap must publish anyway");
         assert_eq!(store.persist_failures(), 1);
         assert!(!store.persistence_healthy());

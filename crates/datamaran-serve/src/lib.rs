@@ -19,7 +19,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use datamaran_core::error::{Error, Result};
-use datamaran_core::export::{JsonLinesSink, RetryPolicy, RetryingSink};
+use datamaran_core::export::{JsonLinesSink, RecordSink, RetryingWriter};
 use datamaran_core::json::JsonValue;
 use datamaran_core::pipeline::Datamaran;
 use datamaran_core::serve::{
@@ -126,8 +126,8 @@ impl Default for FlushPolicy {
 
 /// A writer that buffers and flushes by [`FlushPolicy`] thresholds.  A `write` takes all
 /// of its bytes or, when it fails, none of them: a due flush runs before the bytes are
-/// appended, so a caller that replays a failed write (the retrying sink) never writes its
-/// bytes twice.
+/// appended, so a connection's [`RetryingWriter`] that repeats a failed write never writes
+/// its bytes twice.
 struct FlushingWriter<W: Write> {
     inner: W,
     policy: FlushPolicy,
@@ -187,7 +187,9 @@ impl<W: Write> Write for FlushingWriter<W> {
 /// The daemon's single output stream, shared by every connection: a mutex-guarded,
 /// flush-bounded writer.  Clones are handles to the same stream.  Each `write` is taken
 /// whole under the lock, so writers that hand over whole lines in one `write_all` — the
-/// JSON Lines sink writes one per row — interleave by whole lines only.
+/// JSON Lines sink writes one per row — interleave by whole lines only.  Each connection
+/// retries a failed write on its own handle, so a backoff sleep never holds the lock that
+/// the other connections and the flush timer need.
 #[derive(Clone)]
 pub struct SharedWriter {
     inner: Arc<Mutex<FlushingWriter<Box<dyn Write + Send>>>>,
@@ -236,6 +238,9 @@ impl Write for SharedWriter {
     }
 }
 
+/// Retries of a transient output error per `write` or `flush` of a connection's rows.
+const SINK_RETRIES: usize = 3;
+
 /// Daemon-wide counters folded in from finished connections.
 #[derive(Default)]
 struct DaemonState {
@@ -253,7 +258,6 @@ pub struct Daemon {
     engine: Datamaran,
     store: SnapshotStore,
     options: ServeOptions,
-    retry: RetryPolicy,
     writer: SharedWriter,
     state: Mutex<DaemonState>,
     draining: AtomicBool,
@@ -289,7 +293,6 @@ impl Daemon {
             engine,
             store,
             options,
-            retry: RetryPolicy::default(),
             writer: SharedWriter::new(output, flush),
             state: Mutex::new(DaemonState::default()),
             draining: AtomicBool::new(false),
@@ -336,7 +339,7 @@ impl Daemon {
     }
 
     /// Runs one connection: a [`ServeSession`] over `reader`'s lines, rows to the shared
-    /// writer through a guarded (retrying) JSON Lines sink.  Returns the connection's
+    /// writer through a JSON Lines sink on a [`RetryingWriter`].  Returns the connection's
     /// metrics after folding them into the daemon aggregate.  Invalid UTF-8 input is
     /// decoded lossily and counted.
     ///
@@ -350,52 +353,41 @@ impl Daemon {
     /// of the stdin transport, whose blocking read only returns once a line arrives (see
     /// the signal notes in `main`).  Socket connections pass `None` and are drained to
     /// completion instead.
+    ///
+    /// A read or sink error ends the connection without deciding anything more, and what
+    /// the session had already decided (its rows are on the writer) is folded into the
+    /// aggregate before the error is returned.
     pub fn handle_stream<R: BufRead>(
         &self,
-        mut reader: R,
+        reader: R,
         shutdown: Option<&AtomicBool>,
     ) -> Result<ServeMetrics> {
-        let mut sink = RetryingSink::new(JsonLinesSink::new(self.writer.clone()), self.retry);
+        let mut sink = JsonLinesSink::new(RetryingWriter::new(self.writer.clone(), SINK_RETRIES));
         let mut session = ServeSession::new(&self.engine, &self.store, self.options)?;
-        let mut raw = Vec::new();
-        let mut invalid_utf8 = 0usize;
-        let mut oversized = 0usize;
-        let cap = self.options.residual_bytes;
-        loop {
-            if shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                break;
-            }
-            let n = read_line_capped(&mut reader, cap, &mut raw)?;
-            if n == 0 {
-                break;
-            }
-            if n > cap {
-                if raw.last() != Some(&b'\n') {
-                    skip_line(&mut reader)?;
-                }
-                oversized += 1;
-                continue;
-            }
-            match std::str::from_utf8(&raw) {
-                Ok(line) => session.push_line(line, &mut sink)?,
-                Err(_) => {
-                    invalid_utf8 += 1;
-                    let line = String::from_utf8_lossy(&raw);
-                    session.push_line(&line, &mut sink)?;
-                }
-            }
+        let mut skipped = SkippedLines::default();
+        let mut outcome = push_lines(
+            reader,
+            shutdown,
+            self.options.residual_bytes,
+            &mut session,
+            &mut sink,
+            &mut skipped,
+        )
+        .and_then(|()| session.flush(&mut sink));
+        let mut metrics = session.metrics();
+        metrics.summary.invalid_utf8_lines += skipped.invalid_utf8;
+        metrics.summary.oversized_lines += skipped.oversized;
+        if outcome.is_ok() {
+            // `finish` flushes the sink chain down through the shared writer.
+            outcome = session.finish(&mut sink).map(|_| ());
         }
-        // `finish` flushes the sink chain down through the shared writer.
-        let mut metrics = session.finish(&mut sink)?;
-        metrics.summary.invalid_utf8_lines += invalid_utf8;
-        metrics.summary.oversized_lines += oversized;
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         merge_summaries(&mut state.summary, &metrics.summary);
         state.swaps += metrics.swaps;
         state.rediscover_failures += metrics.rediscover_failures;
         state.residual_dropped += metrics.residual_dropped;
         state.connections += 1;
-        Ok(metrics)
+        outcome.map(|()| metrics)
     }
 
     /// Daemon-wide aggregate metrics (all finished connections; the residual buffers are
@@ -576,8 +568,9 @@ impl Connection for TcpStream {
 /// is set, refuses clients over the connection cap with `refusal`, and runs `handle` on
 /// each admitted connection in its own thread, under the read timeout.  When `shutdown`
 /// flips, it stops accepting and waits for in-flight connections up to the drain timeout;
-/// stragglers are abandoned (their threads keep running detached, but the process is
-/// about to exit and their rows were already line-forwarded as they were produced).
+/// stragglers are abandoned: their threads keep running detached while the process exits,
+/// and the rows they already wrote wait in the [`SharedWriter`]'s buffer for the flush
+/// timer or the drain's [`Daemon::flush_output`].
 fn accept_loop<C: Connection>(
     daemon: Arc<Daemon>,
     shutdown: &AtomicBool,
@@ -628,6 +621,50 @@ fn accept_loop<C: Connection>(
         }
         std::thread::sleep(transport.accept_poll.min(Duration::from_millis(25)));
     }
+}
+
+/// Input lines a connection read but did not push into its session whole.
+#[derive(Default)]
+struct SkippedLines {
+    /// Lines that were not valid UTF-8 (pushed lossily decoded).
+    invalid_utf8: usize,
+    /// Lines longer than the residual cap (not pushed at all).
+    oversized: usize,
+}
+
+/// Pushes `reader`'s lines into `session` until end of input, until `shutdown` flips, or
+/// up to the first read or sink error.  Lines longer than `cap` are skipped as they stream
+/// past.
+fn push_lines<R: BufRead, S: RecordSink>(
+    mut reader: R,
+    shutdown: Option<&AtomicBool>,
+    cap: usize,
+    session: &mut ServeSession<'_>,
+    sink: &mut S,
+    skipped: &mut SkippedLines,
+) -> Result<()> {
+    let mut raw = Vec::new();
+    while !shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+        let n = read_line_capped(&mut reader, cap, &mut raw)?;
+        if n == 0 {
+            break;
+        }
+        if n > cap {
+            if raw.last() != Some(&b'\n') {
+                skip_line(&mut reader)?;
+            }
+            skipped.oversized += 1;
+            continue;
+        }
+        match std::str::from_utf8(&raw) {
+            Ok(line) => session.push_line(line, sink)?,
+            Err(_) => {
+                skipped.invalid_utf8 += 1;
+                session.push_line(&String::from_utf8_lossy(&raw), sink)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Reads one line, its `\n` included, into `line` through `take(cap + 1)`.  Returns the
@@ -996,6 +1033,29 @@ mod tests {
             "every line fed is a record, noise or oversized"
         );
         assert_eq!(daemon.metrics().summary.oversized_lines, 1);
+    }
+
+    /// A connection whose input fails half way still counts what it decided: the daemon
+    /// aggregate reports exactly the rows the connection wrote.
+    #[test]
+    fn a_failed_connection_still_counts_in_the_aggregate() {
+        use datamaran_core::fault::{FailingReader, FaultSchedule};
+        let text = kv_text(400);
+        let (daemon, captured) = daemon_for(&text);
+        let half = FaultSchedule::FailAfterBytes(text.len() / 2);
+        let reader = FailingReader::new(Cursor::new(text.into_bytes()), half);
+        assert!(daemon.handle_stream(reader, None).is_err());
+        daemon.flush_output().unwrap();
+        let rows = captured
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        let aggregate = daemon.metrics().summary;
+        assert!(rows > 0, "no row was written before the fault");
+        assert_eq!(aggregate.records, rows);
+        assert!(aggregate.lines_processed >= rows);
     }
 
     #[test]
@@ -1411,8 +1471,9 @@ mod tests {
         }
     }
 
-    /// A transient output error fails the row's write without taking it, so the retrying
-    /// sink's replay writes it once; a flush the error cut short resumes where it stopped.
+    /// A transient output error fails the row's write without taking it, so the
+    /// connection's retrying writer repeats it once; a flush the error cut short resumes
+    /// where it stopped.
     #[test]
     fn a_transient_output_error_writes_no_row_twice() {
         let head = kv_text(200);

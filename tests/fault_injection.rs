@@ -1,7 +1,7 @@
 //! Fault-injection suite for the hardened streaming pipeline: hostile input must never
-//! panic, quarantined bytes must round-trip exactly, transient sink failures must be
-//! absorbed by the retry decorator with a deterministic backoff schedule, and durable
-//! write counts must stay truthful when a sink dies mid-stream.
+//! panic, quarantined bytes must round-trip exactly, transient write failures must be
+//! retried byte for byte by the retrying writer on a deterministic backoff schedule, and a
+//! writer that dies mid-stream must leave a prefix of the clean output, no byte twice.
 //!
 //! The corrupted-input corpus is generated with the (offline) `proptest` shim: invalid
 //! UTF-8 runs, NUL bytes, truncated final records, and interleaved binary garbage are
@@ -9,10 +9,9 @@
 //! error policy.
 
 use datamaran::core::{
-    CountingSink, CsvSink, Datamaran, Error, ErrorPolicy, FailingReader, FailingSink,
-    FaultSchedule, JsonLinesSink, QuarantineSink, RecordSink, RecordingSleeper, RetryPolicy,
-    RetryingSink, StreamBudgets, StreamOptions, StreamSession, StreamSummary, Tee,
-    VecQuarantineSink,
+    CountingSink, CsvSink, Datamaran, Error, ErrorPolicy, FailingReader, FailingWriter,
+    FaultSchedule, JsonLinesSink, QuarantineSink, RecordSink, RecordingSleeper, RetryingWriter,
+    StreamBudgets, StreamOptions, StreamSession, StreamSummary, Tee, VecQuarantineSink,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, Cursor};
@@ -288,121 +287,148 @@ fn reader_failure_mid_stream_is_a_structured_io_error() {
     }
 }
 
-#[test]
-fn retrying_sink_absorbs_transient_faults_with_deterministic_backoff() {
-    let text = web_log(300);
-    let engine = Datamaran::with_defaults();
+/// The 400-line log of the byte-exactness tests.
+fn host_log() -> String {
+    (0..400)
+        .map(|i| format!("host=h{};cpu={};mem={}\n", i % 12, i % 100, (i * 7) % 512))
+        .collect()
+}
 
-    // The 5th record call fails transiently twice, then recovers.
-    let failing = FailingSink::new(
-        CountingSink::default(),
-        FaultSchedule::Transient { at: 5, failures: 2 },
-    );
-    let mut sink =
-        RetryingSink::with_sleeper(failing, RetryPolicy::default(), RecordingSleeper::default());
-    let summary = run_guarded(
-        &engine,
-        Cursor::new(text.into_bytes()),
-        small_windows(),
-        &mut sink,
-        None,
-    )
-    .expect("transient faults are retried away");
+/// Every fault-stack writer: a [`FailingWriter`] over an in-memory buffer, under a
+/// [`RetryingWriter`] with three retries and a recording sleeper.
+type Output = RetryingWriter<FailingWriter<Vec<u8>>, RecordingSleeper>;
+
+fn output(failing: FailingWriter<Vec<u8>>) -> Output {
+    RetryingWriter::with_sleeper(failing, 3, RecordingSleeper::default())
+}
+
+/// Which sinks a fault-stack run drives, in `Tee` order.
+#[derive(Clone, Copy, Debug)]
+enum Stack {
+    Csv,
+    JsonLines,
+    CsvThenJsonLines,
+    JsonLinesThenCsv,
+}
+
+/// One fault-stack run: its outcome, every output's bytes (the CSV tables by name, then
+/// `jsonl`), and the backoff sleeps of all writers, one per retry.
+struct Run {
+    result: Result<StreamSummary, Error>,
+    outputs: Vec<(String, Vec<u8>)>,
+    slept: Vec<Duration>,
+}
+
+/// Streams `text` into `stack`.  `faulty(i)` makes the failing writer under writer `i`:
+/// 0 is the JSON Lines writer, 1, 2, … the CSV tables in creation order.
+fn run_stack(text: &str, stack: Stack, faulty: &dyn Fn(usize) -> FailingWriter<Vec<u8>>) -> Run {
+    let engine = Datamaran::with_defaults();
+    let mut created = 0;
+    let mut csv = CsvSink::new(|_name: &str| {
+        created += 1;
+        Ok(output(faulty(created)))
+    });
+    let mut jsonl = JsonLinesSink::new(output(faulty(0)));
+    let run = |sink: &mut dyn RecordSink| {
+        run_plain(
+            &engine,
+            Cursor::new(text.to_string()),
+            small_windows(),
+            sink,
+        )
+    };
+    let result = match stack {
+        Stack::Csv => run(&mut csv),
+        Stack::JsonLines => run(&mut jsonl),
+        Stack::CsvThenJsonLines => run(&mut Tee(&mut csv, &mut jsonl)),
+        Stack::JsonLinesThenCsv => run(&mut Tee(&mut jsonl, &mut csv)),
+    };
+    let mut writers = csv.into_writers();
+    writers.push(("jsonl".into(), jsonl.into_writer()));
+    let slept = writers
+        .iter()
+        .flat_map(|(_, w)| w.sleeper().slept.iter().copied())
+        .collect();
+    let outputs = writers
+        .into_iter()
+        .map(|(name, w)| (name, w.into_inner().into_inner()))
+        .collect();
+    Run {
+        result,
+        outputs,
+        slept,
+    }
+}
+
+fn clean_run(text: &str, stack: Stack) -> Run {
+    let run = run_stack(text, stack, &|_| FailingWriter::passthrough(Vec::new()));
+    assert!(run.result.is_ok(), "{stack:?}: clean streaming succeeds");
+    run
+}
+
+fn ms(delays: &[u64]) -> Vec<Duration> {
+    delays.iter().copied().map(Duration::from_millis).collect()
+}
+
+#[test]
+fn retrying_writer_absorbs_transient_faults_with_deterministic_backoff() {
+    let text = web_log(300);
+    // The 6th write fails transiently, and so does its first retry; the second retry
+    // goes through.
+    let burst = FaultSchedule::Transient { at: 5, failures: 2 };
+    let run = run_stack(&text, Stack::JsonLines, &|_| {
+        FailingWriter::new(Vec::new(), burst)
+    });
+    let summary = run.result.expect("transient faults are retried away");
     assert_eq!(summary.records, 300);
-    assert_eq!(sink.accepted_records(), 300);
-    assert_eq!(sink.retries(), 2);
-    assert!(sink.finished(), "finish ran and flushed");
-    assert_eq!(
-        sink.inner().delivered,
-        300,
-        "inner sink saw every record exactly once"
-    );
     // Deterministic exponential backoff: 10ms, then 20ms — nothing else.
-    assert_eq!(
-        sink.sleeper().slept,
-        vec![Duration::from_millis(10), Duration::from_millis(20)]
+    assert_eq!(run.slept, ms(&[10, 20]));
+    assert!(
+        run.outputs == clean_run(&text, Stack::JsonLines).outputs,
+        "every record written exactly once"
     );
 }
 
 #[test]
 fn retry_backoff_schedule_is_exact() {
-    // Transient window wider than one retry round: each failing *call* restarts the
-    // schedule, so the recorded delays are a pure function of the fault layout.
-    let text = web_log(200);
-    let engine = Datamaran::with_defaults();
-    let failing = FailingSink::new(
-        CountingSink::default(),
-        FaultSchedule::Transient { at: 2, failures: 3 },
-    );
-    let mut sink =
-        RetryingSink::with_sleeper(failing, RetryPolicy::default(), RecordingSleeper::default());
-    run_guarded(
-        &engine,
-        Cursor::new(text.into_bytes()),
-        small_windows(),
-        &mut sink,
-        None,
-    )
-    .expect("three consecutive transient faults fit inside max_retries = 3");
-    assert_eq!(sink.retries(), 3);
-    // One call failed three times before succeeding: 10ms, 20ms, 40ms.
-    assert_eq!(
-        sink.sleeper().slept,
-        vec![
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-            Duration::from_millis(40),
-        ]
-    );
+    // Three consecutive failures of one write: the retries wait 10, 20 and 40 ms, a pure
+    // function of the fault layout.
+    let burst = FaultSchedule::Transient { at: 2, failures: 3 };
+    let run = run_stack(&web_log(200), Stack::JsonLines, &|_| {
+        FailingWriter::new(Vec::new(), burst)
+    });
+    run.result
+        .expect("three consecutive transient faults fit inside three retries");
+    assert_eq!(run.slept, ms(&[10, 20, 40]));
 }
 
 #[test]
 fn permanent_sink_failure_exhausts_retries_and_reports_durable_count() {
     let text = web_log(300);
-    let engine = Datamaran::with_defaults();
-    let failing = FailingSink::new(CountingSink::default(), FaultSchedule::FailNth(7));
-    let mut sink =
-        RetryingSink::with_sleeper(failing, RetryPolicy::default(), RecordingSleeper::default());
-    let err = run_guarded(
-        &engine,
-        Cursor::new(text.into_bytes()),
-        small_windows(),
-        &mut sink,
-        None,
-    )
-    .unwrap_err();
+    let run = run_stack(&text, Stack::JsonLines, &|_| {
+        FailingWriter::new(Vec::new(), FaultSchedule::FailNth(7))
+    });
+    let err = run.result.unwrap_err();
     assert!(matches!(err, Error::Sink { .. }), "{err:?}");
-    // Permanent faults are not retried at all, and the durable count is truthful: the
-    // inner sink accepted exactly the 7 records before the fault.
-    assert_eq!(sink.retries(), 0);
-    assert_eq!(sink.accepted_records(), 7);
-    assert!(!sink.finished(), "finish never succeeded");
-    assert_eq!(sink.inner().delivered, 7);
-    assert_eq!(sink.inner().inner().records, 7);
+    // Permanent faults are not retried at all, and the output holds exactly the 7 rows
+    // written before the fault.
+    assert!(run.slept.is_empty());
+    let clean = clean_run(&text, Stack::JsonLines);
+    let clean_rows = String::from_utf8(clean.outputs[0].1.clone()).unwrap();
+    let first_7: String = clean_rows.split_inclusive('\n').take(7).collect();
+    assert_eq!(run.outputs[0].1, first_7.as_bytes());
 }
 
 #[test]
 fn transient_finish_failure_is_retried_and_reports_durable() {
     let text = web_log(150);
-    let engine = Datamaran::with_defaults();
-    let failing = FailingSink::passthrough(CountingSink::default()).with_finish_failures(2);
-    let mut sink =
-        RetryingSink::with_sleeper(failing, RetryPolicy::default(), RecordingSleeper::default());
-    run_guarded(
-        &engine,
-        Cursor::new(text.into_bytes()),
-        small_windows(),
-        &mut sink,
-        None,
-    )
-    .expect("transient finish faults are retried away");
-    assert!(sink.finished());
-    assert_eq!(sink.retries(), 2);
-    assert_eq!(sink.accepted_records(), 150);
-    assert_eq!(
-        sink.sleeper().slept,
-        vec![Duration::from_millis(10), Duration::from_millis(20)]
-    );
+    let run = run_stack(&text, Stack::JsonLines, &|_| {
+        FailingWriter::passthrough(Vec::new()).with_flush_failures(2)
+    });
+    let summary = run.result.expect("transient flush faults are retried away");
+    assert_eq!(summary.records, 150);
+    assert_eq!(run.slept, ms(&[10, 20]));
+    assert!(run.outputs == clean_run(&text, Stack::JsonLines).outputs);
 }
 
 #[test]
@@ -440,20 +466,12 @@ fn quarantine_fraction_budget_stops_gracefully_on_garbage_flood() {
     assert_eq!(summary.records, sink.records, "sink still finished cleanly");
 }
 
-/// Clean input through the full fault-tolerance stack (retry decorator + attached
+/// Clean input through the full fault-tolerance stack (retrying writers + attached
 /// quarantine) must be byte-identical to the plain streaming path: the hardening layers
 /// are observable only when faults actually occur.
 #[test]
 fn clean_input_is_byte_identical_through_the_fault_stack() {
-    let mut text = String::new();
-    for i in 0..400 {
-        text.push_str(&format!(
-            "host=h{};cpu={};mem={}\n",
-            i % 12,
-            i % 100,
-            (i * 7) % 512
-        ));
-    }
+    let text = host_log();
     let engine = Datamaran::with_defaults();
     let options = small_windows();
 
@@ -465,14 +483,10 @@ fn clean_input_is_byte_identical_through_the_fault_stack() {
         .expect("plain streaming succeeds");
     let Tee(plain_csv, plain_jsonl) = plain;
 
-    let guarded_inner = Tee(
-        CsvSink::new(|_name: &str| Ok(Vec::<u8>::new())),
-        JsonLinesSink::new(Vec::<u8>::new()),
-    );
-    let mut guarded = RetryingSink::with_sleeper(
-        guarded_inner,
-        RetryPolicy::default(),
-        RecordingSleeper::default(),
+    let retrying = || RetryingWriter::with_sleeper(Vec::new(), 3, RecordingSleeper::default());
+    let mut guarded = Tee(
+        CsvSink::new(|_name: &str| Ok(retrying())),
+        JsonLinesSink::new(retrying()),
     );
     let mut quarantine = VecQuarantineSink::default();
     run_guarded(
@@ -483,88 +497,120 @@ fn clean_input_is_byte_identical_through_the_fault_stack() {
         Some(&mut quarantine),
     )
     .expect("guarded streaming succeeds");
-    assert_eq!(guarded.retries(), 0, "no faults, no retries");
-    assert!(guarded.sleeper().slept.is_empty(), "no backoff sleeps");
-    let Tee(guarded_csv, guarded_jsonl) = guarded.into_inner();
-
-    let plain_tables = plain_csv.into_writers();
-    let guarded_tables = guarded_csv.into_writers();
-    assert_eq!(plain_tables, guarded_tables, "CSV bytes identical");
+    let Tee(guarded_csv, guarded_jsonl) = guarded;
+    let guarded_jsonl = guarded_jsonl.into_writer();
+    assert!(
+        guarded_jsonl.sleeper().slept.is_empty(),
+        "no backoff sleeps"
+    );
+    let guarded_tables: Vec<(String, Vec<u8>)> = guarded_csv
+        .into_writers()
+        .into_iter()
+        .map(|(name, w)| {
+            assert!(w.sleeper().slept.is_empty(), "no backoff sleeps");
+            (name, w.into_inner())
+        })
+        .collect();
+    assert_eq!(
+        plain_csv.into_writers(),
+        guarded_tables,
+        "CSV bytes identical"
+    );
     assert_eq!(
         plain_jsonl.into_writer(),
-        guarded_jsonl.into_writer(),
+        guarded_jsonl.into_inner(),
         "JSON Lines bytes identical"
     );
 }
 
-/// An output that takes at most `chunk` bytes per call and fails its `fail_at`-th call
-/// (1-based) once with a transient error, taking none of that call's bytes.
-struct FlakyOutput {
-    bytes: Vec<u8>,
-    calls: usize,
-    chunk: usize,
-    fail_at: usize,
-}
-
-impl std::io::Write for FlakyOutput {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.calls += 1;
-        if self.calls == self.fail_at {
-            return Err(std::io::ErrorKind::TimedOut.into());
-        }
-        let n = buf.len().min(self.chunk);
-        self.bytes.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A transient write error under the retry decorator must not corrupt a CSV table: the
-/// failed record keeps its unwritten bytes and its row ids, and its replay writes only
-/// the rest — whether the writer takes whole writes or 3 bytes per call.
-#[test]
-fn a_transient_write_error_leaves_csv_tables_byte_identical() {
-    let text: String = (0..400)
-        .map(|i| format!("host=h{};cpu={};mem={}\n", i % 12, i % 100, (i * 7) % 512))
-        .collect();
-    let engine = Datamaran::with_defaults();
-    let options = small_windows();
-    let mut clean = CsvSink::new(|_name: &str| Ok(Vec::<u8>::new()));
-    let summary = run_plain(&engine, Cursor::new(text.clone()), options, &mut clean)
-        .expect("clean streaming succeeds");
-    assert_eq!(summary.records, 400);
-    let as_text = |(name, bytes): (String, Vec<u8>)| (name, String::from_utf8(bytes).unwrap());
-    let clean: Vec<(String, String)> = clean.into_writers().into_iter().map(as_text).collect();
-
+/// Runs `stack` with one transient fault at write call 1, 2, 40, 41 and 399 of the
+/// writers `failing` picks, whether the writers take whole writes or 3 bytes per call:
+/// every run must retry once and leave every output byte-identical to the clean run.
+fn assert_one_transient_fault_is_invisible(stack: Stack, failing: fn(usize) -> bool) {
+    let text = host_log();
+    let clean = clean_run(&text, stack);
     for chunk in [usize::MAX, 3] {
         for fail_at in [1, 2, 40, 41, 399] {
-            let case = format!("{chunk} bytes per call, call {fail_at} fails");
-            let flaky = CsvSink::new(|_name: &str| {
-                Ok(FlakyOutput {
-                    bytes: Vec::new(),
-                    calls: 0,
-                    chunk,
-                    fail_at,
-                })
+            let case = format!("{stack:?}, {chunk} bytes per call, call {fail_at} fails");
+            let fault = FaultSchedule::Transient {
+                at: fail_at - 1,
+                failures: 1,
+            };
+            let run = run_stack(&text, stack, &|i| {
+                let writer = if failing(i) {
+                    FailingWriter::new(Vec::new(), fault)
+                } else {
+                    FailingWriter::passthrough(Vec::new())
+                };
+                writer.with_max_write(chunk)
             });
-            let mut retrying = RetryingSink::with_sleeper(
-                flaky,
-                RetryPolicy::default(),
-                RecordingSleeper::default(),
-            );
-            run_plain(&engine, Cursor::new(text.clone()), options, &mut retrying)
-                .unwrap_or_else(|e| panic!("{case}: {e}"));
-            assert_eq!(retrying.retries(), 1, "{case}: the fault fired once");
-            let tables: Vec<(String, String)> = retrying
-                .into_inner()
-                .into_writers()
-                .into_iter()
-                .map(|(name, out)| as_text((name, out.bytes)))
-                .collect();
-            assert_eq!(tables, clean, "{case}");
+            run.result.unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(run.slept.len(), 1, "{case}: the fault fired once");
+            assert!(run.outputs == clean.outputs, "{case}: outputs differ");
+        }
+    }
+}
+
+/// A transient write error must not corrupt a CSV table: the writer takes none of the
+/// failed call's bytes, and its retry hands over exactly those bytes.
+#[test]
+fn a_transient_write_error_leaves_csv_tables_byte_identical() {
+    assert_one_transient_fault_is_invisible(Stack::Csv, |i| i > 0);
+}
+
+/// The same for the JSON Lines stream, and for a `Tee` whose second sink (the JSON Lines
+/// writer) fails after the first took the record: neither sink sees a record twice.
+#[test]
+fn a_transient_write_error_leaves_json_lines_and_tee_output_byte_identical() {
+    assert_one_transient_fault_is_invisible(Stack::JsonLines, |i| i == 0);
+    assert_one_transient_fault_is_invisible(Stack::CsvThenJsonLines, |i| i == 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any sink stack on writers of any bytes-per-call cap, each writer with one burst of
+    /// transient write faults at a random call and 0–3 transient flush faults: a burst the
+    /// three retries cover leaves every output byte-identical to the clean run; a longer
+    /// one fails the run with a transient sink error and leaves every output a prefix of
+    /// the clean run's, so no byte is ever written twice.
+    #[test]
+    fn fault_layouts_retry_byte_exactly_or_leave_prefixes(
+        stack in prop_oneof![
+            Just(Stack::Csv),
+            Just(Stack::JsonLines),
+            Just(Stack::CsvThenJsonLines),
+            Just(Stack::JsonLinesThenCsv),
+        ],
+        chunk in prop_oneof![Just(1usize), Just(2), Just(3), Just(5), Just(8), Just(usize::MAX)],
+        at in prop::collection::vec(0usize..400, 2..3),
+        failures in prop::collection::vec(1usize..7, 2..3),
+        flush_failures in prop::collection::vec(0usize..4, 2..3),
+    ) {
+        // Writer 0 is the JSON Lines stream, writer 1 the log's one CSV table; each of the
+        // 400 records writes to both, so a burst at any call below 400 fires.
+        let text = host_log();
+        let clean = clean_run(&text, stack);
+        let run = run_stack(&text, stack, &|i| {
+            let burst = FaultSchedule::Transient { at: at[i], failures: failures[i] };
+            FailingWriter::new(Vec::new(), burst)
+                .with_flush_failures(flush_failures[i])
+                .with_max_write(chunk)
+        });
+        let writers: &[usize] = match stack {
+            Stack::Csv => &[1],
+            Stack::JsonLines => &[0],
+            _ => &[0, 1],
+        };
+        if writers.iter().all(|&i| failures[i] <= 3) {
+            prop_assert!(run.result.is_ok(), "{:?}", run.result.err());
+            prop_assert!(run.outputs == clean.outputs, "outputs differ");
+        } else {
+            let err = run.result.unwrap_err();
+            prop_assert!(matches!(err, Error::Sink { .. }) && err.is_transient(), "{err:?}");
+            for ((name, bytes), (_, clean)) in run.outputs.iter().zip(&clean.outputs) {
+                prop_assert!(clean.starts_with(bytes), "{name} is not a prefix");
+            }
         }
     }
 }

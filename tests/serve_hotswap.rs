@@ -104,7 +104,9 @@ fn concurrent_readers_never_observe_a_torn_snapshot() {
             };
             let snapshot = TemplateSnapshot::compile(store.claim_version(), templates, &engine)
                 .expect("recompile during swap");
-            store.swap(std::sync::Arc::new(snapshot));
+            store
+                .swap(std::sync::Arc::new(snapshot))
+                .expect("a claimed version is above the current one");
         }
         done.store(true, Ordering::Relaxed);
     });

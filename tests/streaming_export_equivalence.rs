@@ -13,9 +13,9 @@ mod common;
 
 use datamaran::core::{
     all_records_jsonl, table_to_csv, CountingSink, CsvSink, Datamaran, ErrorPolicy, JsonLinesSink,
-    RecordSink, RecordingSleeper, Result as CoreResult, RetryPolicy, RetryingSink, ServeOptions,
-    ServeSession, SnapshotStore, StreamOptions, StreamRecord, StreamSession, StructureTemplate,
-    Tee, TemplateSnapshot, VecQuarantineSink,
+    RecordSink, RecordingSleeper, Result as CoreResult, RetryingWriter, ServeOptions, ServeSession,
+    SnapshotStore, StreamOptions, StreamRecord, StreamSession, StructureTemplate, Tee,
+    TemplateSnapshot, VecQuarantineSink,
 };
 use std::io::Cursor;
 
@@ -131,17 +131,14 @@ fn assert_streaming_equivalence(name: &str, text: &str, options: StreamOptions) 
         "{name}: JSON Lines bytes"
     );
 
-    // The full fault-tolerance stack — retry decorator around the sinks plus an attached
+    // The full fault-tolerance stack — retrying writers under the sinks plus an attached
     // quarantine under the quarantine policy — must be invisible on clean input: same
     // bytes, zero retries, and a quarantine that holds exactly the noise lines.
-    let guarded_inner = Tee(
-        CsvSink::new(|_name: &str| Ok(Vec::<u8>::new())),
-        JsonLinesSink::new(Vec::<u8>::new()),
-    );
-    let mut guarded = RetryingSink::with_sleeper(
-        guarded_inner,
-        RetryPolicy::default(),
-        RecordingSleeper::default(),
+    let retrying =
+        || RetryingWriter::with_sleeper(Vec::<u8>::new(), 3, RecordingSleeper::default());
+    let mut guarded = Tee(
+        CsvSink::new(|_name: &str| Ok(retrying())),
+        JsonLinesSink::new(retrying()),
     );
     let mut quarantine = VecQuarantineSink::default();
     let guarded_summary = StreamSession::new(&engine)
@@ -153,8 +150,6 @@ fn assert_streaming_equivalence(name: &str, text: &str, options: StreamOptions) 
         guarded_summary.records, summary.records,
         "{name}: guarded records"
     );
-    assert_eq!(guarded.retries(), 0, "{name}: clean input needs no retries");
-    assert!(guarded.finished(), "{name}: guarded finish ran");
     assert_eq!(
         quarantine.entries.len(),
         guarded_summary.noise_lines,
@@ -170,15 +165,30 @@ fn assert_streaming_equivalence(name: &str, text: &str, options: StreamOptions) 
             entry.line
         );
     }
-    let Tee(guarded_csv, guarded_jsonl) = guarded.into_inner();
-    let guarded_tables = guarded_csv.into_writers();
+    let Tee(guarded_csv, guarded_jsonl) = guarded;
+    let guarded_jsonl = guarded_jsonl.into_writer();
+    assert!(
+        guarded_jsonl.sleeper().slept.is_empty(),
+        "{name}: clean input needs no retries"
+    );
+    let guarded_tables: Vec<(String, Vec<u8>)> = guarded_csv
+        .into_writers()
+        .into_iter()
+        .map(|(table, w)| {
+            assert!(
+                w.sleeper().slept.is_empty(),
+                "{name}: clean input needs no retries"
+            );
+            (table, w.into_inner())
+        })
+        .collect();
     let plain_tables: Vec<(String, Vec<u8>)> = materialized
         .iter()
         .map(|(n, c)| (n.clone(), c.clone().into_bytes()))
         .collect();
     assert_eq!(guarded_tables, plain_tables, "{name}: guarded CSV bytes");
     assert_eq!(
-        guarded_jsonl.into_writer(),
+        guarded_jsonl.into_inner(),
         jsonl_bytes,
         "{name}: guarded JSON Lines bytes"
     );
